@@ -7,6 +7,8 @@ hash keyed by (seed, absolute position), so stepping backwards needs no
 stored history and every symbol is a pure function of (seed, position).
 """
 
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,10 +178,6 @@ class _BernoulliSource:
         self.seed = seed
         self.cdf = np.cumsum(np.asarray(probabilities, dtype=np.float64))
 
-    def symbol(self, k):
-        u = _uniform(self.seed, STREAM_SYMBOL, k)
-        return int(np.searchsorted(self.cdf, u, side="right"))
-
     def window(self, lo, hi):
         us = _uniforms(self.seed, STREAM_SYMBOL, np.arange(lo, hi, dtype=np.int64))
         return np.searchsorted(self.cdf, us, side="right").astype(np.int64)
@@ -190,56 +188,60 @@ class _MarkovSource:
 
     Position 0 is drawn from the stationary vector; positions k > 0 follow
     the forward transition matrix and k < 0 the time-reversed matrix, so the
-    two-sided law is the stationary chain.  The memo fill is idempotent,
-    which keeps concurrent readers consistent.
+    two-sided law is the stationary chain.  The realized chain is kept as
+    two lists growing away from position 0, filled in blocks whose
+    uniforms are drawn in one call; a lock keeps concurrent fills from
+    interleaving.
     """
+
+    _BLOCK = 1 << 16
 
     def __init__(self, seed, transition, stationary):
         self.seed = seed
-        self.fwd_cdf = np.cumsum(np.asarray(transition, dtype=np.float64), axis=1)
         pi = np.asarray(stationary, dtype=np.float64)
         p = np.asarray(transition, dtype=np.float64)
         rev = (p.T * pi[None, :]) / pi[:, None]
         rev = rev / rev.sum(axis=1, keepdims=True)
-        self.rev_cdf = np.cumsum(rev, axis=1)
-        self.pi_cdf = np.cumsum(pi)
-        self.memo = {}
+        self.fwd_cdf = np.cumsum(p, axis=1).tolist()
+        self.rev_cdf = np.cumsum(rev, axis=1).tolist()
+        first = bisect_right(np.cumsum(pi).tolist(),
+                             _uniform(seed, STREAM_SYMBOL, 0))
+        self._fwd = [first]     # symbols at positions 0, 1, 2, ...
+        self._back = []         # symbols at positions -1, -2, ...
+        self._lock = threading.Lock()
 
-    def _draw(self, cdf_row, k):
-        u = _uniform(self.seed, STREAM_SYMBOL, k)
-        return int(np.searchsorted(cdf_row, u, side="right"))
+    def _fill(self, chain, sign, cdf, count):
+        """Grow `chain` to `count` entries.
 
-    def symbol(self, k):
-        memo = self.memo
-        if k in memo:
-            return memo[k]
-        if 0 not in memo:
-            memo[0] = self._draw(self.pi_cdf, 0)
-        if k > 0:
-            lo = k
-            while lo - 1 not in memo:
-                lo -= 1
-            for j in range(lo, k + 1):
-                memo[j] = self._draw(self.fwd_cdf[memo[j - 1]], j)
-        elif k < 0:
-            hi = k
-            while hi + 1 not in memo:
-                hi += 1
-            for j in range(hi, k - 1, -1):
-                memo[j] = self._draw(self.rev_cdf[memo[j + 1]], j)
-        return memo[k]
+        Forward entry j is position j; backward entry j is position -1 - j.
+        """
+        with self._lock:
+            while len(chain) < count:
+                lo = len(chain)
+                hi = min(count, lo + self._BLOCK)
+                js = np.arange(lo, hi, dtype=np.int64)
+                pos = js if sign > 0 else -js - 1
+                prev = chain[-1] if chain else self._fwd[0]
+                for u in _uniforms(self.seed, STREAM_SYMBOL, pos).tolist():
+                    prev = bisect_right(cdf[prev], u)
+                    chain.append(prev)
 
     def window(self, lo, hi):
-        self.symbol(lo)
-        self.symbol(hi - 1)
-        return np.array([self.symbol(k) for k in range(lo, hi)], dtype=np.int64)
+        if hi > len(self._fwd):
+            self._fill(self._fwd, +1, self.fwd_cdf, hi)
+        if -lo > len(self._back):
+            self._fill(self._back, -1, self.rev_cdf, -lo)
+        if lo >= 0:
+            syms = self._fwd[lo:hi]
+        elif hi <= 0:
+            syms = self._back[-hi:-lo][::-1]
+        else:
+            syms = self._back[:-lo][::-1] + self._fwd[:hi]
+        return np.array(syms, dtype=np.int64)
 
 
 class _ConstantSource:
     """One-point base and degenerate single-letter alphabets."""
-
-    def symbol(self, k):
-        return 0
 
     def window(self, lo, hi):
         return np.zeros(hi - lo, dtype=np.int64)
@@ -251,18 +253,16 @@ class _PeriodicSource:
     def __init__(self, word):
         self.word = tuple(int(s) for s in word)
 
-    def symbol(self, k):
-        return self.word[k % len(self.word)]
-
     def window(self, lo, hi):
-        return np.array([self.symbol(k) for k in range(lo, hi)], dtype=np.int64)
+        word = np.array(self.word, dtype=np.int64)
+        return word[np.arange(lo, hi) % len(word)]
 
 
 class BaseState:
     """A point of the driving system.
 
-    Immutable except for the shared symbol memo, whose fills are idempotent;
-    states may be shared between threads.  Shifted copies share the
+    Immutable except for a realized Markov chain, which only grows, under a
+    lock; states may be shared between threads.  Shifted copies share the
     underlying source, so queries agree across the whole orbit.
     """
 
@@ -294,9 +294,7 @@ class BaseState:
     @property
     def angle(self):
         """Current angle of a rotation state (recomputed, hence exactly invertible)."""
-        if self.spec.kind != "rotation":
-            raise UnsupportedOperationError("angle is defined for rotation bases only")
-        return (self._angle0 + self.origin_offset * self.spec.rotation_number) % 1.0
+        return float(rotation_angles(self, 0, 1)[0])
 
     def _shifted(self, delta):
         return BaseState(self.spec, self.seed, self.origin_offset + delta,
@@ -343,15 +341,22 @@ def shift_by(state, n):
     return state._shifted(n)
 
 
+def rotation_angles(state, lo, hi):
+    """Angles at positions lo..hi-1 (relative) of a rotation state.
+
+    (angle0 + (origin_offset + k) * rho) mod 1 is evaluated per position,
+    not accumulated, so every angle is exactly invertible and a window
+    agrees bit for bit with the angles of the shifted states.
+    """
+    if state.spec.kind != "rotation":
+        raise UnsupportedOperationError("angle is defined for rotation bases only")
+    ks = np.arange(state.origin_offset + lo, state.origin_offset + hi, dtype=np.int64)
+    return (state._angle0 + ks * state.spec.rotation_number) % 1.0
+
+
 def symbol_at(state, k):
     """Symbol at signed position k relative to the state's current origin."""
-    if state._source is None:
-        raise UnsupportedOperationError("rotation bases carry an angle, not symbols")
-    pos = state.origin_offset + k
-    if abs(pos) > WINDOW_LIMIT:
-        raise WindowLimitError(
-            f"position {pos} exceeds the supported window of +/-{WINDOW_LIMIT}")
-    return state._source.symbol(pos)
+    return int(symbol_window(state, k, k + 1)[0])
 
 
 def symbol_window(state, lo, hi):
@@ -359,8 +364,9 @@ def symbol_window(state, lo, hi):
     if state._source is None:
         raise UnsupportedOperationError("rotation bases carry an angle, not symbols")
     a, b = state.origin_offset + lo, state.origin_offset + hi
-    if max(abs(a), abs(b)) > WINDOW_LIMIT:
-        raise WindowLimitError("requested window exceeds the supported position range")
+    if a < -WINDOW_LIMIT or b - 1 > WINDOW_LIMIT:
+        raise WindowLimitError(
+            f"positions {a}..{b - 1} exceed the supported window of +/-{WINDOW_LIMIT}")
     return state._source.window(a, b)
 
 
@@ -391,9 +397,6 @@ def periodic_state(alphabet_size, word):
     word = tuple(int(s) for s in word)
     if not word or any(not (0 <= s < alphabet_size) for s in word):
         raise ConfigurationError("word symbols must lie in the alphabet")
-    p = [0.0] * alphabet_size
-    for s in set(word):
-        p[s] = 1.0 / len(set(word))
     # spec probabilities are irrelevant for a periodic source; uniform placeholder
     spec = BaseSystemSpec(kind="bernoulli", alphabet_size=alphabet_size,
                           probabilities=tuple(1.0 / alphabet_size for _ in range(alphabet_size)))

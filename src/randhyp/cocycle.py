@@ -75,15 +75,22 @@ def unit_tangent(omega, x, v):
     return UnitTangentPoint(omega, x, tuple(v / norm))
 
 
+def unit_direction(v):
+    """Unit v, signed so that its first nonzero coordinate is positive."""
+    v = v / np.linalg.norm(v)
+    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
+        return -v
+    return v
+
+
 def iterate(family, omega, x, n):
     """Forward orbit (x, phi(x), ..., phi^{(n)}(x)); entry 0 is x itself."""
     if n < 0:
         raise ContractError("n must be >= 0")
     out = [x]
-    state, coords = omega, x.coords
-    for _ in range(n):
-        coords = family.apply_raw(state, coords)
-        state = base_step(state)
+    coords = x.coords
+    for p in family.params_along(omega, n).tolist():
+        coords = family.apply_at(p, coords)
         out.append(ManifoldPoint(coords))
     return out
 
@@ -98,22 +105,21 @@ def cocycle_product(family, omega, x, n):
         raise ContractError("n must be >= 1")
     m = family.manifold_dim
     prod = np.eye(m)
-    state, coords = omega, x.coords
-    for _ in range(n):
-        jac = np.asarray(family.jacobian_raw(state, coords), dtype=np.float64)
+    coords = x.coords
+    for p in family.params_along(omega, n).tolist():
+        jac = np.asarray(family.jacobian_at(p, coords), dtype=np.float64)
         prod = jac @ prod
         if np.max(np.abs(prod)) > _OVERFLOW_LIMIT:
             raise CocycleOverflowError(
                 "derivative product exceeded 1e300; use the log-space "
                 "estimators (top_exponent, birkhoff_sum_phi) instead")
-        coords = family.apply_raw(state, coords)
-        state = base_step(state)
+        coords = family.apply_at(p, coords)
     return CocycleMatrix(prod, n)
 
 
-def _step_raw(family, state, coords, v):
-    """One projectivized tangent step on raw data; returns log-stretch too."""
-    jac = family.jacobian_raw(state, coords)
+def _step_raw(family, p, coords, v):
+    """One projectivized tangent step at parameter p; returns log-stretch too."""
+    jac = family.jacobian_at(p, coords)
     m = len(v)
     if m == 1:
         w0 = jac[0][0] * v[0]
@@ -124,23 +130,18 @@ def _step_raw(family, state, coords, v):
         w1 = jac[1][0] * v[0] + jac[1][1] * v[1]
         norm = math.sqrt(w0 * w0 + w1 * w1)
         w = (w0 / norm, w1 / norm)
-    return family.apply_raw(state, coords), w, math.log(norm)
+    return family.apply_at(p, coords), w, math.log(norm)
 
 
 def unit_tangent_step(family, p):
     """One step of the induced tangent map; the output vector is unit."""
-    coords, v, _ = _step_raw(family, p.omega, p.x.coords, p.v)
+    coords, v, _ = _step_raw(family, family.param_at(p.omega), p.x.coords, p.v)
     return UnitTangentPoint(base_step(p.omega), ManifoldPoint(coords), v)
 
 
 def phi(family, p):
     """log |D_x phi_w (v)| at a unit tangent point."""
-    jac = family.jacobian_raw(p.omega, p.x.coords)
-    if len(p.v) == 1:
-        return math.log(abs(jac[0][0] * p.v[0]))
-    w0 = jac[0][0] * p.v[0] + jac[0][1] * p.v[1]
-    w1 = jac[1][0] * p.v[0] + jac[1][1] * p.v[1]
-    return 0.5 * math.log(w0 * w0 + w1 * w1)
+    return _step_raw(family, family.param_at(p.omega), p.x.coords, p.v)[2]
 
 
 def birkhoff_sum_phi(family, p, n):
@@ -151,21 +152,16 @@ def birkhoff_sum_phi(family, p, n):
     """
     if n < 1:
         raise ContractError("n must be >= 1")
-    state, coords, v = p.omega, p.x.coords, p.v
     total = 0.0
-    for _ in range(n):
-        coords, v, logstretch = _step_raw(family, state, coords, v)
-        state = base_step(state)
+    for logstretch in orbit_log_stretches(family, p, n).tolist():
         total += logstretch
     return total
 
 
 def orbit_log_stretches(family, p, n):
     """Per-step log-stretch array along the tangent orbit (length n)."""
-    state, coords, v = p.omega, p.x.coords, p.v
+    coords, v = p.x.coords, p.v
     out = np.empty(n)
-    for i in range(n):
-        coords, v, logstretch = _step_raw(family, state, coords, v)
-        state = base_step(state)
-        out[i] = logstretch
+    for i, q in enumerate(family.params_along(p.omega, n).tolist()):
+        coords, v, out[i] = _step_raw(family, q, coords, v)
     return out

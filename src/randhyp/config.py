@@ -38,25 +38,26 @@ TASK_DEFAULTS = {
     },
 }
 
-# (min value, description) for every recognized numeric parameter.
+# (type, min value, description) for every recognized numeric parameter;
+# counts must be integers, the rest may be any number.
 _PARAM_RULES = {
-    "n": (1, "orbit length"),
-    "n_max": (4, "rate-estimate horizon"),
-    "grid_size": (64, "fiber grid resolution"),
-    "samples": (1, "number of sampled base points"),
-    "lambda": (None, "certified expansion rate"),
-    "horizon": (2, "bundle window length"),
-    "batches": (1, "batch count for error bars"),
-    "depth": (1, "truncation depth of the constant's infimum"),
-    "p_max": (1, "maximal periodic word length"),
-    "birkhoff_steps": (1, "Birkhoff orbit length"),
-    "birkhoff_starts": (1, "number of Birkhoff starts"),
-    "curve_n_max": (1, "temperedness curve length"),
-    "curve_len": (1, "bundle constant curve length"),
-    "temperedness_threshold": (None, "curve decay threshold"),
-    "supadd_samples": (1, "supadditivity sample count"),
-    "supadd_N": (2, "supadditivity horizon"),
-    "a_bound": (None, "declared uniform-rate bound"),
+    "n": (int, 1, "orbit length"),
+    "n_max": (int, 4, "rate-estimate horizon"),
+    "grid_size": (int, 64, "fiber grid resolution"),
+    "samples": (int, 1, "number of sampled base points"),
+    "lambda": (float, None, "certified expansion rate"),
+    "horizon": (int, 2, "bundle window length"),
+    "batches": (int, 1, "batch count for error bars"),
+    "depth": (int, 1, "truncation depth of the constant's infimum"),
+    "p_max": (int, 1, "maximal periodic word length"),
+    "birkhoff_steps": (int, 1, "Birkhoff orbit length"),
+    "birkhoff_starts": (int, 1, "number of Birkhoff starts"),
+    "curve_n_max": (int, 1, "temperedness curve length"),
+    "curve_len": (int, 1, "bundle constant curve length"),
+    "temperedness_threshold": (float, None, "curve decay threshold"),
+    "supadd_samples": (int, 1, "supadditivity sample count"),
+    "supadd_N": (int, 2, "supadditivity horizon"),
+    "a_bound": (float, None, "declared uniform-rate bound"),
 }
 _BOOL_PARAMS = {"include_periodic", "corollary"}
 
@@ -82,10 +83,10 @@ def _validate_task_params(params, errors):
         if key not in _PARAM_RULES:
             errors.append(f"{path} is not a recognized parameter")
             continue
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"{path} must be numeric")
+        kind, low, _ = _PARAM_RULES[key]
+        if not isinstance(value, (int, kind)) or isinstance(value, bool):
+            errors.append(f"{path} must be {'an integer' if kind is int else 'numeric'}")
             continue
-        low, _ = _PARAM_RULES[key]
         if low is not None and value < low:
             errors.append(f"{path} must be >= {low}")
     lam = params.get("lambda")

@@ -15,8 +15,8 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .base import derive_seed, periodic_state, random_point, sample_base, shift_by
-from .cocycle import unit_tangent, unit_tangent_step
+from .base import derive_seed, periodic_state, random_point, sample_base
+from .cocycle import unit_direction, unit_tangent, unit_tangent_step
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint
 from .expansion import min_expansion_sweep, uniform_rate_estimate
@@ -122,27 +122,26 @@ def _circle_dist(a, b):
     return min(d, 1.0 - d)
 
 
-def _lift_composite(family, states, xs):
+def _lift_composite(family, ps, xs):
     y = np.asarray(xs, dtype=np.float64)
-    for st in states:
-        y = family.lift_vec(st, y)
+    for p in ps:
+        y = family.lift(p, y, np)
     return y
 
 
-def _apply_steps(family, states, x, count):
+def _apply_steps(family, ps, x, count):
     for i in range(count):
-        x = family.apply1(states[i % len(states)], x)
+        x = family.apply(ps[i % len(ps)], x)
     return x
 
 
 def _circle_word_orbits(family, word, alphabet_size):
     """All periodic orbits of fundamental period len(word) over this word."""
     p = len(word)
-    omega0 = periodic_state(alphabet_size, word)
-    states = [shift_by(omega0, i) for i in range(p)]
+    ps = family.params_along(periodic_state(alphabet_size, word), p).tolist()
     degree = 1
-    for st in states:
-        degree *= family.degree(st)
+    for q in ps:
+        degree *= family.degree(q)
 
     # The lift of the p-step composite fixes 0 and gains `degree` over one
     # period, so the fixed points are the solutions of G(x) = c for integer
@@ -152,7 +151,7 @@ def _circle_word_orbits(family, word, alphabet_size):
     hi = np.ones_like(cs)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        g = _lift_composite(family, states, mid) - mid
+        g = _lift_composite(family, ps, mid) - mid
         takes = g < cs
         lo = np.where(takes, mid, lo)
         hi = np.where(takes, hi, mid)
@@ -161,7 +160,7 @@ def _circle_word_orbits(family, word, alphabet_size):
     q = _word_period(word)
     if q < p:
         roots = [x for x in roots
-                 if _circle_dist(_apply_steps(family, states, x, q), x) > 1e-9]
+                 if _circle_dist(_apply_steps(family, ps, x, q), x) > 1e-9]
 
     orbits = []
     visited = [False] * len(roots)
@@ -173,21 +172,20 @@ def _circle_word_orbits(family, word, alphabet_size):
             # rotation-symmetric words revisit the fixed set every q steps
             x = x0
             for _ in range(p // q - 1):
-                x = _apply_steps(family, states, x, q)
+                x = _apply_steps(family, ps, x, q)
                 for j, xr in enumerate(roots):
                     if not visited[j] and _circle_dist(x, xr) < 1e-9:
                         visited[j] = True
         orbits.append(x0)
-    return states, orbits
+    return ps, orbits
 
 
-def enumerate_periodic_orbits(family, spec, p_max, grid_size=None):
+def enumerate_periodic_orbits(family, spec, p_max):
     """Periodic orbits for every symbol word of length <= p_max (up to
     rotation), sorted by orbit-averaged log expansion.
 
     Full-shift (bernoulli) bases only.  Root isolation uses bisection on the
-    monotone lift, so no starting grid is needed; `grid_size` is accepted
-    for interface parity and ignored.
+    monotone lift, so no starting grid is needed.
     """
     if spec.kind != "bernoulli":
         raise UnsupportedOperationError("periodic-orbit search needs a full shift base")
@@ -199,14 +197,14 @@ def enumerate_periodic_orbits(family, spec, p_max, grid_size=None):
             if _word_period(word) < p and isinstance(family, LinearTorusFamily):
                 continue
             if isinstance(family, CircleFamily):
-                states, orbit_roots = _circle_word_orbits(family, word,
-                                                          spec.alphabet_size)
+                ps, orbit_roots = _circle_word_orbits(family, word,
+                                                      spec.alphabet_size)
                 for x0 in orbit_roots:
                     logs = []
                     x = x0
-                    for i in range(p):
-                        logs.append(math.log(abs(family.deriv1(states[i], x))))
-                        x = family.apply1(states[i], x)
+                    for q in ps:
+                        logs.append(family.log_deriv(q, x))
+                        x = family.apply(q, x)
                     residual = _circle_dist(x, x0)
                     records.append(PeriodicOrbitRecord(
                         symbol_word=word, x0=ManifoldPoint((x0,)), v0=(1.0,),
@@ -214,20 +212,16 @@ def enumerate_periodic_orbits(family, spec, p_max, grid_size=None):
                         residual=residual))
             else:
                 omega0 = periodic_state(spec.alphabet_size, word)
-                states = [shift_by(omega0, i) for i in range(p)]
                 prod = np.eye(2)
-                for st in states:
-                    prod = family.matrix(st) @ prod
+                for j in family.matrix_indices(omega0, p):
+                    prod = family.matrices[j] @ prod
                 eigvals, eigvecs = np.linalg.eig(prod)
                 if np.iscomplexobj(eigvals) and np.abs(eigvals.imag).max() > 1e-12:
                     continue  # no real invariant direction to record
                 eigvals = eigvals.real
                 eigvecs = eigvecs.real
                 k = int(np.argmin(np.abs(eigvals)))
-                v = eigvecs[:, k]
-                v = v / np.linalg.norm(v)
-                if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-                    v = -v
+                v = unit_direction(eigvecs[:, k])
                 records.append(PeriodicOrbitRecord(
                     symbol_word=word, x0=ManifoldPoint((0.0, 0.0)),
                     v0=(float(v[0]), float(v[1])), period=p,

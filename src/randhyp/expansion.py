@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .base import base_step, sample_base, shift_by
+from .cocycle import unit_direction
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily
 
@@ -146,9 +147,8 @@ def min_expansion_sweep(family, omega, n_max, grid_size=DEFAULT_GRID):
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
     if isinstance(family, CircleFamily):
-        if hasattr(family, "step_log_derivs"):
-            logs = family.step_log_derivs(omega, n_max)
-            uppers = np.cumsum(logs)
+        if family.linear:
+            uppers = np.cumsum(family.orbit_log_derivs(omega, 0.0, n_max))
             return SweepResult(uppers, uppers.copy(), 1, (0.0,), (1.0,))
         if grid_size < MIN_GRID:
             raise ContractError(f"grid_size must be >= {MIN_GRID}")
@@ -156,12 +156,10 @@ def min_expansion_sweep(family, omega, n_max, grid_size=DEFAULT_GRID):
         cur = xs0.copy()
         acc = np.zeros(grid_size)
         uppers = np.empty(n_max)
-        state = omega
-        for i in range(n_max):
-            acc += np.log(family.deriv_vec(state, cur))
+        for i, p in enumerate(family.params_along(omega, n_max)):
+            acc += family.log_deriv(p, cur, np)
             uppers[i] = acc.min()
-            cur = family.apply_vec(state, cur)
-            state = base_step(state)
+            cur = family.apply(p, cur, np)
         slacks = np.array([lipschitz_slack(family, n, grid_size)
                            for n in range(1, n_max + 1)])
         argmin = float(xs0[int(np.argmin(acc))])
@@ -170,19 +168,15 @@ def min_expansion_sweep(family, omega, n_max, grid_size=DEFAULT_GRID):
         prod = np.eye(2)
         logscale = 0.0
         uppers = np.empty(n_max)
-        state = omega
-        for i in range(n_max):
-            prod = family.matrix(state) @ prod
+        for i, j in enumerate(family.matrix_indices(omega, n_max)):
+            prod = family.matrices[j] @ prod
             scale = np.abs(prod).max()
             prod /= scale
             logscale += math.log(scale)
             svals = np.linalg.svd(prod, compute_uv=False)
             uppers[i] = logscale + math.log(svals[-1])
-            state = base_step(state)
         _, _, vh = np.linalg.svd(prod)
-        vmin = vh[-1]
-        if vmin[0] < 0 or (vmin[0] == 0 and vmin[1] < 0):
-            vmin = -vmin
+        vmin = unit_direction(vh[-1])
         return SweepResult(uppers, uppers.copy(), 1, (0.0, 0.0),
                            (float(vmin[0]), float(vmin[1])))
     raise UnsupportedOperationError(
@@ -288,7 +282,7 @@ def tempered_constant(family, omega, lam, depth=DEFAULT_DEPTH,
 
 def _curve_fast(family, omega, lam, n_max, depth):
     """All log C(T^n w) at once for x-independent circle families."""
-    logs = family.step_log_derivs(omega, n_max + depth)
+    logs = family.orbit_log_derivs(omega, 0.0, n_max + depth)
     csum = np.concatenate([[0.0], np.cumsum(logs)])
     t = csum - lam * np.arange(n_max + depth + 1)
     winmin = sliding_window_view(t[1:], depth).min(axis=1)
@@ -308,7 +302,7 @@ def temperedness_curve(family, spec, seed, lam, n_max, depth=DEFAULT_DEPTH,
 def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
                           grid_size=DEFAULT_GRID):
     ns = np.arange(1, n_max + 1)
-    if isinstance(family, CircleFamily) and hasattr(family, "step_log_derivs"):
+    if isinstance(family, CircleFamily) and family.linear:
         log_cs = _curve_fast(family, omega, lam, n_max, depth)[1:]
     else:
         log_cs = np.empty(n_max)
@@ -325,12 +319,7 @@ def one_step_min_expansion(family, omega):
     if isinstance(family, LinearTorusFamily):
         svals = np.linalg.svd(family.matrix(omega), compute_uv=False)
         return float(svals[-1])
-    if family.family_id == "perturbed-doubling":
-        return 2.0 - 2.0 * math.pi * family._eps(omega)
-    if hasattr(family, "step_log_derivs"):
-        return float(math.exp(family.step_log_derivs(omega, 1)[0]))
-    lower, _ = min_log_expansion(family, omega, 1)
-    return math.exp(lower)
+    return float(family.deriv(family.param_at(omega), family.min_deriv_x))
 
 
 def variable_rate_corollary(family, spec, seed, samples, per_step_rates=None,
@@ -339,8 +328,9 @@ def variable_rate_corollary(family, spec, seed, samples, per_step_rates=None,
 
     A positive mean (beyond 3 standard errors) means the constant-rate
     machinery applies; the candidate constant rate is half the estimated
-    uniform rate.  A mean consistent with zero or negative is reported as
-    inconclusive: the hypothesis fails, nothing is broken.
+    uniform rate.  A mean consistent with zero or negative, or a single
+    sample (no error bar), is reported as inconclusive: the hypothesis
+    fails, nothing is broken.
     """
     if per_step_rates is None:
         per_step_rates = lambda w: one_step_min_expansion(family, w)
@@ -348,7 +338,7 @@ def variable_rate_corollary(family, spec, seed, samples, per_step_rates=None,
     logs = np.array([math.log(per_step_rates(w)) for w in omegas])
     est = float(logs.mean())
     se = float(logs.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    if est > 3.0 * se and est > 0.0:
+    if samples >= 2 and est > 3.0 * se and est > 0.0:
         if a_estimate is None:
             a_estimate = uniform_rate_estimate(
                 family, spec, seed, min(samples, 20), n_max, grid_size).a_estimate
@@ -378,8 +368,9 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
                "a_std_err": rate.a_std_err}
 
     # A must be positive beyond its own sampling noise; a marginal system
-    # (mean log rate near 0) must not slip through on a lucky draw.
-    if a_est <= 3.0 * rate.a_std_err or a_est <= 0.0:
+    # (mean log rate near 0) must not slip through on a lucky draw, and a
+    # single sample has no error bar at all.
+    if samples < 2 or a_est <= 3.0 * rate.a_std_err or a_est <= 0.0:
         empty = TemperednessCurve(np.array([1]), np.array([0.0]))
         return ExpansionCertificate(a_est, None, (), empty, 0.0,
                                     "inconclusive", details)
@@ -402,7 +393,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
                       for w, c in zip(omegas, consts))
 
     if curve_n_max is None:
-        fast = isinstance(family, CircleFamily) and hasattr(family, "step_log_derivs")
+        fast = isinstance(family, CircleFamily) and family.linear
         curve_n_max = 10_000 if fast else 128
     curve_seeds = min(samples, 20)
     curves = deterministic_map(

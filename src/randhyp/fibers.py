@@ -3,7 +3,8 @@
 Each family maps a base state to a concrete map with an exact analytic
 Jacobian and certified global derivative bounds.  Parameters depend on the
 base state only through the symbol at position 0 (or the rotation angle),
-so measurability in the base variable is immediate.
+so measurability in the base variable is immediate, and along an orbit
+they form one stream, `params_along(omega, n)`, read off `base_drive`.
 
 Catalog:
   doubling            x -> 2x mod 1 (deterministic)
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import symbol_at, symbol_window
+from .base import rotation_angles, symbol_window
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 
 _TWO_PI = 2.0 * math.pi
@@ -63,67 +64,40 @@ def point(*coords):
     return ManifoldPoint(tuple(float(c) for c in coords))
 
 
-def _choice_index(omega, n_choices):
-    """Discrete parameter choice driven by the base state."""
-    if n_choices == 1:
-        return 0
+def base_drive(omega, lo, hi, choices=None):
+    """Driving values of the base orbit at positions lo..hi-1 (relative).
+
+    The one place where fiber parameters are read off the base.  A rotation
+    drives with its angle (`rotation_angles`), a shift with its symbol, the
+    one-point base with 0.  With `choices` = m the value is an index in
+    range(m) picking one of m parameter values; without, it is a continuous
+    drive in [0, 1] (a symbol s counts as s / (alphabet_size - 1)).
+    """
+    n = hi - lo
+    if omega.kind == "dirac" or choices == 1:
+        return np.zeros(n, dtype=np.float64 if choices is None else np.int64)
     if omega.kind == "rotation":
-        return int(omega.angle * n_choices) % n_choices
-    if omega.kind == "dirac":
-        return 0
-    return symbol_at(omega, 0) % n_choices
-
-
-def _choice_indices(omega, n, n_choices):
-    """Choice index along the forward orbit w, Tw, ..., T^{n-1}w."""
-    if n_choices == 1:
-        return np.zeros(n, dtype=np.int64)
-    if omega.kind == "dirac":
-        return np.zeros(n, dtype=np.int64)
-    if omega.kind == "rotation":
-        rho = omega.spec.rotation_number
-        angles = (omega.angle + rho * np.arange(n)) % 1.0
-        return (angles * n_choices).astype(np.int64) % n_choices
-    return symbol_window(omega, 0, n) % n_choices
-
-
-def _choice_indices_back(omega, n, n_choices):
-    """Choice index along the backward orbit T^{-1}w, ..., T^{-n}w."""
-    if n_choices == 1 or omega.kind == "dirac":
-        return np.zeros(n, dtype=np.int64)
-    if omega.kind == "rotation":
-        rho = omega.spec.rotation_number
-        angles = (omega.angle - rho * np.arange(1, n + 1)) % 1.0
-        return (angles * n_choices).astype(np.int64) % n_choices
-    return symbol_window(omega, -n, 0)[::-1] % n_choices
-
-
-def _drive01(omega):
-    """Continuous driving value in [0,1], read from the base state."""
-    if omega.kind == "rotation":
-        return omega.angle
+        angles = rotation_angles(omega, lo, hi)
+        if choices is None:
+            return angles
+        return (angles * choices).astype(np.int64) % choices
+    if choices is not None:
+        return symbol_window(omega, lo, hi) % choices
     a = omega.spec.alphabet_size
-    if omega.kind == "dirac" or a <= 1:
-        return 0.0
-    return symbol_at(omega, 0) / (a - 1)
-
-
-def _drives01(omega, n):
-    if omega.kind == "rotation":
-        rho = omega.spec.rotation_number
-        return (omega.angle + rho * np.arange(n)) % 1.0
-    a = omega.spec.alphabet_size
-    if omega.kind == "dirac" or a <= 1:
+    if a <= 1:
         return np.zeros(n)
-    return symbol_window(omega, 0, n).astype(np.float64) / (a - 1)
+    return symbol_window(omega, lo, hi).astype(np.float64) / (a - 1)
 
 
 class FiberFamily:
     """Common surface of all catalog families.
 
-    Families are immutable; every operation is pure.  `linear` means the
-    derivative does not depend on the manifold point, in which case all
-    minimizations over the fiber are exact and need no grid.
+    Families are immutable; every operation is pure.  A family reads the
+    base only through `params_along(omega, n)`, its per-step parameters at
+    orbit positions 0..n-1; the point-level maps `apply_at` and
+    `jacobian_at` take one such parameter.  `linear` means the derivative
+    does not depend on the manifold point, in which case all minimizations
+    over the fiber are exact and need no grid.
     """
 
     family_id = None
@@ -143,13 +117,27 @@ class FiberFamily:
     def describe(self):
         return {"family": self.family_id, "params": self.params()}
 
-    # Point-level operations; raw coordinate tuples keep hot loops cheap.
-    def apply_raw(self, omega, coords):
+    def params_along(self, omega, n):
+        """Per-step parameters at orbit positions 0..n-1, as one array."""
         raise NotImplementedError
 
-    def jacobian_raw(self, omega, coords):
+    # Point-level operations on raw coordinate tuples, at one parameter.
+    def apply_at(self, p, coords):
+        raise NotImplementedError
+
+    def jacobian_at(self, p, coords):
         """Jacobian as a tuple of rows."""
         raise NotImplementedError
+
+    def param_at(self, omega):
+        """The parameter at omega: the n = 1 case of `params_along`."""
+        return self.params_along(omega, 1).tolist()[0]
+
+    def apply_raw(self, omega, coords):
+        return self.apply_at(self.param_at(omega), coords)
+
+    def jacobian_raw(self, omega, coords):
+        return self.jacobian_at(self.param_at(omega), coords)
 
     def inverse_raw(self, omega, coords):
         raise UnsupportedOperationError(
@@ -157,74 +145,58 @@ class FiberFamily:
 
 
 class CircleFamily(FiberFamily):
-    """Scalar fiber maps of the circle."""
+    """Scalar fiber maps of the circle.
+
+    Each family writes its map once, as a monotone lift `lift(p, x, xp)`
+    and its derivative `deriv(p, x, xp)`; `xp` is the array namespace, numpy
+    for grid sweeps and `math` for single orbits, so both evaluate the same
+    expression.  `min_deriv_x` is a fiber point where |D phi| is smallest
+    for every parameter.
+    """
 
     manifold_dim = 1
+    min_deriv_x = 0.0
 
-    def deriv1(self, omega, x):
+    def lift(self, p, x, xp=math):
         raise NotImplementedError
 
-    def apply1(self, omega, x):
+    def deriv(self, p, x, xp=math):
         raise NotImplementedError
 
-    def lift1(self, omega, x):
-        """Monotone lift to the real line (used by the orbit solver)."""
-        raise NotImplementedError
+    def apply(self, p, x, xp=math):
+        y = self.lift(p, x, xp)
+        return mod1(y) if xp is math else mod1_array(y)
 
-    def degree(self, omega):
-        raise NotImplementedError
+    def log_deriv(self, p, x, xp=math):
+        return xp.log(self.deriv(p, x, xp))
 
-    # vectorized over a grid of points, one base step at a time
-    def apply_vec(self, omega, xs):
-        raise NotImplementedError
+    def degree(self, p):
+        """Degree of the map at parameter p: lift(1) - lift(0), an integer."""
+        d = self.lift(p, 1.0) - self.lift(p, 0.0)
+        k = round(d)
+        if abs(d - k) > 1e-9:
+            raise UnsupportedOperationError(
+                "periodic-orbit search needs integer multipliers")
+        return k
 
-    def deriv_vec(self, omega, xs):
-        raise NotImplementedError
+    def apply_at(self, p, coords):
+        return (self.apply(p, coords[0]),)
 
-    def apply_raw(self, omega, coords):
-        return (self.apply1(omega, coords[0]),)
+    def jacobian_at(self, p, coords):
+        return ((self.deriv(p, coords[0]),),)
 
-    def jacobian_raw(self, omega, coords):
-        return ((self.deriv1(omega, coords[0]),),)
-
-
-class Doubling(CircleFamily):
-    """Angle doubling; constant derivative 2, pairs with the one-point base."""
-
-    family_id = "doubling"
-    expanding = True
-    linear = True
-    sup_dphi = 2.0
-    sup_dphi_inv = 0.5
-    log_deriv_lipschitz = 0.0
-
-    def apply1(self, omega, x):
-        return mod1(2.0 * x)
-
-    def deriv1(self, omega, x):
-        return 2.0
-
-    def lift1(self, omega, x):
-        return 2.0 * x
-
-    def lift_vec(self, omega, xs):
-        return 2.0 * xs
-
-    def degree(self, omega):
-        return 2
-
-    def apply_vec(self, omega, xs):
-        return mod1_array(2.0 * xs)
-
-    def deriv_vec(self, omega, xs):
-        return np.full_like(xs, 2.0)
-
-    def step_log_derivs(self, omega, n):
-        """log|D phi| along the orbit of the base (x-independent)."""
-        return np.full(n, math.log(2.0))
-
-    def step_derivs(self, omega, n):
-        return np.full(n, 2.0)
+    def orbit_log_derivs(self, omega, x0, n):
+        """log|D phi| at each of n steps of the orbit of x0."""
+        ps = self.params_along(omega, n)
+        if self.linear:
+            return self.log_deriv(ps, x0, np)
+        out = np.empty(n)
+        x = float(x0)
+        apply, log_deriv = self.apply, self.log_deriv
+        for i, p in enumerate(ps.tolist()):
+            out[i] = log_deriv(p, x)
+            x = apply(p, x)
+        return out
 
 
 class PerturbedDoubling(CircleFamily):
@@ -238,6 +210,7 @@ class PerturbedDoubling(CircleFamily):
     family_id = "perturbed-doubling"
     expanding = True
     linear = False
+    min_deriv_x = 0.5
 
     def __init__(self, eps_max):
         if not (0.0 <= eps_max < 1.0 / _TWO_PI):
@@ -252,42 +225,15 @@ class PerturbedDoubling(CircleFamily):
     def params(self):
         return {"eps_max": self.eps_max}
 
-    def _eps(self, omega):
-        return self.eps_max * _drive01(omega)
+    def params_along(self, omega, n):
+        """eps at each step."""
+        return self.eps_max * base_drive(omega, 0, n)
 
-    def apply1(self, omega, x):
-        return mod1(2.0 * x + self._eps(omega) * math.sin(_TWO_PI * x))
+    def lift(self, p, x, xp=math):
+        return 2.0 * x + p * xp.sin(_TWO_PI * x)
 
-    def deriv1(self, omega, x):
-        return 2.0 + _TWO_PI * self._eps(omega) * math.cos(_TWO_PI * x)
-
-    def lift1(self, omega, x):
-        return 2.0 * x + self._eps(omega) * math.sin(_TWO_PI * x)
-
-    def lift_vec(self, omega, xs):
-        return 2.0 * xs + self._eps(omega) * np.sin(_TWO_PI * xs)
-
-    def degree(self, omega):
-        return 2
-
-    def apply_vec(self, omega, xs):
-        return mod1_array(2.0 * xs + self._eps(omega) * np.sin(_TWO_PI * xs))
-
-    def deriv_vec(self, omega, xs):
-        return 2.0 + _TWO_PI * self._eps(omega) * np.cos(_TWO_PI * xs)
-
-    def orbit_log_derivs(self, omega, x0, n):
-        """Per-step log derivatives along one orbit, drive values hoisted."""
-        eps = self.eps_max * _drives01(omega, n)
-        out = np.empty(n)
-        x = float(x0)
-        sin, cos, log = math.sin, math.cos, math.log
-        for i in range(n):
-            e = eps[i]
-            c = _TWO_PI * x
-            out[i] = log(2.0 + _TWO_PI * e * cos(c))
-            x = (2.0 * x + e * sin(c)) % 1.0
-        return out
+    def deriv(self, p, x, xp=math):
+        return 2.0 + _TWO_PI * p * xp.cos(_TWO_PI * x)
 
 
 class BernoulliLinear(CircleFamily):
@@ -310,53 +256,39 @@ class BernoulliLinear(CircleFamily):
         self.sup_dphi = max(vals)
         self.sup_dphi_inv = 1.0 / min(vals)
         self.log_deriv_lipschitz = 0.0
-        self._log_values = np.log(np.asarray(vals))
 
     def params(self):
         return {"values": list(self.values)}
 
-    def _d(self, omega):
-        return self.values[_choice_index(omega, len(self.values))]
+    def params_along(self, omega, n):
+        """Multiplier at each step."""
+        return np.asarray(self.values)[base_drive(omega, 0, n, len(self.values))]
 
-    def apply1(self, omega, x):
-        return mod1(self._d(omega) * x)
+    def lift(self, p, x, xp=math):
+        return p * x
 
-    def deriv1(self, omega, x):
-        return self._d(omega)
+    def deriv(self, p, x, xp=math):
+        return p
 
-    def lift1(self, omega, x):
-        return self._d(omega) * x
 
-    def lift_vec(self, omega, xs):
-        return self._d(omega) * xs
+class Doubling(BernoulliLinear):
+    """Angle doubling; constant derivative 2, pairs with the one-point base."""
 
-    def degree(self, omega):
-        d = self._d(omega)
-        if d != int(d):
-            raise UnsupportedOperationError(
-                "periodic-orbit search needs integer multipliers")
-        return int(d)
+    family_id = "doubling"
 
-    def apply_vec(self, omega, xs):
-        return mod1_array(self._d(omega) * xs)
+    def __init__(self):
+        super().__init__((2.0,))
 
-    def deriv_vec(self, omega, xs):
-        return np.full_like(xs, self._d(omega))
-
-    def step_log_derivs(self, omega, n):
-        idx = _choice_indices(omega, n, len(self.values))
-        return self._log_values[idx]
-
-    def step_derivs(self, omega, n):
-        idx = _choice_indices(omega, n, len(self.values))
-        return np.asarray(self.values)[idx]
+    def params(self):
+        return {}
 
 
 class LinearTorusFamily(FiberFamily):
     """Torus maps x -> A(w) x mod 1 with the matrix chosen by the symbol.
 
-    The derivative is the constant matrix A(w), so fiber minimizations are
-    exact singular-value computations.  Point-level inversion is supported
+    The parameter of a step is the index of its matrix.  The derivative is
+    the constant matrix A(w), so fiber minimizations are exact
+    singular-value computations.  Point-level inversion is supported
     exactly when every matrix is an integer unimodular matrix (a torus
     automorphism).
     """
@@ -374,7 +306,9 @@ class LinearTorusFamily(FiberFamily):
         self.matrices = tuple(m.copy() for m in mats)
         for m in self.matrices:
             m.setflags(write=False)
-        self._inverses = tuple(np.linalg.inv(m) for m in mats)
+        # entries as plain float tuples (a00, a01, a10, a11), for scalar loops
+        self.entries = _entry_tuples(mats)
+        self.inverse_entries = _entry_tuples(np.linalg.inv(m) for m in mats)
         svals = [np.linalg.svd(m, compute_uv=False) for m in mats]
         self.sup_dphi = max(float(s[0]) for s in svals)
         self.sup_dphi_inv = max(1.0 / float(s[-1]) for s in svals)
@@ -384,45 +318,43 @@ class LinearTorusFamily(FiberFamily):
             np.allclose(m, np.round(m)) and abs(abs(np.linalg.det(m)) - 1.0) < 1e-12
             for m in mats)
 
-    def matrix(self, omega):
-        return self.matrices[_choice_index(omega, len(self.matrices))]
-
-    def matrix_index(self, omega):
-        return _choice_index(omega, len(self.matrices))
+    def params_along(self, omega, n):
+        return self.matrix_indices(omega, n)
 
     def matrix_indices(self, omega, n):
-        return _choice_indices(omega, n, len(self.matrices))
+        """Matrix index along the forward orbit w, Tw, ..., T^{n-1}w."""
+        return base_drive(omega, 0, n, len(self.matrices))
 
     def matrix_indices_back(self, omega, n):
-        return _choice_indices_back(omega, n, len(self.matrices))
+        """Matrix index along the backward orbit T^{-1}w, ..., T^{-n}w."""
+        return base_drive(omega, -n, 0, len(self.matrices))[::-1]
 
-    def entry_tuples(self):
-        """Matrix entries as plain float tuples, for tight scalar loops."""
-        return tuple((float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
-                     for m in self.matrices)
+    def matrix(self, omega):
+        return self.matrices[self.param_at(omega)]
 
-    def inverse_entry_tuples(self):
-        return tuple((float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
-                     for m in self._inverses)
+    def apply_at(self, p, coords):
+        return _apply_entries(self.entries[p], coords)
 
-    def apply_raw(self, omega, coords):
-        a = self.matrix(omega)
-        x0, x1 = coords
-        return (mod1(a[0, 0] * x0 + a[0, 1] * x1),
-                mod1(a[1, 0] * x0 + a[1, 1] * x1))
-
-    def jacobian_raw(self, omega, coords):
-        a = self.matrix(omega)
-        return ((a[0, 0], a[0, 1]), (a[1, 0], a[1, 1]))
+    def jacobian_at(self, p, coords):
+        a00, a01, a10, a11 = self.entries[p]
+        return ((a00, a01), (a10, a11))
 
     def inverse_raw(self, omega, coords):
         if not self.invertible:
             raise UnsupportedOperationError(
                 f"{self.family_id} matrices are not torus automorphisms")
-        inv = self._inverses[_choice_index(omega, len(self.matrices))]
-        x0, x1 = coords
-        return (mod1(inv[0, 0] * x0 + inv[0, 1] * x1),
-                mod1(inv[1, 0] * x0 + inv[1, 1] * x1))
+        return _apply_entries(self.inverse_entries[self.param_at(omega)], coords)
+
+
+def _entry_tuples(mats):
+    return tuple((float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
+                 for m in mats)
+
+
+def _apply_entries(entries, coords):
+    a00, a01, a10, a11 = entries
+    x0, x1 = coords
+    return (mod1(a00 * x0 + a01 * x1), mod1(a10 * x0 + a11 * x1))
 
 
 class DiagonalCocycle(LinearTorusFamily):
@@ -450,7 +382,13 @@ class DiagonalCocycle(LinearTorusFamily):
 
 
 class RandomCat(LinearTorusFamily):
-    """Hyperbolic unimodular integer matrices chosen per symbol."""
+    """Unimodular integer matrices (torus automorphisms) chosen per symbol.
+
+    Each matrix need not be hyperbolic on its own: parabolic matrices such
+    as [[1, 1], [0, 1]] are accepted, and random products of them can still
+    be hyperbolic.  Whether a given system has a hyperbolic splitting is
+    what `splitting` certifies, not what the constructor checks.
+    """
 
     family_id = "random-cat"
 

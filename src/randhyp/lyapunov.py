@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import base_step, random_point, sample_base
-from .cocycle import orbit_log_stretches, unit_tangent
+from .base import random_point, sample_base
 from .errors import ContractError
-from .fibers import ManifoldPoint
+from .fibers import LinearTorusFamily, ManifoldPoint
 
 DEFAULT_BATCHES = 20
 
@@ -53,26 +52,20 @@ def _batch_stats(per_step, batches):
 
 
 def _per_step_stretches(family, p, n):
-    """Per-step log-stretch; family fast paths hoist the symbol lookups."""
-    if family.manifold_dim == 1:
-        if hasattr(family, "step_log_derivs"):
-            return family.step_log_derivs(p.omega, n)
-        if hasattr(family, "orbit_log_derivs"):
-            return family.orbit_log_derivs(p.omega, p.x.x, n)
-    if hasattr(family, "matrix_indices"):
-        return _matrix_push_logs(family, p.omega, p.v, n)
-    return orbit_log_stretches(family, p, n)
+    """Per-step log-stretch of v along the orbit, parameters read once."""
+    if isinstance(family, LinearTorusFamily):
+        return _push_entries(family.entries,
+                            family.matrix_indices(p.omega, n), p.v)
+    return family.orbit_log_derivs(p.omega, p.x.x, n)
 
 
-def _matrix_push_logs(family, omega, v, n):
-    """Renormalized log stretches of v under a matrix cocycle (forward)."""
-    idx = family.matrix_indices(omega, n)
-    mats = family.entry_tuples()
+def _push_entries(entries, idx, v):
+    """Renormalized per-step log stretches of v through a matrix sequence."""
     v0, v1 = float(v[0]), float(v[1])
-    out = np.empty(n)
-    log, sqrt = math.log, math.sqrt
-    for i in range(n):
-        a00, a01, a10, a11 = mats[idx[i]]
+    out = np.empty(len(idx))
+    sqrt, log = math.sqrt, math.log
+    for i, j in enumerate(idx):
+        a00, a01, a10, a11 = entries[j]
         w0 = a00 * v0 + a01 * v1
         w1 = a10 * v0 + a11 * v1
         norm = sqrt(w0 * w0 + w1 * w1)
@@ -94,34 +87,19 @@ def top_exponent(family, p, n, batches=DEFAULT_BATCHES):
     return ExponentEstimate(value=value, n=used, batch_std_err=se, batches=batches)
 
 
-def _spectrum_scalar(family, omega, x, n):
-    p = unit_tangent(omega, x, (1.0,))
-    stretches = _per_step_stretches(family, p, n)
-    return SpectrumEstimate(exponents=(float(stretches.mean()),), n=n)
+def _spectrum_2d(family, omega, n):
+    """Per-step Gram-Schmidt on a pushed orthonormal frame (closed form 2x2).
 
-
-def _spectrum_2d(family, omega, x, n):
-    """Per-step Gram-Schmidt on a pushed orthonormal frame (closed form 2x2)."""
-    precomputed = None
-    if hasattr(family, "matrix_indices"):
-        idx = family.matrix_indices(omega, n)
-        mats = family.entry_tuples()
-        precomputed = [mats[i] for i in idx]
+    Every 2-dimensional family is a linear torus family.
+    """
+    mats = family.entries
     q00, q01 = 1.0, 0.0
     q10, q11 = 0.0, 1.0
     s1 = 0.0
     s2 = 0.0
-    state, coords = omega, x.coords
     sqrt, log = math.sqrt, math.log
-    for i in range(n):
-        if precomputed is not None:
-            a00, a01, a10, a11 = precomputed[i]
-        else:
-            jac = family.jacobian_raw(state, coords)
-            a00, a01 = jac[0]
-            a10, a11 = jac[1]
-            coords = family.apply_raw(state, coords)
-            state = base_step(state)
+    for j in family.matrix_indices(omega, n):
+        a00, a01, a10, a11 = mats[j]
         w00 = a00 * q00 + a01 * q10
         w10 = a10 * q00 + a11 * q10
         w01 = a00 * q01 + a01 * q11
@@ -147,8 +125,9 @@ def oseledets_spectrum(family, omega, x, n):
     if n < family.manifold_dim:
         raise ContractError("n must be at least the manifold dimension")
     if family.manifold_dim == 1:
-        return _spectrum_scalar(family, omega, x, n)
-    return _spectrum_2d(family, omega, x, n)
+        logs = family.orbit_log_derivs(omega, x.x, n)
+        return SpectrumEstimate(exponents=(float(logs.mean()),), n=n)
+    return _spectrum_2d(family, omega, n)
 
 
 def exponent_positivity_report(family, spec, seed, samples, n, threads=1):

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import base_step, random_point, sample_base
-from .cocycle import unit_tangent
+from .base import base_step, random_point, sample_base, shift_by
+from .cocycle import iterate, unit_direction, unit_tangent
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import LinearTorusFamily, ManifoldPoint
-from .lyapunov import _batch_stats, top_exponent
+from .lyapunov import _batch_stats, _push_entries, top_exponent
 
 DEFAULT_DEPTH = 50
 
@@ -68,13 +68,6 @@ def _require_linear_2d(family):
             "splitting analysis needs an invertible linear torus family")
 
 
-def _canonical(v):
-    v = v / np.linalg.norm(v)
-    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-        v = -v
-    return v
-
-
 def finite_time_bundles(family, omega, x, horizon):
     """Expanding/contracting directions from symmetric finite windows.
 
@@ -91,7 +84,7 @@ def finite_time_bundles(family, omega, x, horizon):
         back = back @ family.matrices[j]
         back /= np.abs(back).max()
     u, _, _ = np.linalg.svd(back)
-    gamma2 = _canonical(u[:, 0])
+    gamma2 = unit_direction(u[:, 0])
 
     fwd_idx = family.matrix_indices(omega, horizon)
     fwd = np.eye(2)
@@ -99,7 +92,7 @@ def finite_time_bundles(family, omega, x, horizon):
         fwd = family.matrices[j] @ fwd
         fwd /= np.abs(fwd).max()
     _, _, vh = np.linalg.svd(fwd)
-    gamma1 = _canonical(vh[-1])
+    gamma1 = unit_direction(vh[-1])
 
     dot = abs(float(gamma1 @ gamma2))
     angle = math.acos(min(1.0, dot))
@@ -117,38 +110,24 @@ def _sin_angle(u, w):
 def invariance_residual(family, omega, x, pair):
     """max over both bundles of sin(angle(A gamma_i(w), gamma_i(T w)))."""
     _require_linear_2d(family)
-    next_x = ManifoldPoint(family.apply_raw(omega, x.coords))
+    j = family.param_at(omega)
+    next_x = ManifoldPoint(family.apply_at(j, x.coords))
     nxt = finite_time_bundles(family, base_step(omega), next_x, pair.horizon)
-    a = family.matrix(omega)
+    a = family.matrices[j]
     r1 = _sin_angle(a @ np.asarray(pair.gamma1), np.asarray(nxt.gamma1))
     r2 = _sin_angle(a @ np.asarray(pair.gamma2), np.asarray(nxt.gamma2))
     return max(r1, r2)
 
 
-def _push_entries(entries, idx, v):
-    """Renormalized per-step log stretches through a matrix sequence."""
-    v0, v1 = float(v[0]), float(v[1])
-    out = np.empty(len(idx))
-    sqrt, log = math.sqrt, math.log
-    for i, j in enumerate(idx):
-        a00, a01, a10, a11 = entries[j]
-        w0 = a00 * v0 + a01 * v1
-        w1 = a10 * v0 + a11 * v1
-        norm = sqrt(w0 * w0 + w1 * w1)
-        out[i] = log(norm)
-        v0, v1 = w0 / norm, w1 / norm
-    return out
-
-
 def _push_logs_forward(family, omega, v, n):
     """Per-step log stretches of v under the forward cocycle."""
-    return _push_entries(family.entry_tuples(),
+    return _push_entries(family.entries,
                          family.matrix_indices(omega, n), v)
 
 
 def _push_logs_backward(family, omega, v, n):
     """Per-step log stretches of v under the inverse cocycle (backward)."""
-    return _push_entries(family.inverse_entry_tuples(),
+    return _push_entries(family.inverse_entries,
                          family.matrix_indices_back(omega, n), v)
 
 
@@ -188,16 +167,14 @@ def _bundle_constant_curve(family, omega, x, lam, curve_len, horizon, depth):
     """(1/k) log C_i(T^k w) for both bundle constants along the orbit."""
     vals1 = np.empty(curve_len)
     vals2 = np.empty(curve_len)
-    state = base_step(omega)
-    cur_x = ManifoldPoint(family.apply_raw(omega, x.coords))
+    points = iterate(family, omega, x, curve_len)
     for k in range(1, curve_len + 1):
-        pair = finite_time_bundles(family, state, cur_x, horizon)
+        state = shift_by(omega, k)
+        pair = finite_time_bundles(family, state, points[k], horizon)
         logs2 = _push_logs_forward(family, state, pair.gamma2, depth)
         logs1 = _push_logs_backward(family, state, pair.gamma1, depth)
         vals1[k - 1] = _truncated_log_inf(logs1, lam, depth) / k
         vals2[k - 1] = _truncated_log_inf(logs2, lam, depth) / k
-        cur_x = ManifoldPoint(family.apply_raw(state, cur_x.coords))
-        state = base_step(state)
     return vals1, vals2
 
 

@@ -76,7 +76,7 @@ def test_cocycle_product_perturbed_matches_step_product():
     state = w
     expected = 1.0
     for i in range(3):
-        expected *= fam.deriv1(state, pts[i].x)
+        expected *= fam.deriv(fam.param_at(state), pts[i].x)
         state = base_step(state)
     got = cocycle_product(fam, w, x, 3).entries[0, 0]
     assert got == pytest.approx(expected, rel=1e-14)

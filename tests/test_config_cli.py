@@ -110,19 +110,65 @@ def test_rerun_with_echoed_config_is_bit_identical():
     assert rep1.payload_bytes() == rep2.payload_bytes()
 
 
-def test_determinism_across_threads():
+FAMILIES = {
+    "doubling": {},
+    "perturbed-doubling": {"eps_max": 0.1},
+    "bernoulli-linear": {"values": [2, 3]},
+    "diagonal-cocycle": {"a_values": [2.0, 0.5], "b_values": [3.0, 4.0]},
+    "random-cat": {},
+}
+BASES = {
+    "bernoulli": {"kind": "bernoulli", "probabilities": [0.5, 0.5]},
+    "markov": {"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]]},
+    "rotation": {"kind": "rotation", "rotation_number": 0.6180339887498949},
+    "dirac": {"kind": "dirac"},
+}
+TINY_PIPELINE = {
+    "samples": 3, "n": 200, "n_max": 5, "grid_size": 64, "depth": 6,
+    "curve_n_max": 40, "supadd_samples": 2, "supadd_N": 4,
+    "birkhoff_steps": 100, "birkhoff_starts": 3, "horizon": 10,
+    "curve_len": 4, "batches": 4,
+}
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_determinism_across_threads(family, base):
     cfg_dict = {
-        "task": "lyapunov",
+        "task": "full-pipeline",
         "seed": 3,
-        "base": {"kind": "bernoulli", "alphabet_size": 2,
-                 "probabilities": [0.5, 0.5]},
-        "fiber": {"family": "perturbed-doubling", "params": {"eps_max": 0.1}},
-        "task_params": {"samples": 12, "n": 400},
+        "base": BASES[base],
+        "fiber": {"family": family, "params": FAMILIES[family]},
+        "task_params": TINY_PIPELINE,
     }
     cfg = parse_config(json.dumps(cfg_dict))
     a = run_task(cfg, threads=1)
     b = run_task(cfg, threads=8)
     assert a.payload_bytes() == b.payload_bytes()
+
+
+@pytest.mark.parametrize("task, key, value", [
+    ("certify-expansion", "grid_size", 4096.5),
+    ("splitting", "n", 1000.5),
+    ("lyapunov", "samples", 12.0),
+    ("minimize", "birkhoff_starts", True),
+    ("full-pipeline", "supadd_N", "4"),
+])
+def test_count_params_must_be_integers(task, key, value, tmp_path, capsys):
+    cfg_dict = {
+        "task": task,
+        "seed": 3,
+        "base": BASES["bernoulli"],
+        "fiber": {"family": "random-cat"},
+        "task_params": {key: value},
+    }
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(json.dumps(cfg_dict))
+    assert err.value.errors == [f"task_params.{key} must be an integer"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg_dict))
+    assert main([task, "--config", str(cfg_path)]) == 1
+    assert f"task_params.{key} must be an integer" in capsys.readouterr().err
 
 
 def test_cli_main_writes_report(tmp_path, capsys):

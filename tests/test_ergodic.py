@@ -144,7 +144,7 @@ def test_periodic_orbits_closure():
                   for i in range(r.period)]
         x = r.x0.x
         for st in states:
-            x = fam.apply1(st, x)
+            x = fam.apply(fam.param_at(st), x)
         d = abs(x - r.x0.x) % 1.0
         assert min(d, 1 - d) < 1e-8
 

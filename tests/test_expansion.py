@@ -60,8 +60,9 @@ def test_perturbed_bracket_contains_brute_force():
         acc = np.zeros_like(xs)
         state = w
         for _ in range(n):
-            acc += np.log(fam.deriv_vec(state, xs))
-            xs = fam.apply_vec(state, xs)
+            eps = fam.param_at(state)
+            acc += np.log(fam.deriv(eps, xs, np))
+            xs = fam.apply(eps, xs, np)
             state = base_step(state)
         brute = float(acc.min())
         assert lo - 1e-12 <= brute <= up + 1e-12
@@ -300,3 +301,20 @@ def test_ordering_chain_perturbed():
     from randhyp import exponent_positivity_report
     rep = exponent_positivity_report(fam, spec, 7, samples=20, n=5000)
     assert rep["min_exponent"] >= rate.a_estimate - 0.05
+
+
+@pytest.mark.parametrize("seed", [8, 10])
+def test_single_sample_certificate_is_inconclusive(seed):
+    # mean log rate (log 0.8 + log 1.2) / 2 < 0; one sample has no error
+    # bar, so a lucky draw must not certify
+    fam = make_family("bernoulli-linear", {"values": [0.8, 1.2]})
+    cert = build_expansion_certificate(fam, bern_spec(), seed, samples=1)
+    assert cert.a_estimate > 0.0
+    assert cert.verdict == "inconclusive"
+
+
+def test_single_sample_corollary_is_inconclusive():
+    fam = make_family("bernoulli-linear", {"values": [0.8, 1.2]})
+    rep = variable_rate_corollary(fam, bern_spec(), 10, 1)
+    assert rep.estimate == pytest.approx(math.log(1.2), abs=1e-15)
+    assert rep.verdict == "inconclusive"

@@ -141,7 +141,8 @@ def test_bound_soundness_sampled():
         sup, sup_inv, _ = derivative_bounds(fam)
         smallest = math.inf
         for w in ws:
-            derivs = np.abs(fam.deriv_vec(w, rng.random(1000)))
+            derivs = np.abs(np.broadcast_to(
+                fam.deriv(fam.param_at(w), rng.random(1000), np), 1000))
             assert derivs.max() <= sup + 1e-12
             assert (1.0 / derivs).max() <= sup_inv + 1e-12
             smallest = min(smallest, derivs.min())
@@ -173,10 +174,11 @@ def test_lipschitz_soundness_sampled():
     for w in ws:
         xs = rng.random(100)
         dx = (rng.random(100) - 0.5) * 2e-3
+        eps = fam.param_at(w)
         for x, d in zip(xs, dx):
             x2 = (x + d) % 1.0
-            f1 = math.log(abs(fam.deriv1(w, x)))
-            f2 = math.log(abs(fam.deriv1(w, x2)))
+            f1 = math.log(abs(fam.deriv(eps, x)))
+            f2 = math.log(abs(fam.deriv(eps, x2)))
             assert abs(f1 - f2) <= fam.log_deriv_lipschitz * abs(d) + 1e-9
 
 
@@ -190,8 +192,9 @@ def test_finite_difference_consistency():
         fam = make_family(name, params)
         for i, w in enumerate(ws):
             x = 0.05 + 0.9 * random_point(31, i, 1)[0]
-            fd = (fam.lift1(w, x + h) - fam.lift1(w, x - h)) / (2 * h)
-            exact = fam.deriv1(w, x)
+            p = fam.param_at(w)
+            fd = (fam.lift(p, x + h) - fam.lift(p, x - h)) / (2 * h)
+            exact = fam.deriv(p, x)
             assert fd == pytest.approx(exact, rel=1e-6)
 
 
@@ -200,3 +203,69 @@ def test_linear_families_jacobian_matches_matrix():
     w = bern_state(want_symbol=1)
     assert np.array_equal(fiber_derivative(fam, w, point(0.2, 0.9)).entries,
                           [[3, 1], [2, 1]])
+
+
+STREAM_FAMILIES = {
+    "doubling": {},
+    "perturbed-doubling": {"eps_max": 0.1},
+    "bernoulli-linear": {"values": [2, 3]},
+    "diagonal-cocycle": {"a_values": [2.0, 0.5], "b_values": [3.0, 4.0]},
+    "random-cat": {},
+}
+STREAM_BASES = {
+    "bernoulli": BaseSystemSpec.bernoulli([0.5, 0.5]),
+    "markov": BaseSystemSpec.markov([[0.9, 0.1], [0.3, 0.7]]),
+    "rotation": BaseSystemSpec.rotation(0.6180339887498949),
+    "dirac": BaseSystemSpec.dirac(),
+}
+CIRCLE_FAMILIES = ("doubling", "perturbed-doubling", "bernoulli-linear")
+
+
+@pytest.mark.parametrize("offset", [0, 100_000, -100_000, 999_000])
+@pytest.mark.parametrize("base", STREAM_BASES)
+def test_params_along_matches_shifted_states(base, offset):
+    # a stream entry is exactly the one-step parameter of the shifted state
+    from randhyp import shift_by
+    from randhyp.fibers import LinearTorusFamily
+    omega = shift_by(sample_base(STREAM_BASES[base], 11, 1)[0], offset)
+    n = 120
+    for name, params in STREAM_FAMILIES.items():
+        fam = make_family(name, params)
+        stream = fam.params_along(omega, n)
+        assert len(stream) == n
+        for i in range(n):
+            assert fam.params_along(shift_by(omega, i), 1)[0] == stream[i]
+        if isinstance(fam, LinearTorusFamily):
+            back = fam.matrix_indices_back(omega, n)
+            for i in range(n):
+                assert fam.matrix_indices_back(shift_by(omega, -i), 1)[0] == back[i]
+            assert list(back[::-1]) == list(
+                fam.matrix_indices(shift_by(omega, -n), n))
+    if base == "rotation":
+        # the drive is the state's own angle, bit for bit
+        fam = make_family("perturbed-doubling", {"eps_max": 0.1})
+        stream = fam.params_along(omega, n)
+        assert all(stream[i] == 0.1 * shift_by(omega, i).angle for i in range(n))
+
+
+@pytest.mark.parametrize("name", CIRCLE_FAMILIES)
+def test_circle_formula_numpy_matches_math(name):
+    # grid sweeps evaluate each formula with numpy, single orbits with math
+    fam = make_family(name, STREAM_FAMILIES[name])
+    omega = sample_base(STREAM_BASES["bernoulli"], 4, 1)[0]
+    n = 400
+    ps = fam.params_along(omega, n)
+    xs = [0.123456789]
+    for p in ps.tolist():
+        xs.append(fam.apply(p, xs[-1]))
+    assert np.array_equal(fam.orbit_log_derivs(omega, xs[0], n),
+                          [fam.log_deriv(p, x) for p, x in zip(ps.tolist(), xs)])
+    seam = [0.0, 1e-16, 0.5 - 1e-16, 0.5, 0.5 + 1e-16, 1.0 - 2e-16]
+    pts = np.array(xs[:n] + seam)
+    qs = np.concatenate([ps, ps[:len(seam)]])
+    img = np.broadcast_to(fam.apply(qs, pts, np), pts.shape)
+    logd = np.broadcast_to(fam.log_deriv(qs, pts, np), pts.shape)
+    for q, x, y, d in zip(qs.tolist(), pts.tolist(), img, logd):
+        dist = abs(fam.apply(q, x) - y)
+        assert min(dist, 1.0 - dist) <= 1e-15
+        assert abs(fam.log_deriv(q, x) - d) <= 1e-15
