@@ -267,14 +267,19 @@ def main(argv=None):
 
     try:
         report = run_task(config, threads=threads)
-    except RandhypError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        kind = "" if isinstance(exc, RandhypError) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 1
 
     out_dir = args.out or config.out_dir
     if out_dir:
-        for path in report.write(out_dir):
-            print(f"wrote {path}")
+        try:
+            for path in report.write(out_dir):
+                print(f"wrote {path}")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 1
     print(f"{config.task}: verdict={report.verdict} "
           f"wall_time={report.wall_time_s:.2f}s")
     return report.exit_code

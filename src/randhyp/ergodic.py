@@ -19,7 +19,7 @@ from .base import derive_seed, periodic_state, random_point, sample_base
 from .cocycle import unit_direction, unit_tangent, unit_tangent_step
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint
-from .expansion import min_expansion_sweep, uniform_rate_estimate
+from .expansion import min_expansion_sweep, rate_from_sweeps
 
 _BIRKHOFF_STREAM = 0x42495248
 _CLOSURE_TOL = 1e-8
@@ -296,8 +296,7 @@ def lambda_estimate(family, spec, seed, samples=20, n_max=12, grid_size=4096,
                   ("birkhoff_min", birkhoff_min))
     lam_est = min(v for (_, v) in candidates)
 
-    a_est = uniform_rate_estimate(family, spec, seed, samples, n_max,
-                                  grid_size, threads).a_estimate
+    a_est = rate_from_sweeps(sweeps, n_max).a_estimate
 
     periodic = ()
     if include_periodic and spec.kind == "bernoulli":

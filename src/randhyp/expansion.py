@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import base_step, sample_base, shift_by
+from .base import sample_base, shift_by
 from .cocycle import unit_direction
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily
@@ -232,15 +232,20 @@ def uniform_rate_estimate(family, spec, seed, samples, n_max,
     Supadditivity makes A_n/n climb toward the limiting uniform rate, so the
     value at n_max is the best available estimate from this horizon.
     """
-    if n_max < 4:
-        raise ContractError("n_max must be >= 4")
     omegas = sample_base(spec, seed, samples)
 
     from ._parallel import deterministic_map
     sweeps = deterministic_map(
         lambda w: min_expansion_sweep(family, w, n_max, grid_size),
         omegas, threads)
+    return rate_from_sweeps(sweeps, n_max)
 
+
+def rate_from_sweeps(sweeps, n_max):
+    """The `UniformRateEstimate` of sweeps already run to horizon n_max."""
+    if n_max < 4:
+        raise ContractError("n_max must be >= 4")
+    samples = len(sweeps)
     uppers = np.stack([s.uppers for s in sweeps])
     lowers = np.stack([s.lowers for s in sweeps])
     ns = np.arange(1, n_max + 1, dtype=np.float64)
@@ -280,6 +285,36 @@ def tempered_constant(family, omega, lam, depth=DEFAULT_DEPTH,
                             depth=depth, lam=lam)
 
 
+def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
+                       grid_size=DEFAULT_GRID, a_estimate=None, threads=1):
+    """C(T^k w) for every orbit w in `omegas` and k in `offsets`, one list
+    per orbit.  C at depth d reads the base only through the window
+    params_along(T^k w, d), so each distinct window (keyed on its exact
+    bytes) is swept once and shared along and across orbits.
+    """
+    lo = min(offsets)
+    span = max(offsets) - lo + depth
+    first, reps, slots = {}, [], []   # window bytes -> index into reps
+    for w in omegas:
+        windows = sliding_window_view(
+            family.params_along(shift_by(w, lo), span), depth)
+        row = []
+        for k in offsets:
+            key = windows[k - lo].tobytes()
+            if key not in first:
+                first[key] = len(reps)
+                reps.append(shift_by(w, k))
+            row.append(first[key])
+        slots.append(row)
+
+    from ._parallel import deterministic_map
+    consts = deterministic_map(
+        lambda w: tempered_constant(family, w, lam, depth, a_estimate,
+                                    grid_size),
+        reps, threads)
+    return [[consts[i] for i in row] for row in slots]
+
+
 def _curve_fast(family, omega, lam, n_max, depth):
     """All log C(T^n w) at once for x-independent circle families."""
     logs = family.orbit_log_derivs(omega, 0.0, n_max + depth)
@@ -302,16 +337,18 @@ def temperedness_curve(family, spec, seed, lam, n_max, depth=DEFAULT_DEPTH,
 def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
                           grid_size=DEFAULT_GRID):
     ns = np.arange(1, n_max + 1)
-    if isinstance(family, CircleFamily) and family.linear:
-        log_cs = _curve_fast(family, omega, lam, n_max, depth)[1:]
-    else:
-        log_cs = np.empty(n_max)
-        state = base_step(omega)
-        for i in range(n_max):
-            log_cs[i] = tempered_constant(family, state, lam, depth,
-                                          grid_size=grid_size).log_value
-            state = base_step(state)
+    log_cs = _log_c_curves(family, [omega], lam, n_max, depth, grid_size)[0]
     return TemperednessCurve(ns=ns, values=log_cs / ns)
+
+
+def _log_c_curves(family, omegas, lam, n_max, depth, grid_size, threads=1):
+    """log C(T^n w) for n = 1..n_max, one row per orbit."""
+    if isinstance(family, CircleFamily) and family.linear:
+        return np.stack([_curve_fast(family, w, lam, n_max, depth)[1:]
+                         for w in omegas])
+    consts = tempered_constants(family, omegas, range(1, n_max + 1), lam,
+                                depth, grid_size, threads=threads)
+    return np.array([[c.log_value for c in row] for row in consts])
 
 
 def one_step_min_expansion(family, omega):
@@ -384,25 +421,21 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     details["depth"] = eff_depth
 
     omegas = sample_base(spec, seed, samples)
-    from ._parallel import deterministic_map
-    consts = deterministic_map(
-        lambda w: tempered_constant(family, w, lam, eff_depth,
-                                    a_estimate=a_est, grid_size=grid_size),
-        omegas, threads)
+    consts = tempered_constants(family, omegas, [0], lam, eff_depth, grid_size,
+                                a_estimate=a_est, threads=threads)
     c_samples = tuple((w.describe(), c.value, c.log_value, c.attained_n)
-                      for w, c in zip(omegas, consts))
+                      for w, [c] in zip(omegas, consts))
 
     if curve_n_max is None:
         fast = isinstance(family, CircleFamily) and family.linear
         curve_n_max = 10_000 if fast else 128
     curve_seeds = min(samples, 20)
-    curves = deterministic_map(
-        lambda w: temperedness_curve_at(family, w, lam, curve_n_max,
-                                        eff_depth, grid_size).values,
-        omegas[:curve_seeds], threads)
-    curve = TemperednessCurve(np.arange(1, curve_n_max + 1),
-                              np.mean(np.stack(curves), axis=0))
+    ns = np.arange(1, curve_n_max + 1)
+    log_cs = _log_c_curves(family, omegas[:curve_seeds], lam, curve_n_max,
+                           eff_depth, grid_size, threads)
+    curve = TemperednessCurve(ns, np.mean(log_cs / ns, axis=0))
 
+    from ._parallel import deterministic_map
     n_res = supadd_N if supadd_N is not None else min(n_max, 12)
     residual_reports = deterministic_map(
         lambda w: supadditivity_residuals(family, w, n_res, grid_size).min_residual,

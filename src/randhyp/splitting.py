@@ -187,7 +187,7 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     per-bundle rates with batch standard errors, an independent top-exponent
     estimate, and tempered constants at the global rate lam (half the worst
     measured rate).  Certified requires residuals below 1e-6, positive
-    angles, and all rates at or above lam.
+    angles, and every rate above 3 batch standard errors (2+ batches).
     """
     _require_linear_2d(family)
     omegas = sample_base(spec, seed, samples)
@@ -248,7 +248,9 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
         details["c2_curve"] = [float(v) for v in vals2]
 
     certified = (lam > 0.0 and residual_max < 1e-6 and angle_min > 0.0
-                 and min_rate >= lam)
+                 and batches >= 2  # one batch gives no error bar
+                 and all(r["rate1"] > 3.0 * r["rate1_se"]
+                         and r["rate2"] > 3.0 * r["rate2_se"] for r in recs))
     verdict = "certified" if certified else "inconclusive"
     return SplittingCertificate(lam=lam, c_samples=tuple(c_samples),
                                 angle_min=angle_min,

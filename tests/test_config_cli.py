@@ -196,6 +196,32 @@ def test_cli_missing_file_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_unwritable_out_dir_exit_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(DOUBLING_FULL))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["full-pipeline", "--config", str(cfg_path),
+                 "--out", str(blocker / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report")
+    assert "Traceback" not in err
+
+
+def test_cli_unexpected_error_exit_one(tmp_path, capsys, monkeypatch):
+    import randhyp.cli as cli
+
+    def broken(config, threads=1):
+        raise ValueError("broken task")
+
+    monkeypatch.setattr(cli, "run_task", broken)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(DOUBLING_FULL))
+    assert main(["full-pipeline", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: ValueError: broken task\n"
+
+
 def test_cli_env_threads(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(DOUBLING_FULL))

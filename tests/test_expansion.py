@@ -8,9 +8,10 @@ from randhyp import (BaseSystemSpec, ConfigurationError, make_family,
                      symbol_at, tempered_constant, temperedness_curve,
                      uniform_rate_estimate, variable_rate_corollary,
                      build_expansion_certificate, min_expansion_table)
-from randhyp.base import base_step, shift_by, symbol_window
+from randhyp.base import base_step, periodic_state, shift_by, symbol_window
 from randhyp.expansion import (certified_depth, lipschitz_slack,
                                min_expansion_sweep, one_step_min_expansion)
+import randhyp.expansion as expansion
 
 LOG2 = math.log(2)
 FLOOR = math.log(2 - 0.2 * math.pi)
@@ -318,3 +319,68 @@ def test_single_sample_corollary_is_inconclusive():
     rep = variable_rate_corollary(fam, bern_spec(), 10, 1)
     assert rep.estimate == pytest.approx(math.log(1.2), abs=1e-15)
     assert rep.verdict == "inconclusive"
+
+
+TWO_DIAGONALS = {"a_values": [2.0, 1.5], "b_values": [3.0, 4.0]}
+
+
+@pytest.mark.parametrize("name, params, spec", [
+    ("perturbed-doubling", None, bern_spec()),
+    ("perturbed-doubling", None, BaseSystemSpec.markov([[0.9, 0.1], [0.3, 0.7]])),
+    ("perturbed-doubling", None, BaseSystemSpec.rotation(0.6180339887498949)),
+    ("perturbed-doubling", None, BaseSystemSpec.dirac()),
+    ("diagonal-cocycle", TWO_DIAGONALS, bern_spec()),
+])
+def test_certificate_constants_match_per_position_sweeps(name, params, spec):
+    fam = make_family(name, params)
+    samples, curve_n_max, grid = 3, 12, 256
+    cert = build_expansion_certificate(fam, spec, 5, samples=samples, n_max=6,
+                                       grid_size=grid, depth=5,
+                                       curve_n_max=curve_n_max,
+                                       supadd_samples=1, supadd_N=4)
+    assert cert.lam is not None
+    depth = cert.details["depth"]
+    omegas = sample_base(spec, 5, samples)
+    ns = np.arange(1, curve_n_max + 1)
+    curves = [np.array([tempered_constant(fam, shift_by(w, k), cert.lam, depth,
+                                          grid_size=grid).log_value
+                        for k in ns]) / ns
+              for w in omegas]
+    expected = np.mean(np.stack(curves), axis=0)
+    assert cert.temperedness_curve.values.tobytes() == expected.tobytes()
+    cs = [tempered_constant(fam, w, cert.lam, depth, a_estimate=cert.a_estimate,
+                            grid_size=grid) for w in omegas]
+    assert cert.c_samples == tuple((w.describe(), c.value, c.log_value,
+                                    c.attained_n) for w, c in zip(omegas, cs))
+
+
+@pytest.mark.parametrize("name, params", [("perturbed-doubling", None),
+                                          ("diagonal-cocycle", TWO_DIAGONALS)])
+def test_equal_parameter_windows_give_equal_sweeps(name, params):
+    fam = make_family(name, params)
+    a = periodic_state(2, (0, 1, 1, 0))
+    b = periodic_state(2, (0, 1, 1, 0, 1))
+    assert fam.params_along(a, 5).tobytes() != fam.params_along(b, 5).tobytes()
+    sa, sb = (min_expansion_sweep(fam, w, 4, 256) for w in (a, b))
+    assert sa.uppers.tobytes() == sb.uppers.tobytes()
+    assert sa.lowers.tobytes() == sb.lowers.tobytes()
+
+
+def test_curve_sweeps_each_parameter_window_once(monkeypatch):
+    calls = []
+    original = expansion.tempered_constant
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "tempered_constant", counted)
+    samples, curve_n_max = 4, 64
+    cert = build_expansion_certificate(make_family("perturbed-doubling"),
+                                       bern_spec(), 7, samples=samples,
+                                       n_max=6, grid_size=256,
+                                       curve_n_max=curve_n_max,
+                                       supadd_samples=1, supadd_N=4)
+    depth = cert.details["depth"]
+    assert 2 ** depth + samples < samples * curve_n_max
+    assert len(calls) <= 2 ** depth + samples

@@ -178,6 +178,17 @@ def test_certificate_payload_shape():
                        "rate2", "rate2_se", "top_exponent", "top_se"}
 
 
+@pytest.mark.parametrize("batches, verdict", [(1, "inconclusive"),
+                                              (20, "certified")])
+def test_single_batch_certificate_is_inconclusive(batches, verdict):
+    # one batch gives every rate a zero standard error: no error bar
+    fam = make_family("random-cat")
+    cert = hyperbolicity_certificate(fam, bern_spec(), 13, samples=4,
+                                     horizon=30, n=500, curve_len=20,
+                                     batches=batches)
+    assert cert.verdict == verdict
+
+
 def test_unsupported_families_rejected():
     with pytest.raises(UnsupportedOperationError):
         finite_time_bundles(make_family("doubling"), dirac(), point(0.1), 10)
