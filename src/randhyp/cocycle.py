@@ -9,14 +9,16 @@ telescope to the log norm of the full derivative product.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .base import base_step
 from .errors import CocycleOverflowError, ContractError
-from .fibers import ManifoldPoint
+from .fibers import LinearTorusFamily, ManifoldPoint
 
 _OVERFLOW_LIMIT = 1e300
+_CELLS = 4096                   # (row, step) cells scanned at a time
 
 
 @dataclass(frozen=True)
@@ -152,16 +154,83 @@ def birkhoff_sum_phi(family, p, n):
     """
     if n < 1:
         raise ContractError("n must be >= 1")
-    total = 0.0
-    for logstretch in orbit_log_stretches(family, p, n).tolist():
-        total += logstretch
-    return total
+    return math.fsum(orbit_log_stretches(family, p, n).tolist())
 
 
 def orbit_log_stretches(family, p, n):
     """Per-step log-stretch array along the tangent orbit (length n)."""
-    coords, v = p.x.coords, p.v
-    out = np.empty(n)
-    for i, q in enumerate(family.params_along(p.omega, n).tolist()):
-        coords, v, out[i] = _step_raw(family, q, coords, v)
+    if isinstance(family, LinearTorusFamily):
+        idx = family.matrix_indices(p.omega, n)
+        return push_log_stretches(family.entries, idx[None], (p.v,))[0]
+    return family.orbit_log_derivs(p.omega, p.x.x, n)
+
+
+def _block_len(table):
+    """Steps per block: at most 32, and every block product within 1e+-100."""
+    a00, a01, a10, a11 = table.T  # g >= |A|_F, |A^-1|_F = |A|_F / |det A|
+    fro = np.sqrt(a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11)
+    g = float(np.max(np.maximum(fro, fro / np.abs(a00 * a11 - a01 * a10))))
+    return int(min(32, max(1.0, math.log(1e100) / math.log(g))))
+
+
+def push_log_stretches(table, idx, v):
+    """Per-step log stretches of directions pushed through 2x2 matrices.
+
+    table: (k, 4) entries (a00, a01, a10, a11); idx: (B, n) indices into
+    it; v: (B, 2) start vectors.  Entry [r, j] is log |A_j u|, A_i =
+    table[idx[r, i]], u the unit direction of A_{j-1} ... A_0 v_r.  Each
+    L-step block gets its prefix products P_j from a Hillis-Steele scan
+    (log2 L elementwise passes) and the stretch |P_j u| / |P_{j-1} u|; u is
+    carried and renormalized between blocks.  Chunks of at most _CELLS
+    cells start on block boundaries and P_j reads only A_0..A_j, so a row's
+    bytes depend on no other row, chunk or padding.
+    """
+    table = np.asarray(table, dtype=np.float64).reshape(-1, 4)
+    cols = np.vstack([table, (1.0, 0.0, 0.0, 1.0)]).T
+    L = _block_len(table)
+    B, n = np.shape(idx)
+    padded = np.full((B, -(-n // L) * L), len(table))
+    padded[:, :n] = idx
+    rows = max(1, min(B, _CELLS // L))
+    span = max(1, _CELLS // (rows * L)) * L
+    v = np.asarray(v, dtype=np.float64)
+    units = (v / np.hypot(v[:, :1], v[:, 1:])).tolist()
+    out = np.empty((B, n))
+    for r0, t0 in product(range(0, B, rows), range(0, padded.shape[1], span)):
+        chunk = padded[r0:r0 + rows, t0:t0 + span]
+        p = cols[:, chunk.reshape(len(chunk), -1, L).transpose(2, 0, 1)]
+        s = 1
+        while s < L:
+            e, f, g, h = p[:, s:]
+            a, b, c, d = p[:, :-s]
+            p[:, s:] = (e * a + f * c, e * b + f * d,
+                        g * a + h * c, g * b + h * d)
+            s *= 2
+        starts = []
+        for i, ends in enumerate(zip(*p[:, -1].tolist()), r0):
+            u0, u1 = units[i]
+            for e, f, g, h in zip(*ends):
+                starts.append((u0, u1))
+                w0, w1 = e * u0 + f * u1, g * u0 + h * u1
+                norm = math.sqrt(w0 * w0 + w1 * w1)
+                u0, u1 = w0 / norm, w1 / norm
+            units[i] = (u0, u1)
+        u0, u1 = np.reshape(np.transpose(starts), (2,) + p.shape[2:])
+        w0, w1 = p[0] * u0 + p[1] * u1, p[2] * u0 + p[3] * u1
+        norm = np.sqrt(w0 * w0 + w1 * w1)
+        norm[1:] /= norm[:-1].copy()
+        logs = np.log(norm).transpose(1, 2, 0).reshape(len(chunk), -1)
+        out[r0:r0 + rows, t0:t0 + span] = logs[:, :n - t0]
     return out
+
+
+def window_products(matrices, idx, left=True):
+    """A_{n-1} ... A_0 (`left`) or A_0 ... A_{n-1} of matrices[idx[r]], per row.
+
+    One batched matmul and renormalization per step: each row gets the
+    bytes of the one-matrix step loop, whatever the batch."""
+    prod = np.broadcast_to(np.eye(2), (len(idx), 2, 2))
+    for mats in np.asarray(matrices)[np.asarray(idx).T]:
+        prod = mats @ prod if left else prod @ mats
+        prod /= np.abs(prod).max(axis=(1, 2), keepdims=True)
+    return prod

@@ -16,7 +16,8 @@ from itertools import product as iter_product
 import numpy as np
 
 from .base import derive_seed, periodic_state, random_point, sample_base
-from .cocycle import unit_direction, unit_tangent, unit_tangent_step
+from .cocycle import (orbit_log_stretches, unit_direction, unit_tangent,
+                      unit_tangent_step)
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint
 from .expansion import min_expansion_sweep, rate_from_sweeps
@@ -286,8 +287,7 @@ def lambda_estimate(family, spec, seed, samples=20, n_max=12, grid_size=4096,
         x = ManifoldPoint(random_point(seed_b, i, family.manifold_dim))
         v = _random_unit_vector(seed_b, birkhoff_starts + i, family.manifold_dim)
         p = unit_tangent(starts[i], x, v)
-        from .lyapunov import _per_step_stretches
-        return float(_per_step_stretches(family, p, birkhoff_steps).mean())
+        return float(orbit_log_stretches(family, p, birkhoff_steps).mean())
 
     birkhoff_vals = deterministic_map(birkhoff_one, range(birkhoff_starts), threads)
     birkhoff_min = min(birkhoff_vals)

@@ -1,10 +1,9 @@
 """Fibrewise Lyapunov exponent estimators.
 
 Top exponent from incrementally renormalized Birkhoff averages of the
-log-stretch observable, full spectrum from per-step Gram-Schmidt
-reorthonormalization of a pushed frame, and a positivity sweep over
-sampled base points and fiber points.  Error bars are batch-mean standard
-errors, not rigorous bounds.
+log-stretch observable, full spectrum from one pushed direction and the
+log-determinant, and a positivity sweep over sampled base points and fiber
+points.  Error bars are batch-mean standard errors, not rigorous bounds.
 """
 
 import math
@@ -13,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import random_point, sample_base
+from .cocycle import orbit_log_stretches, push_log_stretches
 from .errors import ContractError
-from .fibers import LinearTorusFamily, ManifoldPoint
+from .fibers import ManifoldPoint
 
 DEFAULT_BATCHES = 20
 
@@ -51,29 +51,6 @@ def _batch_stats(per_step, batches):
     return value, se, used
 
 
-def _per_step_stretches(family, p, n):
-    """Per-step log-stretch of v along the orbit, parameters read once."""
-    if isinstance(family, LinearTorusFamily):
-        return _push_entries(family.entries,
-                            family.matrix_indices(p.omega, n), p.v)
-    return family.orbit_log_derivs(p.omega, p.x.x, n)
-
-
-def _push_entries(entries, idx, v):
-    """Renormalized per-step log stretches of v through a matrix sequence."""
-    v0, v1 = float(v[0]), float(v[1])
-    out = np.empty(len(idx))
-    sqrt, log = math.sqrt, math.log
-    for i, j in enumerate(idx):
-        a00, a01, a10, a11 = entries[j]
-        w0 = a00 * v0 + a01 * v1
-        w1 = a10 * v0 + a11 * v1
-        norm = sqrt(w0 * w0 + w1 * w1)
-        out[i] = log(norm)
-        v0, v1 = w0 / norm, w1 / norm
-    return out
-
-
 def top_exponent(family, p, n, batches=DEFAULT_BATCHES):
     """Exponent of the direction v: (1/n) log |D phi^{(n)} v|, renormalized.
 
@@ -82,52 +59,29 @@ def top_exponent(family, p, n, batches=DEFAULT_BATCHES):
     """
     if not (n >= batches >= 1):
         raise ContractError("need n >= batches >= 1")
-    stretches = _per_step_stretches(family, p, n)
+    stretches = orbit_log_stretches(family, p, n)
     value, se, used = _batch_stats(stretches, batches)
     return ExponentEstimate(value=value, n=used, batch_std_err=se, batches=batches)
 
 
-def _spectrum_2d(family, omega, n):
-    """Per-step Gram-Schmidt on a pushed orthonormal frame (closed form 2x2).
-
-    Every 2-dimensional family is a linear torus family.
-    """
-    mats = family.entries
-    q00, q01 = 1.0, 0.0
-    q10, q11 = 0.0, 1.0
-    s1 = 0.0
-    s2 = 0.0
-    sqrt, log = math.sqrt, math.log
-    for j in family.matrix_indices(omega, n):
-        a00, a01, a10, a11 = mats[j]
-        w00 = a00 * q00 + a01 * q10
-        w10 = a10 * q00 + a11 * q10
-        w01 = a00 * q01 + a01 * q11
-        w11 = a10 * q01 + a11 * q11
-        r11 = sqrt(w00 * w00 + w10 * w10)
-        q00, q10 = w00 / r11, w10 / r11
-        r12 = q00 * w01 + q10 * w11
-        u0, u1 = w01 - r12 * q00, w11 - r12 * q10
-        r22 = sqrt(u0 * u0 + u1 * u1)
-        q01, q11 = u0 / r22, u1 / r22
-        s1 += log(r11)
-        s2 += log(r22)
-    lams = sorted((s1 / n, s2 / n))
-    return SpectrumEstimate(exponents=(lams[0], lams[1]), n=n)
-
-
 def oseledets_spectrum(family, omega, x, n):
-    """All fibrewise exponents via reorthonormalized derivative products.
+    """All fibrewise exponents, sorted ascending.
 
-    Exponents are sorted ascending.  The bookkeeping identity sum(exponents)
-    = (1/n) sum of log |det| along the orbit holds exactly for the scheme.
+    On the torus (every 2-dimensional family is linear) s1 sums the log
+    stretches of e1 (`cocycle.push_log_stretches`) and s2 = sum of
+    log |det A_i| - s1, so the bookkeeping identity sum(exponents) =
+    (1/n) sum of log |det| holds by construction.
     """
     if n < family.manifold_dim:
         raise ContractError("n must be at least the manifold dimension")
     if family.manifold_dim == 1:
         logs = family.orbit_log_derivs(omega, x.x, n)
         return SpectrumEstimate(exponents=(float(logs.mean()),), n=n)
-    return _spectrum_2d(family, omega, n)
+    idx = family.matrix_indices(omega, n)
+    s1 = float(push_log_stretches(family.entries, idx[None], ((1.0, 0.0),)).sum())
+    a00, a01, a10, a11 = np.asarray(family.entries).T
+    s2 = float(np.log(np.abs(a00 * a11 - a01 * a10))[idx].sum()) - s1
+    return SpectrumEstimate(exponents=tuple(sorted((s1 / n, s2 / n))), n=n)
 
 
 def exponent_positivity_report(family, spec, seed, samples, n, threads=1):

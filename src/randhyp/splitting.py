@@ -14,12 +14,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import base_step, random_point, sample_base, shift_by
-from .cocycle import iterate, unit_direction, unit_tangent
+from .base import base_step, random_point, sample_base
+from .cocycle import (push_log_stretches, unit_direction, unit_tangent,
+                      window_products)
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import LinearTorusFamily, ManifoldPoint
-from .lyapunov import _batch_stats, _push_entries, top_exponent
+from .lyapunov import _batch_stats, top_exponent
 
 DEFAULT_DEPTH = 50
 
@@ -68,34 +70,30 @@ def _require_linear_2d(family):
             "splitting analysis needs an invertible linear torus family")
 
 
+def _directions(family, back, fwd):
+    """`finite_time_bundles` directions (gamma1, gamma2) for (B, h) windows:
+    `fwd` lists indices from w on, `back` from T^-1 w backwards."""
+    u, _, _ = np.linalg.svd(window_products(family.matrices, back, left=False))
+    _, _, vh = np.linalg.svd(window_products(family.matrices, fwd))
+    return ([unit_direction(g) for g in vh[:, -1]],
+            [unit_direction(g) for g in u[:, :, 0]])
+
+
 def finite_time_bundles(family, omega, x, horizon):
     """Expanding/contracting directions from symmetric finite windows.
 
     gamma2: top left-singular direction of the product over the backward
     window ending at omega.  gamma1: the forward window's most-contracted
-    direction.  Directions converge exponentially fast in the horizon.
+    direction.  Directions converge exponentially fast in the horizon.  The
+    cocycle is linear, so the fiber point x is not read.
     """
     _require_linear_2d(family)
     if horizon < 2:
         raise ContractError("horizon must be >= 2")
-    back_idx = family.matrix_indices_back(omega, horizon)
-    back = np.eye(2)
-    for j in back_idx:
-        back = back @ family.matrices[j]
-        back /= np.abs(back).max()
-    u, _, _ = np.linalg.svd(back)
-    gamma2 = unit_direction(u[:, 0])
-
-    fwd_idx = family.matrix_indices(omega, horizon)
-    fwd = np.eye(2)
-    for j in fwd_idx:
-        fwd = family.matrices[j] @ fwd
-        fwd /= np.abs(fwd).max()
-    _, _, vh = np.linalg.svd(fwd)
-    gamma1 = unit_direction(vh[-1])
-
-    dot = abs(float(gamma1 @ gamma2))
-    angle = math.acos(min(1.0, dot))
+    (gamma1,), (gamma2,) = _directions(
+        family, family.matrix_indices_back(omega, horizon)[None],
+        family.matrix_indices(omega, horizon)[None])
+    angle = math.acos(min(1.0, abs(float(gamma1 @ gamma2))))
     return BundlePair(gamma1=(float(gamma1[0]), float(gamma1[1])),
                       gamma2=(float(gamma2[0]), float(gamma2[1])),
                       horizon=horizon, angle=angle)
@@ -110,33 +108,36 @@ def _sin_angle(u, w):
 def invariance_residual(family, omega, x, pair):
     """max over both bundles of sin(angle(A gamma_i(w), gamma_i(T w)))."""
     _require_linear_2d(family)
-    j = family.param_at(omega)
-    next_x = ManifoldPoint(family.apply_at(j, x.coords))
-    nxt = finite_time_bundles(family, base_step(omega), next_x, pair.horizon)
-    a = family.matrices[j]
+    nxt = finite_time_bundles(family, base_step(omega), x, pair.horizon)
+    a = family.matrix(omega)
     r1 = _sin_angle(a @ np.asarray(pair.gamma1), np.asarray(nxt.gamma1))
     r2 = _sin_angle(a @ np.asarray(pair.gamma2), np.asarray(nxt.gamma2))
     return max(r1, r2)
 
 
-def _push_logs_forward(family, omega, v, n):
-    """Per-step log stretches of v under the forward cocycle."""
-    return _push_entries(family.entries,
-                         family.matrix_indices(omega, n), v)
+def _bundle_logs(family, gamma1, gamma2, back, fwd):
+    """Per-step log stretches: gamma1 rows through the inverse cocycle along
+    `back` (indices in backward order), gamma2 rows forward along `fwd`."""
+    logs = push_log_stretches(family.entries + family.inverse_entries,
+                              np.concatenate([back + len(family.entries), fwd]),
+                              np.concatenate([gamma1, gamma2]))
+    return np.split(logs, 2)
 
 
-def _push_logs_backward(family, omega, v, n):
-    """Per-step log stretches of v under the inverse cocycle (backward)."""
-    return _push_entries(family.inverse_entries,
-                         family.matrix_indices_back(omega, n), v)
+def _pair_logs(family, omega, pair, n):
+    """logs1, logs2 of one bundle pair over n steps from omega."""
+    (logs1,), (logs2,) = _bundle_logs(
+        family, [pair.gamma1], [pair.gamma2],
+        family.matrix_indices_back(omega, n)[None],
+        family.matrix_indices(omega, n)[None])
+    return logs1, logs2
 
 
 def _truncated_log_inf(logs, lam, depth):
-    """min over 1 <= k <= depth of (cumulative log stretch - lam k)."""
-    depth = min(depth, len(logs))
-    csum = np.cumsum(logs[:depth])
-    terms = csum - lam * np.arange(1, depth + 1)
-    return float(terms.min())
+    """min over 1 <= k <= depth of (cumulative log stretch - lam k), per row."""
+    logs = logs[..., :depth]
+    terms = np.cumsum(logs, axis=-1) - lam * np.arange(1, logs.shape[-1] + 1)
+    return terms.min(axis=-1)
 
 
 def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
@@ -150,10 +151,8 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
     _require_linear_2d(family)
     if n < 1:
         raise ContractError("n must be >= 1")
-    logs2 = _push_logs_forward(family, omega, pair.gamma2, n)
-    logs1 = _push_logs_backward(family, omega, pair.gamma1, n)
-    rate2 = float(logs2.mean())
-    rate1 = float(logs1.mean())
+    logs1, logs2 = _pair_logs(family, omega, pair, n)
+    rate1, rate2 = float(logs1.mean()), float(logs2.mean())
     if lam is None:
         lam = 0.5 * min(rate1, rate2)
     if lam <= 0.0:
@@ -163,19 +162,24 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
     return BundleRates(rate1, rate2, c1, c2, lam)
 
 
-def _bundle_constant_curve(family, omega, x, lam, curve_len, horizon, depth):
-    """(1/k) log C_i(T^k w) for both bundle constants along the orbit."""
-    vals1 = np.empty(curve_len)
-    vals2 = np.empty(curve_len)
-    points = iterate(family, omega, x, curve_len)
-    for k in range(1, curve_len + 1):
-        state = shift_by(omega, k)
-        pair = finite_time_bundles(family, state, points[k], horizon)
-        logs2 = _push_logs_forward(family, state, pair.gamma2, depth)
-        logs1 = _push_logs_backward(family, state, pair.gamma1, depth)
-        vals1[k - 1] = _truncated_log_inf(logs1, lam, depth) / k
-        vals2[k - 1] = _truncated_log_inf(logs2, lam, depth) / k
-    return vals1, vals2
+def _bundle_constant_curve(family, omega, lam, curve_len, horizon, depth):
+    """(1/k) log C_i(T^k w) for both bundle constants along the orbit.
+
+    All offsets k in one batch; orbit position q is stream[q + m - 1].
+    """
+    m = max(horizon, depth)
+    stream = np.concatenate([family.matrix_indices_back(omega, m - 1)[::-1],
+                             family.matrix_indices(omega, curve_len + m)])
+    ks = np.arange(1, curve_len + 1)
+    windows = sliding_window_view(stream, horizon)
+    gamma1, gamma2 = _directions(family, windows[ks + m - 1 - horizon, ::-1],
+                                 windows[ks + m - 1])
+    pushes = sliding_window_view(stream, depth)
+    logs1, logs2 = _bundle_logs(family, gamma1, gamma2,
+                                pushes[ks + m - 1 - depth, ::-1],
+                                pushes[ks + m - 1])
+    return (_truncated_log_inf(logs1, lam, depth) / ks,
+            _truncated_log_inf(logs2, lam, depth) / ks)
 
 
 def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
@@ -197,8 +201,7 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
         x = ManifoldPoint(random_point(seed, i, 2))
         pair = finite_time_bundles(family, omega, x, horizon)
         residual = invariance_residual(family, omega, x, pair)
-        logs2 = _push_logs_forward(family, omega, pair.gamma2, n)
-        logs1 = _push_logs_backward(family, omega, pair.gamma1, n)
+        logs1, logs2 = _pair_logs(family, omega, pair, n)
         rate2, rate2_se, _ = _batch_stats(logs2, batches)
         rate1, rate1_se, _ = _batch_stats(logs1, batches)
         v = np.asarray(random_point(seed, samples + i, 2)) - 0.5
@@ -211,7 +214,8 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
             "rate1": rate1, "rate1_se": rate1_se,
             "rate2": rate2, "rate2_se": rate2_se,
             "top_exponent": top.value, "top_se": top.batch_std_err,
-            "logs1": logs1[:depth], "logs2": logs2[:depth],
+            "logs1": logs1[:depth].copy(),  # not a view of all n steps
+            "logs2": logs2[:depth].copy(),
         }
 
     from ._parallel import deterministic_map
@@ -241,8 +245,7 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     details["per_sample"] = per_sample
 
     if lam > 0.0:
-        x0 = ManifoldPoint(random_point(seed, 0, 2))
-        vals1, vals2 = _bundle_constant_curve(family, omegas[0], x0, lam,
+        vals1, vals2 = _bundle_constant_curve(family, omegas[0], lam,
                                               curve_len, horizon, depth)
         details["c1_curve"] = [float(v) for v in vals1]
         details["c2_curve"] = [float(v) for v in vals2]

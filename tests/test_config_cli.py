@@ -4,8 +4,11 @@ import os
 
 import pytest
 
-from randhyp import ConfigurationError, parse_config, run_task
+from randhyp import (ConfigurationError, oseledets_spectrum, parse_config,
+                     run_task, sample_base)
+from randhyp.base import random_point
 from randhyp.cli import main
+from randhyp.fibers import ManifoldPoint
 
 DOUBLING_FULL = {
     "task": "full-pipeline",
@@ -145,6 +148,20 @@ def test_determinism_across_threads(family, base):
     a = run_task(cfg, threads=1)
     b = run_task(cfg, threads=8)
     assert a.payload_bytes() == b.payload_bytes()
+
+
+@pytest.mark.parametrize("family", ["perturbed-doubling", "random-cat"])
+def test_lyapunov_first_spectrum_is_the_direct_spectrum(family):
+    cfg = parse_config(json.dumps({
+        "task": "lyapunov", "seed": 4, "base": BASES["markov"],
+        "fiber": {"family": family, "params": FAMILIES[family]},
+        "task_params": {"samples": 3, "n": 500},
+    }))
+    report = run_task(cfg)
+    omega0 = sample_base(cfg.base, cfg.seed, 1)[0]
+    x0 = ManifoldPoint(random_point(cfg.seed, 0, cfg.fiber.manifold_dim))
+    direct = oseledets_spectrum(cfg.fiber, omega0, x0, 500)
+    assert report.payload["spectrum_first_sample"] == list(direct.exponents)
 
 
 @pytest.mark.parametrize("task, key, value", [

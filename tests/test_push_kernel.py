@@ -1,0 +1,124 @@
+"""The blocked prefix-product push kernel against the step-by-step loop."""
+
+import math
+
+import numpy as np
+import pytest
+
+from randhyp import (BaseSystemSpec, make_family, oseledets_spectrum, point,
+                     sample_base, shift_by)
+from randhyp.cocycle import _block_len, push_log_stretches, window_products
+from randhyp.splitting import (_bundle_constant_curve, _pair_logs,
+                               _truncated_log_inf, finite_time_bundles)
+
+FAMILIES = {
+    "random-cat": ("random-cat", {}),
+    "diagonal-one": ("diagonal-cocycle", {"a_values": [2.0], "b_values": [0.5]}),
+    "diagonal-two": ("diagonal-cocycle",
+                     {"a_values": [2.0, 0.5], "b_values": [3.0, 4.0]}),
+    "parabolic": ("random-cat", {"matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}),
+    # entries of 1e20 cut the blocks to a few steps
+    "huge": ("diagonal-cocycle", {"a_values": [1e20, 3.0], "b_values": [1e-20, 0.5]}),
+}
+BASES = {
+    "dirac": BaseSystemSpec.dirac(),
+    "bernoulli": BaseSystemSpec.bernoulli([0.5, 0.5]),
+    "markov": BaseSystemSpec.markov([[0.9, 0.1], [0.3, 0.7]]),
+    "rotation": BaseSystemSpec.rotation(0.6180339887498949),
+}
+
+
+def step_loop(entries, idx, v):
+    """Per-step log stretches of v, renormalized after every matrix."""
+    v0, v1 = float(v[0]), float(v[1])
+    out = np.empty(len(idx))
+    for i, j in enumerate(idx):
+        a00, a01, a10, a11 = entries[j]
+        w0 = a00 * v0 + a01 * v1
+        w1 = a10 * v0 + a11 * v1
+        norm = math.sqrt(w0 * w0 + w1 * w1)
+        out[i] = math.log(norm)
+        v0, v1 = w0 / norm, w1 / norm
+    return out
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kernel_matches_step_loop(family, base):
+    fam = make_family(*FAMILIES[family])
+    w = sample_base(BASES[base], 5, 1)[0]
+    rng = np.random.default_rng(0)
+    for table, indices in ((fam.entries, fam.matrix_indices),
+                           (fam.inverse_entries, fam.matrix_indices_back)):
+        L = _block_len(np.asarray(table))
+        for n in sorted({1, 2, max(1, L - 1), L, L + 1, 10_000}):
+            idx = indices(w, n)
+            v = rng.normal(size=2)
+            v /= np.linalg.norm(v)
+            got = push_log_stretches(table, idx[None], v[None])[0]
+            ref = step_loop(table, idx, v)
+            assert got.shape == (n,)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_block_products_stay_in_range():
+    fam = make_family(*FAMILIES["huge"])
+    L = _block_len(np.asarray(fam.entries))
+    assert 1 <= L <= 5 and (1e20 * math.sqrt(2)) ** L < 1e101
+    assert _block_len(np.asarray(make_family("random-cat").entries)) == 32
+
+
+def test_rows_do_not_depend_on_the_batch():
+    fam = make_family("random-cat")
+    table = fam.entries + fam.inverse_entries
+    rng = np.random.default_rng(1)
+    idx = rng.integers(0, len(table), size=(200, 700))
+    v = rng.normal(size=(200, 2))
+    batch = push_log_stretches(table, idx, v)
+    for r in range(200):
+        alone = push_log_stretches(table, idx[r:r + 1], v[r:r + 1])[0]
+        assert alone.tobytes() == batch[r].tobytes()
+
+
+def test_window_products_match_step_loop_bitwise():
+    fam = make_family("random-cat")
+    idx = np.random.default_rng(2).integers(0, 2, size=(50, 40))
+    left = window_products(fam.matrices, idx)
+    right = window_products(fam.matrices, idx, left=False)
+    for r in range(50):
+        lp, rp = np.eye(2), np.eye(2)
+        for j in idx[r]:
+            lp = fam.matrices[j] @ lp
+            lp /= np.abs(lp).max()
+            rp = rp @ fam.matrices[j]
+            rp /= np.abs(rp).max()
+        assert left[r].tobytes() == lp.tobytes()
+        assert right[r].tobytes() == rp.tobytes()
+
+
+@pytest.mark.parametrize("horizon, depth", [(12, 20), (20, 12)])
+@pytest.mark.parametrize("base", BASES)
+def test_curve_batch_matches_per_offset(base, horizon, depth):
+    fam = make_family("random-cat")
+    w = sample_base(BASES[base], 9, 1)[0]
+    lam, curve_len = 0.3, 6
+    vals1, vals2 = _bundle_constant_curve(fam, w, lam, curve_len, horizon, depth)
+    for k in range(1, curve_len + 1):
+        state = shift_by(w, k)
+        pair = finite_time_bundles(fam, state, point(0.0, 0.0), horizon)
+        logs1, logs2 = _pair_logs(fam, state, pair, depth)
+        assert vals1[k - 1] == _truncated_log_inf(logs1, lam, depth) / k
+        assert vals2[k - 1] == _truncated_log_inf(logs2, lam, depth) / k
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_spectrum_sum_rule(family):
+    fam = make_family(*FAMILIES[family])
+    w = sample_base(BASES["bernoulli"], 3, 1)[0]
+    n = 5000
+    est = oseledets_spectrum(fam, w, point(0.2, 0.7), n)
+    logdet = math.fsum(math.log(abs(np.linalg.det(fam.matrices[j])))
+                       for j in fam.matrix_indices(w, n))
+    assert abs(sum(est.exponents) * n - logdet) <= 1e-12 * max(1.0, abs(logdet))
+    if fam.family_id == "random-cat":
+        assert est.exponents[0] == -est.exponents[1]
