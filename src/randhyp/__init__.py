@@ -24,7 +24,7 @@ from .errors import (CocycleOverflowError, ConfigurationError, ContractError,
                      RandhypError, UnsupportedOperationError, WindowLimitError)
 from .expansion import (ExpansionCertificate, MinExpansionTable,
                         build_expansion_certificate, min_expansion_table,
-                        min_log_expansion, supadditivity_residuals,
+                        min_log_expansion, supadditivity_residuals, sweep_windows,
                         tempered_constant, temperedness_curve,
                         uniform_rate_estimate, variable_rate_corollary)
 from .fibers import (FAMILY_CATALOG, FiberFamily, ManifoldPoint,

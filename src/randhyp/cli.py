@@ -20,7 +20,7 @@ from . import __version__
 from .config import TASKS, parse_config
 from .ergodic import enumerate_periodic_orbits, lambda_estimate
 from .errors import ConfigurationError, RandhypError
-from .expansion import (build_expansion_certificate, min_expansion_table,
+from .expansion import (build_expansion_certificate, table_of_sweep,
                         variable_rate_corollary)
 from .base import random_point, sample_base
 from .cocycle import iterate, orbit_log_stretches, unit_tangent
@@ -117,7 +117,7 @@ def _task_certify_expansion(config, threads):
         }
 
     omega0 = sample_base(config.base, config.seed, 1)[0]
-    table = min_expansion_table(config.fiber, omega0, p["n_max"], p["grid_size"])
+    table = table_of_sweep(omega0, cert.first_sweep)
     an_rows = [(n, repr(lo), repr(up)) for (n, lo, up) in table.rows]
     curve = cert.temperedness_curve
     curve_rows = [(int(n), repr(float(v))) for n, v in zip(curve.ns, curve.values)]

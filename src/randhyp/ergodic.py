@@ -20,7 +20,7 @@ from .cocycle import (orbit_log_stretches, unit_direction, unit_tangent,
                       unit_tangent_step)
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint
-from .expansion import min_expansion_sweep, rate_from_sweeps
+from .expansion import min_expansion_sweep, uniform_rate_estimate
 
 _BIRKHOFF_STREAM = 0x42495248
 _CLOSURE_TOL = 1e-8
@@ -274,11 +274,9 @@ def lambda_estimate(family, spec, seed, samples=20, n_max=12, grid_size=4096,
     """
     from ._parallel import deterministic_map
 
-    omegas = sample_base(spec, seed, samples)
-    sweeps = deterministic_map(
-        lambda w: min_expansion_sweep(family, w, n_max, grid_size),
-        omegas, threads)
-    empirical = float(np.mean([s.uppers[-1] for s in sweeps]) / n_max)
+    rate = uniform_rate_estimate(family, spec, seed, samples, n_max,
+                                 grid_size, threads)
+    empirical = float(np.mean([s.uppers[-1] for s in rate.sweeps]) / n_max)
 
     seed_b = derive_seed(seed, _BIRKHOFF_STREAM, 0)
     starts = sample_base(spec, seed_b, birkhoff_starts)
@@ -295,8 +293,7 @@ def lambda_estimate(family, spec, seed, samples=20, n_max=12, grid_size=4096,
     candidates = (("empirical_measure", empirical),
                   ("birkhoff_min", birkhoff_min))
     lam_est = min(v for (_, v) in candidates)
-
-    a_est = rate_from_sweeps(sweeps, n_max).a_estimate
+    a_est = rate.a_estimate
 
     periodic = ()
     if include_periodic and spec.kind == "bernoulli":

@@ -55,11 +55,14 @@ class MinExpansionTable:
 class TemperedConstant:
     """Truncated infimum of e^{-lambda n} * (min n-step expansion)."""
 
-    value: float                 # may underflow to 0; log_value is exact
     log_value: float
     attained_n: int
     depth: int
     lam: float
+
+    @property
+    def value(self):             # may underflow to 0; log_value is exact
+        return math.exp(self.log_value) if self.log_value > -700.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,7 @@ class UniformRateEstimate:
     n_max: int
     samples: int
     trend: tuple                 # (n, mean upper A_n/n, mean lower A_n/n)
+    sweeps: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -98,6 +102,7 @@ class ExpansionCertificate:
     supadditivity_min_residual: float
     verdict: str                 # certified-expanding | inconclusive | violated
     details: dict = field(default_factory=dict)
+    first_sweep: SweepResult = field(default=None, repr=False, compare=False)
 
     def to_payload(self):
         curve = self.temperedness_curve
@@ -142,58 +147,110 @@ def certified_depth(family, grid_size, budget=SLACK_BUDGET, cap=DEFAULT_DEPTH):
     return n
 
 
+def _exact_sweep(family, window):
+    """Uppers and argmin fields of one window of an x-independent family."""
+    if isinstance(family, CircleFamily):
+        return np.cumsum(family.log_deriv(window, 0.0, np)), ((0.0,), (1.0,))
+    prod, logscale, uppers = np.eye(2), 0.0, np.empty(len(window))
+    for i, j in enumerate(window):
+        prod = family.matrices[j] @ prod
+        scale = np.abs(prod).max()
+        prod /= scale
+        logscale += math.log(scale)
+        svals = np.linalg.svd(prod, compute_uv=False)
+        uppers[i] = logscale + math.log(svals[-1])
+    vmin = unit_direction(np.linalg.svd(prod)[2][-1])
+    return uppers, ((0.0, 0.0), (float(vmin[0]), float(vmin[1])))
+
+
+def _brackets(family, blocks, grid_size, threads=1):
+    """`min_expansion_sweep`'s uppers and lowers (in the blocks' shapes) and
+    argmin fields (per window) for blocks of one window or rows of windows.
+    Exact families sweep each distinct window; x-dependent circle families
+    step the grid once per node of the windows' trie (keyed on parameter
+    bytes) depth first, saving (cur, acc) only at branching nodes."""
+    rows = [np.atleast_2d(b) for b in blocks]
+    if min(r.shape[1] for r in rows) < 1:
+        raise ContractError("n_max must be >= 1")
+    if not isinstance(family, (CircleFamily, LinearTorusFamily)):
+        raise UnsupportedOperationError(
+            "certified minimization covers circle families and linear torus "
+            "families; nonlinear higher-dimensional fibers would need sampled, "
+            "non-certified minima")
+    from ._parallel import deterministic_map
+    if family.linear:
+        distinct = {w.tobytes(): w for r in rows for w in r}
+        swept = dict(zip(distinct, deterministic_map(
+            lambda w: _exact_sweep(family, w), list(distinct.values()), threads)))
+        uppers = [np.reshape([swept[w.tobytes()][0] for w in r], np.shape(b))
+                  for r, b in zip(rows, blocks)]
+        return (uppers, [u.copy() for u in uppers],
+                [swept[w.tobytes()][1] for r in rows for w in r])
+    if grid_size < MIN_GRID:
+        raise ContractError(f"grid_size must be >= {MIN_GRID}")
+    params, kids, index, paths, ends = [None], {}, {}, [], []
+    for r in rows:
+        paths.append(np.empty(r.shape, np.int32))
+        for b, w in enumerate(r):
+            node = 0
+            for i, (p, key) in enumerate(zip(w.tolist(), w.view(np.uint64).tolist())):
+                child = index.setdefault((node, key), len(params))
+                if child == len(params):
+                    params.append(p)
+                    kids.setdefault(node, []).append(child)
+                paths[-1][b, i] = node = child
+            ends.append(node)
+    xs0, stop = np.arange(grid_size) / grid_size, set(ends)
+    node_min, argmin = np.empty(len(params)), {}
+
+    def walk(top):   # root subtrees write disjoint nodes
+        stack = [(top, xs0, np.zeros(grid_size), False)]
+        while stack:
+            node, cur, acc, saved = stack.pop()
+            acc = np.add(acc, family.log_deriv(params[node], cur, np),
+                         out=None if saved else acc)
+            node_min[node] = acc.min()
+            if node in stop:
+                argmin[node] = float(xs0[acc.argmin()])
+            cur = family.apply(params[node], cur, np)
+            stack += [(k, cur, acc, i > 0)
+                      for i, k in enumerate(reversed(kids.get(node, ())))]
+
+    deterministic_map(walk, kids[0], threads)
+    slacks = np.array([lipschitz_slack(family, n, grid_size)
+                       for n in range(1, max(r.shape[1] for r in rows) + 1)])
+    uppers = [node_min[p].reshape(np.shape(b)) for p, b in zip(paths, blocks)]
+    return (uppers, [u - slacks[:u.shape[-1]] for u in uppers],
+            [((argmin[e],), (1.0,)) for e in ends])
+
+
+def sweep_windows(family, windows, grid_size, threads=1):
+    """`min_expansion_sweep` of each parameter window (any lengths), in
+    window order, sweeping each distinct parameter prefix once."""
+    return [SweepResult(u, lo, 1 if family.linear else grid_size, *args)
+            for u, lo, args in zip(*_brackets(family, list(windows), grid_size, threads))]
+
+
 def min_expansion_sweep(family, omega, n_max, grid_size=DEFAULT_GRID):
     """Brackets of A_n(w) for every n <= n_max in one orbit sweep."""
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
-    if isinstance(family, CircleFamily):
-        if family.linear:
-            uppers = np.cumsum(family.orbit_log_derivs(omega, 0.0, n_max))
-            return SweepResult(uppers, uppers.copy(), 1, (0.0,), (1.0,))
-        if grid_size < MIN_GRID:
-            raise ContractError(f"grid_size must be >= {MIN_GRID}")
-        xs0 = np.arange(grid_size) / grid_size
-        cur = xs0.copy()
-        acc = np.zeros(grid_size)
-        uppers = np.empty(n_max)
-        for i, p in enumerate(family.params_along(omega, n_max)):
-            acc += family.log_deriv(p, cur, np)
-            uppers[i] = acc.min()
-            cur = family.apply(p, cur, np)
-        slacks = np.array([lipschitz_slack(family, n, grid_size)
-                           for n in range(1, n_max + 1)])
-        argmin = float(xs0[int(np.argmin(acc))])
-        return SweepResult(uppers, uppers - slacks, grid_size, (argmin,), (1.0,))
-    if isinstance(family, LinearTorusFamily):
-        prod = np.eye(2)
-        logscale = 0.0
-        uppers = np.empty(n_max)
-        for i, j in enumerate(family.matrix_indices(omega, n_max)):
-            prod = family.matrices[j] @ prod
-            scale = np.abs(prod).max()
-            prod /= scale
-            logscale += math.log(scale)
-            svals = np.linalg.svd(prod, compute_uv=False)
-            uppers[i] = logscale + math.log(svals[-1])
-        _, _, vh = np.linalg.svd(prod)
-        vmin = unit_direction(vh[-1])
-        return SweepResult(uppers, uppers.copy(), 1, (0.0, 0.0),
-                           (float(vmin[0]), float(vmin[1])))
-    raise UnsupportedOperationError(
-        "certified minimization covers circle families and linear torus "
-        "families; nonlinear higher-dimensional fibers would need sampled, "
-        "non-certified minima")
+    return sweep_windows(family, [family.params_along(omega, n_max)],
+                         grid_size)[0]
 
 
 def min_log_expansion(family, omega, n, grid_size=DEFAULT_GRID):
     """Certified bracket (lower, upper) for the n-step minimum log expansion."""
-    sweep = min_expansion_sweep(family, omega, n, grid_size)
-    return sweep.bracket(n)
+    return min_expansion_sweep(family, omega, n, grid_size).bracket(n)
 
 
 def min_expansion_table(family, omega, n_max, grid_size=DEFAULT_GRID):
-    sweep = min_expansion_sweep(family, omega, n_max, grid_size)
-    rows = tuple((n,) + sweep.bracket(n) for n in range(1, n_max + 1))
+    return table_of_sweep(omega, min_expansion_sweep(family, omega, n_max, grid_size))
+
+
+def table_of_sweep(omega, sweep):
+    """The `MinExpansionTable` of omega from a sweep of omega already run."""
+    rows = tuple((n,) + sweep.bracket(n) for n in range(1, len(sweep.uppers) + 1))
     slack = max(u - l for (_, l, u) in rows)
     return MinExpansionTable(omega.describe(), rows, sweep.grid_size, slack)
 
@@ -204,25 +261,30 @@ class SupadditivityReport:
     residuals: tuple             # (n, m, residual)
 
 
+def _supadd_windows(family, omega, N):
+    """params_along(T^k w, N - k) for k < N."""
+    if N > 20:
+        raise ContractError("supadditivity tables use certified horizons N <= 20")
+    return [s[k:] for s in [family.params_along(omega, N)] for k in range(N)]
+
+
+def _supadd_rows(uppers, lowers, N):
+    """(n, m, residual) from the brackets of params[k:], k < N, in row k."""
+    return [(n, m, float(uppers[0][n + m - 1] - lowers[0][n - 1]
+                         - lowers[n][m - 1]))
+            for n in range(1, N) for m in range(1, N - n + 1)]
+
+
 def supadditivity_residuals(family, omega, N=12, grid_size=DEFAULT_GRID):
     """Residuals upper(A_{n+m}) - lower(A_n) - lower(A_m at T^n w), n+m <= N.
 
     The true minima satisfy A_{n+m} >= A_n + A_m(T^n w), so with certified
     brackets every residual is nonnegative up to roundoff.
     """
-    if N > 20:
-        raise ContractError("supadditivity tables use certified horizons N <= 20")
-    sweeps = [min_expansion_sweep(family, shift_by(omega, k), N - k, grid_size)
-              for k in range(N)]
-    rows = []
-    for n in range(1, N):
-        for m in range(1, N - n + 1):
-            res = (sweeps[0].uppers[n + m - 1]
-                   - sweeps[0].lowers[n - 1]
-                   - sweeps[n].lowers[m - 1])
-            rows.append((n, m, float(res)))
-    min_res = min(r for (_, _, r) in rows)
-    return SupadditivityReport(min_res, tuple(rows))
+    uppers, lowers, _ = _brackets(family, _supadd_windows(family, omega, N),
+                                  grid_size)
+    rows = _supadd_rows(uppers, lowers, N)
+    return SupadditivityReport(min(r for (_, _, r) in rows), tuple(rows))
 
 
 def uniform_rate_estimate(family, spec, seed, samples, n_max,
@@ -232,20 +294,11 @@ def uniform_rate_estimate(family, spec, seed, samples, n_max,
     Supadditivity makes A_n/n climb toward the limiting uniform rate, so the
     value at n_max is the best available estimate from this horizon.
     """
-    omegas = sample_base(spec, seed, samples)
-
-    from ._parallel import deterministic_map
-    sweeps = deterministic_map(
-        lambda w: min_expansion_sweep(family, w, n_max, grid_size),
-        omegas, threads)
-    return rate_from_sweeps(sweeps, n_max)
-
-
-def rate_from_sweeps(sweeps, n_max):
-    """The `UniformRateEstimate` of sweeps already run to horizon n_max."""
     if n_max < 4:
         raise ContractError("n_max must be >= 4")
-    samples = len(sweeps)
+    sweeps = sweep_windows(family, [family.params_along(w, n_max) for w in
+                                    sample_base(spec, seed, samples)],
+                           grid_size, threads)
     uppers = np.stack([s.uppers for s in sweeps])
     lowers = np.stack([s.lowers for s in sweeps])
     ns = np.arange(1, n_max + 1, dtype=np.float64)
@@ -256,7 +309,8 @@ def rate_from_sweeps(sweeps, n_max):
     finals = uppers[:, -1] / n_max
     se = float(finals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return UniformRateEstimate(a_estimate=float(mean_u[-1]), a_std_err=se,
-                               n_max=n_max, samples=samples, trend=trend)
+                               n_max=n_max, samples=samples, trend=trend,
+                               sweeps=tuple(sweeps))
 
 
 def tempered_constant(family, omega, lam, depth=DEFAULT_DEPTH,
@@ -268,6 +322,29 @@ def tempered_constant(family, omega, lam, depth=DEFAULT_DEPTH,
     always finite; the exponentiated value may underflow for very negative
     lower bounds).
     """
+    log_c, attained = tempered_constants(family, [omega], [0], lam, depth,
+                                         grid_size, a_estimate)
+    return TemperedConstant(float(log_c[0, 0]), int(attained[0, 0]), depth, lam)
+
+
+def _depth_windows(family, omegas, offsets, depth):
+    """params_along(T^k w, depth) for k in `offsets`, one block per orbit w."""
+    lo, span = min(offsets), max(offsets) - min(offsets) + depth
+    rows = (np.asarray(offsets) - lo)[:, None] + np.arange(depth)
+    return [family.params_along(shift_by(w, lo), span)[rows] for w in omegas]
+
+
+def _tempered_logs(lowers, lam):
+    """log C and the n attaining it, per row of blocks of (B, depth) lowers."""
+    terms = np.concatenate(lowers) - lam * np.arange(1, lowers[0].shape[1] + 1)
+    k = terms.argmin(axis=1)
+    return terms[np.arange(len(k)), k], k + 1
+
+
+def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
+                       grid_size=DEFAULT_GRID, a_estimate=None, threads=1):
+    """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
+    every orbit w in `omegas` and k in `offsets`: one sweep of all windows."""
     if lam <= 0.0:
         raise ConfigurationError("lambda must be positive")
     if a_estimate is not None and lam >= a_estimate:
@@ -276,52 +353,18 @@ def tempered_constant(family, omega, lam, depth=DEFAULT_DEPTH,
             f"({lam} >= {a_estimate}); the certified range is 0 < lambda < A")
     if depth < 1:
         raise ContractError("depth must be >= 1")
-    sweep = min_expansion_sweep(family, omega, depth, grid_size)
-    terms = sweep.lowers - lam * np.arange(1, depth + 1)
-    k = int(np.argmin(terms))
-    log_c = float(terms[k])
-    value = math.exp(log_c) if log_c > -700.0 else 0.0
-    return TemperedConstant(value=value, log_value=log_c, attained_n=k + 1,
-                            depth=depth, lam=lam)
-
-
-def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
-                       grid_size=DEFAULT_GRID, a_estimate=None, threads=1):
-    """C(T^k w) for every orbit w in `omegas` and k in `offsets`, one list
-    per orbit.  C at depth d reads the base only through the window
-    params_along(T^k w, d), so each distinct window (keyed on its exact
-    bytes) is swept once and shared along and across orbits.
-    """
-    lo = min(offsets)
-    span = max(offsets) - lo + depth
-    first, reps, slots = {}, [], []   # window bytes -> index into reps
-    for w in omegas:
-        windows = sliding_window_view(
-            family.params_along(shift_by(w, lo), span), depth)
-        row = []
-        for k in offsets:
-            key = windows[k - lo].tobytes()
-            if key not in first:
-                first[key] = len(reps)
-                reps.append(shift_by(w, k))
-            row.append(first[key])
-        slots.append(row)
-
-    from ._parallel import deterministic_map
-    consts = deterministic_map(
-        lambda w: tempered_constant(family, w, lam, depth, a_estimate,
-                                    grid_size),
-        reps, threads)
-    return [[consts[i] for i in row] for row in slots]
+    _, lowers, _ = _brackets(family, _depth_windows(family, omegas, offsets, depth),
+                             grid_size, threads)
+    return [a.reshape(len(omegas), -1) for a in _tempered_logs(lowers, lam)]
 
 
 def _curve_fast(family, omega, lam, n_max, depth):
-    """All log C(T^n w) at once for x-independent circle families."""
+    """log C(T^n w), n = 1..n_max, at once for x-independent circle families."""
     logs = family.orbit_log_derivs(omega, 0.0, n_max + depth)
     csum = np.concatenate([[0.0], np.cumsum(logs)])
     t = csum - lam * np.arange(n_max + depth + 1)
     winmin = sliding_window_view(t[1:], depth).min(axis=1)
-    return winmin[: n_max + 1] - t[: n_max + 1]
+    return (winmin[: n_max + 1] - t[: n_max + 1])[1:]
 
 
 def temperedness_curve(family, spec, seed, lam, n_max, depth=DEFAULT_DEPTH,
@@ -337,18 +380,11 @@ def temperedness_curve(family, spec, seed, lam, n_max, depth=DEFAULT_DEPTH,
 def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
                           grid_size=DEFAULT_GRID):
     ns = np.arange(1, n_max + 1)
-    log_cs = _log_c_curves(family, [omega], lam, n_max, depth, grid_size)[0]
-    return TemperednessCurve(ns=ns, values=log_cs / ns)
-
-
-def _log_c_curves(family, omegas, lam, n_max, depth, grid_size, threads=1):
-    """log C(T^n w) for n = 1..n_max, one row per orbit."""
     if isinstance(family, CircleFamily) and family.linear:
-        return np.stack([_curve_fast(family, w, lam, n_max, depth)[1:]
-                         for w in omegas])
-    consts = tempered_constants(family, omegas, range(1, n_max + 1), lam,
-                                depth, grid_size, threads=threads)
-    return np.array([[c.log_value for c in row] for row in consts])
+        log_cs = _curve_fast(family, omega, lam, n_max, depth)
+    else:
+        log_cs = tempered_constants(family, [omega], ns, lam, depth, grid_size)[0][0]
+    return TemperednessCurve(ns=ns, values=log_cs / ns)
 
 
 def one_step_min_expansion(family, omega):
@@ -410,7 +446,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     if samples < 2 or a_est <= 3.0 * rate.a_std_err or a_est <= 0.0:
         empty = TemperednessCurve(np.array([1]), np.array([0.0]))
         return ExpansionCertificate(a_est, None, (), empty, 0.0,
-                                    "inconclusive", details)
+                                    "inconclusive", details, rate.sweeps[0])
 
     lam = 0.5 * a_est if lam is None else lam
     if not (0.0 < lam < a_est):
@@ -421,26 +457,33 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     details["depth"] = eff_depth
 
     omegas = sample_base(spec, seed, samples)
-    consts = tempered_constants(family, omegas, [0], lam, eff_depth, grid_size,
-                                a_estimate=a_est, threads=threads)
-    c_samples = tuple((w.describe(), c.value, c.log_value, c.attained_n)
-                      for w, [c] in zip(omegas, consts))
-
+    fast = isinstance(family, CircleFamily) and family.linear
     if curve_n_max is None:
-        fast = isinstance(family, CircleFamily) and family.linear
         curve_n_max = 10_000 if fast else 128
-    curve_seeds = min(samples, 20)
-    ns = np.arange(1, curve_n_max + 1)
-    log_cs = _log_c_curves(family, omegas[:curve_seeds], lam, curve_n_max,
-                           eff_depth, grid_size, threads)
-    curve = TemperednessCurve(ns, np.mean(log_cs / ns, axis=0))
-
-    from ._parallel import deterministic_map
+    curve_orbits = omegas[:min(samples, 20)]
     n_res = supadd_N if supadd_N is not None else min(n_max, 12)
-    residual_reports = deterministic_map(
-        lambda w: supadditivity_residuals(family, w, n_res, grid_size).min_residual,
-        omegas[:supadd_samples], threads)
-    min_residual = min(residual_reports)
+    # one sweep: c_samples windows, curve windows, supadditivity windows
+    blocks = _depth_windows(family, omegas, [0], eff_depth)
+    if not fast:
+        blocks += _depth_windows(family, curve_orbits, range(1, curve_n_max + 1),
+                                 eff_depth)
+    top = len(blocks)
+    for w in omegas[:supadd_samples]:
+        blocks += _supadd_windows(family, w, n_res)
+    uppers, lowers, _ = _brackets(family, blocks, grid_size, threads)
+
+    log_c, ks = (a.tolist() for a in _tempered_logs(lowers[:samples], lam))
+    c_samples = tuple((w.describe(), TemperedConstant(lc, k, eff_depth, lam).value,
+                       lc, k) for w, lc, k in zip(omegas, log_c, ks))
+    ns = np.arange(1, curve_n_max + 1)
+    if fast:
+        log_cs = np.stack([_curve_fast(family, w, lam, curve_n_max, eff_depth)
+                           for w in curve_orbits])
+    else:
+        log_cs = _tempered_logs(lowers[samples:top], lam)[0].reshape(-1, curve_n_max)
+    curve = TemperednessCurve(ns, np.mean(log_cs / ns, axis=0))
+    min_residual = min(r for i in range(top, len(blocks), n_res) for (_, _, r)
+                       in _supadd_rows(uppers[i:i + n_res], lowers[i:i + n_res], n_res))
 
     if min_residual < -1e-9 or any(lc == -math.inf for (_, _, lc, _) in c_samples):
         verdict = "violated"
@@ -450,5 +493,5 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
         verdict = "certified-expanding"
     details["temperedness_threshold"] = temperedness_threshold
     details["curve_n_max"] = curve_n_max
-    return ExpansionCertificate(a_est, lam, c_samples, curve,
-                                min_residual, verdict, details)
+    return ExpansionCertificate(a_est, lam, c_samples, curve, min_residual,
+                                verdict, details, rate.sweeps[0])

@@ -366,21 +366,35 @@ def test_equal_parameter_windows_give_equal_sweeps(name, params):
     assert sa.lowers.tobytes() == sb.lowers.tobytes()
 
 
-def test_curve_sweeps_each_parameter_window_once(monkeypatch):
-    calls = []
-    original = expansion.tempered_constant
+def test_certificate_steps_each_parameter_prefix_once(monkeypatch):
+    # a grid step is one log_deriv call on an array of fiber points
+    fam, spec, seed = make_family("perturbed-doubling"), bern_spec(), 7
+    samples, n_max, curve_n_max, supadd_N = 4, 6, 64, 4
+    steps, log_deriv = [], fam.log_deriv
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(p, x, xp=math):
+        if isinstance(x, np.ndarray):
+            steps.append(x.size)
+        return log_deriv(p, x, xp)
 
-    monkeypatch.setattr(expansion, "tempered_constant", counted)
-    samples, curve_n_max = 4, 64
-    cert = build_expansion_certificate(make_family("perturbed-doubling"),
-                                       bern_spec(), 7, samples=samples,
-                                       n_max=6, grid_size=256,
+    monkeypatch.setattr(fam, "log_deriv", counted)
+    cert = build_expansion_certificate(fam, spec, seed, samples=samples,
+                                       n_max=n_max, grid_size=256,
                                        curve_n_max=curve_n_max,
-                                       supadd_samples=1, supadd_N=4)
+                                       supadd_samples=1, supadd_N=supadd_N)
     depth = cert.details["depth"]
-    assert 2 ** depth + samples < samples * curve_n_max
-    assert len(calls) <= 2 ** depth + samples
+    omegas = sample_base(spec, seed, samples)
+    rate = [fam.params_along(w, n_max) for w in omegas]
+    # c_samples at offset 0, the curve at offsets 1..curve_n_max, then the
+    # supadditivity windows of the first sample
+    later = [fam.params_along(shift_by(w, k), depth)
+             for w in omegas for k in range(curve_n_max + 1)]
+    later += [fam.params_along(shift_by(omegas[0], k), supadd_N - k)
+              for k in range(supadd_N)]
+
+    def prefixes(windows):
+        return len({w[:n].tobytes() for w in windows
+                    for n in range(1, len(w) + 1)})
+
+    assert 0 < len(steps) <= prefixes(rate) + prefixes(later)
+    assert len(steps) < sum(len(w) for w in rate + later) / 4
