@@ -92,7 +92,8 @@ class RunReport:
         return written
 
 
-def _task_certify_expansion(config, threads):
+def _certify_expansion(config, threads):
+    """The certificate, then the certify-expansion payload, verdict, CSVs."""
     p = config.task_params
     cert = build_expansion_certificate(
         config.fiber, config.base, config.seed,
@@ -117,19 +118,23 @@ def _task_certify_expansion(config, threads):
         }
 
     omega0 = sample_base(config.base, config.seed, 1)[0]
-    table = table_of_sweep(omega0, cert.first_sweep)
+    table = table_of_sweep(omega0, cert.rate.sweeps[0])
     an_rows = [(n, repr(lo), repr(up)) for (n, lo, up) in table.rows]
     curve = cert.temperedness_curve
     curve_rows = [(int(n), repr(float(v))) for n, v in zip(curve.ns, curve.values)]
     csvs = {"an_table.csv": (("n", "lower", "upper"), an_rows),
             "temperedness.csv": (("n", "value"), curve_rows)}
-    return payload, verdict, csvs
+    return cert, payload, verdict, csvs
+
+
+def _task_certify_expansion(config, threads):
+    return _certify_expansion(config, threads)[1:]
 
 
 def _task_lyapunov(config, threads):
     p = config.task_params
     report = exponent_positivity_report(config.fiber, config.base, config.seed,
-                                        p["samples"], p["n"], threads=threads)
+                                        p["samples"], p["n"])
     report["spectrum_first_sample"] = list(report["per_sample"][0]["exponents"])
     omega0 = sample_base(config.base, config.seed, 1)[0]
     x0 = ManifoldPoint(random_point(config.seed, 0, config.fiber.manifold_dim))
@@ -146,7 +151,7 @@ def _task_lyapunov(config, threads):
     return report, "complete", csvs
 
 
-def _task_minimize(config, threads):
+def _task_minimize(config, threads, rate=None):
     p = config.task_params
     report = lambda_estimate(config.fiber, config.base, config.seed,
                              samples=p["samples"], n_max=p["n_max"],
@@ -154,7 +159,7 @@ def _task_minimize(config, threads):
                              birkhoff_steps=p["birkhoff_steps"],
                              birkhoff_starts=p["birkhoff_starts"],
                              include_periodic=p["include_periodic"],
-                             p_max=p["p_max"], threads=threads)
+                             p_max=p["p_max"], threads=threads, rate=rate)
     csvs = {}
     if p["include_periodic"] and config.base.kind == "bernoulli":
         records = enumerate_periodic_orbits(config.fiber, config.base, p["p_max"])
@@ -172,7 +177,7 @@ def _task_splitting(config, threads):
                                      samples=p["samples"], horizon=p["horizon"],
                                      n=p["n"], depth=p["depth"],
                                      curve_len=p["curve_len"],
-                                     batches=p["batches"], threads=threads)
+                                     batches=p["batches"])
     rows = [(r["omega"], repr(r["angle"]), repr(r["rate1"]), repr(r["rate2"]),
              repr(r["residual"]))
             for r in cert.details["per_sample"]]
@@ -183,12 +188,13 @@ def _task_splitting(config, threads):
 def _task_full_pipeline(config, threads):
     payload = {}
     csvs = {}
-    exp_payload, exp_verdict, exp_csvs = _task_certify_expansion(config, threads)
+    cert, exp_payload, exp_verdict, exp_csvs = _certify_expansion(config, threads)
     payload["expansion"] = exp_payload
     csvs.update(exp_csvs)
     ly_payload, _, _ = _task_lyapunov(config, threads)
     payload["lyapunov"] = ly_payload
-    mn_payload, _, _ = _task_minimize(config, threads)
+    # minimize's empirical measure uses the certificate's rate sweep
+    mn_payload, _, _ = _task_minimize(config, threads, cert.rate)
     payload["minimize"] = mn_payload
     sp_verdict = None
     if isinstance(config.fiber, LinearTorusFamily):
@@ -219,7 +225,10 @@ _DISPATCH = {
 
 
 def run_task(config, threads=1):
-    """Execute the configured task and assemble the run report."""
+    """Execute the configured task and assemble the run report; `threads`
+    (>= 1) walks the grid sweeps of x-dependent circle families."""
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     t0 = time.perf_counter()
     payload, verdict, csvs = _DISPATCH[config.task](config, threads)
     wall = time.perf_counter() - t0
@@ -237,7 +246,8 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: RANDHYP_THREADS or 1)")
+                        help="threads for the grid sweep, >= 1 "
+                             "(default: RANDHYP_THREADS or 1)")
     args = parser.parse_args(argv)
 
     if args.threads is not None:

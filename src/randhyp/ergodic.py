@@ -264,30 +264,28 @@ class LambdaReport:
 
 def lambda_estimate(family, spec, seed, samples=20, n_max=12, grid_size=4096,
                     birkhoff_steps=10_000, birkhoff_starts=20,
-                    include_periodic=False, p_max=6, threads=1):
+                    include_periodic=False, p_max=6, threads=1, rate=None):
     """Smallest measure-averaged expansion, from the constructive surrogates.
 
     The reported value is the minimum of the empirical-measure average and
     the Birkhoff minimum over random starts.  Periodic-orbit values, when
     requested, are attached as heuristic context and excluded from the
     estimate because their base marginals differ from the driving law.
+    A given `rate` (a certificate carries one) must be the
+    `uniform_rate_estimate` of the same samples, n_max and grid.
     """
-    from ._parallel import deterministic_map
-
-    rate = uniform_rate_estimate(family, spec, seed, samples, n_max,
-                                 grid_size, threads)
+    if rate is None:
+        rate = uniform_rate_estimate(family, spec, seed, samples, n_max,
+                                     grid_size, threads)
     empirical = float(np.mean([s.uppers[-1] for s in rate.sweeps]) / n_max)
 
     seed_b = derive_seed(seed, _BIRKHOFF_STREAM, 0)
-    starts = sample_base(spec, seed_b, birkhoff_starts)
-
-    def birkhoff_one(i):
+    birkhoff_vals = []
+    for i, start in enumerate(sample_base(spec, seed_b, birkhoff_starts)):
         x = ManifoldPoint(random_point(seed_b, i, family.manifold_dim))
         v = _random_unit_vector(seed_b, birkhoff_starts + i, family.manifold_dim)
-        p = unit_tangent(starts[i], x, v)
-        return float(orbit_log_stretches(family, p, birkhoff_steps).mean())
-
-    birkhoff_vals = deterministic_map(birkhoff_one, range(birkhoff_starts), threads)
+        p = unit_tangent(start, x, v)
+        birkhoff_vals.append(float(orbit_log_stretches(family, p, birkhoff_steps).mean()))
     birkhoff_min = min(birkhoff_vals)
 
     candidates = (("empirical_measure", empirical),

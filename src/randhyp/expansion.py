@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._parallel import deterministic_map
 from .base import sample_base, shift_by
 from .cocycle import unit_direction
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
@@ -102,7 +103,7 @@ class ExpansionCertificate:
     supadditivity_min_residual: float
     verdict: str                 # certified-expanding | inconclusive | violated
     details: dict = field(default_factory=dict)
-    first_sweep: SweepResult = field(default=None, repr=False, compare=False)
+    rate: UniformRateEstimate = field(default=None, repr=False, compare=False)
 
     def to_payload(self):
         curve = self.temperedness_curve
@@ -168,7 +169,8 @@ def _brackets(family, blocks, grid_size, threads=1):
     argmin fields (per window) for blocks of one window or rows of windows.
     Exact families sweep each distinct window; x-dependent circle families
     step the grid once per node of the windows' trie (keyed on parameter
-    bytes) depth first, saving (cur, acc) only at branching nodes."""
+    bytes) depth first, saving (cur, acc) only at branching nodes, with
+    `threads` walking root subtrees in parallel."""
     rows = [np.atleast_2d(b) for b in blocks]
     if min(r.shape[1] for r in rows) < 1:
         raise ContractError("n_max must be >= 1")
@@ -177,11 +179,9 @@ def _brackets(family, blocks, grid_size, threads=1):
             "certified minimization covers circle families and linear torus "
             "families; nonlinear higher-dimensional fibers would need sampled, "
             "non-certified minima")
-    from ._parallel import deterministic_map
     if family.linear:
         distinct = {w.tobytes(): w for r in rows for w in r}
-        swept = dict(zip(distinct, deterministic_map(
-            lambda w: _exact_sweep(family, w), list(distinct.values()), threads)))
+        swept = {key: _exact_sweep(family, w) for key, w in distinct.items()}
         uppers = [np.reshape([swept[w.tobytes()][0] for w in r], np.shape(b))
                   for r, b in zip(rows, blocks)]
         return (uppers, [u.copy() for u in uppers],
@@ -446,7 +446,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     if samples < 2 or a_est <= 3.0 * rate.a_std_err or a_est <= 0.0:
         empty = TemperednessCurve(np.array([1]), np.array([0.0]))
         return ExpansionCertificate(a_est, None, (), empty, 0.0,
-                                    "inconclusive", details, rate.sweeps[0])
+                                    "inconclusive", details, rate)
 
     lam = 0.5 * a_est if lam is None else lam
     if not (0.0 < lam < a_est):
@@ -494,4 +494,4 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     details["temperedness_threshold"] = temperedness_threshold
     details["curve_n_max"] = curve_n_max
     return ExpansionCertificate(a_est, lam, c_samples, curve, min_residual,
-                                verdict, details, rate.sweeps[0])
+                                verdict, details, rate)

@@ -84,44 +84,36 @@ def oseledets_spectrum(family, omega, x, n):
     return SpectrumEstimate(exponents=tuple(sorted((s1 / n, s2 / n))), n=n)
 
 
-def exponent_positivity_report(family, spec, seed, samples, n, threads=1):
+def exponent_positivity_report(family, spec, seed, samples, n):
     """Spectra at sampled (base point, fiber point) pairs.
 
     Returns a JSON-ready dict with the minimum estimated exponent, the
     fraction of samples whose exponents are all positive, and the sample
-    attaining the minimum.
+    attaining the minimum: the lowest index whose smallest exponent lies
+    within 1e-12 * max(1, |minimum|) of the minimum, so exponents that tie
+    up to rounding pick the first sample.
     """
     if samples < 1:
         raise ContractError("samples must be >= 1")
-    omegas = sample_base(spec, seed, samples)
-
-    def one(i):
+    per_sample = []
+    for i, omega in enumerate(sample_base(spec, seed, samples)):
         x = ManifoldPoint(random_point(seed, i, family.manifold_dim))
-        est = oseledets_spectrum(family, omegas[i], x, n)
-        return {
+        per_sample.append({
             "sample": i,
-            "omega": omegas[i].describe(),
+            "omega": omega.describe(),
             "x": list(x.coords),
-            "exponents": list(est.exponents),
-        }
+            "exponents": list(oseledets_spectrum(family, omega, x, n).exponents),
+        })
 
-    from ._parallel import deterministic_map
-    per_sample = deterministic_map(one, range(samples), threads)
-
-    min_val = math.inf
-    argmin = None
-    positive = 0
-    for rec in per_sample:
-        low = min(rec["exponents"])
-        if low < min_val:
-            min_val = low
-            argmin = rec["sample"]
-        if all(e > 0.0 for e in rec["exponents"]):
-            positive += 1
+    lows = [min(rec["exponents"]) for rec in per_sample]
+    min_val = min(lows)
+    tol = 1e-12 * max(1.0, abs(min_val))
     return {
         "min_exponent": min_val,
-        "fraction_positive": positive / samples,
-        "argmin_sample": argmin,
+        "fraction_positive": sum(all(e > 0.0 for e in rec["exponents"])
+                                 for rec in per_sample) / samples,
+        "argmin_sample": next(i for i, low in enumerate(lows)
+                              if low <= min_val + tol),
         "n": n,
         "samples": samples,
         "per_sample": per_sample,

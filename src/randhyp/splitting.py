@@ -14,14 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .base import base_step, random_point, sample_base
-from .cocycle import (push_log_stretches, unit_direction, unit_tangent,
-                      window_products)
+from .cocycle import push_log_stretches, unit_direction, window_products
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import LinearTorusFamily, ManifoldPoint
-from .lyapunov import _batch_stats, top_exponent
+from .lyapunov import _batch_stats
 
 DEFAULT_DEPTH = 50
 
@@ -70,13 +68,32 @@ def _require_linear_2d(family):
             "splitting analysis needs an invertible linear torus family")
 
 
-def _directions(family, back, fwd):
-    """`finite_time_bundles` directions (gamma1, gamma2) for (B, h) windows:
-    `fwd` lists indices from w on, `back` from T^-1 w backwards."""
+def _windows(family, omega, groups):
+    """For each (ks, h) in `groups`, (len(ks), h) index windows `back`
+    (T^{k-1} w, ..., T^{k-h} w) and `fwd` (T^k w, ..., T^{k+h-1} w), one
+    row per offset k, cut from one read of the positions they cover."""
+    lo = int(max(h - min(ks) for ks, h in groups))
+    hi = int(max(max(ks) + h for ks, h in groups))
+    stream = np.concatenate([family.matrix_indices_back(omega, lo)[::-1],
+                             family.matrix_indices(omega, hi)])
+    out = []
+    for ks, h in groups:
+        rows = (np.asarray(ks) + lo)[:, None] + np.arange(h)
+        out.append((stream[rows - h][:, ::-1], stream[rows]))
+    return out
+
+
+def _bundle_pairs(family, back, fwd):
+    """`finite_time_bundles` of each row of (B, h) `_windows`."""
     u, _, _ = np.linalg.svd(window_products(family.matrices, back, left=False))
     _, _, vh = np.linalg.svd(window_products(family.matrices, fwd))
-    return ([unit_direction(g) for g in vh[:, -1]],
-            [unit_direction(g) for g in u[:, :, 0]])
+    pairs = []
+    for g1, g2 in zip(vh[:, -1], u[:, :, 0]):
+        g1, g2 = unit_direction(g1), unit_direction(g2)
+        pairs.append(BundlePair(tuple(g1.tolist()), tuple(g2.tolist()),
+                                back.shape[1],
+                                math.acos(min(1.0, abs(float(g1 @ g2))))))
+    return pairs
 
 
 def finite_time_bundles(family, omega, x, horizon):
@@ -90,13 +107,7 @@ def finite_time_bundles(family, omega, x, horizon):
     _require_linear_2d(family)
     if horizon < 2:
         raise ContractError("horizon must be >= 2")
-    (gamma1,), (gamma2,) = _directions(
-        family, family.matrix_indices_back(omega, horizon)[None],
-        family.matrix_indices(omega, horizon)[None])
-    angle = math.acos(min(1.0, abs(float(gamma1 @ gamma2))))
-    return BundlePair(gamma1=(float(gamma1[0]), float(gamma1[1])),
-                      gamma2=(float(gamma2[0]), float(gamma2[1])),
-                      horizon=horizon, angle=angle)
+    return _bundle_pairs(family, *_windows(family, omega, [((0,), horizon)])[0])[0]
 
 
 def _sin_angle(u, w):
@@ -105,32 +116,25 @@ def _sin_angle(u, w):
     return abs(float(u[0] * w[1] - u[1] * w[0]))
 
 
+def _residual(a, pair, nxt):
+    return max(_sin_angle(a @ np.asarray(pair.gamma1), np.asarray(nxt.gamma1)),
+               _sin_angle(a @ np.asarray(pair.gamma2), np.asarray(nxt.gamma2)))
+
+
 def invariance_residual(family, omega, x, pair):
     """max over both bundles of sin(angle(A gamma_i(w), gamma_i(T w)))."""
     _require_linear_2d(family)
     nxt = finite_time_bundles(family, base_step(omega), x, pair.horizon)
-    a = family.matrix(omega)
-    r1 = _sin_angle(a @ np.asarray(pair.gamma1), np.asarray(nxt.gamma1))
-    r2 = _sin_angle(a @ np.asarray(pair.gamma2), np.asarray(nxt.gamma2))
-    return max(r1, r2)
+    return _residual(family.matrix(omega), pair, nxt)
 
 
-def _bundle_logs(family, gamma1, gamma2, back, fwd):
+def _bundle_logs(family, gamma1, vs, back, fwd):
     """Per-step log stretches: gamma1 rows through the inverse cocycle along
-    `back` (indices in backward order), gamma2 rows forward along `fwd`."""
+    `back` (indices in backward order), the rows of `vs` forward along `fwd`."""
     logs = push_log_stretches(family.entries + family.inverse_entries,
                               np.concatenate([back + len(family.entries), fwd]),
-                              np.concatenate([gamma1, gamma2]))
-    return np.split(logs, 2)
-
-
-def _pair_logs(family, omega, pair, n):
-    """logs1, logs2 of one bundle pair over n steps from omega."""
-    (logs1,), (logs2,) = _bundle_logs(
-        family, [pair.gamma1], [pair.gamma2],
-        family.matrix_indices_back(omega, n)[None],
-        family.matrix_indices(omega, n)[None])
-    return logs1, logs2
+                              np.concatenate([gamma1, vs]))
+    return logs[:len(back)], logs[len(back):]
 
 
 def _truncated_log_inf(logs, lam, depth):
@@ -151,7 +155,8 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
     _require_linear_2d(family)
     if n < 1:
         raise ContractError("n must be >= 1")
-    logs1, logs2 = _pair_logs(family, omega, pair, n)
+    (logs1,), (logs2,) = _bundle_logs(family, [pair.gamma1], [pair.gamma2],
+                                      *_windows(family, omega, [((0,), n)])[0])
     rate1, rate2 = float(logs1.mean()), float(logs2.mean())
     if lam is None:
         lam = 0.5 * min(rate1, rate2)
@@ -163,28 +168,19 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
 
 
 def _bundle_constant_curve(family, omega, lam, curve_len, horizon, depth):
-    """(1/k) log C_i(T^k w) for both bundle constants along the orbit.
-
-    All offsets k in one batch; orbit position q is stream[q + m - 1].
-    """
-    m = max(horizon, depth)
-    stream = np.concatenate([family.matrix_indices_back(omega, m - 1)[::-1],
-                             family.matrix_indices(omega, curve_len + m)])
+    """(1/k) log C_i(T^k w) for both bundle constants along the orbit, all
+    offsets k = 1..curve_len in one batch."""
     ks = np.arange(1, curve_len + 1)
-    windows = sliding_window_view(stream, horizon)
-    gamma1, gamma2 = _directions(family, windows[ks + m - 1 - horizon, ::-1],
-                                 windows[ks + m - 1])
-    pushes = sliding_window_view(stream, depth)
-    logs1, logs2 = _bundle_logs(family, gamma1, gamma2,
-                                pushes[ks + m - 1 - depth, ::-1],
-                                pushes[ks + m - 1])
+    bundles, pushes = _windows(family, omega, [(ks, horizon), (ks, depth)])
+    pairs = _bundle_pairs(family, *bundles)
+    logs1, logs2 = _bundle_logs(family, [p.gamma1 for p in pairs],
+                                [p.gamma2 for p in pairs], *pushes)
     return (_truncated_log_inf(logs1, lam, depth) / ks,
             _truncated_log_inf(logs2, lam, depth) / ks)
 
 
 def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
-                              depth=DEFAULT_DEPTH, curve_len=200,
-                              batches=20, threads=1):
+                              depth=DEFAULT_DEPTH, curve_len=200, batches=20):
     """Aggregate splitting evidence over sampled base points.
 
     Per sample: finite-time bundles, principal angle, invariance residual,
@@ -192,34 +188,40 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     estimate, and tempered constants at the global rate lam (half the worst
     measured rate).  Certified requires residuals below 1e-6, positive
     angles, and every rate above 3 batch standard errors (2+ batches).
+    Each sample reads its index stream once and pushes its three directions
+    in one call, with the values of the public per-sample functions.
     """
     _require_linear_2d(family)
+    if horizon < 2:
+        raise ContractError("horizon must be >= 2")
+    if not (n >= batches >= 1):
+        raise ContractError("need n >= batches >= 1")
     omegas = sample_base(spec, seed, samples)
-
-    def one(i):
-        omega = omegas[i]
+    recs, heads = [], []    # per-sample payload, first `depth` log stretches
+    for i, omega in enumerate(omegas):
         x = ManifoldPoint(random_point(seed, i, 2))
-        pair = finite_time_bundles(family, omega, x, horizon)
-        residual = invariance_residual(family, omega, x, pair)
-        logs1, logs2 = _pair_logs(family, omega, pair, n)
-        rate2, rate2_se, _ = _batch_stats(logs2, batches)
-        rate1, rate1_se, _ = _batch_stats(logs1, batches)
         v = np.asarray(random_point(seed, samples + i, 2)) - 0.5
         if np.linalg.norm(v) < 1e-9:
             v = np.array([1.0, 0.0])
-        top = top_exponent(family, unit_tangent(omega, x, v), n, batches)
-        return {
-            "omega": omega.describe(), "x": list(x.coords), "pair": pair,
-            "angle": pair.angle, "residual": residual,
+        # positions -max(n, horizon) .. max(n, horizon + 1) - 1
+        bundles, (back, fwd) = _windows(family, omega,
+                                        [((0, 1), horizon), ((0,), n)])
+        pair, nxt = _bundle_pairs(family, *bundles)
+        # gamma1 backwards; gamma2 and the top-exponent vector forwards
+        (logs1,), (logs2, logs_top) = _bundle_logs(
+            family, [pair.gamma1], [pair.gamma2, v / np.linalg.norm(v)],
+            back, fwd[[0, 0]])
+        rate1, rate1_se, _ = _batch_stats(logs1, batches)
+        rate2, rate2_se, _ = _batch_stats(logs2, batches)
+        top, top_se, _ = _batch_stats(logs_top, batches)
+        recs.append({
+            "omega": omega.describe(), "x": list(x.coords), "angle": pair.angle,
+            "residual": _residual(family.matrices[fwd[0, 0]], pair, nxt),
             "rate1": rate1, "rate1_se": rate1_se,
             "rate2": rate2, "rate2_se": rate2_se,
-            "top_exponent": top.value, "top_se": top.batch_std_err,
-            "logs1": logs1[:depth].copy(),  # not a view of all n steps
-            "logs2": logs2[:depth].copy(),
-        }
-
-    from ._parallel import deterministic_map
-    recs = deterministic_map(one, range(samples), threads)
+            "top_exponent": top, "top_se": top_se,
+        })
+        heads.append((logs1[:depth].copy(), logs2[:depth].copy()))
 
     angle_min = min(r["angle"] for r in recs)
     residual_max = max(r["residual"] for r in recs)
@@ -229,20 +231,15 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     details = {"horizon": horizon, "n": n, "samples": samples,
                "rate1_mean": float(np.mean([r["rate1"] for r in recs])),
                "rate2_mean": float(np.mean([r["rate2"] for r in recs]))}
-    per_sample = []
     c_samples = []
-    for r in recs:
+    for r, (logs1, logs2) in zip(recs, heads):
         if lam > 0.0:
-            c1 = math.exp(_truncated_log_inf(r["logs1"], lam, depth))
-            c2 = math.exp(_truncated_log_inf(r["logs2"], lam, depth))
+            c1 = math.exp(_truncated_log_inf(logs1, lam, depth))
+            c2 = math.exp(_truncated_log_inf(logs2, lam, depth))
         else:
             c1 = c2 = math.nan
         c_samples.append((r["omega"], c1, c2))
-        per_sample.append({k: r[k] for k in
-                           ("omega", "x", "angle", "residual", "rate1",
-                            "rate1_se", "rate2", "rate2_se", "top_exponent",
-                            "top_se")})
-    details["per_sample"] = per_sample
+    details["per_sample"] = recs
 
     if lam > 0.0:
         vals1, vals2 = _bundle_constant_curve(family, omegas[0], lam,

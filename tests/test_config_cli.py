@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from randhyp import (ConfigurationError, oseledets_spectrum, parse_config,
@@ -150,6 +151,37 @@ def test_determinism_across_threads(family, base):
     assert a.payload_bytes() == b.payload_bytes()
 
 
+def test_full_pipeline_sweeps_the_rate_once(monkeypatch):
+    # minimize reuses the certificate's rate sweep: full-pipeline makes no
+    # grid step beyond certify-expansion's, and minimize's payload is the
+    # one the minimize task computes with its own sweep
+    from randhyp.fibers import CircleFamily
+    steps = []
+    log_deriv = CircleFamily.log_deriv
+
+    def counted(self, p, x, xp=math):
+        steps.append(xp is np)
+        return log_deriv(self, p, x, xp)
+
+    monkeypatch.setattr(CircleFamily, "log_deriv", counted)
+    configs = {task: parse_config(json.dumps({
+        "task": task, "seed": 7, "base": BASES["markov"],
+        "fiber": {"family": "perturbed-doubling",
+                  "params": FAMILIES["perturbed-doubling"]},
+        "task_params": TINY_PIPELINE}))
+        for task in ("certify-expansion", "minimize", "full-pipeline")}
+    grid_steps = {}
+    reports = {}
+    for task, cfg in configs.items():
+        steps.clear()
+        reports[task] = run_task(cfg)
+        grid_steps[task] = sum(steps)
+    assert grid_steps["certify-expansion"] > 0
+    assert grid_steps["full-pipeline"] == grid_steps["certify-expansion"]
+    assert (json.dumps(reports["full-pipeline"].payload["minimize"], sort_keys=True)
+            == json.dumps(reports["minimize"].payload, sort_keys=True))
+
+
 @pytest.mark.parametrize("family", ["perturbed-doubling", "random-cat"])
 def test_lyapunov_first_spectrum_is_the_direct_spectrum(family):
     cfg = parse_config(json.dumps({
@@ -245,6 +277,21 @@ def test_cli_env_threads(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RANDHYP_THREADS", "4")
     code = main(["full-pipeline", "--config", str(cfg_path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("flag, env", [(["--threads", "0"], None),
+                                       (["--threads", "-3"], None),
+                                       ([], "0")])
+def test_cli_threads_below_one_exit_one(flag, env, tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(DOUBLING_FULL))
+    if env is not None:
+        monkeypatch.setenv("RANDHYP_THREADS", env)
+    value = flag[1] if flag else env
+    assert main(["full-pipeline", "--config", str(cfg_path)] + flag) == 1
+    assert capsys.readouterr().err == f"error: threads must be >= 1, got {value}\n"
+    with pytest.raises(ConfigurationError):
+        run_task(parse_config(json.dumps(DOUBLING_FULL)), threads=int(value))
 
 
 def test_splitting_task_csv(tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from randhyp import (BaseSystemSpec, make_family, oseledets_spectrum, point,
                      sample_base, shift_by)
 from randhyp.cocycle import _block_len, push_log_stretches, window_products
-from randhyp.splitting import (_bundle_constant_curve, _pair_logs,
-                               _truncated_log_inf, finite_time_bundles)
+from randhyp.splitting import (_bundle_constant_curve, _truncated_log_inf,
+                               finite_time_bundles)
 
 FAMILIES = {
     "random-cat": ("random-cat", {}),
@@ -106,7 +106,10 @@ def test_curve_batch_matches_per_offset(base, horizon, depth):
     for k in range(1, curve_len + 1):
         state = shift_by(w, k)
         pair = finite_time_bundles(fam, state, point(0.0, 0.0), horizon)
-        logs1, logs2 = _pair_logs(fam, state, pair, depth)
+        logs1, logs2 = push_log_stretches(
+            fam.entries + fam.inverse_entries,
+            [fam.matrix_indices_back(state, depth) + len(fam.entries),
+             fam.matrix_indices(state, depth)], [pair.gamma1, pair.gamma2])
         assert vals1[k - 1] == _truncated_log_inf(logs1, lam, depth) / k
         assert vals2[k - 1] == _truncated_log_inf(logs2, lam, depth) / k
 

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from randhyp import (BaseSystemSpec, UnsupportedOperationError, bundle_rates,
-                     finite_time_bundles, hyperbolicity_certificate,
+from randhyp import (BaseSystemSpec, ContractError, UnsupportedOperationError,
+                     bundle_rates, finite_time_bundles, hyperbolicity_certificate,
                      invariance_residual, make_family, oseledets_spectrum,
                      point, sample_base, top_exponent, unit_tangent)
+from randhyp.base import random_point
+from randhyp.cocycle import push_log_stretches
+from randhyp.fibers import LinearTorusFamily, ManifoldPoint
+from randhyp.lyapunov import _batch_stats
 
 CAT_RATE = math.log((3 + math.sqrt(5)) / 2)
 GOLD = (math.sqrt(5) - 1) / 2          # unstable eigvec slope of [[2,1],[1,1]]
@@ -195,3 +199,82 @@ def test_unsupported_families_rejected():
     with pytest.raises(UnsupportedOperationError):
         hyperbolicity_certificate(make_family("doubling"), BaseSystemSpec.dirac(),
                                   1, samples=2, horizon=10, n=100)
+
+
+TORUS = {"random-cat": {},
+         "diagonal-cocycle": {"a_values": [2.0, 0.5], "b_values": [3.0, 4.0]}}
+BASES = {
+    "dirac": BaseSystemSpec.dirac(),
+    "bernoulli": BaseSystemSpec.bernoulli([0.5, 0.5]),
+    "markov": BaseSystemSpec.markov([[0.9, 0.1], [0.3, 0.7]]),
+    "rotation": BaseSystemSpec.rotation(0.6180339887498949),
+}
+# (family, base, horizon, n, batches); batches divide n, so the batch mean
+# is bundle_rates' mean over all n steps
+PASS_CASES = ([(f, b, 12, 400, 4) for f in TORUS for b in BASES]
+              + [("random-cat", "markov", 40, 30, 3)])
+
+
+def _public_per_sample(fam, spec, seed, samples, horizon, n, batches, depth, lam):
+    """The certificate's per-sample values from the public functions."""
+    recs, cs = [], []
+    for i, w in enumerate(sample_base(spec, seed, samples)):
+        x = ManifoldPoint(random_point(seed, i, 2))
+        pair = finite_time_bundles(fam, w, x, horizon)
+        logs1, logs2 = push_log_stretches(
+            fam.entries + fam.inverse_entries,
+            [fam.matrix_indices_back(w, n) + len(fam.entries),
+             fam.matrix_indices(w, n)], [pair.gamma1, pair.gamma2])
+        rates = bundle_rates(fam, w, x, pair, n, lam=lam, depth=depth)
+        v = np.asarray(random_point(seed, samples + i, 2)) - 0.5
+        top = top_exponent(fam, unit_tangent(w, x, v), n, batches)
+        recs.append((pair.angle, invariance_residual(fam, w, x, pair),
+                     rates.rate1, _batch_stats(logs1, batches)[1],
+                     rates.rate2, _batch_stats(logs2, batches)[1],
+                     top.value, top.batch_std_err))
+        cs.append((w.describe(), rates.c1, rates.c2))
+    return recs, cs
+
+
+@pytest.mark.parametrize("family, base, horizon, n, batches", PASS_CASES)
+def test_certificate_pass_matches_public_functions(family, base, horizon, n,
+                                                  batches):
+    fam = make_family(family, TORUS[family])
+    seed, samples, depth = 5, 3, 10
+    cert = hyperbolicity_certificate(fam, BASES[base], seed, samples, horizon,
+                                     n, depth=depth, curve_len=3,
+                                     batches=batches)
+    got = [tuple(r[k] for k in ("angle", "residual", "rate1", "rate1_se",
+                                "rate2", "rate2_se", "top_exponent", "top_se"))
+           for r in cert.details["per_sample"]]
+    want, want_c = _public_per_sample(fam, BASES[base], seed, samples, horizon,
+                                      n, batches, depth, cert.lam)
+    assert repr(got) == repr(want)          # byte for byte, nan included
+    assert repr(list(cert.c_samples)) == repr(want_c)
+
+
+@pytest.mark.parametrize("horizon, n", [(12, 400), (40, 30)])
+def test_certificate_reads_each_position_once(horizon, n, monkeypatch):
+    import randhyp.splitting as sp
+    reads = []
+    for name in ("matrix_indices", "matrix_indices_back"):
+        def counted(self, omega, k, _name=name, _fn=getattr(LinearTorusFamily, name)):
+            reads.append((_name, k))
+            return _fn(self, omega, k)
+        monkeypatch.setattr(LinearTorusFamily, name, counted)
+    monkeypatch.setattr(sp, "_bundle_constant_curve", lambda *args: ((), ()))
+    hyperbolicity_certificate(make_family("random-cat"), bern_spec(), 5,
+                              samples=3, horizon=horizon, n=n, batches=3)
+    one_sample = [("matrix_indices_back", max(n, horizon)),
+                  ("matrix_indices", max(n, horizon + 1))]
+    assert reads == one_sample * 3
+
+
+def test_fewer_steps_than_batches_rejected_before_any_read(monkeypatch):
+    def no_read(self, omega, k):
+        raise AssertionError("index stream read before the batch check")
+    monkeypatch.setattr(LinearTorusFamily, "matrix_indices", no_read)
+    monkeypatch.setattr(LinearTorusFamily, "matrix_indices_back", no_read)
+    with pytest.raises(ContractError, match="n >= batches"):
+        hyperbolicity_certificate(make_family("random-cat"), bern_spec(), 1,
+                                  samples=2, horizon=10, n=5, batches=20)
