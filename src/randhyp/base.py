@@ -120,9 +120,9 @@ class BaseSystemSpec:
             if p is None or len(p) != self.alphabet_size:
                 errs.append("probabilities must have length alphabet_size")
             else:
-                if any(v < 0 for v in p):
+                if not all(v >= 0 for v in p):
                     errs.append("probabilities must be nonnegative")
-                if abs(sum(p) - 1.0) > 1e-12:
+                if not abs(sum(p) - 1.0) <= 1e-12:
                     errs.append("probabilities must sum to 1 within 1e-12")
         elif self.kind == "markov":
             t = self.transition
@@ -130,9 +130,9 @@ class BaseSystemSpec:
                 errs.append("transition must be a square alphabet_size matrix")
             else:
                 for i, row in enumerate(t):
-                    if any(v < 0 for v in row):
+                    if not all(v >= 0 for v in row):
                         errs.append(f"transition row {i} has negative entries")
-                    if abs(sum(row) - 1.0) > 1e-12:
+                    if not abs(sum(row) - 1.0) <= 1e-12:
                         errs.append(f"transition row {i} must sum to 1 within 1e-12")
                 if not errs and not _is_irreducible(t):
                     errs.append("transition matrix must be irreducible")
@@ -297,12 +297,12 @@ class BaseState:
         return float(rotation_angles(self, 0, 1)[0])
 
     def _shifted(self, delta):
+        if self.spec.kind == "dirac" or delta == 0:
+            return self
         return BaseState(self.spec, self.seed, self.origin_offset + delta,
                          source=self._source, angle0=self._angle0)
 
     def describe(self):
-        if self.spec.kind == "rotation":
-            return f"rotation:{self.seed}@{self.origin_offset}"
         return f"{self.spec.kind}:{self.seed}@{self.origin_offset}"
 
     def __repr__(self):
@@ -322,22 +322,16 @@ class BaseState:
 
 def base_step(state):
     """One application of the shift (rotation adds the rotation number mod 1)."""
-    if state.spec.kind == "dirac":
-        return state
     return state._shifted(+1)
 
 
 def base_inverse_step(state):
     """Inverse shift; base_step(base_inverse_step(w)) observes identically to w."""
-    if state.spec.kind == "dirac":
-        return state
     return state._shifted(-1)
 
 
 def shift_by(state, n):
     """n-fold shift (negative n steps backwards)."""
-    if state.spec.kind == "dirac" or n == 0:
-        return state
     return state._shifted(n)
 
 

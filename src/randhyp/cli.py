@@ -105,7 +105,7 @@ def _certify_expansion(config, threads):
         threads=threads)
     payload = cert.to_payload()
     verdict = cert.verdict
-    if p.get("corollary", True):
+    if p["corollary"]:
         rep = variable_rate_corollary(config.fiber, config.base, config.seed,
                                       samples=max(p["samples"], 100),
                                       a_estimate=cert.a_estimate
@@ -125,10 +125,6 @@ def _certify_expansion(config, threads):
     csvs = {"an_table.csv": (("n", "lower", "upper"), an_rows),
             "temperedness.csv": (("n", "value"), curve_rows)}
     return cert, payload, verdict, csvs
-
-
-def _task_certify_expansion(config, threads):
-    return _certify_expansion(config, threads)[1:]
 
 
 def _task_lyapunov(config, threads):
@@ -216,7 +212,7 @@ def _task_full_pipeline(config, threads):
 
 
 _DISPATCH = {
-    "certify-expansion": _task_certify_expansion,
+    "certify-expansion": lambda config, threads: _certify_expansion(config, threads)[1:],
     "lyapunov": _task_lyapunov,
     "minimize": _task_minimize,
     "splitting": _task_splitting,

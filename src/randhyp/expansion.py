@@ -334,11 +334,12 @@ def _depth_windows(family, omegas, offsets, depth):
     return [family.params_along(shift_by(w, lo), span)[rows] for w in omegas]
 
 
-def _tempered_logs(lowers, lam):
-    """log C and the n attaining it, per row of blocks of (B, depth) lowers."""
-    terms = np.concatenate(lowers) - lam * np.arange(1, lowers[0].shape[1] + 1)
-    k = terms.argmin(axis=1)
-    return terms[np.arange(len(k)), k], k + 1
+def truncated_infimum(cumulative, lam):
+    """log C = min over 1 <= n <= d of (cumulative[..., n - 1] - lam n) and
+    the n attaining it, per row of a (..., d) array of cumulative logs."""
+    terms = cumulative - lam * np.arange(1, cumulative.shape[-1] + 1)
+    k = terms.argmin(axis=-1)
+    return np.take_along_axis(terms, k[..., None], -1)[..., 0], k + 1
 
 
 def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
@@ -355,7 +356,7 @@ def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
         raise ContractError("depth must be >= 1")
     _, lowers, _ = _brackets(family, _depth_windows(family, omegas, offsets, depth),
                              grid_size, threads)
-    return [a.reshape(len(omegas), -1) for a in _tempered_logs(lowers, lam)]
+    return [a.reshape(len(omegas), -1) for a in truncated_infimum(np.vstack(lowers), lam)]
 
 
 def _curve_fast(family, omega, lam, n_max, depth):
@@ -472,15 +473,15 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
         blocks += _supadd_windows(family, w, n_res)
     uppers, lowers, _ = _brackets(family, blocks, grid_size, threads)
 
-    log_c, ks = (a.tolist() for a in _tempered_logs(lowers[:samples], lam))
+    log_c, ks = truncated_infimum(np.vstack(lowers[:top]), lam)
     c_samples = tuple((w.describe(), TemperedConstant(lc, k, eff_depth, lam).value,
-                       lc, k) for w, lc, k in zip(omegas, log_c, ks))
+                       lc, k) for w, lc, k in zip(omegas, log_c.tolist(), ks.tolist()))
     ns = np.arange(1, curve_n_max + 1)
     if fast:
         log_cs = np.stack([_curve_fast(family, w, lam, curve_n_max, eff_depth)
                            for w in curve_orbits])
     else:
-        log_cs = _tempered_logs(lowers[samples:top], lam)[0].reshape(-1, curve_n_max)
+        log_cs = log_c[samples:].reshape(-1, curve_n_max)
     curve = TemperednessCurve(ns, np.mean(log_cs / ns, axis=0))
     min_residual = min(r for i in range(top, len(blocks), n_res) for (_, _, r)
                        in _supadd_rows(uppers[i:i + n_res], lowers[i:i + n_res], n_res))

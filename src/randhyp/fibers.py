@@ -212,7 +212,7 @@ class PerturbedDoubling(CircleFamily):
     linear = False
     min_deriv_x = 0.5
 
-    def __init__(self, eps_max):
+    def __init__(self, eps_max=0.1):
         if not (0.0 <= eps_max < 1.0 / _TWO_PI):
             raise ConfigurationError(
                 f"eps_max must lie in [0, 1/(2 pi)) to stay expanding, got {eps_max}")
@@ -372,7 +372,8 @@ class DiagonalCocycle(LinearTorusFamily):
         super().__init__([np.diag([a, b]) for a, b in zip(a_vals, b_vals)])
         self.a_values = a_vals
         self.b_values = b_vals
-        # singular values of diagonal matrices are the entries themselves
+        # the entries are the singular values; LAPACK's SVD can miss them by
+        # an ulp, e.g. 730503.9374999999 for diag(642308.1945317535, 730503.9375)
         self.sup_dphi = max(a_vals + b_vals)
         self.sup_dphi_inv = 1.0 / min(a_vals + b_vals)
         self.expanding = min(a_vals + b_vals) > 1.0
@@ -392,20 +393,13 @@ class RandomCat(LinearTorusFamily):
 
     family_id = "random-cat"
 
-    DEFAULT = (((2, 1), (1, 1)), ((3, 1), (2, 1)))
-
-    def __init__(self, matrices=DEFAULT):
+    def __init__(self, matrices=(((2, 1), (1, 1)), ((3, 1), (2, 1)))):
         super().__init__(matrices)
         if not self.invertible:
             raise ConfigurationError("random-cat matrices must be integer with |det| = 1")
 
     def params(self):
         return {"matrices": [[[float(v) for v in row] for row in m] for m in self.matrices]}
-
-
-def _wrap_cocycle_matrix(entries, n):
-    from .cocycle import CocycleMatrix
-    return CocycleMatrix(np.asarray(entries, dtype=np.float64), n)
 
 
 def fiber_apply(family, omega, x):
@@ -421,7 +415,9 @@ def fiber_derivative(family, omega, x):
     if x.dim != family.manifold_dim:
         raise ContractError(
             f"point has dim {x.dim}, family {family.family_id} needs {family.manifold_dim}")
-    return _wrap_cocycle_matrix(family.jacobian_raw(omega, x.coords), 1)
+    from .cocycle import CocycleMatrix
+    jac = family.jacobian_raw(omega, x.coords)
+    return CocycleMatrix(np.asarray(jac, dtype=np.float64), 1)
 
 
 def fiber_inverse(family, omega, x):
@@ -439,22 +435,14 @@ def derivative_bounds(family):
     return (family.sup_dphi, family.sup_dphi_inv, family.log_deriv_lipschitz)
 
 
-FAMILY_CATALOG = {
-    "doubling": lambda params: Doubling(),
-    "perturbed-doubling": lambda params: PerturbedDoubling(
-        eps_max=params.get("eps_max", 0.1)),
-    "bernoulli-linear": lambda params: BernoulliLinear(
-        values=params.get("values", (2.0, 3.0))),
-    "diagonal-cocycle": lambda params: DiagonalCocycle(
-        a_values=params.get("a_values", (2.0,)),
-        b_values=params.get("b_values", (3.0,))),
-    "random-cat": lambda params: RandomCat(
-        matrices=params.get("matrices", RandomCat.DEFAULT)),
-}
+FAMILY_CATALOG = {cls.family_id: cls for cls in (
+    Doubling, PerturbedDoubling, BernoulliLinear, DiagonalCocycle, RandomCat)}
 
 
 def make_family(name, params=None):
+    """The catalog family `name` built from its constructor's keyword
+    parameters; the constructors hold the defaults."""
     if name not in FAMILY_CATALOG:
         raise ConfigurationError(
             f"unknown family {name!r}; catalog: {sorted(FAMILY_CATALOG)}")
-    return FAMILY_CATALOG[name](params or {})
+    return FAMILY_CATALOG[name](**(params or {}))

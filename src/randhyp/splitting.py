@@ -18,6 +18,7 @@ import numpy as np
 from .base import base_step, random_point, sample_base
 from .cocycle import push_log_stretches, unit_direction, window_products
 from .errors import ContractError, UnsupportedOperationError
+from .expansion import truncated_infimum
 from .fibers import LinearTorusFamily, ManifoldPoint
 from .lyapunov import _batch_stats
 
@@ -138,10 +139,8 @@ def _bundle_logs(family, gamma1, vs, back, fwd):
 
 
 def _truncated_log_inf(logs, lam, depth):
-    """min over 1 <= k <= depth of (cumulative log stretch - lam k), per row."""
-    logs = logs[..., :depth]
-    terms = np.cumsum(logs, axis=-1) - lam * np.arange(1, logs.shape[-1] + 1)
-    return terms.min(axis=-1)
+    """log C from the first `depth` per-step log stretches, per row."""
+    return truncated_infimum(np.cumsum(logs[..., :depth], axis=-1), lam)[0]
 
 
 def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
@@ -221,7 +220,7 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
             "rate2": rate2, "rate2_se": rate2_se,
             "top_exponent": top, "top_se": top_se,
         })
-        heads.append((logs1[:depth].copy(), logs2[:depth].copy()))
+        heads.append(np.array([logs1[:depth], logs2[:depth]]))
 
     angle_min = min(r["angle"] for r in recs)
     residual_max = max(r["residual"] for r in recs)
@@ -231,14 +230,10 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     details = {"horizon": horizon, "n": n, "samples": samples,
                "rate1_mean": float(np.mean([r["rate1"] for r in recs])),
                "rate2_mean": float(np.mean([r["rate2"] for r in recs]))}
-    c_samples = []
-    for r, (logs1, logs2) in zip(recs, heads):
-        if lam > 0.0:
-            c1 = math.exp(_truncated_log_inf(logs1, lam, depth))
-            c2 = math.exp(_truncated_log_inf(logs2, lam, depth))
-        else:
-            c1 = c2 = math.nan
-        c_samples.append((r["omega"], c1, c2))
+    log_cs = (_truncated_log_inf(np.array(heads), lam, depth) if lam > 0.0
+              else np.full((samples, 2), math.nan))
+    c_samples = [(r["omega"], math.exp(c1), math.exp(c2))
+                 for r, (c1, c2) in zip(recs, log_cs.tolist())]
     details["per_sample"] = recs
 
     if lam > 0.0:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,16 @@ def test_bad_probabilities_rejected():
     with pytest.raises(ConfigurationError) as err:
         BaseSystemSpec.bernoulli([0.5, 0.4])
     assert "sum to 1" in str(err.value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BaseSystemSpec.bernoulli([math.nan, 1.0]),
+    lambda: BaseSystemSpec.bernoulli([0.5, math.inf]),
+    lambda: BaseSystemSpec.markov([[math.nan, 1.0], [0.5, 0.5]]),
+], ids=["bernoulli-nan", "bernoulli-inf", "markov-nan"])
+def test_non_finite_probabilities_rejected(make):
+    with pytest.raises(ConfigurationError):
+        make()
 
 
 def test_window_limit():

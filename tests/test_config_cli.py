@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from randhyp import (ConfigurationError, oseledets_spectrum, parse_config,
                      run_task, sample_base)
 from randhyp.base import random_point
 from randhyp.cli import main
+from randhyp.config import TASK_DEFAULTS, TASKS
 from randhyp.fibers import ManifoldPoint
 
 DOUBLING_FULL = {
@@ -47,12 +49,15 @@ def test_parse_reports_all_errors_with_paths():
     assert len(msgs) >= 5
 
 
-def test_parse_lambda_vs_declared_bound():
-    bad = dict(DOUBLING_FULL)
-    bad["task_params"] = {"lambda": 0.8, "a_bound": math.log(2)}
-    with pytest.raises(ConfigurationError) as err:
-        parse_config(json.dumps(bad))
-    assert any("A > lambda > 0" in m for m in err.value.errors)
+def test_cli_lambda_at_or_above_rate_exit_one(tmp_path, capsys):
+    # A = log 2 for the doubling map; the certificate measures it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(DOUBLING_FULL,
+                                        task_params={"lambda": 0.8})))
+    assert main(["full-pipeline", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda must satisfy 0 < lambda < A = 0.69")
+    assert err.count("\n") == 1
 
 
 def test_parse_rejects_task_conflict():
@@ -106,14 +111,6 @@ def test_report_schema_and_echo(tmp_path):
     assert loaded["verdict"] == "certified-expanding"
 
 
-def test_rerun_with_echoed_config_is_bit_identical():
-    cfg = parse_config(json.dumps(DOUBLING_FULL))
-    rep1 = run_task(cfg)
-    cfg2 = parse_config(json.dumps(rep1.config_echo))
-    rep2 = run_task(cfg2)
-    assert rep1.payload_bytes() == rep2.payload_bytes()
-
-
 FAMILIES = {
     "doubling": {},
     "perturbed-doubling": {"eps_max": 0.1},
@@ -133,6 +130,23 @@ TINY_PIPELINE = {
     "birkhoff_steps": 100, "birkhoff_starts": 3, "horizon": 10,
     "curve_len": 4, "batches": 4,
 }
+
+
+def own_params(task, params=TINY_PIPELINE):
+    """The entries of `params` that `task` reads."""
+    return {k: v for k, v in params.items() if k in TASK_DEFAULTS[task]}
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_rerun_with_echoed_config_is_bit_identical(task):
+    family = "random-cat" if task == "splitting" else "perturbed-doubling"
+    cfg = parse_config(json.dumps({
+        "task": task, "seed": 7, "base": BASES["markov"],
+        "fiber": {"family": family}, "task_params": own_params(task)}))
+    rep1 = run_task(cfg)
+    cfg2 = parse_config(json.dumps(rep1.to_json_dict()["config"]))
+    assert cfg2.echo == cfg.echo
+    assert rep1.payload_bytes() == run_task(cfg2).payload_bytes()
 
 
 @pytest.mark.parametrize("base", BASES)
@@ -168,7 +182,7 @@ def test_full_pipeline_sweeps_the_rate_once(monkeypatch):
         "task": task, "seed": 7, "base": BASES["markov"],
         "fiber": {"family": "perturbed-doubling",
                   "params": FAMILIES["perturbed-doubling"]},
-        "task_params": TINY_PIPELINE}))
+        "task_params": own_params(task)}))
         for task in ("certify-expansion", "minimize", "full-pipeline")}
     grid_steps = {}
     reports = {}
@@ -327,3 +341,101 @@ def test_minimize_task_with_orbits(tmp_path):
     lines = (tmp_path / "orbits.csv").read_text().splitlines()
     assert lines[0] == "word,period,x0,phi_average,residual"
     assert len(lines) > 3
+
+
+def cli_errors(tmp_path, capsys, task, text):
+    """Exit code and stderr of the CLI on a config given as JSON text."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    return main([task, "--config", str(cfg_path)]), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg_dict, message", [
+    ({"fiber": {"family": "perturbed-doubling", "params": {"epsmax": 0.15}}},
+     "fiber.params.epsmax is not read by perturbed-doubling"),
+    ({"fiber": {"family": "doubling", "params": {"values": [5, 6]}}},
+     "fiber.params.values is not read by doubling"),
+    ({"task_param": {"samples": 5}}, "task_param is not read; config fields are "
+     "['task', 'seed', 'base', 'fiber', 'task_params', 'out_dir']"),
+    ({"fiber": {"family": "doubling", "parms": {}}},
+     "fiber.parms is not read; fiber fields are ['family', 'params']"),
+    ({"task": "lyapunov", "task_params": {"grid_size": 64}},
+     "task_params.grid_size is not read by lyapunov"),
+    ({"task": "lyapunov", "task_params": {"horizon": 5}},
+     "task_params.horizon is not read by lyapunov"),
+    ({"task": "lyapunov", "task_params": {"depth": 5}},
+     "task_params.depth is not read by lyapunov"),
+    ({"task": "lyapunov", "task_params": {"batches": 5}},
+     "task_params.batches is not read by lyapunov"),
+])
+def test_unread_keys_exit_one_with_path(cfg_dict, message, tmp_path, capsys):
+    cfg_dict = dict(DOUBLING_FULL, **cfg_dict)
+    code, err = cli_errors(tmp_path, capsys, cfg_dict["task"], json.dumps(cfg_dict))
+    assert code == 1
+    assert err.splitlines() == ["configuration errors:", f"  - {message}"]
+
+
+@pytest.mark.parametrize("task, key", [
+    ("certify-expansion", "n"), ("lyapunov", "n_max"), ("minimize", "depth"),
+    ("splitting", "lambda"), ("full-pipeline", "a_bound"),
+])
+def test_each_task_rejects_a_parameter_it_does_not_read(task, key):
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(json.dumps(dict(DOUBLING_FULL, task=task,
+                                     task_params={key: 1})))
+    assert err.value.errors == [f"task_params.{key} is not read by {task}"]
+
+
+class Recording(dict):
+    """A dict that records which keys are read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_each_task_reads_exactly_its_parameters(task):
+    cfg = parse_config(json.dumps({
+        "task": task, "seed": 3, "base": BASES["bernoulli"],
+        "fiber": {"family": "random-cat"}, "task_params": own_params(task)}))
+    params = Recording(cfg.task_params)
+    run_task(dataclasses.replace(cfg, task_params=params))
+    assert params.read == set(TASK_DEFAULTS[task])
+
+
+@pytest.mark.parametrize("task, text, message", [
+    ("certify-expansion",
+     '"task_params": {"temperedness_threshold": NaN}',
+     "task_params.temperedness_threshold must be a finite number, got NaN"),
+    ("lyapunov", '"fiber": {"family": "bernoulli-linear", '
+     '"params": {"values": [Infinity, 2]}}',
+     "fiber.params.values[0] must be a finite number, got Infinity"),
+    ("lyapunov", '"fiber": {"family": "diagonal-cocycle", '
+     '"params": {"a_values": [NaN], "b_values": [3.0]}}',
+     "fiber.params.a_values[0] must be a finite number, got NaN"),
+    ("lyapunov", '"base": {"kind": "markov", "transition": [[NaN, 1.0], [0.5, 0.5]]}',
+     "base.transition[0][0] must be a finite number, got NaN"),
+    ("lyapunov", '"fiber": {"family": "perturbed-doubling", '
+     '"params": {"eps_max": -1e400}}',
+     "fiber.params.eps_max must be a finite number, got -1e400"),
+    ("lyapunov", '"task_params": {"n": -Infinity}',
+     "task_params.n must be a finite number, got -Infinity"),
+])
+def test_non_finite_numbers_exit_one_with_path(task, text, message, tmp_path,
+                                               capsys):
+    fields = {"task": task, "seed": 7, "base": {"kind": "dirac"},
+              "fiber": {"family": "doubling"}}
+    fields.pop(text.split('"')[1], None)
+    code, err = cli_errors(tmp_path, capsys, task,
+                           json.dumps(fields)[:-1] + ", " + text + "}")
+    assert code == 1
+    assert err.splitlines() == ["configuration errors:", f"  - {message}"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from randhyp import (BaseSystemSpec, ConfigurationError, UnsupportedOperationError,
                      derivative_bounds, fiber_apply, fiber_derivative,
@@ -269,3 +270,17 @@ def test_circle_formula_numpy_matches_math(name):
         dist = abs(fam.apply(q, x) - y)
         assert min(dist, 1.0 - dist) <= 1e-15
         assert abs(fam.log_deriv(q, x) - d) <= 1e-15
+
+
+_ENTRIES = st.floats(1e-6, 1e6)
+
+
+@given(st.lists(st.tuples(_ENTRIES, _ENTRIES), min_size=1, max_size=6))
+@example([(642308.1945317535, 730503.9375)])
+def test_diagonal_bounds_are_the_extreme_entries(pairs):
+    # the singular values of diag(a, b) are a and b; LAPACK's SVD may miss
+    # them by an ulp, so the family sets its bounds from the entries
+    a, b = ([p[i] for p in pairs] for i in (0, 1))
+    fam = make_family("diagonal-cocycle", {"a_values": a, "b_values": b})
+    assert derivative_bounds(fam) == (max(a + b), 1.0 / min(a + b), 0.0)
+    assert fam.expanding == (min(a + b) > 1.0)
