@@ -88,7 +88,7 @@ def _is_irreducible(transition):
 class BaseSystemSpec:
     """Description of one driving system.
 
-    kind is one of "bernoulli", "markov", "rotation", "dirac".  Bernoulli
+    kind is a key of BASE_CATALOG, whose factories build each kind.  Bernoulli
     carries a probability vector, Markov a stochastic transition matrix
     (must be irreducible), rotation a rotation number in (0,1) whose
     irrationality is the caller's responsibility (not checkable at runtime).
@@ -113,7 +113,7 @@ class BaseSystemSpec:
 
     def validation_errors(self):
         errs = []
-        if self.kind not in ("bernoulli", "markov", "rotation", "dirac"):
+        if self.kind not in BASE_CATALOG:
             return [f"unknown base kind {self.kind!r}"]
         if self.kind == "bernoulli":
             p = self.probabilities
@@ -169,6 +169,12 @@ class BaseSystemSpec:
         if self.rotation_number is not None:
             out["rotation_number"] = self.rotation_number
         return out
+
+
+# Base kinds by name; a config's base object holds the factory's keyword
+# parameters, and the factory derives alphabet_size.
+BASE_CATALOG = {kind: getattr(BaseSystemSpec, kind)
+                for kind in ("bernoulli", "markov", "rotation", "dirac")}
 
 
 class _BernoulliSource:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import TASKS, parse_config
-from .ergodic import enumerate_periodic_orbits, lambda_estimate
+from .ergodic import lambda_estimate
 from .errors import ConfigurationError, RandhypError
 from .expansion import (build_expansion_certificate, table_of_sweep,
                         variable_rate_corollary)
@@ -157,11 +157,10 @@ def _task_minimize(config, threads, rate=None):
                              include_periodic=p["include_periodic"],
                              p_max=p["p_max"], threads=threads, rate=rate)
     csvs = {}
-    if p["include_periodic"] and config.base.kind == "bernoulli":
-        records = enumerate_periodic_orbits(config.fiber, config.base, p["p_max"])
+    if p["include_periodic"]:
         rows = [("".join(str(s) for s in r.symbol_word), r.period,
                  repr(r.x0.coords[0]), repr(r.phi_average), repr(r.residual))
-                for r in records]
+                for r in report.periodic_orbits]
         csvs["orbits.csv"] = (("word", "period", "x0", "phi_average", "residual"),
                               rows)
     return report.to_payload(), "complete", csvs

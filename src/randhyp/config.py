@@ -9,9 +9,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .base import BaseSystemSpec
+from .base import BASE_CATALOG, BaseSystemSpec
 from .errors import ConfigurationError
-from .fibers import FAMILY_CATALOG, make_family
+from .fibers import FAMILY_CATALOG
 
 TASKS = ("certify-expansion", "lyapunov", "minimize", "splitting", "full-pipeline")
 _FIELDS = ("task", "seed", "base", "fiber", "task_params", "out_dir")
@@ -109,28 +109,60 @@ def _validate_task_params(task, params, errors):
         errors.append("task_params.p_max is capped at 12")
 
 
+def _read_catalog(catalog, name_path, name, path, params, errors):
+    """catalog[name](**params), or None after an error; the constructor's
+    signature says which keys are read and which are required.  `name_path`
+    and `path` are the dotted paths of the name and of the params object."""
+    if not isinstance(name, str) or name not in catalog:
+        errors.append(f"{name_path} unknown: {name!r}; catalog: {sorted(catalog)}")
+        return None
+    accepted = inspect.signature(catalog[name]).parameters
+    problems = ([f"{path}.{key} is not read by {name}"
+                 for key in params if key not in accepted]
+                + [f"{path}.{key} is required by {name}"
+                   for key, arg in accepted.items()
+                   if arg.default is arg.empty and key not in params])
+    errors.extend(problems)
+    try:
+        return None if problems else catalog[name](**params)
+    except ConfigurationError as exc:
+        errors.extend(f"{path}.{msg}" for msg in exc.errors)
+    except (TypeError, ValueError, OverflowError) as exc:
+        errors.append(f"{path}: {exc}")
+    return None
+
+
 def _parse_family(fiber_raw, errors):
     """The family of a config's `fiber` object, or None after an error."""
+    if not isinstance(fiber_raw, dict):
+        errors.append("fiber must be an object with a 'family' field")
+        return None
     errors.extend(f"fiber.{key} is not read; fiber fields are ['family', 'params']"
                   for key in fiber_raw if key not in ("family", "params"))
-    name, params = fiber_raw.get("family"), fiber_raw.get("params", {})
-    if name not in FAMILY_CATALOG:
-        errors.append(f"fiber.family unknown: {name!r}; "
-                      f"catalog: {sorted(FAMILY_CATALOG)}")
-        return None
+    params = fiber_raw.get("params", {})
     if not isinstance(params, dict):
         errors.append("fiber.params must be an object")
         return None
-    accepted = inspect.signature(FAMILY_CATALOG[name]).parameters
-    unread = [f"fiber.params.{key} is not read by {name}"
-              for key in params if key not in accepted]
-    errors.extend(unread)
-    try:
-        return None if unread else make_family(name, params)
-    except ConfigurationError as exc:
-        errors.extend(f"fiber.params: {msg}" for msg in exc.errors)
-    except (TypeError, ValueError, OverflowError) as exc:
-        errors.append(f"fiber.params: {exc}")
+    return _read_catalog(FAMILY_CATALOG, "fiber.family", fiber_raw.get("family"),
+                         "fiber.params", params, errors)
+
+
+def _parse_base(base_raw, errors):
+    """The spec of a config's `base` object, or None after an error.  The
+    kind's factory derives `alphabet_size`; the echo carries it, so it is
+    accepted when it equals the derived value."""
+    if not isinstance(base_raw, dict):
+        errors.append("base must be an object with a 'kind' field")
+        return None
+    params = {k: v for k, v in base_raw.items() if k not in ("kind", "alphabet_size")}
+    spec = _read_catalog(BASE_CATALOG, "base.kind", base_raw.get("kind"),
+                         "base", params, errors)
+    if spec is None or "alphabet_size" not in base_raw:
+        return spec
+    if base_raw["alphabet_size"] == spec.alphabet_size:
+        return spec
+    errors.append(f"base.alphabet_size is {spec.alphabet_size} for this {spec.kind} "
+                  f"base, got {base_raw['alphabet_size']!r}")
     return None
 
 
@@ -170,35 +202,8 @@ def parse_config(text, task=None):
     elif not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("seed must be an integer")
 
-    base_spec = None
-    base_raw = raw.get("base")
-    if not isinstance(base_raw, dict):
-        errors.append("base must be an object with a 'kind' field")
-    else:
-        kind = base_raw.get("kind")
-        try:
-            if kind == "bernoulli":
-                base_spec = BaseSystemSpec.bernoulli(base_raw.get("probabilities", ()))
-            elif kind == "markov":
-                base_spec = BaseSystemSpec.markov(base_raw.get("transition", ()))
-            elif kind == "rotation":
-                base_spec = BaseSystemSpec.rotation(base_raw.get("rotation_number", -1.0))
-            elif kind == "dirac":
-                base_spec = BaseSystemSpec.dirac()
-            else:
-                errors.append(f"base.kind must be one of "
-                              f"['bernoulli', 'markov', 'rotation', 'dirac'], got {kind!r}")
-        except ConfigurationError as exc:
-            errors.extend(f"base.{msg}" for msg in exc.errors)
-        except (TypeError, ValueError, OverflowError) as exc:
-            errors.append(f"base: {exc}")
-
-    family = None
-    fiber_raw = raw.get("fiber")
-    if not isinstance(fiber_raw, dict):
-        errors.append("fiber must be an object with a 'family' field")
-    else:
-        family = _parse_family(fiber_raw, errors)
+    base_spec = _parse_base(raw.get("base"), errors)
+    family = _parse_family(raw.get("fiber"), errors)
 
     params_raw = raw.get("task_params", {})
     if not isinstance(params_raw, dict):

@@ -20,7 +20,7 @@ from .cocycle import (orbit_log_stretches, unit_direction, unit_tangent,
                       unit_tangent_step)
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint
-from .expansion import min_expansion_sweep, uniform_rate_estimate
+from .expansion import DEFAULT_GRID, min_expansion_sweep, uniform_rate_estimate
 
 _BIRKHOFF_STREAM = 0x42495248
 _CLOSURE_TOL = 1e-8
@@ -64,7 +64,7 @@ def pushforward_projection(measure):
     return EmpiricalMeasure(atoms, True)
 
 
-def empirical_minimizing_sequence(family, omega, n, grid_size=4096):
+def empirical_minimizing_sequence(family, omega, n, grid_size=DEFAULT_GRID):
     """Uniform measure on the tangent orbit of the n-step grid argmin.
 
     The integral of the log-stretch observable against this measure
@@ -247,7 +247,7 @@ class LambdaReport:
     lambda_estimate: float
     a_estimate: float
     gap_vs_a: float
-    periodic_candidates: tuple = ()   # (word, phi_average), heuristic only
+    periodic_orbits: tuple = ()  # PeriodicOrbitRecords, heuristic only
 
     def to_payload(self):
         return {
@@ -256,21 +256,23 @@ class LambdaReport:
             "a_estimate": self.a_estimate,
             "gap_vs_a": self.gap_vs_a,
             "periodic_candidates": [
-                {"word": list(w), "phi_average": v, "heuristic": True}
-                for (w, v) in self.periodic_candidates
+                {"word": list(r.symbol_word), "phi_average": r.phi_average,
+                 "heuristic": True}
+                for r in self.periodic_orbits
             ],
         }
 
 
-def lambda_estimate(family, spec, seed, samples=20, n_max=12, grid_size=4096,
+def lambda_estimate(family, spec, seed, samples=20, n_max=12, grid_size=DEFAULT_GRID,
                     birkhoff_steps=10_000, birkhoff_starts=20,
                     include_periodic=False, p_max=6, threads=1, rate=None):
     """Smallest measure-averaged expansion, from the constructive surrogates.
 
     The reported value is the minimum of the empirical-measure average and
-    the Birkhoff minimum over random starts.  Periodic-orbit values, when
-    requested, are attached as heuristic context and excluded from the
-    estimate because their base marginals differ from the driving law.
+    the Birkhoff minimum over random starts.  Periodic orbits, when
+    requested (full-shift bases only), are attached as heuristic context
+    and excluded from the estimate because their base marginals differ
+    from the driving law.
     A given `rate` (a certificate carries one) must be the
     `uniform_rate_estimate` of the same samples, n_max and grid.
     """
@@ -293,11 +295,8 @@ def lambda_estimate(family, spec, seed, samples=20, n_max=12, grid_size=4096,
     lam_est = min(v for (_, v) in candidates)
     a_est = rate.a_estimate
 
-    periodic = ()
-    if include_periodic and spec.kind == "bernoulli":
-        records = enumerate_periodic_orbits(family, spec, p_max)
-        periodic = tuple((r.symbol_word, r.phi_average) for r in records)
-
+    periodic = (tuple(enumerate_periodic_orbits(family, spec, p_max))
+                if include_periodic else ())
     return LambdaReport(candidates=candidates, lambda_estimate=lam_est,
                         a_estimate=a_est, gap_vs_a=lam_est - a_est,
-                        periodic_candidates=periodic)
+                        periodic_orbits=periodic)

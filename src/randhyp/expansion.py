@@ -21,6 +21,7 @@ from .base import sample_base, shift_by
 from .cocycle import unit_direction
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily
+from .lyapunov import std_err
 
 MIN_GRID = 64
 DEFAULT_GRID = 4096
@@ -138,12 +139,13 @@ def lipschitz_slack(family, n, grid_size):
     return total / (2.0 * grid_size)
 
 
-def certified_depth(family, grid_size, budget=SLACK_BUDGET, cap=DEFAULT_DEPTH):
-    """Largest horizon whose certification slack stays within the budget."""
+def certified_depth(family, grid_size, cap):
+    """Largest horizon up to `cap` whose certification slack stays within
+    SLACK_BUDGET; `cap` itself for families with exact brackets."""
     if family.log_deriv_lipschitz == 0.0:
         return cap
     n = 1
-    while n < cap and lipschitz_slack(family, n + 1, grid_size) <= budget:
+    while n < cap and lipschitz_slack(family, n + 1, grid_size) <= SLACK_BUDGET:
         n += 1
     return n
 
@@ -306,9 +308,8 @@ def uniform_rate_estimate(family, spec, seed, samples, n_max,
     mean_l = lowers.mean(axis=0) / ns
     trend = tuple((int(n), float(u), float(l))
                   for n, u, l in zip(range(1, n_max + 1), mean_u, mean_l))
-    finals = uppers[:, -1] / n_max
-    se = float(finals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return UniformRateEstimate(a_estimate=float(mean_u[-1]), a_std_err=se,
+    return UniformRateEstimate(a_estimate=float(mean_u[-1]),
+                               a_std_err=std_err(uppers[:, -1] / n_max),
                                n_max=n_max, samples=samples, trend=trend,
                                sweeps=tuple(sweeps))
 
@@ -396,8 +397,8 @@ def one_step_min_expansion(family, omega):
     return float(family.deriv(family.param_at(omega), family.min_deriv_x))
 
 
-def variable_rate_corollary(family, spec, seed, samples, per_step_rates=None,
-                            a_estimate=None, n_max=10, grid_size=DEFAULT_GRID):
+def variable_rate_corollary(family, spec, seed, samples, a_estimate=None,
+                            n_max=10, grid_size=DEFAULT_GRID):
     """Monte Carlo check that the mean log of the per-state rates is positive.
 
     A positive mean (beyond 3 standard errors) means the constant-rate
@@ -406,12 +407,9 @@ def variable_rate_corollary(family, spec, seed, samples, per_step_rates=None,
     sample (no error bar), is reported as inconclusive: the hypothesis
     fails, nothing is broken.
     """
-    if per_step_rates is None:
-        per_step_rates = lambda w: one_step_min_expansion(family, w)
-    omegas = sample_base(spec, seed, samples)
-    logs = np.array([math.log(per_step_rates(w)) for w in omegas])
-    est = float(logs.mean())
-    se = float(logs.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    logs = np.array([math.log(one_step_min_expansion(family, w))
+                     for w in sample_base(spec, seed, samples)])
+    est, se = float(logs.mean()), std_err(logs)
     if samples >= 2 and est > 3.0 * se and est > 0.0:
         if a_estimate is None:
             a_estimate = uniform_rate_estimate(
@@ -454,7 +452,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
         raise ConfigurationError(
             f"lambda must satisfy 0 < lambda < A = {a_est}, got {lam}")
 
-    eff_depth = min(depth, certified_depth(family, grid_size))
+    eff_depth = certified_depth(family, grid_size, depth)
     details["depth"] = eff_depth
 
     omegas = sample_base(spec, seed, samples)

@@ -68,14 +68,14 @@ def base_drive(omega, lo, hi, choices=None):
     """Driving values of the base orbit at positions lo..hi-1 (relative).
 
     The one place where fiber parameters are read off the base.  A rotation
-    drives with its angle (`rotation_angles`), a shift with its symbol, the
-    one-point base with 0.  With `choices` = m the value is an index in
-    range(m) picking one of m parameter values; without, it is a continuous
-    drive in [0, 1] (a symbol s counts as s / (alphabet_size - 1)).
+    drives with its angle (`rotation_angles`), a shift with its symbol (the
+    one-point base's symbol is always 0).  With `choices` = m the value is
+    an index in range(m) picking one of m parameter values; without, it is
+    a continuous drive in [0, 1] (a symbol s counts as s / (alphabet_size - 1)).
     """
     n = hi - lo
-    if omega.kind == "dirac" or choices == 1:
-        return np.zeros(n, dtype=np.float64 if choices is None else np.int64)
+    if choices == 1:
+        return np.zeros(n, dtype=np.int64)
     if omega.kind == "rotation":
         angles = rotation_angles(omega, lo, hi)
         if choices is None:
@@ -132,16 +132,6 @@ class FiberFamily:
     def param_at(self, omega):
         """The parameter at omega: the n = 1 case of `params_along`."""
         return self.params_along(omega, 1).tolist()[0]
-
-    def apply_raw(self, omega, coords):
-        return self.apply_at(self.param_at(omega), coords)
-
-    def jacobian_raw(self, omega, coords):
-        return self.jacobian_at(self.param_at(omega), coords)
-
-    def inverse_raw(self, omega, coords):
-        raise UnsupportedOperationError(
-            f"{self.family_id} is a covering map; no global inverse exists")
 
 
 class CircleFamily(FiberFamily):
@@ -250,7 +240,7 @@ class BernoulliLinear(CircleFamily):
     def __init__(self, values=(2.0, 3.0)):
         vals = tuple(float(v) for v in values)
         if not vals or any(v <= 0 for v in vals):
-            raise ConfigurationError("multipliers must be positive")
+            raise ConfigurationError("values must be nonempty and positive")
         self.values = vals
         self.expanding = min(vals) > 1.0
         self.sup_dphi = max(vals)
@@ -299,7 +289,7 @@ class LinearTorusFamily(FiberFamily):
     def __init__(self, matrices):
         mats = [np.asarray(m, dtype=np.float64).reshape(2, 2) for m in matrices]
         if not mats:
-            raise ConfigurationError("at least one matrix is required")
+            raise ConfigurationError("matrices must be nonempty")
         for m in mats:
             if abs(np.linalg.det(m)) < 1e-14:
                 raise ConfigurationError("matrices must be nonsingular")
@@ -339,12 +329,6 @@ class LinearTorusFamily(FiberFamily):
         a00, a01, a10, a11 = self.entries[p]
         return ((a00, a01), (a10, a11))
 
-    def inverse_raw(self, omega, coords):
-        if not self.invertible:
-            raise UnsupportedOperationError(
-                f"{self.family_id} matrices are not torus automorphisms")
-        return _apply_entries(self.inverse_entries[self.param_at(omega)], coords)
-
 
 def _entry_tuples(mats):
     return tuple((float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
@@ -365,10 +349,11 @@ class DiagonalCocycle(LinearTorusFamily):
     def __init__(self, a_values=(2.0,), b_values=(3.0,)):
         a_vals = tuple(float(v) for v in a_values)
         b_vals = tuple(float(v) for v in b_values)
-        if len(a_vals) != len(b_vals):
-            raise ConfigurationError("a_values and b_values must have equal length")
+        if not a_vals or len(a_vals) != len(b_vals):
+            raise ConfigurationError(
+                "a_values and b_values must be nonempty and of equal length")
         if any(v <= 0 for v in a_vals + b_vals):
-            raise ConfigurationError("diagonal entries must be positive")
+            raise ConfigurationError("a_values and b_values must be positive")
         super().__init__([np.diag([a, b]) for a, b in zip(a_vals, b_vals)])
         self.a_values = a_vals
         self.b_values = b_vals
@@ -396,7 +381,7 @@ class RandomCat(LinearTorusFamily):
     def __init__(self, matrices=(((2, 1), (1, 1)), ((3, 1), (2, 1)))):
         super().__init__(matrices)
         if not self.invertible:
-            raise ConfigurationError("random-cat matrices must be integer with |det| = 1")
+            raise ConfigurationError("matrices must be integer with |det| = 1")
 
     def params(self):
         return {"matrices": [[[float(v) for v in row] for row in m] for m in self.matrices]}
@@ -407,7 +392,7 @@ def fiber_apply(family, omega, x):
     if x.dim != family.manifold_dim:
         raise ContractError(
             f"point has dim {x.dim}, family {family.family_id} needs {family.manifold_dim}")
-    return ManifoldPoint(family.apply_raw(omega, x.coords))
+    return ManifoldPoint(family.apply_at(family.param_at(omega), x.coords))
 
 
 def fiber_derivative(family, omega, x):
@@ -416,18 +401,20 @@ def fiber_derivative(family, omega, x):
         raise ContractError(
             f"point has dim {x.dim}, family {family.family_id} needs {family.manifold_dim}")
     from .cocycle import CocycleMatrix
-    jac = family.jacobian_raw(omega, x.coords)
+    jac = family.jacobian_at(family.param_at(omega), x.coords)
     return CocycleMatrix(np.asarray(jac, dtype=np.float64), 1)
 
 
 def fiber_inverse(family, omega, x):
-    """phi_w^{-1}(x); only diffeomorphic families support this."""
+    """phi_w^{-1}(x); only torus automorphism families (`invertible`)
+    support this."""
     if not family.invertible:
         raise UnsupportedOperationError(
             f"{family.family_id} is not invertible on the fiber")
     if x.dim != family.manifold_dim:
         raise ContractError("dimension mismatch")
-    return ManifoldPoint(family.inverse_raw(omega, x.coords))
+    inverse = family.inverse_entries[family.param_at(omega)]
+    return ManifoldPoint(_apply_entries(inverse, x.coords))
 
 
 def derivative_bounds(family):

@@ -37,18 +37,18 @@ class SpectrumEstimate:
     n: int
 
 
+def std_err(values):
+    """Standard error of the mean of a 1-d array; 0.0 for a single value,
+    which has no error bar."""
+    k = len(values)
+    return float(values.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+
+
 def _batch_stats(per_step, batches):
     """Mean and batch-mean standard error of a per-step series."""
-    n = len(per_step)
-    blen = n // batches
-    used = blen * batches
-    means = per_step[:used].reshape(batches, blen).mean(axis=1)
-    value = float(per_step[:used].mean())
-    if batches > 1:
-        se = float(means.std(ddof=1) / math.sqrt(batches))
-    else:
-        se = 0.0
-    return value, se, used
+    used = len(per_step) // batches * batches
+    means = per_step[:used].reshape(batches, -1).mean(axis=1)
+    return float(per_step[:used].mean()), std_err(means), used
 
 
 def top_exponent(family, p, n, batches=DEFAULT_BATCHES):

@@ -17,12 +17,11 @@ import numpy as np
 
 from .base import base_step, random_point, sample_base
 from .cocycle import push_log_stretches, unit_direction, window_products
+from .ergodic import _random_unit_vector
 from .errors import ContractError, UnsupportedOperationError
-from .expansion import truncated_infimum
+from .expansion import DEFAULT_DEPTH, truncated_infimum
 from .fibers import LinearTorusFamily, ManifoldPoint
 from .lyapunov import _batch_stats
-
-DEFAULT_DEPTH = 50
 
 
 @dataclass(frozen=True)
@@ -199,16 +198,14 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     recs, heads = [], []    # per-sample payload, first `depth` log stretches
     for i, omega in enumerate(omegas):
         x = ManifoldPoint(random_point(seed, i, 2))
-        v = np.asarray(random_point(seed, samples + i, 2)) - 0.5
-        if np.linalg.norm(v) < 1e-9:
-            v = np.array([1.0, 0.0])
         # positions -max(n, horizon) .. max(n, horizon + 1) - 1
         bundles, (back, fwd) = _windows(family, omega,
                                         [((0, 1), horizon), ((0,), n)])
         pair, nxt = _bundle_pairs(family, *bundles)
         # gamma1 backwards; gamma2 and the top-exponent vector forwards
         (logs1,), (logs2, logs_top) = _bundle_logs(
-            family, [pair.gamma1], [pair.gamma2, v / np.linalg.norm(v)],
+            family, [pair.gamma1],
+            [pair.gamma2, _random_unit_vector(seed, samples + i, 2)],
             back, fwd[[0, 0]])
         rate1, rate1_se, _ = _batch_stats(logs1, batches)
         rate2, rate2_se, _ = _batch_stats(logs2, batches)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -8,10 +9,11 @@ import pytest
 
 from randhyp import (ConfigurationError, oseledets_spectrum, parse_config,
                      run_task, sample_base)
-from randhyp.base import random_point
+from randhyp.base import BASE_CATALOG, random_point
 from randhyp.cli import main
 from randhyp.config import TASK_DEFAULTS, TASKS
-from randhyp.fibers import ManifoldPoint
+from randhyp.expansion import certified_depth
+from randhyp.fibers import FAMILY_CATALOG, ManifoldPoint
 
 DOUBLING_FULL = {
     "task": "full-pipeline",
@@ -439,3 +441,151 @@ def test_non_finite_numbers_exit_one_with_path(task, text, message, tmp_path,
                            json.dumps(fields)[:-1] + ", " + text + "}")
     assert code == 1
     assert err.splitlines() == ["configuration errors:", f"  - {message}"]
+
+
+def catalog_config(section, name, params):
+    """A lyapunov config whose `section` is catalog entry `name` with `params`."""
+    cfg = dict(DOUBLING_FULL, task="lyapunov")
+    if section == "fiber":
+        cfg["fiber"] = {"family": name, "params": params}
+    else:
+        cfg["base"] = dict(params, kind=name)
+    return cfg
+
+
+CATALOG_ENTRIES = ([("fiber", name) for name in FAMILY_CATALOG]
+                   + [("base", kind) for kind in BASE_CATALOG])
+CATALOGS = {"fiber": FAMILY_CATALOG, "base": BASE_CATALOG}
+PARAMS_PATH = {"fiber": "fiber.params", "base": "base"}
+
+
+def example_params(section, name):
+    if section == "fiber":
+        return dict(FAMILIES[name])
+    return {k: v for k, v in BASES[name].items() if k != "kind"}
+
+
+def catalog_errors(cfg):
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(json.dumps(cfg))
+    return err.value.errors
+
+
+@pytest.mark.parametrize("section, name", CATALOG_ENTRIES)
+def test_catalog_reader_rejects_a_key_the_constructor_does_not_take(section, name):
+    params = dict(example_params(section, name), bogus=1)
+    assert catalog_errors(catalog_config(section, name, params)) == [
+        f"{PARAMS_PATH[section]}.bogus is not read by {name}"]
+
+
+@pytest.mark.parametrize("section, name", CATALOG_ENTRIES)
+def test_catalog_reader_requires_keys_without_default(section, name):
+    signature = inspect.signature(CATALOGS[section][name]).parameters
+    required = [k for k, arg in signature.items() if arg.default is arg.empty]
+    for key in required:
+        params = example_params(section, name)
+        del params[key]
+        assert catalog_errors(catalog_config(section, name, params)) == [
+            f"{PARAMS_PATH[section]}.{key} is required by {name}"]
+    if not required:
+        parse_config(json.dumps(catalog_config(section, name, {})))
+
+
+@pytest.mark.parametrize("kind", BASE_CATALOG)
+def test_base_alphabet_size_must_equal_the_derived_value(kind):
+    cfg = parse_config(json.dumps(catalog_config("base", kind, example_params("base", kind))))
+    size = cfg.base.alphabet_size
+    params = dict(example_params("base", kind), alphabet_size=size)
+    assert parse_config(json.dumps(catalog_config("base", kind, params))).base == cfg.base
+    params["alphabet_size"] = size + 3
+    assert catalog_errors(catalog_config("base", kind, params)) == [
+        f"base.alphabet_size is {size} for this {kind} base, got {size + 3}"]
+
+
+@pytest.mark.parametrize("kind", BASE_CATALOG)
+def test_echoed_config_reparses_for_every_base_kind(kind):
+    cfg = parse_config(json.dumps(dict(DOUBLING_FULL, base=BASES[kind])))
+    again = parse_config(json.dumps(cfg.echo))
+    assert again.echo == cfg.echo
+    assert again.base == cfg.base
+
+
+@pytest.mark.parametrize("base, messages", [
+    ({"kind": "bernoulli", "probabilities": [0.5, 0.5], "alphabet_size": 5,
+      "transition": [[1]]},
+     ["base.transition is not read by bernoulli"]),
+    ({"kind": "bernoulli", "probabilities": [0.5, 0.5], "alphabet_size": 5},
+     ["base.alphabet_size is 2 for this bernoulli base, got 5"]),
+    ({"kind": "rotation", "rotation_numer": 0.3},
+     ["base.rotation_numer is not read by rotation",
+      "base.rotation_number is required by rotation"]),
+    ({"kind": ["dirac"]}, ["base.kind unknown: ['dirac']; catalog: "
+                           "['bernoulli', 'dirac', 'markov', 'rotation']"]),
+])
+def test_bad_base_exits_one_with_path(base, messages, tmp_path, capsys):
+    code, err = cli_errors(tmp_path, capsys, "full-pipeline",
+                           json.dumps(dict(DOUBLING_FULL, base=base)))
+    assert code == 1
+    assert err.splitlines() == ["configuration errors:"] + [f"  - {m}" for m in messages]
+
+
+@pytest.mark.parametrize("fiber, message", [
+    ({"family": ["doubling"]}, "fiber.family unknown: ['doubling']; catalog: "
+     "['bernoulli-linear', 'diagonal-cocycle', 'doubling', 'perturbed-doubling', "
+     "'random-cat']"),
+    ({"family": "bernoulli-linear", "params": {"values": []}},
+     "fiber.params.values must be nonempty and positive"),
+])
+def test_bad_fiber_exits_one_with_path(fiber, message, tmp_path, capsys):
+    code, err = cli_errors(tmp_path, capsys, "full-pipeline",
+                           json.dumps(dict(DOUBLING_FULL, fiber=fiber)))
+    assert code == 1
+    assert err.splitlines() == ["configuration errors:", f"  - {message}"]
+
+
+@pytest.mark.parametrize("family", ["bernoulli-linear", "perturbed-doubling"])
+def test_configured_depth_is_the_certificate_cap(family):
+    grid_size = 1024
+    cfg = parse_config(json.dumps({
+        "task": "certify-expansion", "seed": 7, "base": BASES["bernoulli"],
+        "fiber": {"family": family},
+        "task_params": {"samples": 3, "n_max": 5, "grid_size": grid_size,
+                        "depth": 80, "curve_n_max": 20, "supadd_samples": 1,
+                        "supadd_N": 4, "corollary": False}}))
+    depth = run_task(cfg).payload["details"]["depth"]
+    assert depth == certified_depth(cfg.fiber, grid_size, 80)
+    # exact brackets need no slack cap; the grid slack caps x-dependent maps
+    assert (depth == 80) == (family == "bernoulli-linear")
+
+
+MINIMIZE_PERIODIC = {"samples": 2, "n_max": 4, "grid_size": 64,
+                     "birkhoff_steps": 20, "birkhoff_starts": 2,
+                     "include_periodic": True, "p_max": 3}
+
+
+@pytest.mark.parametrize("kind", ["markov", "rotation", "dirac"])
+def test_include_periodic_needs_a_full_shift_base(kind, tmp_path, capsys):
+    cfg = {"task": "minimize", "seed": 7, "base": BASES[kind],
+           "fiber": {"family": "bernoulli-linear"}, "task_params": MINIMIZE_PERIODIC}
+    code, err = cli_errors(tmp_path, capsys, "minimize", json.dumps(cfg))
+    assert code == 1
+    assert err == "error: periodic-orbit search needs a full shift base\n"
+
+
+def test_minimize_enumerates_periodic_orbits_once(monkeypatch):
+    import randhyp.ergodic as ergodic
+    lengths = []
+    necklaces = ergodic._necklaces
+
+    def counted(alphabet, p):
+        lengths.append(p)
+        return necklaces(alphabet, p)
+
+    monkeypatch.setattr(ergodic, "_necklaces", counted)
+    report = run_task(parse_config(json.dumps({
+        "task": "minimize", "seed": 7, "base": BASES["bernoulli"],
+        "fiber": {"family": "bernoulli-linear"}, "task_params": MINIMIZE_PERIODIC})))
+    assert lengths == [1, 2, 3]
+    header, rows = report.csv_files["orbits.csv"]
+    assert [r[0] for r in rows] == ["".join(map(str, c["word"]))
+                                    for c in report.payload["periodic_candidates"]]

@@ -237,6 +237,6 @@ def test_lambda_includes_periodic_context():
     rep = lambda_estimate(fam, bern_spec(), 5, samples=5, n_max=50,
                           grid_size=1, birkhoff_steps=500, birkhoff_starts=3,
                           include_periodic=True, p_max=3)
-    assert rep.periodic_candidates
-    words = [w for (w, _) in rep.periodic_candidates]
+    assert rep.periodic_orbits
+    words = [r.symbol_word for r in rep.periodic_orbits]
     assert (0,) in words

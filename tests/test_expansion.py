@@ -276,11 +276,14 @@ def test_certificate_lambda_validation():
 
 def test_certified_depth_limits_slack():
     fam = make_family("perturbed-doubling", {"eps_max": 0.1})
-    d = certified_depth(fam, 8192)
+    d = certified_depth(fam, 8192, 50)
     assert 1 <= d <= 50
     assert lipschitz_slack(fam, d, 8192) <= 0.1
+    assert lipschitz_slack(fam, d + 1, 8192) > 0.1
+    assert certified_depth(fam, 8192, 3) == min(d, 3)
     exact = make_family("doubling")
-    assert certified_depth(exact, 8192) == 50
+    assert certified_depth(exact, 8192, 50) == 50
+    assert certified_depth(exact, 8192, 80) == 80
 
 
 def test_min_expansion_table_rows():

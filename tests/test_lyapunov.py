@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from randhyp import (BaseSystemSpec, cocycle_product, make_family,
-                     exponent_positivity_report, oseledets_spectrum, point,
-                     sample_base, top_exponent, unit_tangent)
+                     exponent_positivity_report, fiber_apply, fiber_derivative,
+                     oseledets_spectrum, point, sample_base, top_exponent,
+                     unit_tangent)
 from randhyp.base import random_point
 from randhyp.fibers import ManifoldPoint
 
@@ -93,12 +94,12 @@ def test_spectrum_sum_rule_all_families():
         x = ManifoldPoint(random_point(77, 0, fam.manifold_dim))
         n = 300
         est = oseledets_spectrum(fam, w, x, n)
-        state, coords = w, x.coords
+        state, y = w, x
         logdet = 0.0
         for _ in range(n):
-            jac = np.asarray(fam.jacobian_raw(state, coords))
+            jac = fiber_derivative(fam, state, y).entries
             logdet += math.log(abs(np.linalg.det(jac)))
-            coords = fam.apply_raw(state, coords)
+            y = fiber_apply(fam, state, y)
             state = base_step(state)
         assert sum(est.exponents) * n == pytest.approx(logdet, abs=1e-8 * n)
 
