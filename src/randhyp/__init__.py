@@ -36,4 +36,11 @@ from .lyapunov import (ExponentEstimate, SpectrumEstimate,
 from .splitting import (BundlePair, SplittingCertificate, bundle_rates,
                         finite_time_bundles, hyperbolicity_certificate,
                         invariance_residual)
-from .cli import RunReport, run_task
+
+
+def __getattr__(name):
+    # loaded on first use, so `python -m randhyp.cli` runs a fresh module
+    if name in ("RunReport", "run_task"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

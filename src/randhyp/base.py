@@ -35,6 +35,7 @@ _C1 = _U64(0x9E3779B97F4A7C15)
 _C2 = _U64(0xBF58476D1CE4E5B9)
 _C3 = _U64(0x94D049BB133111EB)
 _TO_UNIT = 2.0 ** -53
+_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _mix64(z):
@@ -46,22 +47,21 @@ def _mix64(z):
 
 
 def _uniforms(seed, stream, positions):
-    """Deterministic uniforms in [0,1) for an int64 array of positions."""
+    """Deterministic uniforms in [0,1) for int64 positions.  The seed is an
+    int or a uint64 array; seeds and positions broadcast together, and a
+    scalar seed and position give one numpy float."""
     ks = np.asarray(positions, dtype=np.int64).view(_U64)
     with np.errstate(over="ignore"):
-        h = _mix64(_mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) ^ _U64(stream)) + _mix64(ks))
+        h = _mix64(_mix64(_U64(seed & _MASK) ^ _U64(stream)) + _mix64(ks))
     return (h >> _SHIFT_11).astype(np.float64) * _TO_UNIT
 
 
-def _uniform(seed, stream, position):
-    return float(_uniforms(seed, stream, [position])[0])
-
-
 def derive_seed(seed, stream, index):
-    """Child seed for sample `index`, independent across indices."""
+    """Child seed for sample `index`, independent across indices; a uint64
+    array of indices gives the uint64 array of their child seeds."""
     with np.errstate(over="ignore"):
-        h = _mix64(_mix64(_U64(seed & 0xFFFFFFFFFFFFFFFF) ^ _U64(stream)) + _U64(index & 0xFFFFFFFFFFFFFFFF))
-    return int(h)
+        h = _mix64(_mix64(_U64(seed & _MASK) ^ _U64(stream)) + _U64(index & _MASK))
+    return h if isinstance(h, np.ndarray) else int(h)
 
 
 def _stationary_distribution(transition):
@@ -73,6 +73,18 @@ def _stationary_distribution(transition):
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
     return np.clip(pi, 0.0, None) / np.sum(np.clip(pi, 0.0, None))
+
+
+def _symbol_tables(spec):
+    """The stationary CDF of a shift base and, for a Markov base, the CDF rows
+    of the forward and of the time-reversed chain, as lists for `bisect`."""
+    pi = np.asarray(spec.stationary, dtype=np.float64)
+    if spec.kind != "markov":
+        return np.cumsum(pi), None, None
+    p = np.asarray(spec.transition, dtype=np.float64)
+    rev = (p.T * pi[None, :]) / pi[:, None]
+    rev = rev / rev.sum(axis=1, keepdims=True)
+    return np.cumsum(pi), np.cumsum(p, axis=1).tolist(), np.cumsum(rev, axis=1).tolist()
 
 
 def _is_irreducible(transition):
@@ -100,6 +112,7 @@ class BaseSystemSpec:
     transition: tuple = None
     rotation_number: float = None
     stationary: tuple = field(default=None, compare=False)
+    tables: tuple = field(default=None, compare=False, repr=False, init=False)
 
     def __post_init__(self):
         errors = self.validation_errors()
@@ -110,6 +123,8 @@ class BaseSystemSpec:
             object.__setattr__(self, "stationary", tuple(float(v) for v in pi))
         if self.kind == "bernoulli" and self.stationary is None:
             object.__setattr__(self, "stationary", tuple(self.probabilities))
+        if self.stationary is not None:     # CDF tables, built once per spec
+            object.__setattr__(self, "tables", _symbol_tables(self))
 
     def validation_errors(self):
         errs = []
@@ -180,9 +195,9 @@ BASE_CATALOG = {kind: getattr(BaseSystemSpec, kind)
 class _BernoulliSource:
     """Symbols i.i.d. per position; pure formula, no state needed."""
 
-    def __init__(self, seed, probabilities):
+    def __init__(self, seed, cdf):
         self.seed = seed
-        self.cdf = np.cumsum(np.asarray(probabilities, dtype=np.float64))
+        self.cdf = cdf
 
     def window(self, lo, hi):
         us = _uniforms(self.seed, STREAM_SYMBOL, np.arange(lo, hi, dtype=np.int64))
@@ -197,22 +212,15 @@ class _MarkovSource:
     two-sided law is the stationary chain.  The realized chain is kept as
     two lists growing away from position 0, filled in blocks whose
     uniforms are drawn in one call; a lock keeps concurrent fills from
-    interleaving.
+    interleaving.  `u0` is the seed's symbol uniform at position 0.
     """
 
     _BLOCK = 1 << 16
 
-    def __init__(self, seed, transition, stationary):
+    def __init__(self, seed, spec, u0):
         self.seed = seed
-        pi = np.asarray(stationary, dtype=np.float64)
-        p = np.asarray(transition, dtype=np.float64)
-        rev = (p.T * pi[None, :]) / pi[:, None]
-        rev = rev / rev.sum(axis=1, keepdims=True)
-        self.fwd_cdf = np.cumsum(p, axis=1).tolist()
-        self.rev_cdf = np.cumsum(rev, axis=1).tolist()
-        first = bisect_right(np.cumsum(pi).tolist(),
-                             _uniform(seed, STREAM_SYMBOL, 0))
-        self._fwd = [first]     # symbols at positions 0, 1, 2, ...
+        cdf, self.fwd_cdf, self.rev_cdf = spec.tables
+        self._fwd = [bisect_right(cdf, u0)]     # symbols at positions 0, 1, 2, ...
         self._back = []         # symbols at positions -1, -2, ...
         self._lock = threading.Lock()
 
@@ -279,19 +287,13 @@ class BaseState:
         self.seed = seed
         self.origin_offset = origin_offset
         self._angle0 = angle0
-        if source is not None:
-            self._source = source
-        elif spec.kind == "bernoulli":
-            if spec.alphabet_size == 1:
-                self._source = _ConstantSource()
-            else:
-                self._source = _BernoulliSource(seed, spec.probabilities)
-        elif spec.kind == "markov":
-            self._source = _MarkovSource(seed, spec.transition, spec.stationary)
-        elif spec.kind == "dirac":
-            self._source = _ConstantSource()
-        else:
-            self._source = None
+        if source is None and spec.kind == "markov":
+            source = _MarkovSource(seed, spec, float(_uniforms(seed, STREAM_SYMBOL, 0)))
+        elif source is None and spec.kind == "bernoulli" and spec.alphabet_size > 1:
+            source = _BernoulliSource(seed, spec.tables[0])
+        elif source is None and spec.kind != "rotation":
+            source = _ConstantSource()   # one-point base, one-letter alphabet
+        self._source = source
 
     @property
     def kind(self):
@@ -374,22 +376,22 @@ def sample_base(spec, seed, count):
     """count independent states distributed per the base measure.
 
     Deterministic in (spec, seed); sample i uses the derived child seed, so
-    sampling is independent of call order and thread scheduling.
+    sampling is independent of call order and thread scheduling.  The child
+    seeds, and then their first draws, are hashed in one call each.
     """
     if count < 1:
         raise ContractError("count must be >= 1")
     if spec.kind == "dirac":
         state = BaseState(spec, seed)
         return [state] * count
-    out = []
-    for i in range(count):
-        sub = derive_seed(seed, STREAM_SAMPLE, i)
-        if spec.kind == "rotation":
-            angle0 = _uniform(sub, STREAM_ANGLE, 0)
-            out.append(BaseState(spec, sub, 0, angle0=angle0))
-        else:
-            out.append(BaseState(spec, sub, 0))
-    return out
+    subs = derive_seed(seed, STREAM_SAMPLE, np.arange(count, dtype=_U64))
+    if spec.kind == "rotation":
+        return [BaseState(spec, sub, 0, angle0=a) for sub, a in
+                zip(subs.tolist(), _uniforms(subs, STREAM_ANGLE, 0).tolist())]
+    if spec.kind == "markov":
+        return [BaseState(spec, sub, 0, source=_MarkovSource(sub, spec, u)) for sub, u in
+                zip(subs.tolist(), _uniforms(subs, STREAM_SYMBOL, 0).tolist())]
+    return [BaseState(spec, sub, 0) for sub in subs.tolist()]
 
 
 def periodic_state(alphabet_size, word):

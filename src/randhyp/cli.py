@@ -181,16 +181,10 @@ def _task_splitting(config, threads):
 
 
 def _task_full_pipeline(config, threads):
-    payload = {}
-    csvs = {}
-    cert, exp_payload, exp_verdict, exp_csvs = _certify_expansion(config, threads)
-    payload["expansion"] = exp_payload
-    csvs.update(exp_csvs)
-    ly_payload, _, _ = _task_lyapunov(config, threads)
-    payload["lyapunov"] = ly_payload
+    cert, exp_payload, exp_verdict, csvs = _certify_expansion(config, threads)
     # minimize's empirical measure uses the certificate's rate sweep
-    mn_payload, _, _ = _task_minimize(config, threads, cert.rate)
-    payload["minimize"] = mn_payload
+    payload = {"expansion": exp_payload, "lyapunov": _task_lyapunov(config, threads)[0],
+               "minimize": _task_minimize(config, threads, cert.rate)[0]}
     sp_verdict = None
     if isinstance(config.fiber, LinearTorusFamily):
         sp_payload, sp_verdict, sp_csvs = _task_splitting(config, threads)
@@ -199,15 +193,9 @@ def _task_full_pipeline(config, threads):
     # Overall verdict is the strongest certificate achieved: a hyperbolic
     # (non-expanding) system certifies through its splitting even though
     # expansion certification is rightly inconclusive for it.
-    if exp_verdict == "violated":
-        verdict = "violated"
-    elif exp_verdict == "certified-expanding":
-        verdict = "certified-expanding"
-    elif sp_verdict == "certified":
-        verdict = "certified"
-    else:
-        verdict = "inconclusive"
-    return payload, verdict, csvs
+    if exp_verdict in ("violated", "certified-expanding"):
+        return payload, exp_verdict, csvs
+    return payload, "certified" if sp_verdict == "certified" else "inconclusive", csvs
 
 
 _DISPATCH = {

@@ -65,14 +65,17 @@ def _parse_float(text):
     return value if math.isfinite(value) else _NonFinite(text)
 
 
-def _non_finite_errors(obj, path):
-    """One message per non-finite number in the parsed JSON, by dotted path."""
-    if isinstance(obj, _NonFinite):
-        return [f"{path} must be a finite number, got {obj}"]
-    items = (obj.items() if isinstance(obj, dict)
-             else enumerate(obj) if isinstance(obj, list) else ())
-    return [msg for k, v in items for msg in _non_finite_errors(
+def _leaves(obj, path):
+    """(dotted path, value) of every leaf of the parsed JSON `obj`."""
+    if not isinstance(obj, (dict, list)):
+        return [(path, obj)]
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    return [leaf for k, v in items for leaf in _leaves(
         v, f"{path}[{k}]" if isinstance(k, int) else f"{path}.{k}" if path else k)]
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,9 @@ def _validate_task_params(task, params, errors):
 
 def _read_catalog(catalog, name_path, name, path, params, errors):
     """catalog[name](**params), or None after an error; the constructor's
-    signature says which keys are read and which are required.  `name_path`
-    and `path` are the dotted paths of the name and of the params object."""
+    signature says which keys are read and which are required, and every
+    leaf of `params` must be a number.  `name_path` and `path` are the
+    dotted paths of the name and of the params object."""
     if not isinstance(name, str) or name not in catalog:
         errors.append(f"{name_path} unknown: {name!r}; catalog: {sorted(catalog)}")
         return None
@@ -121,7 +125,9 @@ def _read_catalog(catalog, name_path, name, path, params, errors):
                  for key in params if key not in accepted]
                 + [f"{path}.{key} is required by {name}"
                    for key, arg in accepted.items()
-                   if arg.default is arg.empty and key not in params])
+                   if arg.default is arg.empty and key not in params]
+                + [f"{leaf} must be a number" for leaf, value in _leaves(params, path)
+                   if not _is_number(value)])
     errors.extend(problems)
     try:
         return None if problems else catalog[name](**params)
@@ -159,10 +165,11 @@ def _parse_base(base_raw, errors):
                          "base", params, errors)
     if spec is None or "alphabet_size" not in base_raw:
         return spec
-    if base_raw["alphabet_size"] == spec.alphabet_size:
+    size = base_raw["alphabet_size"]
+    if size == spec.alphabet_size and _is_number(size):
         return spec
     errors.append(f"base.alphabet_size is {spec.alphabet_size} for this {spec.kind} "
-                  f"base, got {base_raw['alphabet_size']!r}")
+                  f"base, got {size!r}")
     return None
 
 
@@ -180,7 +187,8 @@ def parse_config(text, task=None):
         raise ConfigurationError([f"config is not valid JSON: {exc}"])
     if not isinstance(raw, dict):
         raise ConfigurationError(["config must be a JSON object"])
-    errors = _non_finite_errors(raw, "")
+    errors = [f"{path} must be a finite number, got {value}"
+              for path, value in _leaves(raw, "") if isinstance(value, _NonFinite)]
     if errors:
         raise ConfigurationError(errors)
 

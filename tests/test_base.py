@@ -6,7 +6,8 @@ import pytest
 from randhyp import (BaseSystemSpec, ConfigurationError, UnsupportedOperationError,
                      WindowLimitError, base_inverse_step, base_step, sample_base,
                      symbol_at)
-from randhyp.base import shift_by, symbol_window
+from randhyp.base import (STREAM_ANGLE, STREAM_SAMPLE, STREAM_SYMBOL, BaseState,
+                          _uniforms, derive_seed, shift_by, symbol_window)
 
 
 def bernoulli_half():
@@ -209,3 +210,62 @@ def test_window_edges_match_symbol_at():
         symbol_at(w, k) for k in range(999_990, 1_000_001)]
     with pytest.raises(WindowLimitError):
         symbol_window(w, 999_990, 1_000_002)
+
+
+SAMPLE_SPECS = {
+    "bernoulli": BaseSystemSpec.bernoulli([0.2, 0.3, 0.5]),
+    "markov": BaseSystemSpec.markov([[0.9, 0.1], [0.3, 0.7]]),
+    "rotation": BaseSystemSpec.rotation(0.6180339887498949),
+    "dirac": BaseSystemSpec.dirac(),
+}
+
+
+def state_by_index(spec, seed, i):
+    """Sample i of sample_base(spec, seed, ...), hashed on its own."""
+    if spec.kind == "dirac":
+        return BaseState(spec, seed)
+    sub = derive_seed(seed, STREAM_SAMPLE, i)
+    angle0 = float(_uniforms(sub, STREAM_ANGLE, 0)) if spec.kind == "rotation" else 0.0
+    return BaseState(spec, sub, 0, angle0=angle0)
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 7, 2 ** 64 - 1])
+@pytest.mark.parametrize("count", [1, 500])
+@pytest.mark.parametrize("kind", SAMPLE_SPECS)
+def test_batched_sampling_matches_states_built_one_by_one(kind, count, seed):
+    spec = SAMPLE_SPECS[kind]
+    for i, w in enumerate(sample_base(spec, seed, count)):
+        ref = state_by_index(spec, seed, i)
+        assert w.describe() == ref.describe()
+        assert type(w.seed) is int
+        if kind == "rotation":
+            assert w.angle == ref.angle
+        else:
+            assert np.array_equal(symbol_window(w, -64, 64), symbol_window(ref, -64, 64))
+
+
+def test_sampled_states_pinned_at_a_negative_seed():
+    # seed -1 is 2^64 - 1 modulo 2^64; these values predate batched sampling
+    ws = sample_base(SAMPLE_SPECS["markov"], -1, 3)
+    assert [w.describe() for w in ws] == [
+        "markov:7647512804587202476@0", "markov:5137479938701114785@0",
+        "markov:5634008852960791372@0"]
+    assert ["".join(map(str, symbol_window(w, -8, 8))) for w in ws] == [
+        "0000000000001111", "1110000000110000", "0000000000000000"]
+    ws = sample_base(SAMPLE_SPECS["rotation"], 2 ** 64 - 1, 3)
+    assert [w.angle for w in ws] == [0.05380702845165575, 0.6598948826945339,
+                                     0.5399307988314591]
+
+
+def test_sampled_states_share_their_specs_tables():
+    markov, bernoulli = SAMPLE_SPECS["markov"], SAMPLE_SPECS["bernoulli"]
+    _, fwd, rev = markov.tables
+    for w in sample_base(markov, 3, 5) + [BaseState(markov, 11)]:
+        assert w._source.fwd_cdf is fwd and w._source.rev_cdf is rev
+    assert all(w._source.cdf is bernoulli.tables[0] for w in sample_base(bernoulli, 3, 5))
+    # the tables stay out of equality, hashing and repr
+    again = BaseSystemSpec.markov([[0.9, 0.1], [0.3, 0.7]])
+    assert again == markov and hash(again) == hash(markov)
+    assert again.tables[1] is not fwd and "tables" not in repr(markov)
+    assert symbol_window(BaseState(markov, 11), 0, 1)[0] == int(
+        np.searchsorted(markov.tables[0], _uniforms(11, STREAM_SYMBOL, 0), side="right"))

@@ -3,10 +3,13 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import randhyp
 from randhyp import (ConfigurationError, oseledets_spectrum, parse_config,
                      run_task, sample_base)
 from randhyp.base import BASE_CATALOG, random_point
@@ -543,6 +546,20 @@ def test_bad_fiber_exits_one_with_path(fiber, message, tmp_path, capsys):
     assert err.splitlines() == ["configuration errors:", f"  - {message}"]
 
 
+@pytest.mark.parametrize("section, value, messages", [
+    ("fiber", {"family": "bernoulli-linear", "params": {"values": ["2", True]}},
+     ["fiber.params.values[0] must be a number", "fiber.params.values[1] must be a number"]),
+    ("base", {"kind": "rotation", "rotation_number": "0.3"},
+     ["base.rotation_number must be a number"]),
+    ("base", {"kind": "bernoulli", "probabilities": ["0.5", 0.5]},
+     ["base.probabilities[0] must be a number"]),
+    ("base", {"kind": "dirac", "alphabet_size": True},
+     ["base.alphabet_size is 1 for this dirac base, got True"]),
+])
+def test_strings_and_booleans_are_not_numbers(section, value, messages):
+    assert catalog_errors(dict(DOUBLING_FULL, **{section: value})) == messages
+
+
 @pytest.mark.parametrize("family", ["bernoulli-linear", "perturbed-doubling"])
 def test_configured_depth_is_the_certificate_cap(family):
     grid_size = 1024
@@ -589,3 +606,26 @@ def test_minimize_enumerates_periodic_orbits_once(monkeypatch):
     header, rows = report.csv_files["orbits.csv"]
     assert [r[0] for r in rows] == ["".join(map(str, c["word"]))
                                     for c in report.payload["periodic_candidates"]]
+
+
+def test_package_import_leaves_the_cli_to_python_m(tmp_path):
+    # `python -m randhyp.cli` warns (an error here) if `import randhyp`
+    # already imported randhyp.cli
+    src = os.path.dirname(os.path.dirname(randhyp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cfg_path = tmp_path / "ok.json"
+    cfg_path.write_text(json.dumps({
+        "seed": 7, "base": {"kind": "dirac"}, "fiber": {"family": "doubling"},
+        "task_params": {"samples": 3, "n": 200}}))
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "randhyp.cli",
+                          "lyapunov", "--config", str(cfg_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("lyapunov: verdict=complete")
+    probe = ("import sys, randhyp; loaded = 'randhyp.cli' in sys.modules; "
+             "print(loaded, randhyp.run_task.__module__, randhyp.RunReport.__module__)")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True)
+    assert run.stdout.split() == ["False", "randhyp.cli", "randhyp.cli"], run.stderr
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        randhyp.no_such_name

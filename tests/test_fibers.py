@@ -284,3 +284,26 @@ def test_diagonal_bounds_are_the_extreme_entries(pairs):
     fam = make_family("diagonal-cocycle", {"a_values": a, "b_values": b})
     assert derivative_bounds(fam) == (max(a + b), 1.0 / min(a + b), 0.0)
     assert fam.expanding == (min(a + b) > 1.0)
+
+
+# x -> 2x + eps sin(2 pi x) stays expanding for eps_max < 1/(2 pi) = 0.15915...
+_EPS_MAX = 0.159
+
+
+@given(x0=st.floats(0.0, 1.0, exclude_max=True), eps_max=st.floats(0.0, _EPS_MAX),
+       seed=st.integers(-2 ** 63, 2 ** 64 - 1))
+@example(x0=0.0, eps_max=0.0, seed=7)
+@example(x0=0.5, eps_max=_EPS_MAX, seed=7)
+@example(x0=1.0 - 1e-16, eps_max=_EPS_MAX, seed=-1)
+@example(x0=1.0 - 1e-16, eps_max=0.0, seed=2 ** 64 - 1)
+def test_orbit_log_derivs_matches_the_step_loop(x0, eps_max, seed):
+    # on a two-letter base each step's eps is 0 or eps_max
+    fam = make_family("perturbed-doubling", {"eps_max": eps_max})
+    omega = sample_base(STREAM_BASES["bernoulli"], seed, 1)[0]
+    n = 200
+    x, ref = x0, []
+    for p in fam.params_along(omega, n).tolist():
+        ref.append(fam.log_deriv(p, x))
+        x = fam.apply(p, x)
+    got = fam.orbit_log_derivs(omega, x0, n)
+    assert got.dtype == np.float64 and np.array_equal(got, ref)
