@@ -7,7 +7,7 @@ identical for any thread count; each item's computation must be pure.
 
 def deterministic_map(fn, items, threads=1):
     items = list(items)
-    if threads is None or threads <= 1 or len(items) <= 1:
+    if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     # imported here: the thread pool costs `import randhyp` measurable time
     from concurrent.futures import ThreadPoolExecutor

@@ -14,14 +14,11 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .config import TASKS, parse_config
 from .ergodic import lambda_estimate
 from .errors import ConfigurationError, RandhypError
-from .expansion import (build_expansion_certificate, table_of_sweep,
-                        variable_rate_corollary)
+from .expansion import build_expansion_certificate, variable_rate_corollary
 from .base import random_point, sample_base
 from .cocycle import iterate, orbit_log_stretches, unit_tangent
 from .fibers import LinearTorusFamily, ManifoldPoint
@@ -29,20 +26,6 @@ from .lyapunov import exponent_positivity_report
 from .splitting import hyperbolicity_certificate
 
 _OK_VERDICTS = {"certified-expanding", "certified", "complete", "positive"}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
 
 
 @dataclass(frozen=True)
@@ -63,16 +46,15 @@ class RunReport:
             "schema": "randhyp-report/1",
             "version": __version__,
             "task": self.task,
-            "config": _jsonable(self.config_echo),
+            "config": self.config_echo,
             "wall_time_s": self.wall_time_s,
-            "payload": _jsonable(self.payload),
+            "payload": self.payload,
             "verdict": self.verdict,
         }
 
     def payload_bytes(self):
         """Canonical bytes of the numeric payload, for determinism checks."""
-        return json.dumps({"payload": _jsonable(self.payload),
-                           "verdict": self.verdict},
+        return json.dumps({"payload": self.payload, "verdict": self.verdict},
                           sort_keys=True).encode()
 
     def write(self, out_dir):
@@ -117,9 +99,9 @@ def _certify_expansion(config, threads):
             "lambda_const": rep.lambda_const,
         }
 
-    omega0 = sample_base(config.base, config.seed, 1)[0]
-    table = table_of_sweep(omega0, cert.rate.sweeps[0])
-    an_rows = [(n, repr(lo), repr(up)) for (n, lo, up) in table.rows]
+    sweep = cert.rate.sweeps[0]
+    an_rows = [(n, repr(lo), repr(up)) for n, (lo, up) in
+               enumerate(zip(sweep.lowers.tolist(), sweep.uppers.tolist()), 1)]
     curve = cert.temperedness_curve
     curve_rows = [(int(n), repr(float(v))) for n, v in zip(curve.ns, curve.values)]
     csvs = {"an_table.csv": (("n", "lower", "upper"), an_rows),
@@ -209,7 +191,7 @@ _DISPATCH = {
 
 def run_task(config, threads=1):
     """Execute the configured task and assemble the run report; `threads`
-    (>= 1) walks the grid sweeps of x-dependent circle families."""
+    (>= 1) walk the A_n sweeps of every family."""
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     t0 = time.perf_counter()
@@ -229,7 +211,7 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="threads for the grid sweep, >= 1 "
+                        help="threads for the A_n sweep, >= 1 "
                              "(default: RANDHYP_THREADS or 1)")
     args = parser.parse_args(argv)
 

@@ -77,14 +77,6 @@ def unit_tangent(omega, x, v):
     return UnitTangentPoint(omega, x, tuple(v / norm))
 
 
-def unit_direction(v):
-    """Unit v, signed so that its first nonzero coordinate is positive."""
-    v = v / np.linalg.norm(v)
-    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-        return -v
-    return v
-
-
 def iterate(family, omega, x, n):
     """Forward orbit (x, phi(x), ..., phi^{(n)}(x)); entry 0 is x itself."""
     if n < 0:

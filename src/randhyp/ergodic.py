@@ -16,10 +16,9 @@ from itertools import product as iter_product
 import numpy as np
 
 from .base import derive_seed, periodic_state, random_point, sample_base
-from .cocycle import (orbit_log_stretches, unit_direction, unit_tangent,
-                      unit_tangent_step)
+from .cocycle import orbit_log_stretches, unit_tangent, unit_tangent_step
 from .errors import ContractError, UnsupportedOperationError
-from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint
+from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint, unit_direction
 from .expansion import DEFAULT_GRID, min_expansion_sweep, uniform_rate_estimate
 
 _BIRKHOFF_STREAM = 0x42495248

@@ -18,7 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import deterministic_map
 from .base import sample_base, shift_by
-from .cocycle import unit_direction
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily
 from .lyapunov import std_err
@@ -127,52 +126,36 @@ class ExpansionCertificate:
 
 def lipschitz_slack(family, n, grid_size):
     """Half-spacing times the propagated Lipschitz constant of the n-step
-    log-derivative: sum_{i<n} L * (sup |Dphi|)^i over 2*grid."""
+    log-derivative: sum_{i<n} L * (sup |Dphi|)^i over 2*grid; inf once
+    (sup |Dphi|)^n overflows, so the lower bracket is vacuous there."""
     lip = family.log_deriv_lipschitz
     if lip == 0.0:
         return 0.0
     s = family.sup_dphi
-    if s == 1.0:
-        total = lip * n
-    else:
-        total = lip * (s ** n - 1.0) / (s - 1.0)
+    try:
+        total = lip * n if s == 1.0 else lip * (s ** n - 1.0) / (s - 1.0)
+    except OverflowError:
+        return math.inf
     return total / (2.0 * grid_size)
 
 
 def certified_depth(family, grid_size, cap):
     """Largest horizon up to `cap` whose certification slack stays within
-    SLACK_BUDGET; `cap` itself for families with exact brackets."""
-    if family.log_deriv_lipschitz == 0.0:
-        return cap
+    SLACK_BUDGET (`cap` itself for families with exact brackets)."""
     n = 1
     while n < cap and lipschitz_slack(family, n + 1, grid_size) <= SLACK_BUDGET:
         n += 1
     return n
 
 
-def _exact_sweep(family, window):
-    """Uppers and argmin fields of one window of an x-independent family."""
-    if isinstance(family, CircleFamily):
-        return np.cumsum(family.log_deriv(window, 0.0, np)), ((0.0,), (1.0,))
-    prod, logscale, uppers = np.eye(2), 0.0, np.empty(len(window))
-    for i, j in enumerate(window):
-        prod = family.matrices[j] @ prod
-        scale = np.abs(prod).max()
-        prod /= scale
-        logscale += math.log(scale)
-        svals = np.linalg.svd(prod, compute_uv=False)
-        uppers[i] = logscale + math.log(svals[-1])
-    vmin = unit_direction(np.linalg.svd(prod)[2][-1])
-    return uppers, ((0.0, 0.0), (float(vmin[0]), float(vmin[1])))
-
-
 def _brackets(family, blocks, grid_size, threads=1):
     """`min_expansion_sweep`'s uppers and lowers (in the blocks' shapes) and
     argmin fields (per window) for blocks of one window or rows of windows.
-    Exact families sweep each distinct window; x-dependent circle families
-    step the grid once per node of the windows' trie (keyed on parameter
-    bytes) depth first, saving (cur, acc) only at branching nodes, with
-    `threads` walking root subtrees in parallel."""
+    Sorted by parameter bytes, the windows form a trie; a node is a sorted
+    range [lo, hi) of windows sharing a prefix longer than its parent's, a.
+    The family steps through each unbranched chain in one call, depth first,
+    keeping a state for a second child only at branching nodes; `threads`
+    walk root subtrees in parallel."""
     rows = [np.atleast_2d(b) for b in blocks]
     if min(r.shape[1] for r in rows) < 1:
         raise ContractError("n_max must be >= 1")
@@ -181,49 +164,42 @@ def _brackets(family, blocks, grid_size, threads=1):
             "certified minimization covers circle families and linear torus "
             "families; nonlinear higher-dimensional fibers would need sampled, "
             "non-certified minima")
-    if family.linear:
-        distinct = {w.tobytes(): w for r in rows for w in r}
-        swept = {key: _exact_sweep(family, w) for key, w in distinct.items()}
-        uppers = [np.reshape([swept[w.tobytes()][0] for w in r], np.shape(b))
-                  for r, b in zip(rows, blocks)]
-        return (uppers, [u.copy() for u in uppers],
-                [swept[w.tobytes()][1] for r in rows for w in r])
-    if grid_size < MIN_GRID:
+    if not family.linear and grid_size < MIN_GRID:
         raise ContractError(f"grid_size must be >= {MIN_GRID}")
-    params, kids, index, paths, ends = [None], {}, {}, [], []
-    for r in rows:
-        paths.append(np.empty(r.shape, np.int32))
-        for b, w in enumerate(r):
-            node = 0
-            for i, (p, key) in enumerate(zip(w.tolist(), w.view(np.uint64).tolist())):
-                child = index.setdefault((node, key), len(params))
-                if child == len(params):
-                    params.append(p)
-                    kids.setdefault(node, []).append(child)
-                paths[-1][b, i] = node = child
-            ends.append(node)
-    xs0, stop = np.arange(grid_size) / grid_size, set(ends)
-    node_min, argmin = np.empty(len(params)), {}
+    windows = [w for r in rows for w in r]
+    keys = [w.tobytes() for w in windows]   # 8 bytes a parameter
+    order = sorted(range(len(windows)), key=keys.__getitem__)
+    lens, lcp = [len(windows[j]) for j in order], [0]   # common prefix with the previous
+    for j, k in zip(order, order[1:]):   # the lowest bit where the bytes differ
+        m = min(len(keys[j]), len(keys[k]))
+        x = int.from_bytes(keys[j][:m], "little") ^ int.from_bytes(keys[k][:m], "little")
+        lcp.append(((x & -x).bit_length() - 1) // 64 if x else m // 8)
+    uppers = [np.empty(np.shape(b)) for b in blocks]
+    out, argmin = [row for u in uppers for row in np.atleast_2d(u)], [None] * len(windows)
 
-    def walk(top):   # root subtrees write disjoint nodes
-        stack = [(top, xs0, np.zeros(grid_size), False)]
+    start = family.sweep_start(grid_size)   # shared, so no root step owns it
+
+    def walk(root):   # root subtrees own disjoint windows
+        stack = [(*root, 0, start, False)]
         while stack:
-            node, cur, acc, saved = stack.pop()
-            acc = np.add(acc, family.log_deriv(params[node], cur, np),
-                         out=None if saved else acc)
-            node_min[node] = acc.min()
-            if node in stop:
-                argmin[node] = float(xs0[acc.argmin()])
-            cur = family.apply(params[node], cur, np)
-            stack += [(k, cur, acc, i > 0)
-                      for i, k in enumerate(reversed(kids.get(node, ())))]
+            lo, hi, a, state, own = stack.pop()
+            c = min(lcp[lo + 1:hi], default=lens[lo])
+            state, mins = family.sweep_steps(windows[order[lo]][a:c], state, own)
+            out[order[lo]][a:c] = mins
+            end = family.sweep_argmin(state) if lens[lo] == c else None
+            while lo < hi and lens[lo] == c:   # windows ending here
+                argmin[order[lo]], lo = end, lo + 1
+            cuts = [lo, *(i for i in range(lo + 1, hi) if lcp[i] == c), hi]
+            stack += [(s, e, c, state, i == 0) for i, (s, e)
+                      in enumerate(reversed(list(zip(cuts, cuts[1:])))) if s < e]
 
-    deterministic_map(walk, kids[0], threads)
+    roots = [i for i, n in enumerate(lcp) if n == 0]
+    deterministic_map(walk, list(zip(roots, roots[1:] + [len(order)])), threads)
+    for j, k, n in zip(order, order[1:], lcp[1:]):   # the prefix k shares with j
+        out[k][:n] = out[j][:n]
     slacks = np.array([lipschitz_slack(family, n, grid_size)
                        for n in range(1, max(r.shape[1] for r in rows) + 1)])
-    uppers = [node_min[p].reshape(np.shape(b)) for p, b in zip(paths, blocks)]
-    return (uppers, [u - slacks[:u.shape[-1]] for u in uppers],
-            [((argmin[e],), (1.0,)) for e in ends])
+    return (uppers, [u - slacks[:u.shape[-1]] for u in uppers], argmin)
 
 
 def sweep_windows(family, windows, grid_size, threads=1):
@@ -247,12 +223,8 @@ def min_log_expansion(family, omega, n, grid_size=DEFAULT_GRID):
 
 
 def min_expansion_table(family, omega, n_max, grid_size=DEFAULT_GRID):
-    return table_of_sweep(omega, min_expansion_sweep(family, omega, n_max, grid_size))
-
-
-def table_of_sweep(omega, sweep):
-    """The `MinExpansionTable` of omega from a sweep of omega already run."""
-    rows = tuple((n,) + sweep.bracket(n) for n in range(1, len(sweep.uppers) + 1))
+    sweep = min_expansion_sweep(family, omega, n_max, grid_size)
+    rows = tuple((n,) + sweep.bracket(n) for n in range(1, n_max + 1))
     slack = max(u - l for (_, l, u) in rows)
     return MinExpansionTable(omega.describe(), rows, sweep.grid_size, slack)
 
@@ -344,7 +316,7 @@ def truncated_infimum(cumulative, lam):
 
 
 def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
-                       grid_size=DEFAULT_GRID, a_estimate=None, threads=1):
+                       grid_size=DEFAULT_GRID, a_estimate=None):
     """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
     every orbit w in `omegas` and k in `offsets`: one sweep of all windows."""
     if lam <= 0.0:
@@ -356,7 +328,7 @@ def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
     if depth < 1:
         raise ContractError("depth must be >= 1")
     _, lowers, _ = _brackets(family, _depth_windows(family, omegas, offsets, depth),
-                             grid_size, threads)
+                             grid_size)
     return [a.reshape(len(omegas), -1) for a in truncated_infimum(np.vstack(lowers), lam)]
 
 

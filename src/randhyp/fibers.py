@@ -58,6 +58,14 @@ class ManifoldPoint:
         return self.coords[0]
 
 
+def unit_direction(v):
+    """Unit v, signed so that its first nonzero coordinate is positive."""
+    v = v / np.linalg.norm(v)
+    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
+        return -v
+    return v
+
+
 def point(*coords):
     if isinstance(coords[0], (tuple, list, np.ndarray)) and len(coords) == 1:
         coords = tuple(coords[0])
@@ -98,6 +106,12 @@ class FiberFamily:
     `jacobian_at` take one such parameter.  `linear` means the derivative
     does not depend on the manifold point, in which case all minimizations
     over the fiber are exact and need no grid.
+
+    Circle and linear torus families sweep A_n, the minimum n-step log
+    expansion: `sweep_steps(ps, state, own)` steps a `sweep_start(grid_size)`
+    state through the parameters `ps`, overwriting it only if `own`, and
+    returns it and A_n after each step; `sweep_argmin(state)` is the
+    minimizing (coords, v).
     """
 
     family_id = None
@@ -174,6 +188,27 @@ class CircleFamily(FiberFamily):
 
     def jacobian_at(self, p, coords):
         return ((self.deriv(p, coords[0]),),)
+
+    def sweep_start(self, grid_size):
+        """(grid, its image, summed log-derivatives); x = 0 alone if `linear`."""
+        xs0 = np.zeros(1) if self.linear else np.arange(grid_size) / grid_size
+        return xs0, xs0, 0.0
+
+    def sweep_steps(self, ps, state, own):
+        xs0, cur, acc = state
+        if self.linear:   # the log-derivative ignores x: one cumulative sum
+            acc = np.cumsum(np.r_[acc, self.log_deriv(ps, 0.0, np)])
+            return (xs0, cur, acc[-1:]), acc[1:]
+        mins = np.empty(len(ps))
+        for i, p in enumerate(ps.tolist()):
+            acc = np.add(acc, self.log_deriv(p, cur, np), out=acc if own else None)
+            own, mins[i] = True, acc.min()
+            cur = self.apply(p, cur, np)
+        return (xs0, cur, acc), mins
+
+    def sweep_argmin(self, state):
+        xs0, _, acc = state
+        return (float(xs0[acc.argmin()]),), (1.0,)
 
     def orbit_log_derivs(self, omega, x0, n):
         """log|D phi| at each of n steps of the orbit of x0."""
@@ -328,6 +363,25 @@ class LinearTorusFamily(FiberFamily):
     def jacobian_at(self, p, coords):
         a00, a01, a10, a11 = self.entries[p]
         return ((a00, a01), (a10, a11))
+
+    def sweep_start(self, grid_size):
+        """The product so far, renormalized, and its log scale."""
+        return np.eye(2), 0.0
+
+    def sweep_steps(self, ps, state, own):
+        prod, logscale = state
+        mins = np.empty(len(ps))
+        for i, p in enumerate(ps.tolist()):
+            prod = self.matrices[p] @ prod
+            scale = np.abs(prod).max()
+            prod /= scale
+            logscale += math.log(scale)
+            mins[i] = logscale + math.log(np.linalg.svd(prod, compute_uv=False)[-1])
+        return (prod, logscale), mins
+
+    def sweep_argmin(self, state):
+        vmin = unit_direction(np.linalg.svd(state[0])[2][-1])
+        return (0.0, 0.0), (float(vmin[0]), float(vmin[1]))
 
 
 def _entry_tuples(mats):

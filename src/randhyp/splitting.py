@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import base_step, random_point, sample_base
-from .cocycle import push_log_stretches, unit_direction, window_products
+from .cocycle import push_log_stretches, window_products
 from .ergodic import _random_unit_vector
 from .errors import ContractError, UnsupportedOperationError
 from .expansion import DEFAULT_DEPTH, truncated_infimum
-from .fibers import LinearTorusFamily, ManifoldPoint
+from .fibers import LinearTorusFamily, ManifoldPoint, unit_direction
 from .lyapunov import _batch_stats
 
 

@@ -170,6 +170,30 @@ def test_determinism_across_threads(family, base):
     assert a.payload_bytes() == b.payload_bytes()
 
 
+def plain_leaves(obj, path="$"):
+    """(path, type) of every leaf or key of `obj` that JSON would not
+    write as a plain None, bool, int, float or str."""
+    if isinstance(obj, dict):
+        return [bad for k, v in obj.items()
+                for bad in ([] if type(k) is str else [(path, type(k))])
+                + plain_leaves(v, f"{path}.{k}")]
+    if type(obj) in (list, tuple):
+        return [bad for i, v in enumerate(obj) for bad in plain_leaves(v, f"{path}[{i}]")]
+    return [] if type(obj) in (type(None), bool, int, float, str) else [(path, type(obj))]
+
+
+@pytest.mark.parametrize("family, base, task", [
+    (family, base, task) for family in FAMILIES for base in BASES for task in TASKS
+    if task != "splitting" or family in ("random-cat", "diagonal-cocycle")])
+def test_payload_and_echo_leaves_are_plain(family, base, task):
+    # reports are written with json.dumps as they are, at default
+    # parameters: a numpy scalar must not reach them
+    report = run_task(parse_config(json.dumps({
+        "task": task, "seed": 7, "base": BASES[base], "fiber": {"family": family}})))
+    assert plain_leaves(report.payload) == []
+    assert plain_leaves(report.config_echo) == []
+
+
 def test_full_pipeline_sweeps_the_rate_once(monkeypatch):
     # minimize reuses the certificate's rate sweep: full-pipeline makes no
     # grid step beyond certify-expansion's, and minimize's payload is the
@@ -248,6 +272,23 @@ def test_cli_main_writes_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verdict=certified-expanding" in out
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_long_rate_horizon_exits_zero(tmp_path, capsys):
+    # the lower brackets past n = 735 are -inf, not an OverflowError
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "seed": 7, "base": {"kind": "dirac"},
+        "fiber": {"family": "perturbed-doubling"},
+        "task_params": {"samples": 2, "n_max": 800, "grid_size": 64,
+                        "corollary": False}}))
+    code = main(["certify-expansion", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    trend = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "payload"]["details"]["trend"]
+    assert trend[0][2] > 0.0
+    assert trend[-1][2] == -math.inf
 
 
 def test_cli_main_bad_config_exit_one(tmp_path, capsys):

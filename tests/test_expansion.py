@@ -286,6 +286,16 @@ def test_certified_depth_limits_slack():
     assert certified_depth(exact, 8192, 80) == 80
 
 
+def test_long_horizon_lower_bracket_is_vacuous_not_an_overflow():
+    # (sup |Dphi|)^n overflows a float near n = 735 for eps_max 0.1
+    fam = make_family("perturbed-doubling", {"eps_max": 0.1})
+    assert lipschitz_slack(fam, 800, 64) == math.inf
+    sweep = min_expansion_sweep(fam, dirac(), 800, 64)
+    assert np.isfinite(sweep.uppers).all()
+    assert sweep.lowers[-1] == -math.inf
+    assert certified_depth(fam, 64, 800) < 800
+
+
 def test_min_expansion_table_rows():
     fam = make_family("perturbed-doubling", {"eps_max": 0.1})
     w = sample_base(bern_spec(), 3, 1)[0]

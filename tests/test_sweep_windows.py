@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randhyp import BaseSystemSpec, make_family, sample_base, shift_by
+from randhyp import (BaseSystemSpec, FiberFamily, UnsupportedOperationError,
+                     make_family, sample_base, shift_by)
 from randhyp.expansion import lipschitz_slack, sweep_windows
+from randhyp.fibers import unit_direction
 
 BASES = {
     "bernoulli": BaseSystemSpec.bernoulli([0.5, 0.5]),
@@ -62,21 +64,32 @@ def test_windows_match_the_step_loop(base, grid_size):
                         sweep_windows(fam, windows, grid_size))
 
 
+EXACT = [
+    ("bernoulli-linear", None),
+    ("diagonal-cocycle", {"a_values": [2.0, 1.5], "b_values": [3.0, 4.0]}),
+    ("random-cat", None),
+    ("doubling", None),
+]
+
+
 @pytest.mark.parametrize("base", BASES)
 def test_threads_give_the_same_bytes(base):
-    fam = make_family("perturbed-doubling")
-    windows = mixed_windows(fam, BASES[base])
-    one, four = (sweep_windows(fam, windows, 256, threads=t) for t in (1, 4))
-    for a, b in zip(one, four):
-        assert a.uppers.tobytes() == b.uppers.tobytes()
-        assert a.lowers.tobytes() == b.lowers.tobytes()
-        assert a.argmin_coords == b.argmin_coords
+    for name, params in [("perturbed-doubling", None)] + EXACT[:3]:
+        fam = make_family(name, params)
+        windows = mixed_windows(fam, BASES[base])
+        one, four = (sweep_windows(fam, windows, 256, threads=t) for t in (1, 4))
+        for a, b in zip(one, four):
+            assert a.uppers.tobytes() == b.uppers.tobytes()
+            assert a.lowers.tobytes() == b.lowers.tobytes()
+            assert a.argmin_coords == b.argmin_coords
+            assert a.argmin_v == b.argmin_v
 
 
 def exact_loop(family, window):
-    """Exact per-window brackets of the x-independent families."""
+    """Exact per-window uppers and argmin (coords, v) of the x-independent
+    families."""
     if family.manifold_dim == 1:
-        return np.cumsum(family.log_deriv(window, 0.0, np))
+        return np.cumsum(family.log_deriv(window, 0.0, np)), (0.0,), (1.0,)
     prod, logscale, uppers = np.eye(2), 0.0, np.empty(len(window))
     for i, j in enumerate(window):
         prod = family.matrices[j] @ prod
@@ -84,25 +97,75 @@ def exact_loop(family, window):
         prod /= scale
         logscale += math.log(scale)
         uppers[i] = logscale + math.log(np.linalg.svd(prod, compute_uv=False)[-1])
-    return uppers
+    v = unit_direction(np.linalg.svd(prod)[2][-1])
+    return uppers, (0.0, 0.0), (float(v[0]), float(v[1]))
 
 
-@pytest.mark.parametrize("name, params", [
-    ("bernoulli-linear", None),
-    ("diagonal-cocycle", {"a_values": [2.0, 1.5], "b_values": [3.0, 4.0]}),
-    ("random-cat", None),
-])
+@pytest.mark.parametrize("name, params", EXACT)
 @pytest.mark.parametrize("base", BASES)
 def test_exact_families_match_their_loop(name, params, base):
     fam = make_family(name, params)
     windows = mixed_windows(fam, BASES[base])
     sweeps = sweep_windows(fam, windows, 256)
     for w, s in zip(windows, sweeps):
-        assert s.uppers.tobytes() == exact_loop(fam, w).tobytes()
+        uppers, coords, v = exact_loop(fam, w)
+        assert s.uppers.tobytes() == uppers.tobytes()
         assert s.lowers.tobytes() == s.uppers.tobytes()
+        assert s.argmin_coords == coords
+        assert s.argmin_v == v
         assert s.grid_size == 1
-    alone = [sweep_windows(fam, [w], 256)[0] for w in windows]
-    assert [s.argmin_v for s in sweeps] == [s.argmin_v for s in alone]
+
+
+def distinct_prefixes(windows):
+    return len({w[:n].tobytes() for w in windows for n in range(1, len(w) + 1)})
+
+
+def counted_runs(family, monkeypatch):
+    """The lengths of the parameter runs of every `sweep_steps` call."""
+    runs, sweep_steps = [], family.sweep_steps
+
+    def counted(ps, state, own):
+        runs.append(len(ps))
+        return sweep_steps(ps, state, own)
+
+    monkeypatch.setattr(family, "sweep_steps", counted)
+    return runs
+
+
+@pytest.mark.parametrize("name, params", [("perturbed-doubling", None)] + EXACT)
+@pytest.mark.parametrize("base", BASES)
+def test_each_distinct_parameter_prefix_is_stepped_once(name, params, base,
+                                                        monkeypatch):
+    fam = make_family(name, params)
+    windows = mixed_windows(fam, BASES[base])
+    runs = counted_runs(fam, monkeypatch)
+    sweep_windows(fam, windows, 64)
+    assert sum(runs) == distinct_prefixes(windows)
+
+
+@pytest.mark.parametrize("name, a, b", [("bernoulli-linear", 2.0, 3.0),
+                                         ("random-cat", 0, 1)])
+def test_unbranched_chains_are_stepped_in_one_call(name, a, b, monkeypatch):
+    # a long horizon costs one call per trie chain, not one per step
+    fam = make_family(name)
+    windows = [np.full(2000, a), np.full(2000, b), np.r_[a, np.full(1999, b)]]
+    runs = counted_runs(fam, monkeypatch)
+    sweep_windows(fam, windows, 64)
+    assert sorted(runs) == [1, 1999, 1999, 2000]
+
+
+class _PointFamily(FiberFamily):
+    """A family outside the two certified classes."""
+
+    family_id = "point"
+
+    def params_along(self, omega, n):
+        return np.zeros(n)
+
+
+def test_other_families_cannot_be_certified():
+    with pytest.raises(UnsupportedOperationError):
+        sweep_windows(_PointFamily(), [np.zeros(3)], 64)
 
 
 EPS = (0.0, 0.05, 0.1)   # a 3-symbol parameter alphabet
