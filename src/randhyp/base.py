@@ -7,7 +7,6 @@ hash keyed by (seed, absolute position), so stepping backwards needs no
 stored history and every symbol is a pure function of (seed, position).
 """
 
-import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -211,8 +210,8 @@ class _MarkovSource:
     the forward transition matrix and k < 0 the time-reversed matrix, so the
     two-sided law is the stationary chain.  The realized chain is kept as
     two lists growing away from position 0, filled in blocks whose
-    uniforms are drawn in one call; a lock keeps concurrent fills from
-    interleaving.  `u0` is the seed's symbol uniform at position 0.
+    uniforms are drawn in one call.  `u0` is the seed's symbol uniform at
+    position 0.
     """
 
     _BLOCK = 1 << 16
@@ -222,23 +221,21 @@ class _MarkovSource:
         cdf, self.fwd_cdf, self.rev_cdf = spec.tables
         self._fwd = [bisect_right(cdf, u0)]     # symbols at positions 0, 1, 2, ...
         self._back = []         # symbols at positions -1, -2, ...
-        self._lock = threading.Lock()
 
     def _fill(self, chain, sign, cdf, count):
         """Grow `chain` to `count` entries.
 
         Forward entry j is position j; backward entry j is position -1 - j.
         """
-        with self._lock:
-            while len(chain) < count:
-                lo = len(chain)
-                hi = min(count, lo + self._BLOCK)
-                js = np.arange(lo, hi, dtype=np.int64)
-                pos = js if sign > 0 else -js - 1
-                prev = chain[-1] if chain else self._fwd[0]
-                for u in _uniforms(self.seed, STREAM_SYMBOL, pos).tolist():
-                    prev = bisect_right(cdf[prev], u)
-                    chain.append(prev)
+        while len(chain) < count:
+            lo = len(chain)
+            hi = min(count, lo + self._BLOCK)
+            js = np.arange(lo, hi, dtype=np.int64)
+            pos = js if sign > 0 else -js - 1
+            prev = chain[-1] if chain else self._fwd[0]
+            for u in _uniforms(self.seed, STREAM_SYMBOL, pos).tolist():
+                prev = bisect_right(cdf[prev], u)
+                chain.append(prev)
 
     def window(self, lo, hi):
         if hi > len(self._fwd):
@@ -275,9 +272,10 @@ class _PeriodicSource:
 class BaseState:
     """A point of the driving system.
 
-    Immutable except for a realized Markov chain, which only grows, under a
-    lock; states may be shared between threads.  Shifted copies share the
-    underlying source, so queries agree across the whole orbit.
+    Immutable except for a realized Markov chain, which only grows, so a
+    state is not for sharing between threads; threaded sweeps read
+    parameter arrays built beforehand.  Shifted copies share the underlying
+    source, so queries agree across the whole orbit.
     """
 
     __slots__ = ("spec", "seed", "origin_offset", "_source", "_angle0")

@@ -184,11 +184,15 @@ def enumerate_periodic_orbits(family, spec, p_max):
     """Periodic orbits for every symbol word of length <= p_max (up to
     rotation), sorted by orbit-averaged log expansion.
 
-    Full-shift (bernoulli) bases only.  Root isolation uses bisection on the
-    monotone lift, so no starting grid is needed.
+    Full-shift (bernoulli) bases and `expanding` circle families only.
+    Root isolation uses bisection on the lift, increasing and of degree
+    >= 2, so no starting grid is needed.
     """
     if spec.kind != "bernoulli":
         raise UnsupportedOperationError("periodic-orbit search needs a full shift base")
+    if isinstance(family, CircleFamily) and not family.expanding:
+        raise UnsupportedOperationError(
+            "periodic-orbit search needs an expanding circle family")
     if p_max > 12:
         raise ContractError("p_max is capped at 12")
     records = []

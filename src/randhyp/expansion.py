@@ -151,11 +151,12 @@ def certified_depth(family, grid_size, cap):
 def _brackets(family, blocks, grid_size, threads=1):
     """`min_expansion_sweep`'s uppers and lowers (in the blocks' shapes) and
     argmin fields (per window) for blocks of one window or rows of windows.
-    Sorted by parameter bytes, the windows form a trie; a node is a sorted
-    range [lo, hi) of windows sharing a prefix longer than its parent's, a.
-    The family steps through each unbranched chain in one call, depth first,
-    keeping a state for a second child only at branching nodes; `threads`
-    walk root subtrees in parallel."""
+    Sorted by the 64-bit patterns of their parameters, the windows form a
+    trie; a node is a sorted range [lo, hi) of windows sharing a prefix
+    longer than its parent's, a.  The family steps through each unbranched
+    chain in one call, depth first, keeping a state for a second child only
+    at branching nodes, and told whether the chain ends at a leaf, where no
+    step reads its last image; `threads` walk root subtrees in parallel."""
     rows = [np.atleast_2d(b) for b in blocks]
     if min(r.shape[1] for r in rows) < 1:
         raise ContractError("n_max must be >= 1")
@@ -167,13 +168,19 @@ def _brackets(family, blocks, grid_size, threads=1):
     if not family.linear and grid_size < MIN_GRID:
         raise ContractError(f"grid_size must be >= {MIN_GRID}")
     windows = [w for r in rows for w in r]
-    keys = [w.tobytes() for w in windows]   # 8 bytes a parameter
-    order = sorted(range(len(windows)), key=keys.__getitem__)
-    lens, lcp = [len(windows[j]) for j in order], [0]   # common prefix with the previous
-    for j, k in zip(order, order[1:]):   # the lowest bit where the bytes differ
-        m = min(len(keys[j]), len(keys[k]))
-        x = int.from_bytes(keys[j][:m], "little") ^ int.from_bytes(keys[k][:m], "little")
-        lcp.append(((x & -x).bit_length() - 1) // 64 if x else m // 8)
+    lens = np.array([r.shape[1] for r in rows for _ in r])
+    bits = np.zeros((len(windows), lens.max()), np.uint64)   # zero-padded
+    for r, i in zip(rows, np.cumsum([0, *map(len, rows)]).tolist()):
+        bits[i:i + len(r), :r.shape[1]] = r.view(np.uint64)
+    # Lexicographic on the padded bits, shorter first on a tie, puts every
+    # window before its extensions and keeps each prefix's windows together.
+    order = np.lexsort([lens, *bits.T[::-1]])
+    bits, lens = bits[order], lens[order]
+    differ = bits[1:] != bits[:-1]
+    lcp = np.minimum(np.where(differ.any(1), differ.argmax(1), bits.shape[1]),
+                     np.minimum(lens[1:], lens[:-1]))   # with the previous
+    del bits, differ   # not held through the walk
+    order, lens, lcp = order.tolist(), lens.tolist(), [0, *lcp.tolist()]
     uppers = [np.empty(np.shape(b)) for b in blocks]
     out, argmin = [row for u in uppers for row in np.atleast_2d(u)], [None] * len(windows)
 
@@ -184,7 +191,8 @@ def _brackets(family, blocks, grid_size, threads=1):
         while stack:
             lo, hi, a, state, own = stack.pop()
             c = min(lcp[lo + 1:hi], default=lens[lo])
-            state, mins = family.sweep_steps(windows[order[lo]][a:c], state, own)
+            state, mins = family.sweep_steps(windows[order[lo]][a:c], state, own,
+                                             lens[hi - 1] == c)
             out[order[lo]][a:c] = mins
             end = family.sweep_argmin(state) if lens[lo] == c else None
             while lo < hi and lens[lo] == c:   # windows ending here

@@ -108,10 +108,12 @@ class FiberFamily:
     over the fiber are exact and need no grid.
 
     Circle and linear torus families sweep A_n, the minimum n-step log
-    expansion: `sweep_steps(ps, state, own)` steps a `sweep_start(grid_size)`
-    state through the parameters `ps`, overwriting it only if `own`, and
-    returns it and A_n after each step; `sweep_argmin(state)` is the
-    minimizing (coords, v).
+    expansion: `sweep_steps(ps, state, own, leaf)` steps a
+    `sweep_start(grid_size)` state through the parameters `ps`, overwriting
+    it only if `own`, and returns it and A_n after each step;
+    `sweep_argmin(state)` is the minimizing (coords, v).  `leaf` says that
+    no step follows `ps`: the returned state then only has to serve
+    `sweep_argmin`, so a circle family leaves out its last grid image.
     """
 
     family_id = None
@@ -194,16 +196,17 @@ class CircleFamily(FiberFamily):
         xs0 = np.zeros(1) if self.linear else np.arange(grid_size) / grid_size
         return xs0, xs0, 0.0
 
-    def sweep_steps(self, ps, state, own):
+    def sweep_steps(self, ps, state, own, leaf):
         xs0, cur, acc = state
         if self.linear:   # the log-derivative ignores x: one cumulative sum
             acc = np.cumsum(np.r_[acc, self.log_deriv(ps, 0.0, np)])
             return (xs0, cur, acc[-1:]), acc[1:]
         mins = np.empty(len(ps))
+        last = len(ps) - 1 if leaf else -1   # a leaf's last image is never read
         for i, p in enumerate(ps.tolist()):
             acc = np.add(acc, self.log_deriv(p, cur, np), out=acc if own else None)
             own, mins[i] = True, acc.min()
-            cur = self.apply(p, cur, np)
+            cur = None if i == last else self.apply(p, cur, np)
         return (xs0, cur, acc), mins
 
     def sweep_argmin(self, state):
@@ -254,10 +257,16 @@ class PerturbedDoubling(CircleFamily):
         """eps at each step."""
         return self.eps_max * base_drive(omega, 0, n)
 
+    # eps = 0.0 skips sin and cos: 2x + 0.0 s = 2x and 2 + 0.0 c = 2 hold
+    # exactly in IEEE arithmetic, so the bytes are the general formula's.
     def lift(self, p, x, xp=math):
+        if isinstance(p, float) and p == 0.0:
+            return 2.0 * x
         return 2.0 * x + p * xp.sin(_TWO_PI * x)
 
     def deriv(self, p, x, xp=math):
+        if isinstance(p, float) and p == 0.0:   # x's shape: a grid stays a grid
+            return 2.0 if xp is math else np.full(np.shape(x), 2.0)
         return 2.0 + _TWO_PI * p * xp.cos(_TWO_PI * x)
 
 
@@ -368,7 +377,7 @@ class LinearTorusFamily(FiberFamily):
         """The product so far, renormalized, and its log scale."""
         return np.eye(2), 0.0
 
-    def sweep_steps(self, ps, state, own):
+    def sweep_steps(self, ps, state, own, leaf):
         prod, logscale = state
         mins = np.empty(len(ps))
         for i, p in enumerate(ps.tolist()):

@@ -179,31 +179,6 @@ def test_sample_determinism_bitwise():
                [symbol_at(w2, k) for k in range(-50, 50)]
 
 
-def test_markov_concurrent_fills_agree():
-    # many threads growing one shared chain in small steps, with frequent
-    # thread switches, must realize the same chain as a single reader
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-    spec = BaseSystemSpec.markov([[0.9, 0.1], [0.3, 0.7]])
-    ref = symbol_window(sample_base(spec, 21, 1)[0], -3000, 3000)
-    shared = sample_base(spec, 21, 1)[0]
-
-    def grow(t):
-        for k in range(1, 3001, 7 + t):
-            got = symbol_window(shared, -k, k)
-            assert np.array_equal(got, ref[3000 - k:3000 + k])
-        return True
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            assert all(pool.map(grow, range(8), timeout=60))
-    finally:
-        sys.setswitchinterval(old)
-    assert np.array_equal(symbol_window(shared, -3000, 3000), ref)
-
-
 def test_window_edges_match_symbol_at():
     w = sample_base(BaseSystemSpec.markov([[0.9, 0.1], [0.3, 0.7]]), 5, 1)[0]
     assert list(symbol_window(w, 999_990, 1_000_001)) == [

@@ -630,6 +630,15 @@ def test_include_periodic_needs_a_full_shift_base(kind, tmp_path, capsys):
     assert err == "error: periodic-orbit search needs a full shift base\n"
 
 
+def test_include_periodic_needs_an_expanding_circle_family(tmp_path, capsys):
+    cfg = {"task": "minimize", "seed": 7, "base": BASES["bernoulli"],
+           "fiber": {"family": "bernoulli-linear", "params": {"values": [1, 2]}},
+           "task_params": MINIMIZE_PERIODIC}
+    code, err = cli_errors(tmp_path, capsys, "minimize", json.dumps(cfg))
+    assert code == 1
+    assert err == "error: periodic-orbit search needs an expanding circle family\n"
+
+
 def test_minimize_enumerates_periodic_orbits_once(monkeypatch):
     import randhyp.ergodic as ergodic
     lengths = []

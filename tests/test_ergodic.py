@@ -184,6 +184,14 @@ def test_periodic_orbits_linear_torus_uses_eigen_directions():
         assert abs(image[0] * r.v0[1] - image[1] * r.v0[0]) < 1e-9
 
 
+def test_periodic_orbits_need_an_expanding_circle_family():
+    # the word (0) of multipliers (1, 2) has degree 1: every point is fixed,
+    # and the bisection, which assumes degree >= 2, found x = 0 alone
+    fam = make_family("bernoulli-linear", {"values": [1, 2]})
+    with pytest.raises(UnsupportedOperationError, match="expanding"):
+        enumerate_periodic_orbits(fam, bern_spec(), 3)
+
+
 def test_periodic_orbits_need_full_shift():
     fam = make_family("doubling")
     with pytest.raises(UnsupportedOperationError):

@@ -8,7 +8,7 @@ from randhyp import (BaseSystemSpec, ConfigurationError, UnsupportedOperationErr
                      derivative_bounds, fiber_apply, fiber_derivative,
                      fiber_inverse, make_family, point, sample_base)
 from randhyp.base import random_point
-from randhyp.fibers import ManifoldPoint, mod1
+from randhyp.fibers import ManifoldPoint, mod1, mod1_array
 
 TWO_PI = 2 * math.pi
 
@@ -307,3 +307,37 @@ def test_orbit_log_derivs_matches_the_step_loop(x0, eps_max, seed):
         x = fam.apply(p, x)
     got = fam.orbit_log_derivs(omega, x0, n)
     assert got.dtype == np.float64 and np.array_equal(got, ref)
+
+
+SEAM = [0.0, 1e-16, 0.5 - 1e-16, 0.5, 0.5 + 1e-16, 1.0 - 2e-16]
+
+
+def general_at_zero_eps(xp, x):
+    """lift, deriv, apply and log_deriv of perturbed doubling at eps = 0.0,
+    written out in its general formula, sin and cos included."""
+    eps = 0.0
+    lift = 2.0 * x + eps * xp.sin(TWO_PI * x)
+    deriv = 2.0 + TWO_PI * eps * xp.cos(TWO_PI * x)
+    image = mod1(lift) if xp is math else mod1_array(lift)
+    return lift, deriv, image, xp.log(deriv)
+
+
+def zero_eps_ops(x, xp):
+    fam = make_family("perturbed-doubling")
+    return (fam.lift(0.0, x, xp), fam.deriv(0.0, x, xp), fam.apply(0.0, x, xp),
+            fam.log_deriv(0.0, x, xp))
+
+
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_zero_eps_skips_trig_bit_for_bit(xs):
+    # the doubling-map shortcut gives the general formula's bytes, on the
+    # scalar (math) and grid (numpy) paths, and a grid derivative stays a grid
+    xs = SEAM + xs
+    for x in xs:
+        got, want = zero_eps_ops(x, math), general_at_zero_eps(math, x)
+        assert [np.float64(v).tobytes() for v in got] == \
+               [np.float64(v).tobytes() for v in want]
+    grid = np.array(xs)
+    for got, want in zip(zero_eps_ops(grid, np), general_at_zero_eps(np, grid)):
+        assert got.shape == grid.shape
+        assert got.tobytes() == want.tobytes()

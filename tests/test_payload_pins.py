@@ -1,0 +1,37 @@
+"""Payload bytes pinned at seed 7.
+
+A change that claims to keep the output must leave these SHA-256 as they
+are; a deliberate payload change records new ones and says why.  The grid
+sweeps read numpy's sin and cos, so the hashes hold for the numpy build
+and CPU they were recorded on (numpy 2.4.6, x86-64).
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from randhyp import parse_config, run_task
+
+BASES = {
+    "bernoulli": {"kind": "bernoulli", "probabilities": [0.5, 0.5]},
+    "markov": {"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]]},
+    "rotation": {"kind": "rotation", "rotation_number": 0.6180339887498949},
+    "dirac": {"kind": "dirac"},
+}
+CERTIFY = {"grid_size": 256, "samples": 4, "curve_n_max": 16}
+
+PINNED = {
+    "bernoulli": "4f918b08907a011f5dd2cda211e60cdf2478561a2097f47cb75ee5cfede49ca7",
+    "markov": "6b5f1533627a2b0c4fa19cf17ab30c6133aa6e0366a38d5882d9e38d7a91d139",
+    "rotation": "5c60ce28ea21fc791cfb5be1994b1022e9cb91ede4a36028a8d605964c3a8956",
+    "dirac": "d4077f162d69fa3d8295da09f7828a88f8ed9cbf223d04dc08a3d9564892fbb9",
+}
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_certify_expansion_payload_bytes_are_pinned(base):
+    cfg = {"task": "certify-expansion", "seed": 7, "base": BASES[base],
+           "fiber": {"family": "perturbed-doubling"}, "task_params": CERTIFY}
+    report = run_task(parse_config(json.dumps(cfg)))
+    assert hashlib.sha256(report.payload_bytes()).hexdigest() == PINNED[base]

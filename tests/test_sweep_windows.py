@@ -124,9 +124,9 @@ def counted_runs(family, monkeypatch):
     """The lengths of the parameter runs of every `sweep_steps` call."""
     runs, sweep_steps = [], family.sweep_steps
 
-    def counted(ps, state, own):
+    def counted(ps, state, own, leaf):
         runs.append(len(ps))
-        return sweep_steps(ps, state, own)
+        return sweep_steps(ps, state, own, leaf)
 
     monkeypatch.setattr(family, "sweep_steps", counted)
     return runs
@@ -141,6 +141,43 @@ def test_each_distinct_parameter_prefix_is_stepped_once(name, params, base,
     runs = counted_runs(fam, monkeypatch)
     sweep_windows(fam, windows, 64)
     assert sum(runs) == distinct_prefixes(windows)
+
+
+def grid_calls(family, grid_size, monkeypatch):
+    """Counts of the grid-sized sin, cos and `apply` calls of a sweep."""
+    calls = {"sin": 0, "cos": 0, "apply": 0}
+
+    def counted(name, f, at):
+        def call(*args, **kwargs):
+            calls[name] += np.shape(args[at]) == (grid_size,)
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "sin", counted("sin", np.sin, 0))
+    monkeypatch.setattr(np, "cos", counted("cos", np.cos, 0))
+    monkeypatch.setattr(family, "apply", counted("apply", family.apply, 1))
+    return calls
+
+
+def assert_grid_work(family, windows, grid_size, monkeypatch):
+    """Trig only at steps with eps != 0 and no image at a leaf: `apply`
+    runs once per distinct parameter prefix that is not a leaf."""
+    steps = {w[:n].tobytes(): w[n - 1] for w in windows
+             for n in range(1, len(w) + 1)}
+    leaves = set(steps) - {w[:n - 1].tobytes() for w in windows
+                           for n in range(2, len(w) + 1)}
+    calls = grid_calls(family, grid_size, monkeypatch)
+    sweep_windows(family, windows, grid_size)
+    assert calls["cos"] == sum(eps != 0.0 for eps in steps.values())
+    assert calls["sin"] == sum(eps != 0.0 for k, eps in steps.items()
+                               if k not in leaves)
+    assert calls["apply"] == len(steps) - len(leaves)
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_grid_trig_only_at_nonzero_eps_and_no_image_at_leaves(base, monkeypatch):
+    fam = make_family("perturbed-doubling")
+    assert_grid_work(fam, mixed_windows(fam, BASES[base]), 64, monkeypatch)
 
 
 @pytest.mark.parametrize("name, a, b", [("bernoulli-linear", 2.0, 3.0),
@@ -178,6 +215,15 @@ def test_random_window_sets_match_the_step_loop(words):
     fam = make_family("perturbed-doubling")
     windows = [np.array(w) for w in words]
     assert_matches_loop(fam, windows, 64, sweep_windows(fam, windows, 64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(EPS), min_size=1, max_size=10),
+                min_size=1, max_size=8))
+def test_random_window_sets_skip_zero_eps_trig_and_leaf_images(words):
+    fam = make_family("perturbed-doubling")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_grid_work(fam, [np.array(w) for w in words], 64, monkeypatch)
 
 
 def branching_depth(windows):
