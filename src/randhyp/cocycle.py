@@ -152,8 +152,8 @@ def birkhoff_sum_phi(family, p, n):
 def orbit_log_stretches(family, p, n):
     """Per-step log-stretch array along the tangent orbit (length n)."""
     if isinstance(family, LinearTorusFamily):
-        idx = family.matrix_indices(p.omega, n)
-        return push_log_stretches(family.entries, idx[None], (p.v,))[0]
+        idx = family.params_along(p.omega, n)
+        return push_log_stretches(family.matrices, idx[None], (p.v,))[0]
     return family.orbit_log_derivs(p.omega, p.x.x, n)
 
 
@@ -168,14 +168,14 @@ def _block_len(table):
 def push_log_stretches(table, idx, v):
     """Per-step log stretches of directions pushed through 2x2 matrices.
 
-    table: (k, 4) entries (a00, a01, a10, a11); idx: (B, n) indices into
-    it; v: (B, 2) start vectors.  Entry [r, j] is log |A_j u|, A_i =
-    table[idx[r, i]], u the unit direction of A_{j-1} ... A_0 v_r.  Each
-    L-step block gets its prefix products P_j from a Hillis-Steele scan
-    (log2 L elementwise passes) and the stretch |P_j u| / |P_{j-1} u|; u is
-    carried and renormalized between blocks.  Chunks of at most _CELLS
-    cells start on block boundaries and P_j reads only A_0..A_j, so a row's
-    bytes depend on no other row, chunk or padding.
+    table: k matrices, (k, 2, 2) or (k, 4) rows (a00, a01, a10, a11); idx:
+    (B, n) indices into it; v: (B, 2) start vectors.  Entry [r, j] is
+    log |A_j u|, A_i = table[idx[r, i]], u the unit direction of A_{j-1}
+    ... A_0 v_r.  Each L-step block gets its prefix products P_j from a
+    Hillis-Steele scan (log2 L elementwise passes) and the stretch |P_j u| /
+    |P_{j-1} u|; u is carried and renormalized between blocks.  Chunks of
+    at most _CELLS cells start on block boundaries and P_j reads only
+    A_0..A_j, so a row's bytes depend on no other row, chunk or padding.
     """
     table = np.asarray(table, dtype=np.float64).reshape(-1, 4)
     cols = np.vstack([table, (1.0, 0.0, 0.0, 1.0)]).T

@@ -45,7 +45,7 @@ TASK_DEFAULTS = {
 }
 
 # (type, min value) of every task parameter; counts must be integers,
-# floats may be any finite number.
+# floats may be any finite number unless _POSITIVE lists them.
 _PARAM_RULES = {
     "n": (int, 1), "n_max": (int, 4), "grid_size": (int, 64), "samples": (int, 1),
     "lambda": (float, None), "horizon": (int, 2), "batches": (int, 1),
@@ -54,6 +54,7 @@ _PARAM_RULES = {
     "temperedness_threshold": (float, None), "supadd_samples": (int, 1),
     "supadd_N": (int, 2), "include_periodic": (bool, None), "corollary": (bool, None),
 }
+_POSITIVE = ("lambda", "temperedness_threshold")
 
 
 class _NonFinite(str):
@@ -104,9 +105,8 @@ def _validate_task_params(task, params, errors):
             errors.append(f"{path} must be {'an integer' if kind is int else 'numeric'}")
         elif low is not None and value < low:
             errors.append(f"{path} must be >= {low}")
-    lam = params.get("lambda")
-    if isinstance(lam, (int, float)) and lam <= 0:
-        errors.append("task_params.lambda must be positive")
+        elif key in _POSITIVE and value <= 0:
+            errors.append(f"{path} must be positive")
     p_max = params.get("p_max")
     if isinstance(p_max, (int, float)) and p_max > 12:
         errors.append("task_params.p_max is capped at 12")

@@ -16,7 +16,8 @@ from itertools import product as iter_product
 import numpy as np
 
 from .base import derive_seed, periodic_state, random_point, sample_base
-from .cocycle import orbit_log_stretches, unit_tangent, unit_tangent_step
+from .cocycle import (cocycle_product, orbit_log_stretches, unit_tangent,
+                      unit_tangent_step)
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint, unit_direction
 from .expansion import DEFAULT_GRID, min_expansion_sweep, uniform_rate_estimate
@@ -135,10 +136,11 @@ def _apply_steps(family, ps, x, count):
     return x
 
 
-def _circle_word_orbits(family, word, alphabet_size):
-    """All periodic orbits of fundamental period len(word) over this word."""
+def _circle_word_orbits(family, omega0, word):
+    """All periodic orbits of fundamental period len(word) over this word,
+    whose periodic state is omega0."""
     p = len(word)
-    ps = family.params_along(periodic_state(alphabet_size, word), p).tolist()
+    ps = family.params_along(omega0, p).tolist()
     degree = 1
     for q in ps:
         degree *= family.degree(q)
@@ -200,25 +202,18 @@ def enumerate_periodic_orbits(family, spec, p_max):
         for word in _necklaces(spec.alphabet_size, p):
             if _word_period(word) < p and isinstance(family, LinearTorusFamily):
                 continue
+            omega0 = periodic_state(spec.alphabet_size, word)
             if isinstance(family, CircleFamily):
-                ps, orbit_roots = _circle_word_orbits(family, word,
-                                                      spec.alphabet_size)
+                ps, orbit_roots = _circle_word_orbits(family, omega0, word)
                 for x0 in orbit_roots:
-                    logs = []
-                    x = x0
-                    for q in ps:
-                        logs.append(family.log_deriv(q, x))
-                        x = family.apply(q, x)
-                    residual = _circle_dist(x, x0)
+                    logs = family.orbit_log_derivs(omega0, x0, p)
                     records.append(PeriodicOrbitRecord(
                         symbol_word=word, x0=ManifoldPoint((x0,)), v0=(1.0,),
-                        period=p, phi_average=math.fsum(logs) / p,
-                        residual=residual))
+                        period=p, phi_average=math.fsum(logs.tolist()) / p,
+                        residual=_circle_dist(_apply_steps(family, ps, x0, p), x0)))
             else:
-                omega0 = periodic_state(spec.alphabet_size, word)
-                prod = np.eye(2)
-                for j in family.matrix_indices(omega0, p):
-                    prod = family.matrices[j] @ prod
+                prod = cocycle_product(family, omega0, ManifoldPoint((0.0, 0.0)),
+                                       p).entries
                 eigvals, eigvecs = np.linalg.eig(prod)
                 if np.iscomplexobj(eigvals) and np.abs(eigvals.imag).max() > 1e-12:
                     continue  # no real invariant direction to record

@@ -371,10 +371,10 @@ def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
 
 def one_step_min_expansion(family, omega):
     """Analytic minimum one-step expansion factor D_1(w)."""
+    p = family.param_at(omega)
     if isinstance(family, LinearTorusFamily):
-        svals = np.linalg.svd(family.matrix(omega), compute_uv=False)
-        return float(svals[-1])
-    return float(family.deriv(family.param_at(omega), family.min_deriv_x))
+        return float(np.linalg.svd(family.matrices[p], compute_uv=False)[-1])
+    return float(family.deriv(p, family.min_deriv_x))
 
 
 def variable_rate_corollary(family, spec, seed, samples, a_estimate=None,

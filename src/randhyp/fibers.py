@@ -142,7 +142,7 @@ class FiberFamily:
         raise NotImplementedError
 
     def jacobian_at(self, p, coords):
-        """Jacobian as a tuple of rows."""
+        """Jacobian as a sequence of rows."""
         raise NotImplementedError
 
     def param_at(self, omega):
@@ -320,58 +320,48 @@ class Doubling(BernoulliLinear):
 class LinearTorusFamily(FiberFamily):
     """Torus maps x -> A(w) x mod 1 with the matrix chosen by the symbol.
 
-    The parameter of a step is the index of its matrix.  The derivative is
-    the constant matrix A(w), so fiber minimizations are exact
-    singular-value computations.  Point-level inversion is supported
-    exactly when every matrix is an integer unimodular matrix (a torus
-    automorphism).
+    Every cocycle walk reads the read-only (k, 2, 2) table `matrices`, its
+    `inverses` and the index stream `params_along`.  The derivative is the
+    constant matrix A(w), so fiber minimizations are exact singular-value
+    computations.  Point-level inversion is supported exactly when every
+    matrix is an integer unimodular matrix (a torus automorphism).
     """
 
     manifold_dim = 2
     linear = True
 
     def __init__(self, matrices):
-        mats = [np.asarray(m, dtype=np.float64).reshape(2, 2) for m in matrices]
-        if not mats:
+        try:
+            mats = np.array(matrices, dtype=np.float64)
+        except ValueError:   # ragged nesting
+            raise ConfigurationError("matrices must be 2x2") from None
+        if not len(mats):
             raise ConfigurationError("matrices must be nonempty")
-        for m in mats:
-            if abs(np.linalg.det(m)) < 1e-14:
-                raise ConfigurationError("matrices must be nonsingular")
-        self.matrices = tuple(m.copy() for m in mats)
-        for m in self.matrices:
-            m.setflags(write=False)
-        # entries as plain float tuples (a00, a01, a10, a11), for scalar loops
-        self.entries = _entry_tuples(mats)
-        self.inverse_entries = _entry_tuples(np.linalg.inv(m) for m in mats)
-        svals = [np.linalg.svd(m, compute_uv=False) for m in mats]
-        self.sup_dphi = max(float(s[0]) for s in svals)
-        self.sup_dphi_inv = max(1.0 / float(s[-1]) for s in svals)
+        if mats.shape[1:] != (2, 2):
+            raise ConfigurationError("matrices must be 2x2")
+        dets = np.linalg.det(mats)
+        if np.any(np.abs(dets) < 1e-14):
+            raise ConfigurationError("matrices must be nonsingular")
+        self.matrices, self.inverses = mats, np.linalg.inv(mats)
+        mats.setflags(write=False)
+        self.inverses.setflags(write=False)
+        svals = np.linalg.svd(mats, compute_uv=False)
+        self.sup_dphi = float(svals[:, 0].max())
+        self.sup_dphi_inv = float((1.0 / svals[:, -1]).max())
         self.log_deriv_lipschitz = 0.0
-        self.expanding = min(float(s[-1]) for s in svals) > 1.0
-        self.invertible = all(
-            np.allclose(m, np.round(m)) and abs(abs(np.linalg.det(m)) - 1.0) < 1e-12
-            for m in mats)
+        self.expanding = float(svals[:, -1].min()) > 1.0
+        self.invertible = bool(np.allclose(mats, np.round(mats))
+                               and np.all(np.abs(np.abs(dets) - 1.0) < 1e-12))
 
     def params_along(self, omega, n):
-        return self.matrix_indices(omega, n)
-
-    def matrix_indices(self, omega, n):
         """Matrix index along the forward orbit w, Tw, ..., T^{n-1}w."""
         return base_drive(omega, 0, n, len(self.matrices))
 
-    def matrix_indices_back(self, omega, n):
-        """Matrix index along the backward orbit T^{-1}w, ..., T^{-n}w."""
-        return base_drive(omega, -n, 0, len(self.matrices))[::-1]
-
-    def matrix(self, omega):
-        return self.matrices[self.param_at(omega)]
-
     def apply_at(self, p, coords):
-        return _apply_entries(self.entries[p], coords)
+        return _apply_matrix(self.matrices[p], coords)
 
     def jacobian_at(self, p, coords):
-        a00, a01, a10, a11 = self.entries[p]
-        return ((a00, a01), (a10, a11))
+        return self.matrices[p].tolist()
 
     def sweep_start(self, grid_size):
         """The product so far, renormalized, and its log scale."""
@@ -393,13 +383,8 @@ class LinearTorusFamily(FiberFamily):
         return (0.0, 0.0), (float(vmin[0]), float(vmin[1]))
 
 
-def _entry_tuples(mats):
-    return tuple((float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]))
-                 for m in mats)
-
-
-def _apply_entries(entries, coords):
-    a00, a01, a10, a11 = entries
+def _apply_matrix(m, coords):
+    (a00, a01), (a10, a11) = m.tolist()
     x0, x1 = coords
     return (mod1(a00 * x0 + a01 * x1), mod1(a10 * x0 + a11 * x1))
 
@@ -447,7 +432,7 @@ class RandomCat(LinearTorusFamily):
             raise ConfigurationError("matrices must be integer with |det| = 1")
 
     def params(self):
-        return {"matrices": [[[float(v) for v in row] for row in m] for m in self.matrices]}
+        return {"matrices": self.matrices.tolist()}
 
 
 def fiber_apply(family, omega, x):
@@ -476,8 +461,8 @@ def fiber_inverse(family, omega, x):
             f"{family.family_id} is not invertible on the fiber")
     if x.dim != family.manifold_dim:
         raise ContractError("dimension mismatch")
-    inverse = family.inverse_entries[family.param_at(omega)]
-    return ManifoldPoint(_apply_entries(inverse, x.coords))
+    return ManifoldPoint(_apply_matrix(family.inverses[family.param_at(omega)],
+                                       x.coords))
 
 
 def derivative_bounds(family):

@@ -77,9 +77,9 @@ def oseledets_spectrum(family, omega, x, n):
     if family.manifold_dim == 1:
         logs = family.orbit_log_derivs(omega, x.x, n)
         return SpectrumEstimate(exponents=(float(logs.mean()),), n=n)
-    idx = family.matrix_indices(omega, n)
-    s1 = float(push_log_stretches(family.entries, idx[None], ((1.0, 0.0),)).sum())
-    a00, a01, a10, a11 = np.asarray(family.entries).T
+    idx = family.params_along(omega, n)
+    s1 = float(push_log_stretches(family.matrices, idx[None], ((1.0, 0.0),)).sum())
+    a00, a01, a10, a11 = family.matrices.reshape(-1, 4).T
     s2 = float(np.log(np.abs(a00 * a11 - a01 * a10))[idx].sum()) - s1
     return SpectrumEstimate(exponents=tuple(sorted((s1 / n, s2 / n))), n=n)
 

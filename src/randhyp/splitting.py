@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import base_step, random_point, sample_base
+from .base import base_step, random_point, sample_base, shift_by
 from .cocycle import push_log_stretches, window_products
 from .ergodic import _random_unit_vector
 from .errors import ContractError, UnsupportedOperationError
@@ -71,11 +71,10 @@ def _require_linear_2d(family):
 def _windows(family, omega, groups):
     """For each (ks, h) in `groups`, (len(ks), h) index windows `back`
     (T^{k-1} w, ..., T^{k-h} w) and `fwd` (T^k w, ..., T^{k+h-1} w), one
-    row per offset k, cut from one read of the positions they cover."""
-    lo = int(max(h - min(ks) for ks, h in groups))
+    row per offset k, cut from one read of the positions -lo..hi-1."""
+    lo = int(max(h - min(ks) for ks, h in groups))   # int: a state offset
     hi = int(max(max(ks) + h for ks, h in groups))
-    stream = np.concatenate([family.matrix_indices_back(omega, lo)[::-1],
-                             family.matrix_indices(omega, hi)])
+    stream = family.params_along(shift_by(omega, -lo), lo + hi)
     out = []
     for ks, h in groups:
         rows = (np.asarray(ks) + lo)[:, None] + np.arange(h)
@@ -125,14 +124,14 @@ def invariance_residual(family, omega, x, pair):
     """max over both bundles of sin(angle(A gamma_i(w), gamma_i(T w)))."""
     _require_linear_2d(family)
     nxt = finite_time_bundles(family, base_step(omega), x, pair.horizon)
-    return _residual(family.matrix(omega), pair, nxt)
+    return _residual(family.matrices[family.param_at(omega)], pair, nxt)
 
 
 def _bundle_logs(family, gamma1, vs, back, fwd):
     """Per-step log stretches: gamma1 rows through the inverse cocycle along
     `back` (indices in backward order), the rows of `vs` forward along `fwd`."""
-    logs = push_log_stretches(family.entries + family.inverse_entries,
-                              np.concatenate([back + len(family.entries), fwd]),
+    logs = push_log_stretches(np.concatenate([family.matrices, family.inverses]),
+                              np.concatenate([back + len(family.matrices), fwd]),
                               np.concatenate([gamma1, vs]))
     return logs[:len(back)], logs[len(back):]
 
@@ -186,8 +185,9 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     estimate, and tempered constants at the global rate lam (half the worst
     measured rate).  Certified requires residuals below 1e-6, positive
     angles, and every rate above 3 batch standard errors (2+ batches).
-    Each sample reads its index stream once and pushes its three directions
-    in one call, with the values of the public per-sample functions.
+    Each sample reads its index stream once, in one `params_along` call,
+    and pushes its three directions in one call, with the values of the
+    public per-sample functions.
     """
     _require_linear_2d(family)
     if horizon < 2:

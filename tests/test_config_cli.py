@@ -679,3 +679,28 @@ def test_package_import_leaves_the_cli_to_python_m(tmp_path):
     assert run.stdout.split() == ["False", "randhyp.cli", "randhyp.cli"], run.stderr
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         randhyp.no_such_name
+
+
+@pytest.mark.parametrize("matrices", [
+    [[2, 1, 1, 1]],                      # flat rows
+    [[[2, 1], [1, 1], [0, 1]]],          # 3x2
+    [[[2, 1], [1, 1]], [[1, 1], [1]]],   # ragged
+])
+def test_torus_matrices_must_be_2x2(matrices, tmp_path, capsys):
+    fiber = {"family": "random-cat", "params": {"matrices": matrices}}
+    code, err = cli_errors(tmp_path, capsys, "lyapunov", json.dumps(
+        {"seed": 7, "base": {"kind": "dirac"}, "fiber": fiber}))
+    assert code == 1
+    assert err.splitlines() == ["configuration errors:",
+                                "  - fiber.params.matrices must be 2x2"]
+
+
+@pytest.mark.parametrize("task", ["certify-expansion", "full-pipeline"])
+@pytest.mark.parametrize("key", ["lambda", "temperedness_threshold"])
+@pytest.mark.parametrize("value", [0, 0.0, -0.5])
+def test_rate_and_threshold_must_be_positive(task, key, value, tmp_path, capsys):
+    code, err = cli_errors(tmp_path, capsys, task, json.dumps(
+        dict(DOUBLING_FULL, task=task, task_params={key: value})))
+    assert code == 1
+    assert err.splitlines() == ["configuration errors:",
+                                f"  - task_params.{key} must be positive"]

@@ -177,7 +177,8 @@ def test_periodic_orbits_linear_torus_uses_eigen_directions():
         prod = np.eye(2)
         from randhyp.base import periodic_state, shift_by
         for i in range(r.period):
-            prod = fam.matrix(shift_by(periodic_state(2, r.symbol_word), i)) @ prod
+            state = shift_by(periodic_state(2, r.symbol_word), i)
+            prod = fam.matrices[fam.params_along(state, 1)[0]] @ prod
         lam_min = min(abs(v) for v in np.linalg.eigvals(prod).real)
         assert r.phi_average == pytest.approx(math.log(lam_min) / r.period, abs=1e-9)
         image = prod @ np.asarray(r.v0)

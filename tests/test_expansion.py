@@ -73,7 +73,7 @@ def test_matrix_family_min_is_sigma_min():
     fam = make_family("random-cat")
     w = sample_base(bern_spec(), 5, 1)[0]
     lo, up = min_log_expansion(fam, w, 4)
-    idx = fam.matrix_indices(w, 4)
+    idx = fam.params_along(w, 4)
     prod = np.eye(2)
     for j in idx:
         prod = fam.matrices[j] @ prod

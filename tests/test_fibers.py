@@ -106,6 +106,24 @@ def test_random_cat_inverse_round_trip():
     assert z.coords == pytest.approx(x.coords, abs=1e-12)
 
 
+@pytest.mark.parametrize("name, params, k", [
+    ("random-cat", {}, 2),
+    ("random-cat", {"matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 1], [1, 1]]]}, 3),
+    ("diagonal-cocycle", {"a_values": [2.0, 0.5], "b_values": [3.0, 4.0]}, 2),
+])
+def test_torus_tables_are_read_only_matrices_and_inverses(name, params, k):
+    fam = make_family(name, params)
+    for table in (fam.matrices, fam.inverses):
+        assert isinstance(table, np.ndarray) and table.dtype == np.float64
+        assert table.shape == (k, 2, 2)
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 5.0
+    assert np.abs(fam.inverses @ fam.matrices - np.eye(2)).max() <= 1e-12
+    for gone in ("entries", "inverse_entries", "matrix_indices",
+                 "matrix_indices_back", "matrix"):
+        assert not hasattr(fam, gone)
+
+
 def test_doubling_not_invertible():
     fam = make_family("doubling")
     with pytest.raises(UnsupportedOperationError):
@@ -237,11 +255,11 @@ def test_params_along_matches_shifted_states(base, offset):
         for i in range(n):
             assert fam.params_along(shift_by(omega, i), 1)[0] == stream[i]
         if isinstance(fam, LinearTorusFamily):
-            back = fam.matrix_indices_back(omega, n)
+            back = fam.params_along(shift_by(omega, -n), n)[::-1]
             for i in range(n):
-                assert fam.matrix_indices_back(shift_by(omega, -i), 1)[0] == back[i]
+                assert fam.params_along(shift_by(omega, -i - 1), 1)[::-1][0] == back[i]
             assert list(back[::-1]) == list(
-                fam.matrix_indices(shift_by(omega, -n), n))
+                fam.params_along(shift_by(omega, -n), n))
     if base == "rotation":
         # the drive is the state's own angle, bit for bit
         fam = make_family("perturbed-doubling", {"eps_max": 0.1})

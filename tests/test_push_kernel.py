@@ -48,29 +48,31 @@ def test_kernel_matches_step_loop(family, base):
     fam = make_family(*FAMILIES[family])
     w = sample_base(BASES[base], 5, 1)[0]
     rng = np.random.default_rng(0)
-    for table, indices in ((fam.entries, fam.matrix_indices),
-                           (fam.inverse_entries, fam.matrix_indices_back)):
-        L = _block_len(np.asarray(table))
+    def backward(w, n):
+        return fam.params_along(shift_by(w, -n), n)[::-1]
+    for table, indices in ((fam.matrices, fam.params_along),
+                           (fam.inverses, backward)):
+        L = _block_len(table.reshape(-1, 4))
         for n in sorted({1, 2, max(1, L - 1), L, L + 1, 10_000}):
             idx = indices(w, n)
             v = rng.normal(size=2)
             v /= np.linalg.norm(v)
             got = push_log_stretches(table, idx[None], v[None])[0]
-            ref = step_loop(table, idx, v)
+            ref = step_loop(table.reshape(-1, 4).tolist(), idx, v)
             assert got.shape == (n,)
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_block_products_stay_in_range():
     fam = make_family(*FAMILIES["huge"])
-    L = _block_len(np.asarray(fam.entries))
+    L = _block_len(fam.matrices.reshape(-1, 4))
     assert 1 <= L <= 5 and (1e20 * math.sqrt(2)) ** L < 1e101
-    assert _block_len(np.asarray(make_family("random-cat").entries)) == 32
+    assert _block_len(make_family("random-cat").matrices.reshape(-1, 4)) == 32
 
 
 def test_rows_do_not_depend_on_the_batch():
     fam = make_family("random-cat")
-    table = fam.entries + fam.inverse_entries
+    table = np.concatenate([fam.matrices, fam.inverses])
     rng = np.random.default_rng(1)
     idx = rng.integers(0, len(table), size=(200, 700))
     v = rng.normal(size=(200, 2))
@@ -107,9 +109,10 @@ def test_curve_batch_matches_per_offset(base, horizon, depth):
         state = shift_by(w, k)
         pair = finite_time_bundles(fam, state, point(0.0, 0.0), horizon)
         logs1, logs2 = push_log_stretches(
-            fam.entries + fam.inverse_entries,
-            [fam.matrix_indices_back(state, depth) + len(fam.entries),
-             fam.matrix_indices(state, depth)], [pair.gamma1, pair.gamma2])
+            np.concatenate([fam.matrices, fam.inverses]),
+            [fam.params_along(shift_by(state, -depth), depth)[::-1]
+             + len(fam.matrices),
+             fam.params_along(state, depth)], [pair.gamma1, pair.gamma2])
         assert vals1[k - 1] == _truncated_log_inf(logs1, lam, depth) / k
         assert vals2[k - 1] == _truncated_log_inf(logs2, lam, depth) / k
 
@@ -121,7 +124,7 @@ def test_spectrum_sum_rule(family):
     n = 5000
     est = oseledets_spectrum(fam, w, point(0.2, 0.7), n)
     logdet = math.fsum(math.log(abs(np.linalg.det(fam.matrices[j])))
-                       for j in fam.matrix_indices(w, n))
+                       for j in fam.params_along(w, n))
     assert abs(sum(est.exponents) * n - logdet) <= 1e-12 * max(1.0, abs(logdet))
     if fam.family_id == "random-cat":
         assert est.exponents[0] == -est.exponents[1]

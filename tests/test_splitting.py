@@ -7,7 +7,7 @@ from randhyp import (BaseSystemSpec, ContractError, UnsupportedOperationError,
                      bundle_rates, finite_time_bundles, hyperbolicity_certificate,
                      invariance_residual, make_family, oseledets_spectrum,
                      point, sample_base, top_exponent, unit_tangent)
-from randhyp.base import random_point
+from randhyp.base import random_point, shift_by
 from randhyp.cocycle import push_log_stretches
 from randhyp.fibers import LinearTorusFamily, ManifoldPoint
 from randhyp.lyapunov import _batch_stats
@@ -222,9 +222,9 @@ def _public_per_sample(fam, spec, seed, samples, horizon, n, batches, depth, lam
         x = ManifoldPoint(random_point(seed, i, 2))
         pair = finite_time_bundles(fam, w, x, horizon)
         logs1, logs2 = push_log_stretches(
-            fam.entries + fam.inverse_entries,
-            [fam.matrix_indices_back(w, n) + len(fam.entries),
-             fam.matrix_indices(w, n)], [pair.gamma1, pair.gamma2])
+            np.concatenate([fam.matrices, fam.inverses]),
+            [fam.params_along(shift_by(w, -n), n)[::-1] + len(fam.matrices),
+             fam.params_along(w, n)], [pair.gamma1, pair.gamma2])
         rates = bundle_rates(fam, w, x, pair, n, lam=lam, depth=depth)
         v = np.asarray(random_point(seed, samples + i, 2)) - 0.5
         top = top_exponent(fam, unit_tangent(w, x, v), n, batches)
@@ -256,25 +256,23 @@ def test_certificate_pass_matches_public_functions(family, base, horizon, n,
 @pytest.mark.parametrize("horizon, n", [(12, 400), (40, 30)])
 def test_certificate_reads_each_position_once(horizon, n, monkeypatch):
     import randhyp.splitting as sp
-    reads = []
-    for name in ("matrix_indices", "matrix_indices_back"):
-        def counted(self, omega, k, _name=name, _fn=getattr(LinearTorusFamily, name)):
-            reads.append((_name, k))
-            return _fn(self, omega, k)
-        monkeypatch.setattr(LinearTorusFamily, name, counted)
+    reads, read = [], LinearTorusFamily.params_along
+
+    def counted(self, omega, k):
+        reads.append(k)
+        return read(self, omega, k)
+    monkeypatch.setattr(LinearTorusFamily, "params_along", counted)
     monkeypatch.setattr(sp, "_bundle_constant_curve", lambda *args: ((), ()))
     hyperbolicity_certificate(make_family("random-cat"), bern_spec(), 5,
                               samples=3, horizon=horizon, n=n, batches=3)
-    one_sample = [("matrix_indices_back", max(n, horizon)),
-                  ("matrix_indices", max(n, horizon + 1))]
+    one_sample = [max(n, horizon) + max(n, horizon + 1)]
     assert reads == one_sample * 3
 
 
 def test_fewer_steps_than_batches_rejected_before_any_read(monkeypatch):
     def no_read(self, omega, k):
         raise AssertionError("index stream read before the batch check")
-    monkeypatch.setattr(LinearTorusFamily, "matrix_indices", no_read)
-    monkeypatch.setattr(LinearTorusFamily, "matrix_indices_back", no_read)
+    monkeypatch.setattr(LinearTorusFamily, "params_along", no_read)
     with pytest.raises(ContractError, match="n >= batches"):
         hyperbolicity_certificate(make_family("random-cat"), bern_spec(), 1,
                                   samples=2, horizon=10, n=5, batches=20)

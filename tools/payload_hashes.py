@@ -1,0 +1,108 @@
+"""SHA-256 of every task's payload bytes and CSV files over a fixed grid of
+small runs, to show that a change keeps the output byte for byte.
+
+    python3 tools/payload_hashes.py --threads 1 > hashes-1.json
+    python3 tools/payload_hashes.py --compare hashes-1.json hashes-4.json
+
+The runs are every catalog family on every base kind for each task that
+family supports, at seed 7 and small task parameters: certify-expansion,
+lyapunov, minimize and full-pipeline for all five families, splitting for
+the torus families, and the periodic-orbit search on the Bernoulli base.
+A run that raises records its error text in place of the hashes.  The
+program is imported from the checkout's ./src.  --compare exits 1 on any
+difference between two files and names the runs that differ.  The hashes
+go to stdout.
+"""
+
+import argparse
+import hashlib
+import json
+import pathlib
+import sys
+import tempfile
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from randhyp import parse_config, run_task                      # noqa: E402
+from randhyp.fibers import FAMILY_CATALOG, LinearTorusFamily     # noqa: E402
+
+SEED = 7
+BASES = {
+    "bernoulli": {"kind": "bernoulli", "probabilities": [0.5, 0.5]},
+    "markov": {"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]]},
+    "rotation": {"kind": "rotation", "rotation_number": 0.6180339887498949},
+    "dirac": {"kind": "dirac"},
+}
+_SWEEP = {"samples": 3, "n_max": 6, "grid_size": 128}
+_CERTIFY = {"depth": 8, "curve_n_max": 8, "supadd_samples": 2, "supadd_N": 6}
+_MINIMIZE = {"birkhoff_steps": 400, "birkhoff_starts": 3, "p_max": 4}
+_SPLITTING = {"horizon": 12, "depth": 10, "curve_len": 10, "batches": 4}
+TASK_PARAMS = {
+    "certify-expansion": {**_SWEEP, **_CERTIFY},
+    "lyapunov": {"samples": 3, "n": 400},
+    "minimize": {**_SWEEP, **_MINIMIZE},
+    "splitting": {"samples": 3, "n": 400, **_SPLITTING},
+    "full-pipeline": {**_SWEEP, **_CERTIFY, **_MINIMIZE, **_SPLITTING, "n": 400},
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def runs():
+    """(run id, config dict) of every run, in a fixed order."""
+    for family, cls in FAMILY_CATALOG.items():
+        tasks = [t for t in TASK_PARAMS
+                 if t != "splitting" or issubclass(cls, LinearTorusFamily)]
+        for base, base_cfg in BASES.items():
+            for task in tasks:
+                params = dict(TASK_PARAMS[task])
+                if task in ("minimize", "full-pipeline"):
+                    params["include_periodic"] = base == "bernoulli"
+                yield (f"{task}/{family}/{base}",
+                       {"task": task, "seed": SEED, "base": base_cfg,
+                        "fiber": {"family": family}, "task_params": params})
+
+
+def hashes(threads):
+    out = {}
+    for run_id, cfg in runs():
+        try:
+            report = run_task(parse_config(json.dumps(cfg)), threads=threads)
+        except Exception as exc:     # recorded: a change must raise alike
+            out[run_id] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        with tempfile.TemporaryDirectory() as tmp:   # the CSVs as written
+            csvs = {path.name: _sha(path.read_bytes()) for path in
+                    map(pathlib.Path, report.write(tmp)) if path.suffix == ".csv"}
+        out[run_id] = {"payload": _sha(report.payload_bytes()), "csv": csvs}
+    return out
+
+
+def compare(path_a, path_b):
+    a, b = (json.loads(pathlib.Path(p).read_text()) for p in (path_a, path_b))
+    differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    for run_id in differ:
+        print(f"differs: {run_id}", file=sys.stderr)
+    print(f"{len(a.keys() | b.keys()) - len(differ)} runs equal, "
+          f"{len(differ)} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--threads", type=int, default=1,
+                        help="threads passed to run_task (default 1)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two hash files instead of running")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    json.dump(hashes(args.threads), sys.stdout, indent=1, sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
