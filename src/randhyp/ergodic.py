@@ -68,8 +68,8 @@ def empirical_minimizing_sequence(family, omega, n, grid_size=DEFAULT_GRID):
     """Uniform measure on the tangent orbit of the n-step grid argmin.
 
     The integral of the log-stretch observable against this measure
-    telescopes to (grid minimum of A_n)/n.  Grid ties break toward the
-    smallest coordinates, so the selection is deterministic.
+    telescopes to (grid minimum of A_n)/n.  Grid ties, mirror pairs of an
+    `odd` family included, break toward the smallest coordinates.
     """
     if n < 1:
         raise ContractError("n must be >= 1")

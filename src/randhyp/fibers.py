@@ -40,6 +40,14 @@ def mod1_array(x):
     return y
 
 
+def _number_list(values, name):
+    """`values`, a flat list of numbers, as a tuple of floats."""
+    seqs = (list, tuple, np.ndarray)
+    if not isinstance(values, seqs) or any(isinstance(v, seqs) for v in values):
+        raise ConfigurationError(f"{name} must be a list of numbers")
+    return tuple(float(v) for v in values)
+
+
 @dataclass(frozen=True)
 class ManifoldPoint:
     """Point of the flat circle (dim 1) or 2-torus, coordinates in [0,1)."""
@@ -162,6 +170,7 @@ class CircleFamily(FiberFamily):
 
     manifold_dim = 1
     min_deriv_x = 0.0
+    odd = False   # phi(1 - x) = -phi(x) mod 1 and D phi(1 - x) = D phi(x)
 
     def lift(self, p, x, xp=math):
         raise NotImplementedError
@@ -192,9 +201,11 @@ class CircleFamily(FiberFamily):
         return ((self.deriv(p, coords[0]),),)
 
     def sweep_start(self, grid_size):
-        """(grid, its image, summed log-derivatives); x = 0 alone if `linear`."""
-        xs0 = np.zeros(1) if self.linear else np.arange(grid_size) / grid_size
-        return xs0, xs0, 0.0
+        """(grid, its image, summed log-derivatives: a read-only zero); the grid
+        is x = 0 if `linear`, else j / grid_size, for j <= grid_size // 2 if `odd`."""
+        n = 1 if self.linear else grid_size // 2 + 1 if self.odd else grid_size
+        xs0 = np.arange(n) / grid_size
+        return xs0, xs0, np.broadcast_to(0.0, n)
 
     def sweep_steps(self, ps, state, own, leaf):
         xs0, cur, acc = state
@@ -238,6 +249,7 @@ class PerturbedDoubling(CircleFamily):
     family_id = "perturbed-doubling"
     expanding = True
     linear = False
+    odd = True
     min_deriv_x = 0.5
 
     def __init__(self, eps_max=0.1):
@@ -265,8 +277,8 @@ class PerturbedDoubling(CircleFamily):
         return 2.0 * x + p * xp.sin(_TWO_PI * x)
 
     def deriv(self, p, x, xp=math):
-        if isinstance(p, float) and p == 0.0:   # x's shape: a grid stays a grid
-            return 2.0 if xp is math else np.full(np.shape(x), 2.0)
+        if isinstance(p, float) and p == 0.0:
+            return 2.0
         return 2.0 + _TWO_PI * p * xp.cos(_TWO_PI * x)
 
 
@@ -282,10 +294,9 @@ class BernoulliLinear(CircleFamily):
     linear = True
 
     def __init__(self, values=(2.0, 3.0)):
-        vals = tuple(float(v) for v in values)
+        self.values = vals = _number_list(values, "values")
         if not vals or any(v <= 0 for v in vals):
             raise ConfigurationError("values must be nonempty and positive")
-        self.values = vals
         self.expanding = min(vals) > 1.0
         self.sup_dphi = max(vals)
         self.sup_dphi_inv = 1.0 / min(vals)
@@ -395,16 +406,14 @@ class DiagonalCocycle(LinearTorusFamily):
     family_id = "diagonal-cocycle"
 
     def __init__(self, a_values=(2.0,), b_values=(3.0,)):
-        a_vals = tuple(float(v) for v in a_values)
-        b_vals = tuple(float(v) for v in b_values)
+        self.a_values = a_vals = _number_list(a_values, "a_values")
+        self.b_values = b_vals = _number_list(b_values, "b_values")
         if not a_vals or len(a_vals) != len(b_vals):
             raise ConfigurationError(
                 "a_values and b_values must be nonempty and of equal length")
         if any(v <= 0 for v in a_vals + b_vals):
             raise ConfigurationError("a_values and b_values must be positive")
         super().__init__([np.diag([a, b]) for a, b in zip(a_vals, b_vals)])
-        self.a_values = a_vals
-        self.b_values = b_vals
         # the entries are the singular values; LAPACK's SVD can miss them by
         # an ulp, e.g. 730503.9374999999 for diag(642308.1945317535, 730503.9375)
         self.sup_dphi = max(a_vals + b_vals)

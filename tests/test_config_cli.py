@@ -695,6 +695,21 @@ def test_torus_matrices_must_be_2x2(matrices, tmp_path, capsys):
                                 "  - fiber.params.matrices must be 2x2"]
 
 
+@pytest.mark.parametrize("family, params, field", [
+    ("diagonal-cocycle", {"a_values": [[2]], "b_values": [3]}, "a_values"),
+    ("diagonal-cocycle", {"a_values": [2], "b_values": 3}, "b_values"),
+    ("bernoulli-linear", {"values": 2}, "values"),
+    ("bernoulli-linear", {"values": [2, [3]]}, "values"),
+])
+def test_number_lists_must_be_flat(family, params, field, tmp_path, capsys):
+    fiber = {"family": family, "params": params}
+    code, err = cli_errors(tmp_path, capsys, "lyapunov", json.dumps(
+        {"seed": 7, "base": {"kind": "dirac"}, "fiber": fiber}))
+    assert code == 1
+    assert err.splitlines() == ["configuration errors:",
+                                f"  - fiber.params.{field} must be a list of numbers"]
+
+
 @pytest.mark.parametrize("task", ["certify-expansion", "full-pipeline"])
 @pytest.mark.parametrize("key", ["lambda", "temperedness_threshold"])
 @pytest.mark.parametrize("value", [0, 0.0, -0.5])

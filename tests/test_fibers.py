@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from randhyp import (BaseSystemSpec, ConfigurationError, UnsupportedOperationError,
                      derivative_bounds, fiber_apply, fiber_derivative,
                      fiber_inverse, make_family, point, sample_base)
 from randhyp.base import random_point
-from randhyp.fibers import ManifoldPoint, mod1, mod1_array
+from randhyp.fibers import (FAMILY_CATALOG, CircleFamily, ManifoldPoint, mod1,
+                            mod1_array)
 
 TWO_PI = 2 * math.pi
 
@@ -349,13 +350,85 @@ def zero_eps_ops(x, xp):
 @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
 def test_zero_eps_skips_trig_bit_for_bit(xs):
     # the doubling-map shortcut gives the general formula's bytes, on the
-    # scalar (math) and grid (numpy) paths, and a grid derivative stays a grid
+    # scalar (math) and grid (numpy) paths; on a grid the lift and image stay
+    # grids, and the derivative and its log are the one scalar they hold
     xs = SEAM + xs
     for x in xs:
         got, want = zero_eps_ops(x, math), general_at_zero_eps(math, x)
         assert [np.float64(v).tobytes() for v in got] == \
                [np.float64(v).tobytes() for v in want]
     grid = np.array(xs)
-    for got, want in zip(zero_eps_ops(grid, np), general_at_zero_eps(np, grid)):
-        assert got.shape == grid.shape
-        assert got.tobytes() == want.tobytes()
+    got, want = zero_eps_ops(grid, np), general_at_zero_eps(np, grid)
+    assert [np.shape(v) for v in got] == [grid.shape, (), grid.shape, ()]
+    for g, w in zip(got, want):
+        assert np.broadcast_to(g, grid.shape).tobytes() == w.tobytes()
+
+
+# Parameters of every catalog circle family; a family added to the catalog
+# fails the coverage test until it is given a strategy here.
+CIRCLE_PARAMS = {
+    "doubling": st.just({}),
+    "perturbed-doubling": st.builds(lambda e: {"eps_max": e}, st.floats(0.0, _EPS_MAX)),
+    "bernoulli-linear": st.builds(lambda v: {"values": v},
+                                  st.lists(st.floats(0.1, 8.0), min_size=1, max_size=4)),
+}
+# drives cover a family's parameter range: every value of a finite set on
+# four symbols, continuous values on the rotation
+PARAM_BASES = (BaseSystemSpec.bernoulli([0.25] * 4),
+               BaseSystemSpec.rotation(0.6180339887498949))
+
+
+def test_every_catalog_circle_family_has_a_strategy():
+    assert set(CIRCLE_PARAMS) == {name for name, cls in FAMILY_CATALOG.items()
+                                  if issubclass(cls, CircleFamily)}
+
+
+def family_cases(names):
+    """(name, params) of the catalog families `names`."""
+    return st.sampled_from(sorted(names)).flatmap(
+        lambda name: st.tuples(st.just(name), CIRCLE_PARAMS[name]))
+
+
+ODD_FAMILIES = [name for name in CIRCLE_PARAMS if FAMILY_CATALOG[name].odd]
+
+
+def circle_case(name, params, seed):
+    """The family and 32 of its per-step parameters from each base."""
+    fam = make_family(name, params)
+    ps = np.concatenate([fam.params_along(sample_base(spec, seed, 1)[0], 32)
+                         for spec in PARAM_BASES])
+    return fam, ps.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_cases(CIRCLE_PARAMS), st.integers(0, 2 ** 32))
+def test_derivative_bounds_hold_on_dense_finite_differences(case, seed):
+    # difference quotients are mean values of the derivative and of its log,
+    # so the declared global bounds must dominate them up to rounding
+    fam, ps = circle_case(*case, seed)
+    m = 2048
+    xs = np.arange(m + 1) / m
+    for p in ps:
+        slope = np.diff(fam.lift(p, xs, np)) * m
+        assert slope.max() <= fam.sup_dphi * (1 + 1e-9)
+        assert (1.0 / slope).max() <= fam.sup_dphi_inv * (1 + 1e-9)
+        logd = np.broadcast_to(fam.log_deriv(p, xs, np), xs.shape)
+        assert np.abs(np.diff(logd)).max() * m <= fam.log_deriv_lipschitz + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_cases(ODD_FAMILIES), st.integers(0, 2 ** 32),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=16))
+def test_odd_families_commute_with_the_mirror(case, seed, xs):
+    # an odd family's sweep covers [0, 1/2] only: phi(1 - x) = -phi(x) mod 1
+    # and D phi(1 - x) = D phi(x), on the scalar and the grid path, up to a
+    # few ulps of values below 4 (1 - x and 2 pi x round on each side: a
+    # derivative pair differs by 3 ulps, 1.3e-15, near x = 1/4)
+    fam, ps = circle_case(*case, seed)
+    grid = np.array(SEAM + xs)
+    for p in ps:
+        for xp, x in [(math, x) for x in grid.tolist()] + [(np, grid)]:
+            total = np.asarray(fam.apply(p, 1.0 - x, xp) + fam.apply(p, x, xp)) % 1.0
+            assert np.all(np.minimum(total, 1.0 - total) <= 4e-15)
+            assert np.all(np.abs(fam.deriv(p, 1.0 - x, xp) - fam.deriv(p, x, xp))
+                          <= 4e-15)

@@ -1,7 +1,10 @@
 """Payload bytes pinned at seed 7.
 
 A change that claims to keep the output must leave these SHA-256 as they
-are; a deliberate payload change records new ones and says why.  The grid
+are; a deliberate payload change records new ones and says why.  The
+rotation pin was re-recorded when odd families began to sweep only the
+grid points in [0, 1/2]: its minima over the mirrored half moved at the
+rounding level, the other three pins kept their bytes.  The grid
 sweeps read numpy's sin and cos, so the hashes hold for the numpy build
 and CPU they were recorded on (numpy 2.4.6, x86-64).
 """
@@ -24,7 +27,7 @@ CERTIFY = {"grid_size": 256, "samples": 4, "curve_n_max": 16}
 PINNED = {
     "bernoulli": "4f918b08907a011f5dd2cda211e60cdf2478561a2097f47cb75ee5cfede49ca7",
     "markov": "6b5f1533627a2b0c4fa19cf17ab30c6133aa6e0366a38d5882d9e38d7a91d139",
-    "rotation": "5c60ce28ea21fc791cfb5be1994b1022e9cb91ede4a36028a8d605964c3a8956",
+    "rotation": "dccc206b9259e3b4ed9eb6c5b95750737b8dd355ad5986dcf9e1dba0357c90f4",
     "dirac": "d4077f162d69fa3d8295da09f7828a88f8ed9cbf223d04dc08a3d9564892fbb9",
 }
 
