@@ -50,6 +50,9 @@ print(f"temperedness curve at n=2000: {cert.temperedness_curve.last():+.6f}")
 # The corollary-style check on per-state rates: positive mean log rate means
 # the constant-rate machinery applies; a symmetric family is inconclusive.
 sym = rh.make_family("bernoulli-linear", {"values": [0.5, 2.0]})
-rep = rh.variable_rate_corollary(sym, spec, seed=17, samples=1000, grid_size=1)
+sym_rate = rh.uniform_rate_estimate(sym, spec, seed=17, samples=20, n_max=10,
+                                    grid_size=1)
+rep = rh.variable_rate_corollary(sym, spec, seed=17, samples=1000,
+                                 a_estimate=sym_rate.a_estimate)
 print(f"\nsymmetric rates {{1/2, 2}}: mean log rate {rep.estimate:+.4f} "
       f"+/- {rep.std_err:.4f} -> {rep.verdict}")

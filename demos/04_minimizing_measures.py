@@ -40,8 +40,9 @@ for r in records[:5]:
           f"phi_avg={r.phi_average:.6f}  residual={r.residual:.1e}")
 
 # The combined estimate and its gap against the uniform rate.
-report = rh.lambda_estimate(fam, spec, seed=9, samples=20, n_max=12,
-                            grid_size=8192, birkhoff_steps=10_000,
+rate = rh.uniform_rate_estimate(fam, spec, seed=9, samples=20, n_max=12,
+                                grid_size=8192)
+report = rh.lambda_estimate(fam, spec, seed=9, rate=rate, birkhoff_steps=10_000,
                             birkhoff_starts=20)
 print("\ncandidates:")
 for source, value in report.candidates:

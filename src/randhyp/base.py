@@ -37,6 +37,18 @@ _TO_UNIT = 2.0 ** -53
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
+def as_floats(values, name, depth=1):
+    """`values`, a number (`depth` 0), a list of numbers (1) or a list of
+    such lists (2), as a float or nested tuples of floats."""
+    kind = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
+
+    def convert(v, d):
+        if isinstance(v, (list, tuple, np.ndarray)) != (d > 0):
+            raise ConfigurationError(f"{name} must be {kind}")
+        return tuple(convert(u, d - 1) for u in v) if d else float(v)
+    return convert(values, depth)
+
+
 def _mix64(z):
     """SplitMix64 finalizer on uint64 scalars or arrays (wraps mod 2^64)."""
     z = z + _C1
@@ -158,17 +170,18 @@ class BaseSystemSpec:
 
     @staticmethod
     def bernoulli(probabilities):
-        p = tuple(float(v) for v in probabilities)
+        p = as_floats(probabilities, "probabilities")
         return BaseSystemSpec(kind="bernoulli", alphabet_size=len(p), probabilities=p)
 
     @staticmethod
     def markov(transition):
-        t = tuple(tuple(float(v) for v in row) for row in transition)
+        t = as_floats(transition, "transition", 2)
         return BaseSystemSpec(kind="markov", alphabet_size=len(t), transition=t)
 
     @staticmethod
     def rotation(rotation_number):
-        return BaseSystemSpec(kind="rotation", rotation_number=float(rotation_number))
+        r = as_floats(rotation_number, "rotation_number", 0)
+        return BaseSystemSpec(kind="rotation", rotation_number=r)
 
     @staticmethod
     def dirac():

@@ -18,7 +18,8 @@ from . import __version__
 from .config import TASKS, parse_config
 from .ergodic import lambda_estimate
 from .errors import ConfigurationError, RandhypError
-from .expansion import build_expansion_certificate, variable_rate_corollary
+from .expansion import (build_expansion_certificate, uniform_rate_estimate,
+                        variable_rate_corollary)
 from .base import random_point, sample_base
 from .cocycle import iterate, orbit_log_stretches, unit_tangent
 from .fibers import LinearTorusFamily, ManifoldPoint
@@ -90,9 +91,7 @@ def _certify_expansion(config, threads):
     if p["corollary"]:
         rep = variable_rate_corollary(config.fiber, config.base, config.seed,
                                       samples=max(p["samples"], 100),
-                                      a_estimate=cert.a_estimate
-                                      if cert.a_estimate > 0 else None,
-                                      grid_size=p["grid_size"])
+                                      a_estimate=cert.a_estimate)
         payload["corollary"] = {
             "estimate": rep.estimate, "std_err": rep.std_err,
             "samples": rep.samples, "verdict": rep.verdict,
@@ -131,13 +130,15 @@ def _task_lyapunov(config, threads):
 
 def _task_minimize(config, threads, rate=None):
     p = config.task_params
-    report = lambda_estimate(config.fiber, config.base, config.seed,
-                             samples=p["samples"], n_max=p["n_max"],
-                             grid_size=p["grid_size"],
+    if rate is None:
+        rate = uniform_rate_estimate(config.fiber, config.base, config.seed,
+                                     p["samples"], p["n_max"], p["grid_size"],
+                                     threads)
+    report = lambda_estimate(config.fiber, config.base, config.seed, rate,
                              birkhoff_steps=p["birkhoff_steps"],
                              birkhoff_starts=p["birkhoff_starts"],
                              include_periodic=p["include_periodic"],
-                             p_max=p["p_max"], threads=threads, rate=rate)
+                             p_max=p["p_max"])
     csvs = {}
     if p["include_periodic"]:
         rows = [("".join(str(s) for s in r.symbol_word), r.period,

@@ -20,10 +20,9 @@ from .cocycle import (cocycle_product, orbit_log_stretches, unit_tangent,
                       unit_tangent_step)
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint, unit_direction
-from .expansion import DEFAULT_GRID, min_expansion_sweep, uniform_rate_estimate
+from .expansion import DEFAULT_GRID, min_expansion_sweep
 
 _BIRKHOFF_STREAM = 0x42495248
-_CLOSURE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -217,14 +216,15 @@ def enumerate_periodic_orbits(family, spec, p_max):
                 eigvals, eigvecs = np.linalg.eig(prod)
                 if np.iscomplexobj(eigvals) and np.abs(eigvals.imag).max() > 1e-12:
                     continue  # no real invariant direction to record
-                eigvals = eigvals.real
-                eigvecs = eigvecs.real
-                k = int(np.argmin(np.abs(eigvals)))
-                v = unit_direction(eigvecs[:, k])
+                mods = np.abs(eigvals.real)
+                v = unit_direction(eigvecs.real[:, mods.argmin()])
+                # |lambda_min| = |det| / |lambda_max|: eig's own smallest
+                # eigenvalue carries the largest one's absolute rounding error
+                det = family.dets[family.params_along(omega0, p)].prod()
                 records.append(PeriodicOrbitRecord(
                     symbol_word=word, x0=ManifoldPoint((0.0, 0.0)),
                     v0=(float(v[0]), float(v[1])), period=p,
-                    phi_average=math.log(abs(eigvals[k])) / p,
+                    phi_average=math.log(abs(det) / mods.max()) / p,
                     residual=0.0))
     records.sort(key=lambda r: r.phi_average)
     return records
@@ -261,24 +261,19 @@ class LambdaReport:
         }
 
 
-def lambda_estimate(family, spec, seed, samples=20, n_max=12, grid_size=DEFAULT_GRID,
-                    birkhoff_steps=10_000, birkhoff_starts=20,
-                    include_periodic=False, p_max=6, threads=1, rate=None):
+def lambda_estimate(family, spec, seed, rate, birkhoff_steps=10_000,
+                    birkhoff_starts=20, include_periodic=False, p_max=6):
     """Smallest measure-averaged expansion, from the constructive surrogates.
 
     The reported value is the minimum of the empirical-measure average and
-    the Birkhoff minimum over random starts.  Periodic orbits, when
-    requested (full-shift bases only), are attached as heuristic context
-    and excluded from the estimate because their base marginals differ
-    from the driving law.
-    A given `rate` (a certificate carries one) must be the
-    `uniform_rate_estimate` of the same samples, n_max and grid.
+    the Birkhoff minimum over random starts.  The empirical-measure average
+    is the uniform rate estimate `rate` (`uniform_rate_estimate`) itself:
+    the measure on each sample's n-step argmin orbit integrates to A_n/n
+    (`empirical_minimizing_sequence`), and `rate.a_estimate` is their mean.
+    Periodic orbits, when requested (full-shift bases only), are attached
+    as heuristic context and excluded from the estimate because their base
+    marginals differ from the driving law.
     """
-    if rate is None:
-        rate = uniform_rate_estimate(family, spec, seed, samples, n_max,
-                                     grid_size, threads)
-    empirical = float(np.mean([s.uppers[-1] for s in rate.sweeps]) / n_max)
-
     seed_b = derive_seed(seed, _BIRKHOFF_STREAM, 0)
     birkhoff_vals = []
     for i, start in enumerate(sample_base(spec, seed_b, birkhoff_starts)):
@@ -288,13 +283,12 @@ def lambda_estimate(family, spec, seed, samples=20, n_max=12, grid_size=DEFAULT_
         birkhoff_vals.append(float(orbit_log_stretches(family, p, birkhoff_steps).mean()))
     birkhoff_min = min(birkhoff_vals)
 
-    candidates = (("empirical_measure", empirical),
+    candidates = (("empirical_measure", rate.a_estimate),
                   ("birkhoff_min", birkhoff_min))
     lam_est = min(v for (_, v) in candidates)
-    a_est = rate.a_estimate
 
     periodic = (tuple(enumerate_periodic_orbits(family, spec, p_max))
                 if include_periodic else ())
     return LambdaReport(candidates=candidates, lambda_estimate=lam_est,
-                        a_estimate=a_est, gap_vs_a=lam_est - a_est,
+                        a_estimate=rate.a_estimate, gap_vs_a=lam_est - rate.a_estimate,
                         periodic_orbits=periodic)

@@ -377,25 +377,21 @@ def one_step_min_expansion(family, omega):
     return float(family.deriv(p, family.min_deriv_x))
 
 
-def variable_rate_corollary(family, spec, seed, samples, a_estimate=None,
-                            n_max=10, grid_size=DEFAULT_GRID):
+def variable_rate_corollary(family, spec, seed, samples, a_estimate):
     """Monte Carlo check that the mean log of the per-state rates is positive.
 
     A positive mean (beyond 3 standard errors) means the constant-rate
-    machinery applies; the candidate constant rate is half the estimated
-    uniform rate.  A mean consistent with zero or negative, or a single
-    sample (no error bar), is reported as inconclusive: the hypothesis
-    fails, nothing is broken.
+    machinery applies; the candidate constant rate is half the uniform rate
+    estimate `a_estimate`, when that is positive.  A mean consistent with
+    zero or negative, or a single sample (no error bar), is reported as
+    inconclusive: the hypothesis fails, nothing is broken.
     """
     logs = np.array([math.log(one_step_min_expansion(family, w))
                      for w in sample_base(spec, seed, samples)])
     est, se = float(logs.mean()), std_err(logs)
     if samples >= 2 and est > 3.0 * se and est > 0.0:
-        if a_estimate is None:
-            a_estimate = uniform_rate_estimate(
-                family, spec, seed, min(samples, 20), n_max, grid_size).a_estimate
-        return CorollaryReport(est, se, samples, "positive",
-                               lambda_const=0.5 * a_estimate)
+        half = 0.5 * a_estimate if a_estimate > 0 else None
+        return CorollaryReport(est, se, samples, "positive", lambda_const=half)
     return CorollaryReport(est, se, samples, "inconclusive")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import rotation_angles, symbol_window
+from .base import as_floats, rotation_angles, symbol_window
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 
 _TWO_PI = 2.0 * math.pi
@@ -38,14 +38,6 @@ def mod1_array(x):
     y = x - np.floor(x)
     y[y >= 1.0 - _SEAM_SNAP] = 0.0
     return y
-
-
-def _number_list(values, name):
-    """`values`, a flat list of numbers, as a tuple of floats."""
-    seqs = (list, tuple, np.ndarray)
-    if not isinstance(values, seqs) or any(isinstance(v, seqs) for v in values):
-        raise ConfigurationError(f"{name} must be a list of numbers")
-    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -294,7 +286,7 @@ class BernoulliLinear(CircleFamily):
     linear = True
 
     def __init__(self, values=(2.0, 3.0)):
-        self.values = vals = _number_list(values, "values")
+        self.values = vals = as_floats(values, "values")
         if not vals or any(v <= 0 for v in vals):
             raise ConfigurationError("values must be nonempty and positive")
         self.expanding = min(vals) > 1.0
@@ -332,10 +324,11 @@ class LinearTorusFamily(FiberFamily):
     """Torus maps x -> A(w) x mod 1 with the matrix chosen by the symbol.
 
     Every cocycle walk reads the read-only (k, 2, 2) table `matrices`, its
-    `inverses` and the index stream `params_along`.  The derivative is the
-    constant matrix A(w), so fiber minimizations are exact singular-value
-    computations.  Point-level inversion is supported exactly when every
-    matrix is an integer unimodular matrix (a torus automorphism).
+    `inverses`, their `dets` (a00 a11 - a01 a10, exact for integer
+    matrices) and `log_dets`, and the index stream `params_along`.  The
+    derivative is the constant matrix A(w), so fiber minimizations are exact
+    singular-value computations.  Point-level inversion is supported exactly
+    when every matrix is an integer unimodular matrix (a torus automorphism).
     """
 
     manifold_dim = 2
@@ -350,12 +343,14 @@ class LinearTorusFamily(FiberFamily):
             raise ConfigurationError("matrices must be nonempty")
         if mats.shape[1:] != (2, 2):
             raise ConfigurationError("matrices must be 2x2")
-        dets = np.linalg.det(mats)
+        a00, a01, a10, a11 = mats.reshape(-1, 4).T
+        dets = a00 * a11 - a01 * a10
         if np.any(np.abs(dets) < 1e-14):
             raise ConfigurationError("matrices must be nonsingular")
         self.matrices, self.inverses = mats, np.linalg.inv(mats)
-        mats.setflags(write=False)
-        self.inverses.setflags(write=False)
+        self.dets, self.log_dets = dets, np.log(np.abs(dets))
+        for table in (mats, self.inverses, dets, self.log_dets):
+            table.setflags(write=False)
         svals = np.linalg.svd(mats, compute_uv=False)
         self.sup_dphi = float(svals[:, 0].max())
         self.sup_dphi_inv = float((1.0 / svals[:, -1]).max())
@@ -375,19 +370,22 @@ class LinearTorusFamily(FiberFamily):
         return self.matrices[p].tolist()
 
     def sweep_start(self, grid_size):
-        """The product so far, renormalized, and its log scale."""
-        return np.eye(2), 0.0
+        """The product so far, renormalized, its log scale and its log |det|."""
+        return np.eye(2), 0.0, 0.0
 
     def sweep_steps(self, ps, state, own, leaf):
-        prod, logscale = state
+        # sigma_min = |det| / sigma_max: the SVD's own sigma_min is rounding
+        # noise once sigma_min / sigma_max falls below the unit roundoff
+        prod, logscale, logdet = state
         mins = np.empty(len(ps))
         for i, p in enumerate(ps.tolist()):
             prod = self.matrices[p] @ prod
             scale = np.abs(prod).max()
             prod /= scale
             logscale += math.log(scale)
-            mins[i] = logscale + math.log(np.linalg.svd(prod, compute_uv=False)[-1])
-        return (prod, logscale), mins
+            logdet += self.log_dets[p]
+            mins[i] = logdet - logscale - math.log(np.linalg.svd(prod, compute_uv=False)[0])
+        return (prod, logscale, logdet), mins
 
     def sweep_argmin(self, state):
         vmin = unit_direction(np.linalg.svd(state[0])[2][-1])
@@ -406,8 +404,8 @@ class DiagonalCocycle(LinearTorusFamily):
     family_id = "diagonal-cocycle"
 
     def __init__(self, a_values=(2.0,), b_values=(3.0,)):
-        self.a_values = a_vals = _number_list(a_values, "a_values")
-        self.b_values = b_vals = _number_list(b_values, "b_values")
+        self.a_values = a_vals = as_floats(a_values, "a_values")
+        self.b_values = b_vals = as_floats(b_values, "b_values")
         if not a_vals or len(a_vals) != len(b_vals):
             raise ConfigurationError(
                 "a_values and b_values must be nonempty and of equal length")

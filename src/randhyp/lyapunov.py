@@ -9,7 +9,6 @@ points.  Error bars are batch-mean standard errors, not rigorous bounds.
 import math
 from dataclasses import dataclass
 
-import numpy as np
 
 from .base import random_point, sample_base
 from .cocycle import orbit_log_stretches, push_log_stretches
@@ -79,8 +78,7 @@ def oseledets_spectrum(family, omega, x, n):
         return SpectrumEstimate(exponents=(float(logs.mean()),), n=n)
     idx = family.params_along(omega, n)
     s1 = float(push_log_stretches(family.matrices, idx[None], ((1.0, 0.0),)).sum())
-    a00, a01, a10, a11 = family.matrices.reshape(-1, 4).T
-    s2 = float(np.log(np.abs(a00 * a11 - a01 * a10))[idx].sum()) - s1
+    s2 = float(family.log_dets[idx].sum()) - s1
     return SpectrumEstimate(exponents=tuple(sorted((s1 / n, s2 / n))), n=n)
 
 

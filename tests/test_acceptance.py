@@ -80,7 +80,7 @@ def test_criterion_2_exact_system_golden_values():
         assert abs(rh.top_exponent(doubling, p, 1000).value - LOG2) < 1e-12
         rate = rh.uniform_rate_estimate(doubling, dirac, 1, samples=3, n_max=1000)
         assert abs(rate.a_estimate - LOG2) < 1e-12
-        lam_rep = rh.lambda_estimate(doubling, dirac, 1, samples=3, n_max=1000,
+        lam_rep = rh.lambda_estimate(doubling, dirac, 1, rate,
                                      birkhoff_steps=1000, birkhoff_starts=3)
         assert abs(lam_rep.lambda_estimate - LOG2) < 1e-12
         c = rh.tempered_constant(doubling, w, LOG2, 50)
@@ -97,8 +97,7 @@ def test_criterion_2_exact_system_golden_values():
         rate = rh.uniform_rate_estimate(bl, spec, 2024, samples=50, n_max=n,
                                         grid_size=1)
         assert abs(rate.a_estimate - LOG6_HALF) < 0.02
-        lam_rep = rh.lambda_estimate(bl, spec, 2024, samples=50, n_max=n,
-                                     grid_size=1, birkhoff_steps=n,
+        lam_rep = rh.lambda_estimate(bl, spec, 2024, rate, birkhoff_steps=n,
                                      birkhoff_starts=20)
         assert abs(lam_rep.lambda_estimate - LOG6_HALF) < 0.02
 
@@ -121,8 +120,7 @@ def test_criterion_4_rate_equals_minimum_average():
         spec = bern_spec()
         rate = rh.uniform_rate_estimate(fam, spec, 11, samples=20, n_max=12,
                                         grid_size=8192)
-        lam_rep = rh.lambda_estimate(fam, spec, 11, samples=20, n_max=12,
-                                     grid_size=8192, birkhoff_steps=10_000,
+        lam_rep = rh.lambda_estimate(fam, spec, 11, rate, birkhoff_steps=10_000,
                                      birkhoff_starts=20)
         assert abs(rate.a_estimate - lam_rep.lambda_estimate) < 0.05
         assert FLOOR <= rate.a_estimate <= LOG2
@@ -213,14 +211,14 @@ def test_criterion_8_corollary_check():
     with criterion(8, "mean log rate: {2,3} positive, {1/2,2} inconclusive"):
         spec = bern_spec()
         expanding = rh.make_family("bernoulli-linear", {"values": [2, 3]})
-        rep = rh.variable_rate_corollary(expanding, spec, 17, samples=1000,
-                                         grid_size=1)
+        a_est = rh.uniform_rate_estimate(expanding, spec, 17, 20, 10, 1).a_estimate
+        rep = rh.variable_rate_corollary(expanding, spec, 17, 1000, a_est)
         assert rep.verdict == "positive"
         assert rep.lambda_const > 0
 
         symmetric = rh.make_family("bernoulli-linear", {"values": [0.5, 2.0]})
-        rep = rh.variable_rate_corollary(symmetric, spec, 17, samples=1000,
-                                         grid_size=1)
+        a_est = rh.uniform_rate_estimate(symmetric, spec, 17, 20, 10, 1).a_estimate
+        rep = rh.variable_rate_corollary(symmetric, spec, 17, 1000, a_est)
         assert rep.verdict == "inconclusive"
         assert abs(rep.estimate) <= 3 * rep.std_err
 

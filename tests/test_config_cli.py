@@ -291,6 +291,24 @@ def test_long_rate_horizon_exits_zero(tmp_path, capsys):
     assert trend[-1][2] == -math.inf
 
 
+def test_long_horizon_cat_map_is_not_certified(tmp_path, capsys):
+    # the cat map contracts at rate log((3 + sqrt 5) / 2) along its stable
+    # direction; a sigma_min taken from the SVD of the float product read
+    # rounding noise past n = 20 and certified it as expanding
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "seed": 7, "base": {"kind": "dirac"}, "fiber": {"family": "random-cat"},
+        "task_params": {"samples": 20, "n_max": 60, "supadd_N": 4,
+                        "temperedness_threshold": 0.25, "corollary": False}}))
+    code = main(["certify-expansion", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    payload = json.loads((tmp_path / "out" / "report.json").read_text())["payload"]
+    assert payload["verdict"] == "inconclusive"
+    assert payload["a_estimate"] == pytest.approx(-math.log((3 + math.sqrt(5)) / 2),
+                                                  rel=1e-12)
+
+
 def test_cli_main_bad_config_exit_one(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"seed": "x"}))
@@ -565,6 +583,12 @@ def test_echoed_config_reparses_for_every_base_kind(kind):
       "base.rotation_number is required by rotation"]),
     ({"kind": ["dirac"]}, ["base.kind unknown: ['dirac']; catalog: "
                            "['bernoulli', 'dirac', 'markov', 'rotation']"]),
+    ({"kind": "bernoulli", "probabilities": [[0.5, 0.5]]},
+     ["base.probabilities must be a list of numbers"]),
+    ({"kind": "markov", "transition": [0.9, 0.1]},
+     ["base.transition must be a list of lists of numbers"]),
+    ({"kind": "rotation", "rotation_number": [0.3]},
+     ["base.rotation_number must be a number"]),
 ])
 def test_bad_base_exits_one_with_path(base, messages, tmp_path, capsys):
     code, err = cli_errors(tmp_path, capsys, "full-pipeline",

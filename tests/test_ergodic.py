@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +10,9 @@ from randhyp import (BaseSystemSpec, UnitTangentPoint, UnsupportedOperationError
                      point, pushforward_projection, sample_base, unit_tangent)
 from randhyp.base import random_point
 from randhyp.ergodic import EmpiricalMeasure
-from randhyp.expansion import min_log_expansion
+from randhyp.expansion import (min_log_expansion, uniform_rate_estimate,
+                               variable_rate_corollary)
+from randhyp.fibers import CircleFamily, LinearTorusFamily
 
 LOG2 = math.log(2)
 FLOOR = math.log(2 - 0.2 * math.pi)
@@ -185,6 +188,26 @@ def test_periodic_orbits_linear_torus_uses_eigen_directions():
         assert abs(image[0] * r.v0[1] - image[1] * r.v0[0]) < 1e-9
 
 
+def test_torus_periodic_averages_match_exact_arithmetic():
+    # |lambda_min| of an integer product from its exact trace and det:
+    # lambda_max = (|tr| + sqrt(tr^2 - 4 det)) / 2 and |lambda_min| =
+    # |det| / lambda_max; eig's own lambda_min was off by up to 5e-5 at p 12
+    fam = make_family("random-cat")
+    mats = [[[int(v) for v in row] for row in m] for m in fam.matrices.tolist()]
+    recs = enumerate_periodic_orbits(fam, bern_spec(), p_max=12)
+    assert len(recs) > 700
+    for r in recs:
+        (p, q), (u, s) = (1, 0), (0, 1)
+        for j in r.symbol_word:
+            (a, b), (c, d) = mats[j]
+            p, q, u, s = a * p + b * u, a * q + b * s, c * p + d * u, c * q + d * s
+        tr, det = p + s, p * s - q * u
+        with mpmath.workdps(60):
+            lam_max = (abs(tr) + mpmath.sqrt(tr * tr - 4 * det)) / 2
+            exact = (mpmath.log(abs(det)) - mpmath.log(lam_max)) / r.period
+        assert abs(r.phi_average - float(exact)) <= 1e-14
+
+
 def test_periodic_orbits_need_an_expanding_circle_family():
     # the word (0) of multipliers (1, 2) has degree 1: every point is fixed,
     # and the bisection, which assumes degree >= 2, found x = 0 alone
@@ -201,7 +224,8 @@ def test_periodic_orbits_need_full_shift():
 
 def test_lambda_doubling_exact():
     fam = make_family("doubling")
-    rep = lambda_estimate(fam, BaseSystemSpec.dirac(), 1, samples=3, n_max=100,
+    rate = uniform_rate_estimate(fam, BaseSystemSpec.dirac(), 1, 3, 100)
+    rep = lambda_estimate(fam, BaseSystemSpec.dirac(), 1, rate,
                           birkhoff_steps=500, birkhoff_starts=3)
     assert rep.lambda_estimate == pytest.approx(LOG2, abs=1e-12)
     assert rep.gap_vs_a == pytest.approx(0.0, abs=1e-12)
@@ -209,8 +233,9 @@ def test_lambda_doubling_exact():
 
 def test_lambda_bernoulli_linear():
     fam = make_family("bernoulli-linear", {"values": [2, 3]})
-    rep = lambda_estimate(fam, bern_spec(), 5, samples=20, n_max=2000,
-                          grid_size=1, birkhoff_steps=10_000, birkhoff_starts=10)
+    rate = uniform_rate_estimate(fam, bern_spec(), 5, 20, 2000, grid_size=1)
+    rep = lambda_estimate(fam, bern_spec(), 5, rate, birkhoff_steps=10_000,
+                          birkhoff_starts=10)
     assert rep.lambda_estimate == pytest.approx(math.log(6) / 2, abs=0.02)
     # measure-independence forced by the pinned marginal: both estimator
     # paths agree within statistical error
@@ -220,8 +245,8 @@ def test_lambda_bernoulli_linear():
 
 def test_lambda_perturbed_gap():
     fam = make_family("perturbed-doubling", {"eps_max": 0.1})
-    rep = lambda_estimate(fam, bern_spec(), 7, samples=10, n_max=12,
-                          grid_size=8192, birkhoff_steps=10_000,
+    rate = uniform_rate_estimate(fam, bern_spec(), 7, 10, 12, grid_size=8192)
+    rep = lambda_estimate(fam, bern_spec(), 7, rate, birkhoff_steps=10_000,
                           birkhoff_starts=10)
     assert abs(rep.gap_vs_a) < 0.05
     assert FLOOR <= rep.lambda_estimate <= LOG2
@@ -232,8 +257,9 @@ def test_lambda_ordering_vs_lower_bound():
     # the estimate never falls below the certified lower bracket
     fam = make_family("perturbed-doubling", {"eps_max": 0.1})
     spec = bern_spec()
-    rep = lambda_estimate(fam, spec, 7, samples=10, n_max=10, grid_size=4096,
-                          birkhoff_steps=5000, birkhoff_starts=10)
+    rate = uniform_rate_estimate(fam, spec, 7, 10, 10, grid_size=4096)
+    rep = lambda_estimate(fam, spec, 7, rate, birkhoff_steps=5000,
+                          birkhoff_starts=10)
     lowers = []
     for w in sample_base(spec, 7, 10):
         lo, _ = min_log_expansion(fam, w, 10, grid_size=4096)
@@ -241,11 +267,37 @@ def test_lambda_ordering_vs_lower_bound():
     assert rep.lambda_estimate >= np.mean(lowers) - 1e-9
 
 
+def test_lambda_and_corollary_read_a_and_sweep_nothing(monkeypatch):
+    fam = make_family("perturbed-doubling", {"eps_max": 0.1})
+    rate = uniform_rate_estimate(fam, bern_spec(), 7, 5, 8, grid_size=256)
+    steps = []
+    for cls in (CircleFamily, LinearTorusFamily):
+        def counted(self, *args, _sweep_steps=cls.sweep_steps):
+            steps.append(len(args[0]))
+            return _sweep_steps(self, *args)
+        monkeypatch.setattr(cls, "sweep_steps", counted)
+    rep = lambda_estimate(fam, bern_spec(), 7, rate, birkhoff_steps=500,
+                          birkhoff_starts=3)
+    cor = variable_rate_corollary(fam, bern_spec(), 7, 50, rate.a_estimate)
+    cor_negative_a = variable_rate_corollary(fam, bern_spec(), 7, 50, -rate.a_estimate)
+    assert steps == []
+    source, value = rep.candidates[0]
+    assert source == "empirical_measure"
+    assert value.hex() == rate.a_estimate.hex()
+    # the grid minimum lies below every Birkhoff average here
+    assert rep.lambda_estimate == value and rep.gap_vs_a == 0.0
+    assert cor.verdict == cor_negative_a.verdict == "positive"
+    assert cor.lambda_const == 0.5 * rate.a_estimate
+    assert cor_negative_a.lambda_const is None
+    uniform_rate_estimate(fam, bern_spec(), 7, 5, 8, grid_size=256)
+    assert steps   # the counter does see a sweep
+
+
 def test_lambda_includes_periodic_context():
     fam = make_family("bernoulli-linear", {"values": [2, 3]})
-    rep = lambda_estimate(fam, bern_spec(), 5, samples=5, n_max=50,
-                          grid_size=1, birkhoff_steps=500, birkhoff_starts=3,
-                          include_periodic=True, p_max=3)
+    rate = uniform_rate_estimate(fam, bern_spec(), 5, 5, 50, grid_size=1)
+    rep = lambda_estimate(fam, bern_spec(), 5, rate, birkhoff_steps=500,
+                          birkhoff_starts=3, include_periodic=True, p_max=3)
     assert rep.periodic_orbits
     words = [r.symbol_word for r in rep.periodic_orbits]
     assert (0,) in words

@@ -229,7 +229,8 @@ def test_recursion_bound_attained_beyond_first():
 
 def test_corollary_positive_for_two_three():
     fam = make_family("bernoulli-linear", {"values": [2, 3]})
-    rep = variable_rate_corollary(fam, bern_spec(), 11, samples=400, grid_size=1)
+    a_est = uniform_rate_estimate(fam, bern_spec(), 11, 20, 10, 1).a_estimate
+    rep = variable_rate_corollary(fam, bern_spec(), 11, 400, a_est)
     assert rep.verdict == "positive"
     assert rep.estimate == pytest.approx(math.log(6) / 2, abs=0.1)
     assert rep.lambda_const > 0
@@ -237,14 +238,16 @@ def test_corollary_positive_for_two_three():
 
 def test_corollary_inconclusive_for_symmetric_rates():
     fam = make_family("bernoulli-linear", {"values": [0.5, 2.0]})
-    rep = variable_rate_corollary(fam, bern_spec(), 11, samples=1000, grid_size=1)
+    a_est = uniform_rate_estimate(fam, bern_spec(), 11, 20, 10, 1).a_estimate
+    rep = variable_rate_corollary(fam, bern_spec(), 11, 1000, a_est)
     assert rep.verdict == "inconclusive"
     assert abs(rep.estimate) <= 3 * rep.std_err
 
 
 def test_corollary_doubling():
     fam = make_family("doubling")
-    rep = variable_rate_corollary(fam, BaseSystemSpec.dirac(), 1, samples=10)
+    a_est = uniform_rate_estimate(fam, BaseSystemSpec.dirac(), 1, 10, 10).a_estimate
+    rep = variable_rate_corollary(fam, BaseSystemSpec.dirac(), 1, 10, a_est)
     assert rep.verdict == "positive"
     assert rep.estimate == pytest.approx(LOG2, abs=1e-12)
 
@@ -329,7 +332,8 @@ def test_single_sample_certificate_is_inconclusive(seed):
 
 def test_single_sample_corollary_is_inconclusive():
     fam = make_family("bernoulli-linear", {"values": [0.8, 1.2]})
-    rep = variable_rate_corollary(fam, bern_spec(), 10, 1)
+    a_est = uniform_rate_estimate(fam, bern_spec(), 10, 1, 10).a_estimate
+    rep = variable_rate_corollary(fam, bern_spec(), 10, 1, a_est)
     assert rep.estimate == pytest.approx(math.log(1.2), abs=1e-15)
     assert rep.verdict == "inconclusive"
 

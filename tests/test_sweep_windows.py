@@ -2,14 +2,16 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from randhyp import (BaseSystemSpec, FiberFamily, UnsupportedOperationError,
                      make_family, sample_base, shift_by)
-from randhyp.expansion import lipschitz_slack, sweep_windows
+from randhyp.expansion import lipschitz_slack, min_expansion_sweep, sweep_windows
 from randhyp.fibers import unit_direction
 
 BASES = {
@@ -105,18 +107,54 @@ def test_threads_give_the_same_bytes(base):
 
 def exact_loop(family, window):
     """Exact per-window uppers and argmin (coords, v) of the x-independent
-    families."""
+    families; a torus upper is log |det| - log sigma_max of the product."""
     if family.manifold_dim == 1:
         return np.cumsum(family.log_deriv(window, 0.0, np)), (0.0,), (1.0,)
-    prod, logscale, uppers = np.eye(2), 0.0, np.empty(len(window))
+    prod, logscale, logdet = np.eye(2), 0.0, 0.0
+    uppers = np.empty(len(window))
     for i, j in enumerate(window):
         prod = family.matrices[j] @ prod
         scale = np.abs(prod).max()
         prod /= scale
         logscale += math.log(scale)
-        uppers[i] = logscale + math.log(np.linalg.svd(prod, compute_uv=False)[-1])
+        logdet += family.log_dets[j]
+        uppers[i] = logdet - logscale - math.log(np.linalg.svd(prod, compute_uv=False)[0])
     v = unit_direction(np.linalg.svd(prod)[2][-1])
     return uppers, (0.0, 0.0), (float(v[0]), float(v[1]))
+
+
+def rational_min_log_expansions(family, window):
+    """log sigma_min of the product P after each step of `window`, with P,
+    det P and F = |P|_F^2 exact in rationals: sigma_min = |det P| / sigma_max
+    and sigma_max^2 = (F + sqrt(F^2 - 4 det^2)) / 2, whose roots and logs
+    mpmath takes at a precision that grows with n."""
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+    mats = [[[Fraction(v) for v in row] for row in m] for m in family.matrices.tolist()]
+    (p, q), (r, s) = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+    out = []
+    for n, j in enumerate(window.tolist(), 1):
+        (a, b), (c, d) = mats[j]
+        p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        det, frob = p * s - q * r, p * p + q * q + r * r + s * s
+        with mpmath.workdps(30 + 2 * n):
+            smax = mpmath.sqrt((mp(frob) + mpmath.sqrt(mp(frob * frob - 4 * det * det))) / 2)
+            out.append(float(mpmath.log(abs(mp(det))) - mpmath.log(smax)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name, params", EXACT[1:3])
+@pytest.mark.parametrize("base", ["bernoulli", "dirac"])
+def test_torus_brackets_match_exact_arithmetic(name, params, base):
+    # the cat map's sigma_min / sigma_max falls below 1e-16 at n = 20: an
+    # SVD of the float product cannot give its sigma_min past there
+    fam = make_family(name, params)
+    for w in sample_base(BASES[base], 7, 3):
+        window = fam.params_along(w, 80)
+        exact = rational_min_log_expansions(fam, window)
+        sweep = min_expansion_sweep(fam, w, 80)
+        assert np.all(np.abs(sweep.uppers - exact)
+                      <= 1e-12 * np.maximum(1.0, np.abs(exact)))
 
 
 @pytest.mark.parametrize("name, params", EXACT)
