@@ -112,10 +112,8 @@ def _task_lyapunov(config, threads):
     p = config.task_params
     report = exponent_positivity_report(config.fiber, config.base, config.seed,
                                         p["samples"], p["n"])
-    report["spectrum_first_sample"] = list(report["per_sample"][0]["exponents"])
     omega0 = sample_base(config.base, config.seed, 1)[0]
     x0 = ManifoldPoint(random_point(config.seed, 0, config.fiber.manifold_dim))
-
     steps = min(p["n"], 1000)
     points = iterate(config.fiber, omega0, x0, steps)
     v0 = tuple(1.0 if i == 0 else 0.0 for i in range(config.fiber.manifold_dim))
@@ -149,7 +147,8 @@ def _task_minimize(config, threads, rate=None):
     return report.to_payload(), "complete", csvs
 
 
-def _task_splitting(config, threads):
+def _splitting(config):
+    """The certificate, then the splitting payload, verdict and CSVs."""
     p = config.task_params
     cert = hyperbolicity_certificate(config.fiber, config.base, config.seed,
                                      samples=p["samples"], horizon=p["horizon"],
@@ -160,32 +159,33 @@ def _task_splitting(config, threads):
              repr(r["residual"]))
             for r in cert.details["per_sample"]]
     csvs = {"samples.csv": (("omega", "angle", "rate1", "rate2", "residual"), rows)}
-    return cert.to_payload(), cert.verdict, csvs
+    return cert, cert.to_payload(), cert.verdict, csvs
 
 
 def _task_full_pipeline(config, threads):
     cert, exp_payload, exp_verdict, csvs = _certify_expansion(config, threads)
-    # minimize's empirical measure uses the certificate's rate sweep
-    payload = {"expansion": exp_payload, "lyapunov": _task_lyapunov(config, threads)[0],
+    # torus spectra come from the splitting pass; minimize reuses the rate sweep
+    sp = _splitting(config) if isinstance(config.fiber, LinearTorusFamily) else None
+    payload = {"expansion": exp_payload, "lyapunov": exponent_positivity_report(
+        config.fiber, config.base, config.seed, config.task_params["samples"],
+        config.task_params["n"], sp[0].spectra if sp else None),
                "minimize": _task_minimize(config, threads, cert.rate)[0]}
-    sp_verdict = None
-    if isinstance(config.fiber, LinearTorusFamily):
-        sp_payload, sp_verdict, sp_csvs = _task_splitting(config, threads)
-        payload["splitting"] = sp_payload
-        csvs.update(sp_csvs)
+    if sp:
+        payload["splitting"] = sp[1]
+        csvs.update(sp[3])
     # Overall verdict is the strongest certificate achieved: a hyperbolic
     # (non-expanding) system certifies through its splitting even though
     # expansion certification is rightly inconclusive for it.
     if exp_verdict in ("violated", "certified-expanding"):
         return payload, exp_verdict, csvs
-    return payload, "certified" if sp_verdict == "certified" else "inconclusive", csvs
+    return payload, "certified" if sp and sp[2] == "certified" else "inconclusive", csvs
 
 
 _DISPATCH = {
     "certify-expansion": lambda config, threads: _certify_expansion(config, threads)[1:],
     "lyapunov": _task_lyapunov,
     "minimize": _task_minimize,
-    "splitting": _task_splitting,
+    "splitting": lambda config, threads: _splitting(config)[1:],
     "full-pipeline": _task_full_pipeline,
 }
 

@@ -9,7 +9,6 @@ telescope to the log norm of the full derivative product.
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .errors import CocycleOverflowError, ContractError
 from .fibers import LinearTorusFamily, ManifoldPoint
 
 _OVERFLOW_LIMIT = 1e300
-_CELLS = 4096                   # (row, step) cells scanned at a time
+_CELLS = 4096                   # (vector, step) cells pushed at a time
 
 
 @dataclass(frozen=True)
@@ -165,54 +164,60 @@ def _block_len(table):
     return int(min(32, max(1.0, math.log(1e100) / math.log(g))))
 
 
-def push_log_stretches(table, idx, v):
+def push_log_stretches(table, idx, v, rows=None):
     """Per-step log stretches of directions pushed through 2x2 matrices.
 
     table: k matrices, (k, 2, 2) or (k, 4) rows (a00, a01, a10, a11); idx:
-    (B, n) indices into it; v: (B, 2) start vectors.  Entry [r, j] is
-    log |A_j u|, A_i = table[idx[r, i]], u the unit direction of A_{j-1}
-    ... A_0 v_r.  Each L-step block gets its prefix products P_j from a
-    Hillis-Steele scan (log2 L elementwise passes) and the stretch |P_j u| /
-    |P_{j-1} u|; u is carried and renormalized between blocks.  Chunks of
-    at most _CELLS cells start on block boundaries and P_j reads only
-    A_0..A_j, so a row's bytes depend on no other row, chunk or padding.
+    (R, n) indices into it; v: (B, 2) start vectors, v_r on row rows[r]
+    (default r).  Entry [r, j] is log |A_j u|, A_i = table[idx[rows[r], i]],
+    u the unit direction of A_{j-1} ... A_0 v_r.  Each L-step block of a row
+    gets its prefix products P_j from one Hillis-Steele scan (log2 L passes)
+    for all its vectors, and the stretch |P_j u| / |P_{j-1} u|; u is carried
+    and renormalized between blocks.  Chunks of about _CELLS (vector, step)
+    cells start on block boundaries and P_j reads only A_0..A_j, so a
+    vector's bytes depend on no other row, vector, chunk or padding.
     """
     table = np.asarray(table, dtype=np.float64).reshape(-1, 4)
     cols = np.vstack([table, (1.0, 0.0, 0.0, 1.0)]).T
     L = _block_len(table)
-    B, n = np.shape(idx)
-    padded = np.full((B, -(-n // L) * L), len(table))
+    n = np.shape(idx)[1]
+    padded = np.full((len(idx), -(-n // L) * L), len(table))
     padded[:, :n] = idx
-    rows = max(1, min(B, _CELLS // L))
-    span = max(1, _CELLS // (rows * L)) * L
     v = np.asarray(v, dtype=np.float64)
+    rows = np.arange(len(v)) if rows is None else np.asarray(rows)
+    order = np.argsort(rows, kind="stable")     # a row's vectors share its scan
     units = (v / np.hypot(v[:, :1], v[:, 1:])).tolist()
-    out = np.empty((B, n))
-    for r0, t0 in product(range(0, B, rows), range(0, padded.shape[1], span)):
-        chunk = padded[r0:r0 + rows, t0:t0 + span]
-        p = cols[:, chunk.reshape(len(chunk), -1, L).transpose(2, 0, 1)]
-        s = 1
-        while s < L:
-            e, f, g, h = p[:, s:]
-            a, b, c, d = p[:, :-s]
-            p[:, s:] = (e * a + f * c, e * b + f * d,
-                        g * a + h * c, g * b + h * d)
-            s *= 2
-        starts = []
-        for i, ends in enumerate(zip(*p[:, -1].tolist()), r0):
-            u0, u1 = units[i]
-            for e, f, g, h in zip(*ends):
-                starts.append((u0, u1))
-                w0, w1 = e * u0 + f * u1, g * u0 + h * u1
-                norm = math.sqrt(w0 * w0 + w1 * w1)
-                u0, u1 = w0 / norm, w1 / norm
-            units[i] = (u0, u1)
-        u0, u1 = np.reshape(np.transpose(starts), (2,) + p.shape[2:])
-        w0, w1 = p[0] * u0 + p[1] * u1, p[2] * u0 + p[3] * u1
-        norm = np.sqrt(w0 * w0 + w1 * w1)
-        norm[1:] /= norm[:-1].copy()
-        logs = np.log(norm).transpose(1, 2, 0).reshape(len(chunk), -1)
-        out[r0:r0 + rows, t0:t0 + span] = logs[:, :n - t0]
+    out = np.empty((len(v), n))
+    for vecs in np.split(order, range(_CELLS // L, len(v), _CELLS // L)):
+        scanned, local = np.unique(rows[vecs], return_inverse=True)
+        span = max(1, _CELLS // (len(vecs) * L)) * L
+        for t0 in range(0, padded.shape[1], span):
+            chunk = padded[scanned, t0:t0 + span]
+            p = cols[:, chunk.reshape(len(chunk), -1, L).transpose(2, 0, 1)]
+            s = 1
+            while s < L:
+                e, f, g, h = p[:, s:]
+                a, b, c, d = p[:, :-s]
+                p[:, s:] = (e * a + f * c, e * b + f * d,
+                            g * a + h * c, g * b + h * d)
+                s *= 2
+            s0, s1 = [], []             # each vector's block-start directions
+            for i, r in zip(vecs.tolist(), local.tolist()):
+                u0, u1 = units[i]
+                for e, f, g, h in zip(*p[:, -1, r].tolist()):
+                    s0.append(u0)
+                    s1.append(u1)
+                    w0, w1 = e * u0 + f * u1, g * u0 + h * u1
+                    norm = math.sqrt(w0 * w0 + w1 * w1)
+                    u0, u1 = w0 / norm, w1 / norm
+                units[i] = (u0, u1)
+            q = p if len(vecs) == len(scanned) else p[:, :, local]
+            u0, u1 = np.reshape(s0, q.shape[2:]), np.reshape(s1, q.shape[2:])
+            w0, w1 = q[0] * u0 + q[1] * u1, q[2] * u0 + q[3] * u1
+            norm = np.sqrt(w0 * w0 + w1 * w1)
+            norm[1:] /= norm[:-1].copy()
+            logs = np.log(norm).transpose(1, 2, 0).reshape(len(vecs), -1)
+            out[vecs, t0:t0 + span] = logs[:, :n - t0]
     return out
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .base import BASE_CATALOG, BaseSystemSpec
 from .errors import ConfigurationError
-from .fibers import FAMILY_CATALOG
+from .fibers import FAMILY_CATALOG, LinearTorusFamily
 
 TASKS = ("certify-expansion", "lyapunov", "minimize", "splitting", "full-pipeline")
 _FIELDS = ("task", "seed", "base", "fiber", "task_params", "out_dir")
@@ -90,7 +90,7 @@ class ExperimentConfig:
     echo: dict = field(default_factory=dict)
 
 
-def _validate_task_params(task, params, errors):
+def _validate_task_params(task, params, family, errors):
     read = TASK_DEFAULTS[task]
     for key, value in params.items():
         path = f"task_params.{key}"
@@ -110,6 +110,12 @@ def _validate_task_params(task, params, errors):
     p_max = params.get("p_max")
     if isinstance(p_max, (int, float)) and p_max > 12:
         errors.append("task_params.p_max is capped at 12")
+    n, batches = ({**read, **params}.get(k) for k in ("n", "batches"))
+    torus = isinstance(family, LinearTorusFamily) and type(n) is int
+    if torus and type(batches) is int and n < batches:
+        errors.append(f"task_params.n must be >= batches = {batches}, got {n}")
+    if torus and task != "splitting" and n < 2:
+        errors.append(f"task_params.n must be >= 2, the fiber dimension, got {n}")
 
 
 def _read_catalog(catalog, name_path, name, path, params, errors):
@@ -217,7 +223,7 @@ def parse_config(text, task=None):
     if not isinstance(params_raw, dict):
         errors.append("task_params must be an object")
     elif cfg_task in TASKS:
-        _validate_task_params(cfg_task, params_raw, errors)
+        _validate_task_params(cfg_task, params_raw, family, errors)
 
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):

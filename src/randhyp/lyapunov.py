@@ -9,7 +9,6 @@ points.  Error bars are batch-mean standard errors, not rigorous bounds.
 import math
 from dataclasses import dataclass
 
-
 from .base import random_point, sample_base
 from .cocycle import orbit_log_stretches, push_log_stretches
 from .errors import ContractError
@@ -77,31 +76,36 @@ def oseledets_spectrum(family, omega, x, n):
         logs = family.orbit_log_derivs(omega, x.x, n)
         return SpectrumEstimate(exponents=(float(logs.mean()),), n=n)
     idx = family.params_along(omega, n)
-    s1 = float(push_log_stretches(family.matrices, idx[None], ((1.0, 0.0),)).sum())
-    s2 = float(family.log_dets[idx].sum()) - s1
-    return SpectrumEstimate(exponents=tuple(sorted((s1 / n, s2 / n))), n=n)
+    return _torus_spectrum(push_log_stretches(
+        family.matrices, idx[None], ((1.0, 0.0),))[0], family.log_dets[idx])
 
 
-def exponent_positivity_report(family, spec, seed, samples, n):
+def _torus_spectrum(e1, log_dets):
+    """Spectrum from e1's n log stretches and the n steps' log |det A_i|."""
+    n, s1, logdet = len(e1), float(e1.sum()), float(log_dets.sum())
+    return SpectrumEstimate(tuple(sorted((s1 / n, (logdet - s1) / n))), n)
+
+
+def exponent_positivity_report(family, spec, seed, samples, n, spectra=None):
     """Spectra at sampled (base point, fiber point) pairs.
 
     Returns a JSON-ready dict with the minimum estimated exponent, the
     fraction of samples whose exponents are all positive, and the sample
     attaining the minimum: the lowest index whose smallest exponent lies
     within 1e-12 * max(1, |minimum|) of the minimum, so exponents that tie
-    up to rounding pick the first sample.
+    up to rounding pick the first sample.  `spectra` (the splitting
+    certificate's, at the same pairs) are read instead of recomputed.
     """
     if samples < 1:
         raise ContractError("samples must be >= 1")
+    if n < family.manifold_dim:
+        raise ContractError("n must be at least the manifold dimension")
     per_sample = []
     for i, omega in enumerate(sample_base(spec, seed, samples)):
         x = ManifoldPoint(random_point(seed, i, family.manifold_dim))
-        per_sample.append({
-            "sample": i,
-            "omega": omega.describe(),
-            "x": list(x.coords),
-            "exponents": list(oseledets_spectrum(family, omega, x, n).exponents),
-        })
+        est = spectra[i] if spectra else oseledets_spectrum(family, omega, x, n)
+        per_sample.append({"sample": i, "omega": omega.describe(),
+                           "x": list(x.coords), "exponents": list(est.exponents)})
 
     lows = [min(rec["exponents"]) for rec in per_sample]
     min_val = min(lows)
@@ -115,4 +119,5 @@ def exponent_positivity_report(family, spec, seed, samples, n):
         "n": n,
         "samples": samples,
         "per_sample": per_sample,
+        "spectrum_first_sample": list(per_sample[0]["exponents"]),
     }

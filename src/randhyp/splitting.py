@@ -21,7 +21,7 @@ from .ergodic import _random_unit_vector
 from .errors import ContractError, UnsupportedOperationError
 from .expansion import DEFAULT_DEPTH, truncated_infimum
 from .fibers import LinearTorusFamily, ManifoldPoint, unit_direction
-from .lyapunov import _batch_stats
+from .lyapunov import _batch_stats, _torus_spectrum
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,7 @@ class SplittingCertificate:
     invariance_residual_max: float
     verdict: str
     details: dict = field(default_factory=dict)
+    spectra: tuple = field(default=(), repr=False, compare=False)
 
     def to_payload(self):
         return {
@@ -127,13 +128,12 @@ def invariance_residual(family, omega, x, pair):
     return _residual(family.matrices[family.param_at(omega)], pair, nxt)
 
 
-def _bundle_logs(family, gamma1, vs, back, fwd):
-    """Per-step log stretches: gamma1 rows through the inverse cocycle along
-    `back` (indices in backward order), the rows of `vs` forward along `fwd`."""
-    logs = push_log_stretches(np.concatenate([family.matrices, family.inverses]),
+def _bundle_logs(family, vs, back, fwd, rows=None):
+    """Per-step log stretches of `vs`, vector r along row rows[r] (default r)
+    of `back` (inverse cocycle, backward indices) stacked on `fwd`."""
+    return push_log_stretches(np.concatenate([family.matrices, family.inverses]),
                               np.concatenate([back + len(family.matrices), fwd]),
-                              np.concatenate([gamma1, vs]))
-    return logs[:len(back)], logs[len(back):]
+                              vs, rows)
 
 
 def _truncated_log_inf(logs, lam, depth):
@@ -152,8 +152,8 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
     _require_linear_2d(family)
     if n < 1:
         raise ContractError("n must be >= 1")
-    (logs1,), (logs2,) = _bundle_logs(family, [pair.gamma1], [pair.gamma2],
-                                      *_windows(family, omega, [((0,), n)])[0])
+    logs1, logs2 = _bundle_logs(family, [pair.gamma1, pair.gamma2],
+                                *_windows(family, omega, [((0,), n)])[0])
     rate1, rate2 = float(logs1.mean()), float(logs2.mean())
     if lam is None:
         lam = 0.5 * min(rate1, rate2)
@@ -170,10 +170,9 @@ def _bundle_constant_curve(family, omega, lam, curve_len, horizon, depth):
     ks = np.arange(1, curve_len + 1)
     bundles, pushes = _windows(family, omega, [(ks, horizon), (ks, depth)])
     pairs = _bundle_pairs(family, *bundles)
-    logs1, logs2 = _bundle_logs(family, [p.gamma1 for p in pairs],
-                                [p.gamma2 for p in pairs], *pushes)
-    return (_truncated_log_inf(logs1, lam, depth) / ks,
-            _truncated_log_inf(logs2, lam, depth) / ks)
+    logs = _bundle_logs(family, [p.gamma1 for p in pairs]
+                        + [p.gamma2 for p in pairs], *pushes)
+    return np.split(_truncated_log_inf(logs, lam, depth) / np.tile(ks, 2), 2)
 
 
 def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
@@ -185,9 +184,9 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     estimate, and tempered constants at the global rate lam (half the worst
     measured rate).  Certified requires residuals below 1e-6, positive
     angles, and every rate above 3 batch standard errors (2+ batches).
-    Each sample reads its index stream once, in one `params_along` call,
-    and pushes its three directions in one call, with the values of the
-    public per-sample functions.
+    Each sample reads its index stream once and pushes its four directions
+    in one call (e1 gives its `oseledets_spectrum`, kept in `spectra`),
+    with the values of the public per-sample functions.
     """
     _require_linear_2d(family)
     if horizon < 2:
@@ -195,21 +194,21 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     if not (n >= batches >= 1):
         raise ContractError("need n >= batches >= 1")
     omegas = sample_base(spec, seed, samples)
-    recs, heads = [], []    # per-sample payload, first `depth` log stretches
+    recs, heads, spectra = [], [], []   # heads: first `depth` log stretches
     for i, omega in enumerate(omegas):
         x = ManifoldPoint(random_point(seed, i, 2))
         # positions -max(n, horizon) .. max(n, horizon + 1) - 1
         bundles, (back, fwd) = _windows(family, omega,
                                         [((0, 1), horizon), ((0,), n)])
         pair, nxt = _bundle_pairs(family, *bundles)
-        # gamma1 backwards; gamma2 and the top-exponent vector forwards
-        (logs1,), (logs2, logs_top) = _bundle_logs(
-            family, [pair.gamma1],
-            [pair.gamma2, _random_unit_vector(seed, samples + i, 2)],
-            back, fwd[[0, 0]])
-        rate1, rate1_se, _ = _batch_stats(logs1, batches)
-        rate2, rate2_se, _ = _batch_stats(logs2, batches)
-        top, top_se, _ = _batch_stats(logs_top, batches)
+        # gamma1 backwards; gamma2, the top-exponent vector and e1 forwards
+        logs1, logs2, logs_top, logs_e1 = _bundle_logs(
+            family, [pair.gamma1, pair.gamma2,
+                     _random_unit_vector(seed, samples + i, 2), (1.0, 0.0)],
+            back, fwd, (0, 1, 1, 1))
+        spectra.append(_torus_spectrum(logs_e1, family.log_dets[fwd[0]]))
+        (rate1, rate1_se, _), (rate2, rate2_se, _), (top, top_se, _) = (
+            _batch_stats(logs, batches) for logs in (logs1, logs2, logs_top))
         recs.append({
             "omega": omega.describe(), "x": list(x.coords), "angle": pair.angle,
             "residual": _residual(family.matrices[fwd[0, 0]], pair, nxt),
@@ -245,6 +244,6 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
                          and r["rate2"] > 3.0 * r["rate2_se"] for r in recs))
     verdict = "certified" if certified else "inconclusive"
     return SplittingCertificate(lam=lam, c_samples=tuple(c_samples),
-                                angle_min=angle_min,
+                                angle_min=angle_min, spectra=tuple(spectra),
                                 invariance_residual_max=residual_max,
                                 verdict=verdict, details=details)

@@ -225,6 +225,129 @@ def test_full_pipeline_sweeps_the_rate_once(monkeypatch):
             == json.dumps(reports["minimize"].payload, sort_keys=True))
 
 
+TORUS = ("random-cat", "diagonal-cocycle")
+
+
+def torus_config(task, family, base, params=None):
+    return parse_config(json.dumps({
+        "task": task, "seed": 7, "base": BASES[base],
+        "fiber": {"family": family, "params": FAMILIES[family]},
+        "task_params": own_params(task) if params is None else params}))
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("family", TORUS)
+def test_full_pipeline_spectra_are_the_lyapunov_task_spectra(family, base):
+    # full-pipeline takes its torus spectra from the splitting pass; its
+    # lyapunov payload is the lyapunov task's, which takes them directly
+    full = run_task(torus_config("full-pipeline", family, base))
+    alone = run_task(torus_config("lyapunov", family, base))
+    assert (json.dumps(full.payload["lyapunov"], sort_keys=True)
+            == json.dumps(alone.payload, sort_keys=True))
+
+
+def counted_stages(monkeypatch):
+    """Index-stream positions read and rows scanned by the push kernel, per
+    stage of a run: `expansion` and `minimize` (their cli steps),
+    `lyapunov` (the exponent report) and `other`."""
+    import randhyp.cli as cli
+    import randhyp.cocycle as cocycle
+    import randhyp.lyapunov as lyapunov
+    import randhyp.splitting as splitting
+    from randhyp.fibers import LinearTorusFamily
+    stage, counts = ["other"], {}
+
+    def count(kind, k):
+        key = (stage[-1], kind)
+        counts[key] = counts.get(key, 0) + k
+
+    def staged(name, fn):
+        def run(*args, **kwargs):
+            stage.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage.pop()
+        return run
+
+    read, push = LinearTorusFamily.params_along, cocycle.push_log_stretches
+
+    def counted_read(self, omega, n):
+        count("positions", n)
+        return read(self, omega, n)
+
+    def counted_push(table, idx, v, rows=None):
+        count("rows", len(np.unique(np.arange(len(v)) if rows is None else rows)))
+        return push(table, idx, v, rows)
+
+    monkeypatch.setattr(LinearTorusFamily, "params_along", counted_read)
+    for module in (cocycle, lyapunov, splitting):
+        monkeypatch.setattr(module, "push_log_stretches", counted_push)
+    for name, attr in (("expansion", "_certify_expansion"), ("minimize", "_task_minimize"),
+                       ("lyapunov", "exponent_positivity_report")):
+        monkeypatch.setattr(cli, attr, staged(name, getattr(cli, attr)))
+    return counts
+
+
+@pytest.mark.parametrize("family", TORUS)
+def test_full_pipeline_reads_no_more_than_splitting_alone(family, monkeypatch):
+    # past the certificate and minimize, full-pipeline reads the index
+    # streams and scans rows exactly as the splitting task does; its
+    # spectra read no stream and scan no row
+    counts = counted_stages(monkeypatch)
+    runs = {}
+    for task in ("lyapunov", "splitting", "full-pipeline"):
+        counts.clear()
+        run_task(torus_config(task, family, "markov"))
+        runs[task] = dict(counts)
+    assert runs["lyapunov"][("lyapunov", "positions")] > 0
+    assert runs["lyapunov"][("lyapunov", "rows")] > 0
+    assert ("lyapunov", "positions") not in runs["full-pipeline"]
+    assert ("lyapunov", "rows") not in runs["full-pipeline"]
+    for kind in ("positions", "rows"):
+        assert runs["splitting"][("other", kind)] > 0
+        assert runs["full-pipeline"][("other", kind)] == runs["splitting"][("other", kind)]
+
+
+@pytest.mark.parametrize("task, family, params, message", [
+    ("full-pipeline", "random-cat", {"n": 3}, "task_params.n must be >= batches = 20, got 3"),
+    ("full-pipeline", "diagonal-cocycle", {"n": 8, "batches": 9},
+     "task_params.n must be >= batches = 9, got 8"),
+    ("splitting", "random-cat", {"n": 19}, "task_params.n must be >= batches = 20, got 19"),
+    ("full-pipeline", "random-cat", {"n": 1, "batches": 1},
+     "task_params.n must be >= 2, the fiber dimension, got 1"),
+    ("lyapunov", "diagonal-cocycle", {"n": 1},
+     "task_params.n must be >= 2, the fiber dimension, got 1"),
+])
+def test_torus_n_too_small_exits_one_before_any_read(task, family, params, message,
+                                                    tmp_path, capsys, monkeypatch):
+    from randhyp.fibers import LinearTorusFamily
+
+    def no_read(self, omega, n):
+        raise AssertionError("index stream read before the config check")
+    monkeypatch.setattr(LinearTorusFamily, "params_along", no_read)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "seed": 7, "base": BASES["bernoulli"], "fiber": {"family": family},
+        "task_params": dict(params, bogus=1)}))
+    assert main([task, "--config", str(cfg_path)]) == 1
+    # reported with the other config errors
+    err = capsys.readouterr().err
+    assert f"  - {message}\n" in err
+    assert f"  - task_params.bogus is not read by {task}\n" in err
+
+
+@pytest.mark.parametrize("task, family, params", [
+    ("full-pipeline", "perturbed-doubling", {"n": 3}),       # no splitting runs
+    ("lyapunov", "doubling", {"n": 1}),                       # a circle's one exponent
+    ("splitting", "random-cat", {"n": 1, "batches": 1}),     # no spectrum taken
+    ("full-pipeline", "random-cat", {"n": 2, "batches": 2}),
+])
+def test_torus_n_rules_leave_other_runs_alone(task, family, params):
+    parse_config(json.dumps({"task": task, "seed": 7, "base": BASES["dirac"],
+                             "fiber": {"family": family}, "task_params": params}))
+
+
 @pytest.mark.parametrize("family", ["perturbed-doubling", "random-cat"])
 def test_lyapunov_first_spectrum_is_the_direct_spectrum(family):
     cfg = parse_config(json.dumps({

@@ -7,6 +7,10 @@ grid points in [0, 1/2]: its minima over the mirrored half moved at the
 rounding level, the other three pins kept their bytes.  The grid
 sweeps read numpy's sin and cos, so the hashes hold for the numpy build
 and CPU they were recorded on (numpy 2.4.6, x86-64).
+
+The torus pins are random-cat's `lyapunov`, `splitting` and
+`full-pipeline` payloads at the small task parameters of
+`tools/payload_hashes.py`; they equal that tool's payload hashes.
 """
 
 import hashlib
@@ -38,3 +42,39 @@ def test_certify_expansion_payload_bytes_are_pinned(base):
            "fiber": {"family": "perturbed-doubling"}, "task_params": CERTIFY}
     report = run_task(parse_config(json.dumps(cfg)))
     assert hashlib.sha256(report.payload_bytes()).hexdigest() == PINNED[base]
+
+
+_SWEEP = {"samples": 3, "n_max": 6, "grid_size": 128}
+_SPLITTING = {"horizon": 12, "depth": 10, "curve_len": 10, "batches": 4}
+TORUS_PARAMS = {
+    "lyapunov": {"samples": 3, "n": 400},
+    "splitting": {"samples": 3, "n": 400, **_SPLITTING},
+    "full-pipeline": {**_SWEEP, **_SPLITTING, "n": 400, "depth": 8,
+                      "curve_n_max": 8, "supadd_samples": 2, "supadd_N": 6,
+                      "birkhoff_steps": 400, "birkhoff_starts": 3, "p_max": 4},
+}
+TORUS_PINNED = {
+    ("lyapunov", "bernoulli"): "26433feaefc80526856386897b075953de4b25c2798d4f63e9ef84af14cc38ff",
+    ("lyapunov", "markov"): "f423aab4642c250e03ca0b878ff83dd34c5274c7466d2d6ad53bb69572807076",
+    ("lyapunov", "rotation"): "59cd99b1c83bb904a4bffdd22c0f722023b66c81a836cb96b2ba3c595d1a38b7",
+    ("lyapunov", "dirac"): "20c8a5647c21a0cf379a94da67e2968523f70d5fa7697da08b5f0e35167ceb24",
+    ("splitting", "bernoulli"): "77b6e4f3075685797db3d8bd6105d8453e4d4c85efc11b185a2c23db2e7ade70",
+    ("splitting", "markov"): "4e6ae1f52abd72e601151d4ebe6f5c1183797b34b315593fdfa8ed6c4a9078d9",
+    ("splitting", "rotation"): "f60f2d069af0e58299b41bd83348384aadff0e7c1ea8c3d6ab0ea66aadff572e",
+    ("splitting", "dirac"): "dbf1fca2a2cf6d3861db5252ec051ea66f9ffd45b5068ae65c2673701d4348a1",
+    ("full-pipeline", "bernoulli"): "1c0828b5afb1214cd845520d1e841370ad19fdf0ed3baad455cd61cb4773e2bc",
+    ("full-pipeline", "markov"): "8b91db9276e5ff411fc6a4987174d6d3559952fe069198c9bbe6b2715153531f",
+    ("full-pipeline", "rotation"): "5d0e2edcf4a7c3cd9e69cf1b7c51efc1ba7c443122911ff5b48777e1089a5a04",
+    ("full-pipeline", "dirac"): "5d9afebeb31823e15572b7c3af23cdf832fb1a18a6a2bb388a7d3ccab7a2b2d8",
+}
+
+
+@pytest.mark.parametrize("task, base", TORUS_PINNED)
+def test_torus_payload_bytes_are_pinned(task, base):
+    params = dict(TORUS_PARAMS[task])
+    if task == "full-pipeline":
+        params["include_periodic"] = base == "bernoulli"
+    cfg = {"task": task, "seed": 7, "base": BASES[base],
+           "fiber": {"family": "random-cat"}, "task_params": params}
+    report = run_task(parse_config(json.dumps(cfg)))
+    assert hashlib.sha256(report.payload_bytes()).hexdigest() == TORUS_PINNED[task, base]

@@ -82,6 +82,44 @@ def test_rows_do_not_depend_on_the_batch():
         assert alone.tobytes() == batch[r].tobytes()
 
 
+# vector r rides row ROWS[r]: rows 0 and 3 are shared, the order is
+# shuffled, and row 2 carries no vector
+ROWS = (3, 0, 3, 1, 3, 0)
+
+
+@pytest.mark.parametrize("side", ["forward", "inverse"])
+@pytest.mark.parametrize("family", ["random-cat", "diagonal-one", "diagonal-two", "huge"])
+def test_shared_rows_match_one_vector_calls(family, side):
+    # each vector's stretches are those of a call that pushes it alone
+    fam = make_family(*FAMILIES[family])
+    table = fam.matrices if side == "forward" else fam.inverses
+    starts = sample_base(BASES["bernoulli"], 11, 4)
+    rng = np.random.default_rng(3)
+    L = _block_len(table.reshape(-1, 4))
+    for n in sorted({1, max(1, L - 1), L, L + 1, 10_000}):
+        idx = np.array([fam.params_along(w, n) for w in starts])
+        v = rng.normal(size=(len(ROWS), 2))
+        got = push_log_stretches(table, idx, v, ROWS)
+        assert got.shape == (len(ROWS), n)
+        for r, row in enumerate(ROWS):
+            alone = push_log_stretches(table, idx[row][None], v[r][None])[0]
+            assert got[r].tobytes() == alone.tobytes()
+
+
+def test_more_vectors_than_a_chunk_holds():
+    # 300 vectors on 4 of 5 rows: a row's vectors span several chunks
+    fam = make_family("random-cat")
+    table = np.concatenate([fam.matrices, fam.inverses])
+    rng = np.random.default_rng(4)
+    idx = rng.integers(0, len(table), size=(5, 700))
+    rows = rng.choice([0, 1, 3, 4], size=300)
+    v = rng.normal(size=(300, 2))
+    got = push_log_stretches(table, idx, v, rows)
+    for r, row in enumerate(rows):
+        alone = push_log_stretches(table, idx[row][None], v[r][None])[0]
+        assert got[r].tobytes() == alone.tobytes()
+
+
 def test_window_products_match_step_loop_bitwise():
     fam = make_family("random-cat")
     idx = np.random.default_rng(2).integers(0, 2, size=(50, 40))
