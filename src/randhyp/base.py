@@ -8,10 +8,10 @@ stored history and every symbol is a pure function of (seed, position).
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record, field
 from .errors import (ConfigurationError, ContractError,
                      UnsupportedOperationError, WindowLimitError)
 
@@ -107,8 +107,7 @@ def _is_irreducible(transition):
     return bool(reach.all())
 
 
-@dataclass(frozen=True)
-class BaseSystemSpec:
+class BaseSystemSpec(Record):
     """Description of one driving system.
 
     kind is a key of BASE_CATALOG, whose factories build each kind.  Bernoulli

@@ -12,9 +12,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
+from ._record import Record
 from .config import TASKS, parse_config
 from .ergodic import lambda_estimate
 from .errors import ConfigurationError, RandhypError
@@ -29,8 +29,7 @@ from .splitting import hyperbolicity_certificate
 _OK_VERDICTS = {"certified-expanding", "certified", "complete", "positive"}
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Record):
     task: str
     config_echo: dict
     payload: dict

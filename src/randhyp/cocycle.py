@@ -8,10 +8,10 @@ telescope to the log norm of the full derivative product.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .base import base_step
 from .errors import CocycleOverflowError, ContractError
 from .fibers import LinearTorusFamily, ManifoldPoint
@@ -20,8 +20,7 @@ _OVERFLOW_LIMIT = 1e300
 _CELLS = 4096                   # (vector, step) cells pushed at a time
 
 
-@dataclass(frozen=True)
-class CocycleMatrix:
+class CocycleMatrix(Record):
     """Derivative of an n-step fiber composition (m x m)."""
 
     entries: np.ndarray
@@ -49,8 +48,7 @@ class CocycleMatrix:
         return float(np.linalg.norm(self.apply(v)))
 
 
-@dataclass(frozen=True)
-class UnitTangentPoint:
+class UnitTangentPoint(Record):
     """Point of the unit tangent bundle over the skew product."""
 
     omega: object

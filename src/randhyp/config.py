@@ -7,8 +7,8 @@ raising, so a bad config is fixed in one round trip.
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record, field
 from .base import BASE_CATALOG, BaseSystemSpec
 from .errors import ConfigurationError
 from .fibers import FAMILY_CATALOG, LinearTorusFamily
@@ -79,8 +79,7 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     base: BaseSystemSpec
     fiber: object
     seed: int

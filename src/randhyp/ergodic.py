@@ -10,11 +10,11 @@ driving law, so they are reported as heuristic context only.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 import numpy as np
 
+from ._record import Record
 from .base import derive_seed, periodic_state, random_point, sample_base
 from .cocycle import (cocycle_product, orbit_log_stretches, unit_tangent,
                       unit_tangent_step)
@@ -25,8 +25,7 @@ from .expansion import DEFAULT_GRID, min_expansion_sweep
 _BIRKHOFF_STREAM = 0x42495248
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
+class EmpiricalMeasure(Record):
     """Weighted atoms on (base point, fiber point[, unit vector])."""
 
     atoms: tuple                 # (omega, ManifoldPoint, v tuple or None, weight)
@@ -82,8 +81,7 @@ def empirical_minimizing_sequence(family, omega, n, grid_size=DEFAULT_GRID):
     return EmpiricalMeasure(tuple(atoms), True), start
 
 
-@dataclass(frozen=True)
-class PeriodicOrbitRecord:
+class PeriodicOrbitRecord(Record):
     """One periodic orbit of the skew product, from a repeated symbol word.
 
     These induce periodic measures on the base, not the driving law, so
@@ -239,8 +237,7 @@ def _random_unit_vector(seed, index, dim):
     return tuple(float(c) for c in coords / norm)
 
 
-@dataclass(frozen=True)
-class LambdaReport:
+class LambdaReport(Record):
     candidates: tuple            # (label, value)
     lambda_estimate: float
     a_estimate: float

@@ -11,12 +11,12 @@ the decay curve that probes temperedness of C along the orbit.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import deterministic_map
+from ._record import Record, field
 from .base import sample_base, shift_by
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily
@@ -30,8 +30,7 @@ DEFAULT_DEPTH = 50
 SLACK_BUDGET = 0.1
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Brackets for A_n(w) at every n up to the sweep horizon."""
 
     uppers: np.ndarray           # grid/exact minimum of log |D phi^{(n)} v|
@@ -44,16 +43,14 @@ class SweepResult:
         return float(self.lowers[n - 1]), float(self.uppers[n - 1])
 
 
-@dataclass(frozen=True)
-class MinExpansionTable:
+class MinExpansionTable(Record):
     omega_id: str
     rows: tuple                  # (n, lower, upper)
     grid_size: int
     slack: float                 # largest certification margin among rows
 
 
-@dataclass(frozen=True)
-class TemperedConstant:
+class TemperedConstant(Record):
     """Truncated infimum of e^{-lambda n} * (min n-step expansion)."""
 
     log_value: float
@@ -66,8 +63,7 @@ class TemperedConstant:
         return math.exp(self.log_value) if self.log_value > -700.0 else 0.0
 
 
-@dataclass(frozen=True)
-class TemperednessCurve:
+class TemperednessCurve(Record):
     ns: np.ndarray
     values: np.ndarray           # (1/n) log C(T^n w)
 
@@ -75,8 +71,7 @@ class TemperednessCurve:
         return float(self.values[-1])
 
 
-@dataclass(frozen=True)
-class UniformRateEstimate:
+class UniformRateEstimate(Record):
     a_estimate: float
     a_std_err: float             # spread of A_{n_max}/n_max across samples
     n_max: int
@@ -85,8 +80,7 @@ class UniformRateEstimate:
     sweeps: tuple = field(default=(), repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(Record):
     estimate: float
     std_err: float
     samples: int
@@ -94,8 +88,7 @@ class CorollaryReport:
     lambda_const: float = None
 
 
-@dataclass(frozen=True)
-class ExpansionCertificate:
+class ExpansionCertificate(Record):
     a_estimate: float
     lam: float
     c_samples: tuple             # (omega id, C value, log C, attained n)
@@ -237,8 +230,7 @@ def min_expansion_table(family, omega, n_max, grid_size=DEFAULT_GRID):
     return MinExpansionTable(omega.describe(), rows, sweep.grid_size, slack)
 
 
-@dataclass(frozen=True)
-class SupadditivityReport:
+class SupadditivityReport(Record):
     min_residual: float
     residuals: tuple             # (n, m, residual)
 

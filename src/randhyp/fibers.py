@@ -15,10 +15,10 @@ Catalog:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from .base import as_floats, rotation_angles, symbol_window
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 
@@ -40,8 +40,7 @@ def mod1_array(x):
     return y
 
 
-@dataclass(frozen=True)
-class ManifoldPoint:
+class ManifoldPoint(Record):
     """Point of the flat circle (dim 1) or 2-torus, coordinates in [0,1)."""
 
     coords: tuple
@@ -334,30 +333,38 @@ class LinearTorusFamily(FiberFamily):
     manifold_dim = 2
     linear = True
 
-    def __init__(self, matrices):
+    def __init__(self, matrices, label="matrices"):
         try:
             mats = np.array(matrices, dtype=np.float64)
         except ValueError:   # ragged nesting
-            raise ConfigurationError("matrices must be 2x2") from None
+            raise ConfigurationError(f"{label} must be 2x2") from None
         if not len(mats):
-            raise ConfigurationError("matrices must be nonempty")
+            raise ConfigurationError(f"{label} must be nonempty")
         if mats.shape[1:] != (2, 2):
-            raise ConfigurationError("matrices must be 2x2")
+            raise ConfigurationError(f"{label} must be 2x2")
         a00, a01, a10, a11 = mats.reshape(-1, 4).T
-        dets = a00 * a11 - a01 * a10
+        with np.errstate(over="ignore", invalid="ignore"):
+            dets = a00 * a11 - a01 * a10
+        if not np.all(np.isfinite(dets)):
+            raise ConfigurationError(f"{label} must have finite determinants")
         if np.any(np.abs(dets) < 1e-14):
-            raise ConfigurationError("matrices must be nonsingular")
+            raise ConfigurationError(f"{label} must be nonsingular")
         self.matrices, self.inverses = mats, np.linalg.inv(mats)
         self.dets, self.log_dets = dets, np.log(np.abs(dets))
         for table in (mats, self.inverses, dets, self.log_dets):
             table.setflags(write=False)
         svals = np.linalg.svd(mats, compute_uv=False)
+        # the float SVD can lose a tiny singular value, e.g. diag(1e300, 1e-300)
+        if not (np.all(np.isfinite(svals)) and svals[:, -1].min() > 0.0):
+            raise ConfigurationError(f"{label} must have finite, nonzero singular values")
         self.sup_dphi = float(svals[:, 0].max())
         self.sup_dphi_inv = float((1.0 / svals[:, -1]).max())
         self.log_deriv_lipschitz = 0.0
         self.expanding = float(svals[:, -1].min()) > 1.0
-        self.invertible = bool(np.allclose(mats, np.round(mats))
-                               and np.all(np.abs(np.abs(dets) - 1.0) < 1e-12))
+        # exact: integer entries and |det| = 1 in integer arithmetic
+        self.invertible = bool(np.all(mats == np.round(mats)) and all(
+            abs(round(a) * round(d) - round(b) * round(c)) == 1
+            for (a, b), (c, d) in mats.tolist()))
 
     def params_along(self, omega, n):
         """Matrix index along the forward orbit w, Tw, ..., T^{n-1}w."""
@@ -411,7 +418,8 @@ class DiagonalCocycle(LinearTorusFamily):
                 "a_values and b_values must be nonempty and of equal length")
         if any(v <= 0 for v in a_vals + b_vals):
             raise ConfigurationError("a_values and b_values must be positive")
-        super().__init__([np.diag([a, b]) for a, b in zip(a_vals, b_vals)])
+        super().__init__([np.diag([a, b]) for a, b in zip(a_vals, b_vals)],
+                         "diag(a_values, b_values)")
         # the entries are the singular values; LAPACK's SVD can miss them by
         # an ulp, e.g. 730503.9374999999 for diag(642308.1945317535, 730503.9375)
         self.sup_dphi = max(a_vals + b_vals)

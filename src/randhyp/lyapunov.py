@@ -7,8 +7,8 @@ points.  Error bars are batch-mean standard errors, not rigorous bounds.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .base import random_point, sample_base
 from .cocycle import orbit_log_stretches, push_log_stretches
 from .errors import ContractError
@@ -17,8 +17,7 @@ from .fibers import ManifoldPoint
 DEFAULT_BATCHES = 20
 
 
-@dataclass(frozen=True)
-class ExponentEstimate:
+class ExponentEstimate(Record):
     """Single-direction exponent estimate in nats per step."""
 
     value: float
@@ -27,8 +26,7 @@ class ExponentEstimate:
     batches: int
 
 
-@dataclass(frozen=True)
-class SpectrumEstimate:
+class SpectrumEstimate(Record):
     """All exponents at one (base point, fiber point), sorted ascending."""
 
     exponents: tuple

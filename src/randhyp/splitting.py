@@ -11,10 +11,10 @@ numerically faithful one; the two agree in exact arithmetic).
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record, field
 from .base import base_step, random_point, sample_base, shift_by
 from .cocycle import push_log_stretches, window_products
 from .ergodic import _random_unit_vector
@@ -24,16 +24,14 @@ from .fibers import LinearTorusFamily, ManifoldPoint, unit_direction
 from .lyapunov import _batch_stats, _torus_spectrum
 
 
-@dataclass(frozen=True)
-class BundlePair:
+class BundlePair(Record):
     gamma1: tuple                # contracting direction (unit)
     gamma2: tuple                # expanding direction (unit)
     horizon: int
     angle: float                 # principal angle, in (0, pi/2]
 
 
-@dataclass(frozen=True)
-class BundleRates:
+class BundleRates(Record):
     rate1: float                 # contraction rate along gamma1 (> 0 expected)
     rate2: float                 # expansion rate along gamma2
     c1: float                    # truncated-infimum constant, inverse cocycle
@@ -41,8 +39,7 @@ class BundleRates:
     lam: float
 
 
-@dataclass(frozen=True)
-class SplittingCertificate:
+class SplittingCertificate(Record):
     lam: float
     c_samples: tuple             # (omega id, c1, c2)
     angle_min: float

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import math
@@ -10,8 +9,8 @@ import numpy as np
 import pytest
 
 import randhyp
-from randhyp import (ConfigurationError, oseledets_spectrum, parse_config,
-                     run_task, sample_base)
+from randhyp import (ConfigurationError, ExperimentConfig, oseledets_spectrum,
+                     parse_config, run_task, sample_base)
 from randhyp.base import BASE_CATALOG, random_point
 from randhyp.cli import main
 from randhyp.config import TASK_DEFAULTS, TASKS
@@ -595,7 +594,8 @@ def test_each_task_reads_exactly_its_parameters(task):
         "task": task, "seed": 3, "base": BASES["bernoulli"],
         "fiber": {"family": "random-cat"}, "task_params": own_params(task)}))
     params = Recording(cfg.task_params)
-    run_task(dataclasses.replace(cfg, task_params=params))
+    run_task(ExperimentConfig(cfg.base, cfg.fiber, cfg.seed, cfg.task, params,
+                              cfg.out_dir, cfg.echo))
     assert params.read == set(TASK_DEFAULTS[task])
 
 
@@ -840,6 +840,36 @@ def test_torus_matrices_must_be_2x2(matrices, tmp_path, capsys):
     assert code == 1
     assert err.splitlines() == ["configuration errors:",
                                 "  - fiber.params.matrices must be 2x2"]
+
+
+@pytest.mark.parametrize("matrices, message", [
+    ([[[2, 1], [1, 1 + 1e-13]]], "must be integer with |det| = 1"),
+    ([[[1e300, 0], [0, 1e-300]]], "must have finite, nonzero singular values"),
+    ([[[2, 1], [1, 1]], [[2, 0.5], [2, 1]]], "must be integer with |det| = 1"),
+])
+def test_cat_matrices_must_be_exactly_unimodular(matrices, message, tmp_path, capsys):
+    fiber = {"family": "random-cat", "params": {"matrices": matrices}}
+    code, err = cli_errors(tmp_path, capsys, "certify-expansion", json.dumps(
+        {"seed": 7, "base": BASES["bernoulli"], "fiber": fiber}))
+    assert code == 1
+    assert err.splitlines() == ["configuration errors:",
+                                f"  - fiber.params.matrices {message}"]
+
+
+@pytest.mark.parametrize("a_values, b_values, message", [
+    ([1e300, 2], [1e-300, 3], "must have finite, nonzero singular values"),
+    ([1e300, 2], [1e300, 3], "must have finite determinants"),
+])
+def test_torus_tables_need_finite_nonzero_singular_values(a_values, b_values, message,
+                                                          tmp_path, capsys):
+    fiber = {"family": "diagonal-cocycle",
+             "params": {"a_values": a_values, "b_values": b_values}}
+    code, err = cli_errors(tmp_path, capsys, "certify-expansion", json.dumps(
+        {"seed": 7, "base": BASES["bernoulli"], "fiber": fiber}))
+    assert code == 1
+    assert err.splitlines() == [
+        "configuration errors:",
+        f"  - fiber.params.diag(a_values, b_values) {message}"]
 
 
 @pytest.mark.parametrize("family, params, field", [
