@@ -16,10 +16,8 @@ from .cocycle import (CocycleMatrix, UnitTangentPoint, birkhoff_sum_phi,
                       cocycle_product, iterate, phi, unit_tangent,
                       unit_tangent_step)
 from .config import ExperimentConfig, parse_config
-from .ergodic import (EmpiricalMeasure, LambdaReport, PeriodicOrbitRecord,
-                      empirical_minimizing_sequence, enumerate_periodic_orbits,
-                      integrate_observable, lambda_estimate,
-                      pushforward_projection)
+from .ergodic import (LambdaReport, PeriodicOrbitRecord,
+                      enumerate_periodic_orbits, lambda_estimate)
 from .errors import (CocycleOverflowError, ConfigurationError, ContractError,
                      RandhypError, UnsupportedOperationError, WindowLimitError)
 from .expansion import (ExpansionCertificate, MinExpansionTable,

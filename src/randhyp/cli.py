@@ -9,6 +9,7 @@ complete, 2 on an inconclusive (or violated) verdict, 1 on error.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -27,6 +28,17 @@ from .lyapunov import exponent_positivity_report
 from .splitting import hyperbolicity_certificate
 
 _OK_VERDICTS = {"certified-expanding", "certified", "complete", "positive"}
+
+
+def _finite(obj):
+    """`obj` with each non-finite float as None: JSON has no NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
 
 
 class RunReport(Record):
@@ -52,17 +64,21 @@ class RunReport(Record):
             "verdict": self.verdict,
         }
 
+    @staticmethod
+    def encode(doc, **kwargs):
+        """Strict JSON text of `doc`, keys sorted; a non-finite float
+        (a vacuous -inf bracket, a NaN constant) is written as null."""
+        return json.dumps(_finite(doc), sort_keys=True, allow_nan=False, **kwargs)
+
     def payload_bytes(self):
         """Canonical bytes of the numeric payload, for determinism checks."""
-        return json.dumps({"payload": self.payload, "verdict": self.verdict},
-                          sort_keys=True).encode()
+        return self.encode({"payload": self.payload, "verdict": self.verdict}).encode()
 
     def write(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(self.encode(self.to_json_dict(), indent=2) + "\n")
         written = [path]
         for name, (header, rows) in self.csv_files.items():
             cpath = os.path.join(out_dir, name)

@@ -106,9 +106,10 @@ def _validate_task_params(task, params, family, errors):
             errors.append(f"{path} must be >= {low}")
         elif key in _POSITIVE and value <= 0:
             errors.append(f"{path} must be positive")
-    p_max = params.get("p_max")
-    if isinstance(p_max, (int, float)) and p_max > 12:
-        errors.append("task_params.p_max is capped at 12")
+    for key, cap in (("p_max", 12), ("supadd_N", 20)):   # the functions' caps
+        value = params.get(key)
+        if _is_number(value) and value > cap:
+            errors.append(f"task_params.{key} is capped at {cap}")
     n, batches = ({**read, **params}.get(k) for k in ("n", "batches"))
     torus = isinstance(family, LinearTorusFamily) and type(n) is int
     if torus and type(batches) is int and n < batches:

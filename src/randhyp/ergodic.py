@@ -1,12 +1,11 @@
 """Estimating the smallest measure-averaged expansion over invariant
 measures whose base marginal is the driving law.
 
-No algorithm can enumerate all invariant measures, so three constructive
-surrogates are combined: the empirical measures carried by the orbit of a
-grid argmin of the n-step minimum expansion, plain Birkhoff minima over
-random starts, and (for full-shift bases) periodic-orbit averages.  The
-periodic orbits project to periodic word measures on the base, not to the
-driving law, so they are reported as heuristic context only.
+No algorithm can enumerate all invariant measures, so the estimate combines
+constructive candidates: the run's uniform rate estimate, plain Birkhoff
+minima over random starts, and (for full-shift bases) periodic-orbit
+averages.  The periodic orbits project to periodic word measures on the
+base, not to the driving law, so they are reported as heuristic context only.
 """
 
 import math
@@ -16,69 +15,11 @@ import numpy as np
 
 from ._record import Record
 from .base import derive_seed, periodic_state, random_point, sample_base
-from .cocycle import (cocycle_product, orbit_log_stretches, unit_tangent,
-                      unit_tangent_step)
+from .cocycle import cocycle_product, orbit_log_stretches, unit_tangent
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint, unit_direction
-from .expansion import DEFAULT_GRID, min_expansion_sweep
 
 _BIRKHOFF_STREAM = 0x42495248
-
-
-class EmpiricalMeasure(Record):
-    """Weighted atoms on (base point, fiber point[, unit vector])."""
-
-    atoms: tuple                 # (omega, ManifoldPoint, v tuple or None, weight)
-    normalized: bool
-
-    def total_weight(self):
-        return math.fsum(w for (_, _, _, w) in self.atoms)
-
-
-def normalize(measure):
-    total = measure.total_weight()
-    atoms = tuple((o, x, v, w / total) for (o, x, v, w) in measure.atoms)
-    return EmpiricalMeasure(atoms, True)
-
-
-def integrate_observable(measure, f):
-    """Weighted sum of f over atoms; f(omega, x, v) or f(omega, x)."""
-    if not measure.normalized:
-        raise ContractError("measure must be normalized before integration")
-    if abs(measure.total_weight() - 1.0) > 1e-12:
-        raise ContractError("normalized measure weights must sum to 1 within 1e-12")
-    terms = []
-    for (omega, x, v, w) in measure.atoms:
-        val = f(omega, x) if v is None else f(omega, x, v)
-        terms.append(w * val)
-    return math.fsum(terms)
-
-
-def pushforward_projection(measure):
-    """Forget tangent vectors; weights are preserved atom by atom."""
-    if not measure.normalized:
-        raise ContractError("measure must be normalized")
-    atoms = tuple((o, x, None, w) for (o, x, _, w) in measure.atoms)
-    return EmpiricalMeasure(atoms, True)
-
-
-def empirical_minimizing_sequence(family, omega, n, grid_size=DEFAULT_GRID):
-    """Uniform measure on the tangent orbit of the n-step grid argmin.
-
-    The integral of the log-stretch observable against this measure
-    telescopes to (grid minimum of A_n)/n.  Grid ties, mirror pairs of an
-    `odd` family included, break toward the smallest coordinates.
-    """
-    if n < 1:
-        raise ContractError("n must be >= 1")
-    sweep = min_expansion_sweep(family, omega, n, grid_size)
-    start = unit_tangent(omega, ManifoldPoint(sweep.argmin_coords), sweep.argmin_v)
-    atoms = []
-    p = start
-    for _ in range(n):
-        atoms.append((p.omega, p.x, p.v, 1.0 / n))
-        p = unit_tangent_step(family, p)
-    return EmpiricalMeasure(tuple(atoms), True), start
 
 
 class PeriodicOrbitRecord(Record):
@@ -260,15 +201,17 @@ class LambdaReport(Record):
 
 def lambda_estimate(family, spec, seed, rate, birkhoff_steps=10_000,
                     birkhoff_starts=20, include_periodic=False, p_max=6):
-    """Smallest measure-averaged expansion, from the constructive surrogates.
+    """Smallest measure-averaged expansion, from the constructive candidates.
 
-    The reported value is the minimum of the empirical-measure average and
-    the Birkhoff minimum over random starts.  The empirical-measure average
-    is the uniform rate estimate `rate` (`uniform_rate_estimate`) itself:
-    the measure on each sample's n-step argmin orbit integrates to A_n/n
-    (`empirical_minimizing_sequence`), and `rate.a_estimate` is their mean.
-    Periodic orbits, when requested (full-shift bases only), are attached
-    as heuristic context and excluded from the estimate because their base
+    The reported value is the minimum of the empirical-measure candidate and
+    the Birkhoff minimum over random starts.  The empirical-measure candidate
+    is the uniform rate estimate `rate` (`uniform_rate_estimate`) itself.
+    The n-step log stretch of a unit vector is the sum of the one-step log
+    stretches along its tangent orbit, so the uniform measure on the n-step
+    orbit of a minimizing vector integrates the one-step log stretch to
+    A_n/n, and `rate.a_estimate` is the sample mean of A_n/n.  Periodic
+    orbits, when requested (full-shift bases only), are attached as
+    heuristic context and excluded from the estimate because their base
     marginals differ from the driving law.
     """
     seed_b = derive_seed(seed, _BIRKHOFF_STREAM, 0)

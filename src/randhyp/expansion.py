@@ -36,8 +36,6 @@ class SweepResult(Record):
     uppers: np.ndarray           # grid/exact minimum of log |D phi^{(n)} v|
     lowers: np.ndarray           # certified lower bound
     grid_size: int
-    argmin_coords: tuple         # fiber argmin at the final horizon
-    argmin_v: tuple              # tangent argmin at the final horizon
 
     def bracket(self, n):
         return float(self.lowers[n - 1]), float(self.uppers[n - 1])
@@ -142,8 +140,8 @@ def certified_depth(family, grid_size, cap):
 
 
 def _brackets(family, blocks, grid_size, threads=1):
-    """`min_expansion_sweep`'s uppers and lowers (in the blocks' shapes) and
-    argmin fields (per window) for blocks of one window or rows of windows.
+    """`min_expansion_sweep`'s uppers and lowers, in the blocks' shapes, for
+    blocks of one window or rows of windows.
     Sorted by the 64-bit patterns of their parameters, the windows form a
     trie; a node is a sorted range [lo, hi) of windows sharing a prefix
     longer than its parent's, a.  The family steps through each unbranched
@@ -175,7 +173,7 @@ def _brackets(family, blocks, grid_size, threads=1):
     del bits, differ   # not held through the walk
     order, lens, lcp = order.tolist(), lens.tolist(), [0, *lcp.tolist()]
     uppers = [np.empty(np.shape(b)) for b in blocks]
-    out, argmin = [row for u in uppers for row in np.atleast_2d(u)], [None] * len(windows)
+    out = [row for u in uppers for row in np.atleast_2d(u)]
 
     start = family.sweep_start(grid_size)   # shared, so no root step owns it
 
@@ -187,9 +185,8 @@ def _brackets(family, blocks, grid_size, threads=1):
             state, mins = family.sweep_steps(windows[order[lo]][a:c], state, own,
                                              lens[hi - 1] == c)
             out[order[lo]][a:c] = mins
-            end = family.sweep_argmin(state) if lens[lo] == c else None
             while lo < hi and lens[lo] == c:   # windows ending here
-                argmin[order[lo]], lo = end, lo + 1
+                lo += 1
             cuts = [lo, *(i for i in range(lo + 1, hi) if lcp[i] == c), hi]
             stack += [(s, e, c, state, i == 0) for i, (s, e)
                       in enumerate(reversed(list(zip(cuts, cuts[1:])))) if s < e]
@@ -200,14 +197,14 @@ def _brackets(family, blocks, grid_size, threads=1):
         out[k][:n] = out[j][:n]
     slacks = np.array([lipschitz_slack(family, n, grid_size)
                        for n in range(1, max(r.shape[1] for r in rows) + 1)])
-    return (uppers, [u - slacks[:u.shape[-1]] for u in uppers], argmin)
+    return uppers, [u - slacks[:u.shape[-1]] for u in uppers]
 
 
 def sweep_windows(family, windows, grid_size, threads=1):
     """`min_expansion_sweep` of each parameter window (any lengths), in
     window order, sweeping each distinct parameter prefix once."""
-    return [SweepResult(u, lo, 1 if family.linear else grid_size, *args)
-            for u, lo, args in zip(*_brackets(family, list(windows), grid_size, threads))]
+    return [SweepResult(u, lo, 1 if family.linear else grid_size)
+            for u, lo in zip(*_brackets(family, list(windows), grid_size, threads))]
 
 
 def min_expansion_sweep(family, omega, n_max, grid_size=DEFAULT_GRID):
@@ -255,8 +252,7 @@ def supadditivity_residuals(family, omega, N=12, grid_size=DEFAULT_GRID):
     The true minima satisfy A_{n+m} >= A_n + A_m(T^n w), so with certified
     brackets every residual is nonnegative up to roundoff.
     """
-    uppers, lowers, _ = _brackets(family, _supadd_windows(family, omega, N),
-                                  grid_size)
+    uppers, lowers = _brackets(family, _supadd_windows(family, omega, N), grid_size)
     rows = _supadd_rows(uppers, lowers, N)
     return SupadditivityReport(min(r for (_, _, r) in rows), tuple(rows))
 
@@ -315,10 +311,8 @@ def truncated_infimum(cumulative, lam):
     return np.take_along_axis(terms, k[..., None], -1)[..., 0], k + 1
 
 
-def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
-                       grid_size=DEFAULT_GRID, a_estimate=None):
-    """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
-    every orbit w in `omegas` and k in `offsets`: one sweep of all windows."""
+def _check_constant_args(lam, depth, a_estimate=None):
+    """The rate and truncation depth every tempered constant needs."""
     if lam <= 0.0:
         raise ConfigurationError("lambda must be positive")
     if a_estimate is not None and lam >= a_estimate:
@@ -327,8 +321,15 @@ def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
             f"({lam} >= {a_estimate}); the certified range is 0 < lambda < A")
     if depth < 1:
         raise ContractError("depth must be >= 1")
-    _, lowers, _ = _brackets(family, _depth_windows(family, omegas, offsets, depth),
-                             grid_size)
+
+
+def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
+                       grid_size=DEFAULT_GRID, a_estimate=None):
+    """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
+    every orbit w in `omegas` and k in `offsets`: one sweep of all windows."""
+    _check_constant_args(lam, depth, a_estimate)
+    _, lowers = _brackets(family, _depth_windows(family, omegas, offsets, depth),
+                          grid_size)
     return [a.reshape(len(omegas), -1) for a in truncated_infimum(np.vstack(lowers), lam)]
 
 
@@ -355,6 +356,7 @@ def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
                           grid_size=DEFAULT_GRID):
     ns = np.arange(1, n_max + 1)
     if isinstance(family, CircleFamily) and family.linear:
+        _check_constant_args(lam, depth)
         log_cs = _curve_fast(family, omega, lam, n_max, depth)
     else:
         log_cs = tempered_constants(family, [omega], ns, lam, depth, grid_size)[0][0]
@@ -437,7 +439,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     top = len(blocks)
     for w in omegas[:supadd_samples]:
         blocks += _supadd_windows(family, w, n_res)
-    uppers, lowers, _ = _brackets(family, blocks, grid_size, threads)
+    uppers, lowers = _brackets(family, blocks, grid_size, threads)
 
     log_c, ks = truncated_infimum(np.vstack(lowers[:top]), lam)
     c_samples = tuple((w.describe(), TemperedConstant(lc, k, eff_depth, lam).value,

@@ -109,10 +109,9 @@ class FiberFamily:
     Circle and linear torus families sweep A_n, the minimum n-step log
     expansion: `sweep_steps(ps, state, own, leaf)` steps a
     `sweep_start(grid_size)` state through the parameters `ps`, overwriting
-    it only if `own`, and returns it and A_n after each step;
-    `sweep_argmin(state)` is the minimizing (coords, v).  `leaf` says that
-    no step follows `ps`: the returned state then only has to serve
-    `sweep_argmin`, so a circle family leaves out its last grid image.
+    it only if `own`, and returns it and A_n after each step.  `leaf` says
+    that no step follows `ps`: nothing reads the returned state then, so a
+    circle family leaves out its last grid image.
     """
 
     family_id = None
@@ -192,28 +191,24 @@ class CircleFamily(FiberFamily):
         return ((self.deriv(p, coords[0]),),)
 
     def sweep_start(self, grid_size):
-        """(grid, its image, summed log-derivatives: a read-only zero); the grid
-        is x = 0 if `linear`, else j / grid_size, for j <= grid_size // 2 if `odd`."""
+        """(the grid's image, at first the grid, and its summed log-derivatives:
+        a read-only zero); the grid is x = 0 if `linear`, else j / grid_size,
+        for j <= grid_size // 2 if `odd`."""
         n = 1 if self.linear else grid_size // 2 + 1 if self.odd else grid_size
-        xs0 = np.arange(n) / grid_size
-        return xs0, xs0, np.broadcast_to(0.0, n)
+        return np.arange(n) / grid_size, np.broadcast_to(0.0, n)
 
     def sweep_steps(self, ps, state, own, leaf):
-        xs0, cur, acc = state
+        cur, acc = state
         if self.linear:   # the log-derivative ignores x: one cumulative sum
             acc = np.cumsum(np.r_[acc, self.log_deriv(ps, 0.0, np)])
-            return (xs0, cur, acc[-1:]), acc[1:]
+            return (cur, acc[-1:]), acc[1:]
         mins = np.empty(len(ps))
         last = len(ps) - 1 if leaf else -1   # a leaf's last image is never read
         for i, p in enumerate(ps.tolist()):
             acc = np.add(acc, self.log_deriv(p, cur, np), out=acc if own else None)
             own, mins[i] = True, acc.min()
             cur = None if i == last else self.apply(p, cur, np)
-        return (xs0, cur, acc), mins
-
-    def sweep_argmin(self, state):
-        xs0, _, acc = state
-        return (float(xs0[acc.argmin()]),), (1.0,)
+        return (cur, acc), mins
 
     def orbit_log_derivs(self, omega, x0, n):
         """log|D phi| at each of n steps of the orbit of x0."""
@@ -393,10 +388,6 @@ class LinearTorusFamily(FiberFamily):
             logdet += self.log_dets[p]
             mins[i] = logdet - logscale - math.log(np.linalg.svd(prod, compute_uv=False)[0])
         return (prod, logscale, logdet), mins
-
-    def sweep_argmin(self, state):
-        vmin = unit_direction(np.linalg.svd(state[0])[2][-1])
-        return (0.0, 0.0), (float(vmin[0]), float(vmin[1]))
 
 
 def _apply_matrix(m, coords):

@@ -410,7 +410,49 @@ def test_long_rate_horizon_exits_zero(tmp_path, capsys):
     trend = json.loads((tmp_path / "out" / "report.json").read_text())[
         "payload"]["details"]["trend"]
     assert trend[0][2] > 0.0
-    assert trend[-1][2] == -math.inf
+    assert trend[-1][2] is None   # -inf, which JSON cannot write
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("cfg, non_finite", [
+    # a vacuous -inf lower bracket past n = 735
+    ({"task": "certify-expansion", "base": BASES["dirac"],
+      "fiber": {"family": "perturbed-doubling"},
+      "task_params": {"samples": 2, "n_max": 800, "grid_size": 64, "corollary": False}},
+     lambda payload: payload["details"]["trend"][-1][2]),
+    # NaN bundle constants: lambda <= 0 for the default diagonal cocycle
+    ({"task": "splitting", "base": BASES["bernoulli"],
+      "fiber": {"family": "diagonal-cocycle"},
+      "task_params": {"samples": 3, "n": 400, "horizon": 12, "depth": 10,
+                      "curve_len": 10, "batches": 4}},
+     lambda payload: payload["c_samples"][0]["c1"]),
+], ids=["certify-long", "splitting-diagonal"])
+def test_reports_are_strict_json(cfg, non_finite, tmp_path):
+    report = run_task(parse_config(json.dumps(dict(cfg, seed=7))))
+    assert not math.isfinite(non_finite(report.payload))
+    report.write(tmp_path)
+    for text in (report.payload_bytes(), (tmp_path / "report.json").read_text()):
+        doc = json.loads(text, parse_constant=_no_constant)
+        assert non_finite(doc["payload"]) is None
+
+
+def test_supadd_n_is_capped_before_any_sweep(tmp_path, capsys, monkeypatch):
+    from randhyp.fibers import CircleFamily
+
+    def no_sweep(self, *args):
+        raise AssertionError("swept before the config check")
+    monkeypatch.setattr(CircleFamily, "sweep_steps", no_sweep)
+    cfg = {"seed": 7, "base": BASES["dirac"], "fiber": {"family": "doubling"},
+           "task_params": {"n_max": 24, "supadd_N": 21}}
+    for task in ("certify-expansion", "full-pipeline"):
+        code, err = cli_errors(tmp_path, capsys, task, json.dumps(cfg))
+        assert code == 1
+        assert err == "configuration errors:\n  - task_params.supadd_N is capped at 20\n"
+    parse_config(json.dumps(dict(cfg, task="certify-expansion",
+                                 task_params={"n_max": 24, "supadd_N": 20})))
 
 
 def test_long_horizon_cat_map_is_not_certified(tmp_path, capsys):

@@ -4,12 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from randhyp import (BaseSystemSpec, UnitTangentPoint, UnsupportedOperationError,
-                     empirical_minimizing_sequence, enumerate_periodic_orbits,
-                     integrate_observable, lambda_estimate, make_family, phi,
-                     point, pushforward_projection, sample_base, unit_tangent)
-from randhyp.base import random_point
-from randhyp.ergodic import EmpiricalMeasure
+from randhyp import (BaseSystemSpec, UnsupportedOperationError,
+                     enumerate_periodic_orbits, lambda_estimate, make_family,
+                     sample_base)
 from randhyp.expansion import (min_log_expansion, uniform_rate_estimate,
                                variable_rate_corollary)
 from randhyp.fibers import CircleFamily, LinearTorusFamily
@@ -18,106 +15,8 @@ LOG2 = math.log(2)
 FLOOR = math.log(2 - 0.2 * math.pi)
 
 
-def dirac():
-    return sample_base(BaseSystemSpec.dirac(), 0, 1)[0]
-
-
 def bern_spec():
     return BaseSystemSpec.bernoulli([0.5, 0.5])
-
-
-def phi_observable(fam):
-    return lambda om, x, v: phi(fam, UnitTangentPoint(om, x, v))
-
-
-def test_integrate_single_atom():
-    fam = make_family("doubling")
-    mu = EmpiricalMeasure(((dirac(), point(0.3), (1.0,), 1.0),), True)
-    assert integrate_observable(mu, phi_observable(fam)) == pytest.approx(LOG2)
-
-
-def test_integrate_two_atoms_mean():
-    w = dirac()
-    mu = EmpiricalMeasure(((w, point(0.1), (1.0,), 0.5),
-                           (w, point(0.2), (1.0,), 0.5)), True)
-    vals = {0.1: math.log(2), 0.2: math.log(3)}
-    f = lambda om, x, v: vals[round(x.x, 10)]
-    assert integrate_observable(mu, f) == pytest.approx(math.log(6) / 2)
-
-
-def test_integrate_requires_normalized():
-    from randhyp.errors import ContractError
-    mu = EmpiricalMeasure(((dirac(), point(0.1), (1.0,), 2.0),), False)
-    with pytest.raises(ContractError):
-        integrate_observable(mu, lambda om, x, v: 1.0)
-    # a mislabeled measure with weights not summing to 1 is rejected too
-    bad = EmpiricalMeasure(((dirac(), point(0.1), (1.0,), 2.0),), True)
-    with pytest.raises(ContractError):
-        integrate_observable(bad, lambda om, x, v: 1.0)
-    from randhyp.ergodic import normalize
-    fixed = normalize(EmpiricalMeasure(((dirac(), point(0.1), (1.0,), 2.0),
-                                        (dirac(), point(0.2), (1.0,), 6.0)),
-                                       False))
-    assert integrate_observable(fixed, lambda om, x, v: x.x) == pytest.approx(0.175)
-
-
-def test_empirical_sequence_doubling():
-    fam = make_family("doubling")
-    mu, argmin = empirical_minimizing_sequence(fam, dirac(), 5, grid_size=64)
-    assert integrate_observable(mu, phi_observable(fam)) == pytest.approx(LOG2, abs=1e-12)
-    assert abs(mu.total_weight() - 1.0) < 1e-12
-
-
-def test_empirical_sequence_perturbed_n1():
-    fam = make_family("perturbed-doubling", {"eps_max": 0.1})
-    ws = sample_base(bern_spec(), 3, 8)
-    from randhyp import symbol_at
-    w = next(w for w in ws if symbol_at(w, 0) == 1)
-    mu, argmin = empirical_minimizing_sequence(fam, w, 1, grid_size=4096)
-    assert argmin.x.x == pytest.approx(0.5, abs=1 / 4096)
-    assert integrate_observable(mu, phi_observable(fam)) == pytest.approx(FLOOR, abs=1e-6)
-
-
-def test_construction_identity():
-    # integral of the observable equals (grid minimum)/n up to roundoff
-    fam = make_family("perturbed-doubling", {"eps_max": 0.1})
-    w = sample_base(bern_spec(), 19, 1)[0]
-    n = 8
-    mu, _ = empirical_minimizing_sequence(fam, w, n, grid_size=2048)
-    val = integrate_observable(mu, phi_observable(fam))
-    _, upper = min_log_expansion(fam, w, n, grid_size=2048)
-    assert val == pytest.approx(upper / n, abs=1e-12)
-
-
-def test_pushforward_projection_identity():
-    fam = make_family("random-cat")
-    rng = np.random.default_rng(1)
-    for trial in range(100):
-        w = sample_base(bern_spec(), trial, 1)[0]
-        k = rng.integers(1, 6)
-        atoms = []
-        weights = rng.random(k)
-        weights /= weights.sum()
-        for i in range(k):
-            x = point(*rng.random(2))
-            v = rng.normal(size=2)
-            v /= np.linalg.norm(v)
-            atoms.append((w, x, tuple(v), float(weights[i])))
-        mu = EmpiricalMeasure(tuple(atoms), True)
-        proj = pushforward_projection(mu)
-        coeffs = rng.normal(size=2)
-        f = lambda om, x: coeffs[0] * x.coords[0] + coeffs[1] * x.coords[1]
-        f_lift = lambda om, x, v: f(om, x)
-        assert integrate_observable(mu, f_lift) == pytest.approx(
-            integrate_observable(proj, f), abs=1e-12)
-        assert all(v is None for (_, _, v, _) in proj.atoms)
-
-
-def test_pushforward_single_atom():
-    mu = EmpiricalMeasure(((dirac(), point(0.3), (1.0,), 1.0),), True)
-    proj = pushforward_projection(mu)
-    assert len(proj.atoms) == 1
-    assert proj.atoms[0][1] == point(0.3)
 
 
 def test_periodic_orbits_doubling():

@@ -205,6 +205,21 @@ def test_curve_matches_direct_constant():
         state = base_step(state)
 
 
+@pytest.mark.parametrize("name", ["bernoulli-linear", "perturbed-doubling"])
+def test_curve_checks_lambda_and_depth_on_both_paths(name):
+    # bernoulli-linear takes the sliding-window path, perturbed doubling the
+    # sweep: both refuse a rate or a depth that no constant has
+    from randhyp import ContractError
+    from randhyp.expansion import temperedness_curve_at
+    fam = make_family(name)
+    w = sample_base(bern_spec(), 7, 1)[0]
+    for lam in (-1.0, 0.0):
+        with pytest.raises(ConfigurationError, match="lambda must be positive"):
+            temperedness_curve_at(fam, w, lam, 8, depth=4, grid_size=64)
+    with pytest.raises(ContractError, match="depth must be >= 1"):
+        temperedness_curve_at(fam, w, 0.1, 8, depth=0, grid_size=64)
+
+
 def test_recursion_bound_attained_beyond_first():
     # with lambda between log2 and log3 the infimum can move past n = 1,
     # exercising C(w) >= C(Tw) e^{-lam} D_1(w)
