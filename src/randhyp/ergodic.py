@@ -9,7 +9,7 @@ base, not to the driving law, so they are reported as heuristic context only.
 """
 
 import math
-from itertools import product as iter_product
+from itertools import accumulate, product as iter_product
 
 import numpy as np
 
@@ -58,7 +58,7 @@ def _word_period(word):
 
 def _circle_dist(a, b):
     d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
+    return np.minimum(d, 1.0 - d)
 
 
 def _lift_composite(family, ps, xs):
@@ -68,27 +68,18 @@ def _lift_composite(family, ps, xs):
     return y
 
 
-def _apply_steps(family, ps, x, count):
-    for i in range(count):
-        x = family.apply(ps[i % len(ps)], x)
-    return x
-
-
 def _circle_word_orbits(family, omega0, word):
-    """All periodic orbits of fundamental period len(word) over this word,
-    whose periodic state is omega0."""
+    """(x0, distance of its p-step image from x0) of every periodic orbit of
+    least period p = len(word) over this word, whose periodic state is omega0."""
     p = len(word)
     ps = family.params_along(omega0, p).tolist()
-    degree = 1
-    for q in ps:
-        degree *= family.degree(q)
+    degree = math.prod(family.degree(c) for c in ps)
 
     # The lift of the p-step composite fixes 0 and gains `degree` over one
     # period, so the fixed points are the solutions of G(x) = c for integer
     # c; G is strictly increasing for expanding families.
     cs = np.arange(1, degree - 1, dtype=np.float64)
-    lo = np.zeros_like(cs)
-    hi = np.ones_like(cs)
+    lo, hi = np.zeros_like(cs), np.ones_like(cs)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         g = _lift_composite(family, ps, mid) - mid
@@ -97,32 +88,27 @@ def _circle_word_orbits(family, omega0, word):
         hi = np.where(takes, hi, mid)
     roots = [0.0] + [float(v) for v in 0.5 * (lo + hi)]
 
+    # omega0 has the word's period q: a root's least period is the first multiple of q
+    # dividing p where its orbit returns, and its points every q steps repeat its orbit
     q = _word_period(word)
-    if q < p:
-        roots = [x for x in roots
-                 if _circle_dist(_apply_steps(family, ps, x, q), x) > 1e-9]
-
-    orbits = []
-    visited = [False] * len(roots)
+    orbits, repeats = [], set()
     for i, x0 in enumerate(roots):
-        if visited[i]:
+        if i in repeats:
             continue
-        visited[i] = True
+        xs = list(accumulate(ps, lambda x, c: family.apply(c, x), initial=x0))
+        if any(_circle_dist(xs[r], x0) <= 1e-9 for r in range(q, p, q) if p % r == 0):
+            continue   # listed under the word of its least period
+        orbits.append((x0, float(_circle_dist(xs[p], x0))))
         if q < p:
-            # rotation-symmetric words revisit the fixed set every q steps
-            x = x0
-            for _ in range(p // q - 1):
-                x = _apply_steps(family, ps, x, q)
-                for j, xr in enumerate(roots):
-                    if not visited[j] and _circle_dist(x, xr) < 1e-9:
-                        visited[j] = True
-        orbits.append(x0)
-    return ps, orbits
+            near = _circle_dist(np.array(roots), np.array(xs[q:p:q])[:, None]) < 1e-9
+            repeats.update(np.flatnonzero(near.any(0)).tolist())
+    return orbits
 
 
 def enumerate_periodic_orbits(family, spec, p_max):
     """Periodic orbits for every symbol word of length <= p_max (up to
-    rotation), sorted by orbit-averaged log expansion.
+    rotation), each listed once under its least period, sorted by
+    orbit-averaged log expansion.
 
     Full-shift (bernoulli) bases and `expanding` circle families only.
     Root isolation uses bisection on the lift, increasing and of degree
@@ -142,13 +128,12 @@ def enumerate_periodic_orbits(family, spec, p_max):
                 continue
             omega0 = periodic_state(spec.alphabet_size, word)
             if isinstance(family, CircleFamily):
-                ps, orbit_roots = _circle_word_orbits(family, omega0, word)
-                for x0 in orbit_roots:
+                for x0, residual in _circle_word_orbits(family, omega0, word):
                     logs = family.orbit_log_derivs(omega0, x0, p)
                     records.append(PeriodicOrbitRecord(
                         symbol_word=word, x0=ManifoldPoint((x0,)), v0=(1.0,),
                         period=p, phi_average=math.fsum(logs.tolist()) / p,
-                        residual=_circle_dist(_apply_steps(family, ps, x0, p), x0)))
+                        residual=residual))
             else:
                 prod = cocycle_product(family, omega0, ManifoldPoint((0.0, 0.0)),
                                        p).entries

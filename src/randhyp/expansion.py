@@ -149,6 +149,8 @@ def _brackets(family, blocks, grid_size, threads=1):
     at branching nodes, and told whether the chain ends at a leaf, where no
     step reads its last image; `threads` walk root subtrees in parallel."""
     rows = [np.atleast_2d(b) for b in blocks]
+    if not rows:
+        raise ContractError("windows must be nonempty")
     if min(r.shape[1] for r in rows) < 1:
         raise ContractError("n_max must be >= 1")
     if not isinstance(family, (CircleFamily, LinearTorusFamily)):
@@ -234,6 +236,8 @@ class SupadditivityReport(Record):
 
 def _supadd_windows(family, omega, N):
     """params_along(T^k w, N - k) for k < N."""
+    if N < 2:
+        raise ContractError("N must be >= 2")
     if N > 20:
         raise ContractError("supadditivity tables use certified horizons N <= 20")
     return [s[k:] for s in [family.params_along(omega, N)] for k in range(N)]
@@ -298,6 +302,8 @@ def tempered_constant(family, omega, lam, depth=DEFAULT_DEPTH,
 
 def _depth_windows(family, omegas, offsets, depth):
     """params_along(T^k w, depth) for k in `offsets`, one block per orbit w."""
+    if not len(offsets):
+        raise ContractError("offsets must be nonempty")
     lo, span = min(offsets), max(offsets) - min(offsets) + depth
     rows = (np.asarray(offsets) - lo)[:, None] + np.arange(depth)
     return [family.params_along(shift_by(w, lo), span)[rows] for w in omegas]
@@ -354,6 +360,8 @@ def temperedness_curve(family, spec, seed, lam, n_max, depth=DEFAULT_DEPTH,
 
 def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
                           grid_size=DEFAULT_GRID):
+    if n_max < 1:
+        raise ContractError("n_max must be >= 1")
     ns = np.arange(1, n_max + 1)
     if isinstance(family, CircleFamily) and family.linear:
         _check_constant_args(lam, depth)
@@ -367,7 +375,7 @@ def one_step_min_expansion(family, omega):
     """Analytic minimum one-step expansion factor D_1(w)."""
     p = family.param_at(omega)
     if isinstance(family, LinearTorusFamily):
-        return float(np.linalg.svd(family.matrices[p], compute_uv=False)[-1])
+        return float(family.svals[p, -1])
     return float(family.deriv(p, family.min_deriv_x))
 
 
@@ -402,6 +410,9 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     failing (negative residuals, nonpositive C) yield "violated"; a
     nonpositive rate estimate or a non-decaying curve yields "inconclusive".
     """
+    for name, value in (("curve_n_max", curve_n_max), ("supadd_samples", supadd_samples)):
+        if value is not None and value < 1:
+            raise ContractError(f"{name} must be >= 1")
     rate = uniform_rate_estimate(family, spec, seed, samples, n_max,
                                  grid_size, threads)
     a_est = rate.a_estimate

@@ -319,10 +319,11 @@ class LinearTorusFamily(FiberFamily):
 
     Every cocycle walk reads the read-only (k, 2, 2) table `matrices`, its
     `inverses`, their `dets` (a00 a11 - a01 a10, exact for integer
-    matrices) and `log_dets`, and the index stream `params_along`.  The
-    derivative is the constant matrix A(w), so fiber minimizations are exact
-    singular-value computations.  Point-level inversion is supported exactly
-    when every matrix is an integer unimodular matrix (a torus automorphism).
+    matrices), `log_dets` and singular values `svals` (largest first), and
+    the index stream `params_along`.  The derivative is the constant matrix
+    A(w), so fiber minimizations are exact singular-value computations.
+    Point-level inversion is supported exactly when every matrix is an
+    integer unimodular matrix (a torus automorphism).
     """
 
     manifold_dim = 2
@@ -344,14 +345,14 @@ class LinearTorusFamily(FiberFamily):
             raise ConfigurationError(f"{label} must have finite determinants")
         if np.any(np.abs(dets) < 1e-14):
             raise ConfigurationError(f"{label} must be nonsingular")
-        self.matrices, self.inverses = mats, np.linalg.inv(mats)
-        self.dets, self.log_dets = dets, np.log(np.abs(dets))
-        for table in (mats, self.inverses, dets, self.log_dets):
-            table.setflags(write=False)
         svals = np.linalg.svd(mats, compute_uv=False)
         # the float SVD can lose a tiny singular value, e.g. diag(1e300, 1e-300)
         if not (np.all(np.isfinite(svals)) and svals[:, -1].min() > 0.0):
             raise ConfigurationError(f"{label} must have finite, nonzero singular values")
+        self.matrices, self.inverses = mats, np.linalg.inv(mats)
+        self.dets, self.log_dets, self.svals = dets, np.log(np.abs(dets)), svals
+        for table in (mats, self.inverses, dets, self.log_dets, svals):
+            table.setflags(write=False)
         self.sup_dphi = float(svals[:, 0].max())
         self.sup_dphi_inv = float((1.0 / svals[:, -1]).max())
         self.log_deriv_lipschitz = 0.0

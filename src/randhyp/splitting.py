@@ -190,6 +190,8 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
         raise ContractError("horizon must be >= 2")
     if not (n >= batches >= 1):
         raise ContractError("need n >= batches >= 1")
+    if curve_len < 1:
+        raise ContractError("curve_len must be >= 1")
     omegas = sample_base(spec, seed, samples)
     recs, heads, spectra = [], [], []   # heads: first `depth` log stretches
     for i, omega in enumerate(omegas):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from randhyp import (BaseSystemSpec, UnsupportedOperationError,
                      sample_base)
 from randhyp.expansion import (min_log_expansion, uniform_rate_estimate,
                                variable_rate_corollary)
+from randhyp.base import periodic_state
 from randhyp.fibers import CircleFamily, LinearTorusFamily
 
 LOG2 = math.log(2)
@@ -105,6 +107,49 @@ def test_torus_periodic_averages_match_exact_arithmetic():
             lam_max = (abs(tr) + mpmath.sqrt(tr * tr - 4 * det)) / 2
             exact = (mpmath.log(abs(det)) - mpmath.log(lam_max)) / r.period
         assert abs(r.phi_average - float(exact)) <= 1e-14
+
+
+def _moebius(n):
+    sign, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            sign = -sign
+        k += 1
+    return -sign if n > 1 else sign
+
+
+@pytest.mark.parametrize("name, params, probs, p_max, D", [
+    ("doubling", {}, [1.0], 10, 2),
+    ("perturbed-doubling", {"eps_max": 0.1}, [0.5, 0.5], 8, 4),
+    ("bernoulli-linear", {"values": [2, 3]}, [0.5, 0.5], 6, 5),
+])
+def test_periodic_orbit_counts_are_exact(name, params, probs, p_max, D):
+    # over a full shift on k symbols of degrees d_s, D = sum d_s, a p-word's
+    # composite has deg - 1 fixed points, so D^p - k^p points have period
+    # dividing p, and (1/p) sum_{e | p} mu(p/e) (D^e - k^e) orbits have least
+    # period p
+    fam, k = make_family(name, params), len(probs)
+    recs = enumerate_periodic_orbits(fam, BaseSystemSpec.bernoulli(probs), p_max)
+    exact = {p: sum(_moebius(p // e) * (D ** e - k ** e)
+                    for e in range(1, p + 1) if p % e == 0) // p
+             for p in range(1, p_max + 1)}
+    assert Counter(r.period for r in recs) == exact
+    # an orbit over the primitive word u visits the state of u every len(u)
+    # steps; the least of those points names it
+    anchors = {}
+    for r in recs:
+        q = next(q for q in range(1, r.period + 1)
+                 if r.symbol_word == r.symbol_word[q:] + r.symbol_word[:q])
+        xs = [r.x0.x]
+        for c in fam.params_along(periodic_state(k, r.symbol_word), r.period).tolist():
+            xs.append(fam.apply(c, xs[-1]))
+        assert min(abs(xs[-1] - xs[0]), 1 - abs(xs[-1] - xs[0])) == r.residual
+        anchors.setdefault(r.symbol_word[:q], []).append(min(xs[:-1:q]))
+    for points in anchors.values():
+        assert np.diff(sorted(points)).min(initial=1.0) > 1e-6
 
 
 def test_periodic_orbits_need_an_expanding_circle_family():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from randhyp import (BaseSystemSpec, ConfigurationError, make_family,
-                     min_log_expansion, sample_base, supadditivity_residuals,
-                     symbol_at, tempered_constant, temperedness_curve,
-                     uniform_rate_estimate, variable_rate_corollary,
-                     build_expansion_certificate, min_expansion_table)
+from randhyp import (BaseSystemSpec, ConfigurationError, ContractError,
+                     hyperbolicity_certificate, make_family, min_log_expansion,
+                     sample_base, supadditivity_residuals, symbol_at,
+                     tempered_constant, temperedness_curve, uniform_rate_estimate,
+                     variable_rate_corollary, build_expansion_certificate,
+                     min_expansion_table)
 from randhyp.base import base_step, periodic_state, shift_by, symbol_window
 from randhyp.expansion import (certified_depth, lipschitz_slack,
                                min_expansion_sweep, one_step_min_expansion)
@@ -430,3 +431,44 @@ def test_certificate_steps_each_parameter_prefix_once(monkeypatch):
 
     assert 0 < len(steps) <= prefixes(rate) + prefixes(later)
     assert len(steps) < sum(len(w) for w in rate + later) / 4
+
+
+def test_torus_corollary_reads_the_family_svals(monkeypatch):
+    fam = make_family("random-cat")
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
+    rep = variable_rate_corollary(fam, bern_spec(), 7, 100, 1.0)
+    assert calls == []
+    smallest = {p: math.log(fam.svals[p, -1]) for p in range(len(fam.matrices))}
+    logs = [smallest[fam.param_at(w)] for w in sample_base(bern_spec(), 7, 100)]
+    assert rep.estimate == float(np.mean(logs))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("windows", lambda: expansion.sweep_windows(make_family("perturbed-doubling"),
+                                                [], 64)),
+    ("offsets", lambda: expansion.tempered_constants(
+        make_family("perturbed-doubling"), [dirac()], [], 0.1, 4, 64)),
+    ("n_max", lambda: expansion.temperedness_curve_at(
+        make_family("perturbed-doubling"), dirac(), 0.1, 0, 4, 64)),
+    ("n_max", lambda: expansion.temperedness_curve_at(
+        make_family("bernoulli-linear"), dirac(), 0.1, 0, 4)),
+    ("N", lambda: supadditivity_residuals(make_family("perturbed-doubling"),
+                                          dirac(), N=1, grid_size=64)),
+    ("curve_n_max", lambda: build_expansion_certificate(
+        make_family("doubling"), BaseSystemSpec.dirac(), 1, samples=3, n_max=6,
+        curve_n_max=0)),
+    ("curve_n_max", lambda: build_expansion_certificate(
+        make_family("perturbed-doubling"), BaseSystemSpec.dirac(), 1, samples=3,
+        n_max=6, grid_size=64, depth=4, curve_n_max=0)),
+    ("supadd_samples", lambda: build_expansion_certificate(
+        make_family("doubling"), BaseSystemSpec.dirac(), 1, samples=3, n_max=6,
+        curve_n_max=8, supadd_samples=0)),
+    ("curve_len", lambda: hyperbolicity_certificate(
+        make_family("random-cat"), bern_spec(), 7, 2, 8, 40, depth=5, curve_len=0,
+        batches=4)),
+])
+def test_empty_horizons_raise_contract_errors(name, call):
+    # each ended in min() of an empty sequence or an empty curve's last value
+    with pytest.raises(ContractError, match=f"^{name} must be"):
+        call()

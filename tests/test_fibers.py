@@ -8,8 +8,8 @@ from randhyp import (BaseSystemSpec, ConfigurationError, UnsupportedOperationErr
                      derivative_bounds, fiber_apply, fiber_derivative,
                      fiber_inverse, make_family, point, sample_base)
 from randhyp.base import random_point
-from randhyp.fibers import (FAMILY_CATALOG, CircleFamily, ManifoldPoint, mod1,
-                            mod1_array)
+from randhyp.fibers import (FAMILY_CATALOG, CircleFamily, LinearTorusFamily,
+                            ManifoldPoint, mod1, mod1_array)
 
 TWO_PI = 2 * math.pi
 
@@ -123,6 +123,23 @@ def test_torus_tables_are_read_only_matrices_and_inverses(name, params, k):
     for gone in ("entries", "inverse_entries", "matrix_indices",
                  "matrix_indices_back", "matrix"):
         assert not hasattr(fam, gone)
+
+
+@pytest.mark.parametrize("fam", [
+    make_family("random-cat"),
+    make_family("random-cat", {"matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]}),
+    make_family("diagonal-cocycle", {"a_values": [2.0, 0.5], "b_values": [3.0, 4.0]}),
+    make_family("diagonal-cocycle", {"a_values": [642308.1945317535],
+                                     "b_values": [730503.9375]}),
+    LinearTorusFamily(np.random.default_rng(7).normal(size=(2000, 2, 2))),
+])
+def test_torus_svals_are_each_matrix_lone_svd(fam):
+    # the stacked SVD gives every matrix the bytes of its own SVD
+    assert fam.svals.shape == (len(fam.matrices), 2)
+    with pytest.raises(ValueError):
+        fam.svals[0, 0] = 5.0
+    for m, row in zip(fam.matrices, fam.svals):
+        assert row.tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
 
 
 def test_doubling_not_invertible():
