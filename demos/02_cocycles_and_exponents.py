@@ -18,11 +18,11 @@ w = rh.sample_base(spec, seed=42, count=1)[0]
 # -- scalar cocycle: random multipliers 2 and 3 -----------------------------
 bl = rh.make_family("bernoulli-linear", {"values": [2, 3]})
 prod = rh.cocycle_product(bl, w, rh.point(0.1), 10)
-print("10-step derivative product:", prod.entries[0, 0])
+print("10-step derivative product:", prod[0, 0])
 
 p = rh.unit_tangent(w, rh.point(0.1), (1.0,))
 print("telescoping check:",
-      abs(rh.birkhoff_sum_phi(bl, p, 10) - math.log(prod.entries[0, 0])) < 1e-9)
+      abs(rh.birkhoff_sum_phi(bl, p, 10) - math.log(prod[0, 0])) < 1e-9)
 
 est = rh.top_exponent(bl, p, 100_000)
 print(f"top exponent {est.value:.6f} +/- {est.batch_std_err:.6f} "

@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .base import (BaseState, BaseSystemSpec, base_inverse_step, base_step,
                    periodic_state, sample_base, shift_by, symbol_at)
-from .cocycle import (CocycleMatrix, UnitTangentPoint, birkhoff_sum_phi,
-                      cocycle_product, iterate, phi, unit_tangent,
-                      unit_tangent_step)
+from .cocycle import (UnitTangentPoint, birkhoff_sum_phi, cocycle_product,
+                      iterate, phi, unit_tangent, unit_tangent_step)
 from .config import ExperimentConfig, parse_config
 from .ergodic import (LambdaReport, PeriodicOrbitRecord,
                       enumerate_periodic_orbits, lambda_estimate)

@@ -4,48 +4,23 @@ tangent dynamics on the unit tangent bundle.
 The induced map on (base state, point, unit vector) steps the base, pushes
 the point through the fiber map, and renormalizes the image of the tangent
 vector; its per-step log-stretch is the observable whose Birkhoff sums
-telescope to the log norm of the full derivative product.
+telescope to the log norm of the full derivative product.  Derivatives are
+plain arrays: `cocycle_product` (like `fibers.fiber_derivative`) returns an
+(m, m) float64 array.
 """
 
 import math
+from operator import mul
 
 import numpy as np
 
 from ._record import Record
 from .base import base_step
 from .errors import CocycleOverflowError, ContractError
-from .fibers import LinearTorusFamily, ManifoldPoint
+from .fibers import LinearTorusFamily, ManifoldPoint, check_dim
 
 _OVERFLOW_LIMIT = 1e300
 _CELLS = 4096                   # (vector, step) cells pushed at a time
-
-
-class CocycleMatrix(Record):
-    """Derivative of an n-step fiber composition (m x m)."""
-
-    entries: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
-        object.__setattr__(self, "entries", e)
-        if e.shape[0] != e.shape[1]:
-            raise ContractError("cocycle matrices must be square")
-        # Nonsingularity is checkable only on single Jacobians; determinants
-        # of long products cancel catastrophically in floats even though the
-        # factors are all nonsingular.
-        if self.n == 1 and abs(np.linalg.det(e)) == 0.0:
-            raise ContractError("cocycle matrices of local diffeomorphisms are nonsingular")
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
-
-    def apply(self, v):
-        return self.entries @ np.asarray(v, dtype=np.float64)
-
-    def norm_of_image(self, v):
-        return float(np.linalg.norm(self.apply(v)))
 
 
 class UnitTangentPoint(Record):
@@ -56,12 +31,11 @@ class UnitTangentPoint(Record):
     v: tuple
 
     def __post_init__(self):
-        v = tuple(float(c) for c in self.v)
-        norm = math.sqrt(sum(c * c for c in v))
+        v = tuple(map(float, self.v))
+        norm = math.hypot(*v)
         if abs(norm - 1.0) > 1e-12:
             raise ContractError(f"tangent vector must be unit length, |v| = {norm}")
-        if len(v) != self.x.dim:
-            raise ContractError("tangent vector dimension must match the point")
+        check_dim(len(v), self.x.dim)
         object.__setattr__(self, "v", v)
 
 
@@ -87,7 +61,7 @@ def iterate(family, omega, x, n):
 
 
 def cocycle_product(family, omega, x, n):
-    """n-step derivative product along the orbit, as a raw matrix.
+    """n-step derivative product along the orbit, an (m, m) float64 array.
 
     Raw products overflow quickly; entries beyond 1e300 raise, pointing to
     the log-space estimators which never form the product.
@@ -105,34 +79,21 @@ def cocycle_product(family, omega, x, n):
                 "derivative product exceeded 1e300; use the log-space "
                 "estimators (top_exponent, birkhoff_sum_phi) instead")
         coords = family.apply_at(p, coords)
-    return CocycleMatrix(prod, n)
-
-
-def _step_raw(family, p, coords, v):
-    """One projectivized tangent step at parameter p; returns log-stretch too."""
-    jac = family.jacobian_at(p, coords)
-    m = len(v)
-    if m == 1:
-        w0 = jac[0][0] * v[0]
-        norm = abs(w0)
-        w = (w0 / norm,)
-    else:
-        w0 = jac[0][0] * v[0] + jac[0][1] * v[1]
-        w1 = jac[1][0] * v[0] + jac[1][1] * v[1]
-        norm = math.sqrt(w0 * w0 + w1 * w1)
-        w = (w0 / norm, w1 / norm)
-    return family.apply_at(p, coords), w, math.log(norm)
+    return prod
 
 
 def unit_tangent_step(family, p):
     """One step of the induced tangent map; the output vector is unit."""
-    coords, v, _ = _step_raw(family, family.param_at(p.omega), p.x.coords, p.v)
-    return UnitTangentPoint(base_step(p.omega), ManifoldPoint(coords), v)
+    q, coords, v = family.param_at(p.omega), p.x.coords, p.v
+    w = [sum(map(mul, row, v)) for row in family.jacobian_at(q, coords)]
+    norm = math.hypot(*w)
+    return UnitTangentPoint(base_step(p.omega), ManifoldPoint(family.apply_at(q, coords)),
+                            [c / norm for c in w])
 
 
 def phi(family, p):
-    """log |D_x phi_w (v)| at a unit tangent point."""
-    return _step_raw(family, family.param_at(p.omega), p.x.coords, p.v)[2]
+    """log |D_x phi_w (v)| at a unit tangent point: one step of the kernels."""
+    return float(orbit_log_stretches(family, p, 1)[0])
 
 
 def birkhoff_sum_phi(family, p, n):

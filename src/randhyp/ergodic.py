@@ -135,8 +135,7 @@ def enumerate_periodic_orbits(family, spec, p_max):
                         period=p, phi_average=math.fsum(logs.tolist()) / p,
                         residual=residual))
             else:
-                prod = cocycle_product(family, omega0, ManifoldPoint((0.0, 0.0)),
-                                       p).entries
+                prod = cocycle_product(family, omega0, ManifoldPoint((0.0, 0.0)), p)
                 eigvals, eigvecs = np.linalg.eig(prod)
                 if np.iscomplexobj(eigvals) and np.abs(eigvals.imag).max() > 1e-12:
                     continue  # no real invariant direction to record

@@ -20,7 +20,7 @@ from ._record import Record, field
 from .base import sample_base, shift_by
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily
-from .lyapunov import std_err
+from .lyapunov import clears_error_bar, std_err
 
 MIN_GRID = 64
 DEFAULT_GRID = 4096
@@ -391,7 +391,7 @@ def variable_rate_corollary(family, spec, seed, samples, a_estimate):
     logs = np.array([math.log(one_step_min_expansion(family, w))
                      for w in sample_base(spec, seed, samples)])
     est, se = float(logs.mean()), std_err(logs)
-    if samples >= 2 and est > 3.0 * se and est > 0.0:
+    if clears_error_bar(est, se, samples):
         half = 0.5 * a_estimate if a_estimate > 0 else None
         return CorollaryReport(est, se, samples, "positive", lambda_const=half)
     return CorollaryReport(est, se, samples, "inconclusive")
@@ -423,7 +423,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     # A must be positive beyond its own sampling noise; a marginal system
     # (mean log rate near 0) must not slip through on a lucky draw, and a
     # single sample has no error bar at all.
-    if samples < 2 or a_est <= 3.0 * rate.a_std_err or a_est <= 0.0:
+    if not clears_error_bar(a_est, rate.a_std_err, samples):
         empty = TemperednessCurve(np.array([1]), np.array([0.0]))
         return ExpansionCertificate(a_est, None, (), empty, 0.0,
                                     "inconclusive", details, rate)

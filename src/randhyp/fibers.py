@@ -46,7 +46,7 @@ class ManifoldPoint(Record):
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(mod1(float(c)) for c in self.coords))
+        object.__setattr__(self, "coords", tuple([mod1(float(c)) for c in self.coords]))
 
     @property
     def dim(self):
@@ -442,22 +442,23 @@ class RandomCat(LinearTorusFamily):
         return {"matrices": self.matrices.tolist()}
 
 
+def check_dim(dim, need):
+    """Raise the one dimension-mismatch ContractError unless dim == need."""
+    if dim != need:
+        raise ContractError(f"dimension mismatch: got dim {dim}, need {need}")
+
+
 def fiber_apply(family, omega, x):
     """phi_w(x), coordinates reduced mod 1."""
-    if x.dim != family.manifold_dim:
-        raise ContractError(
-            f"point has dim {x.dim}, family {family.family_id} needs {family.manifold_dim}")
+    check_dim(x.dim, family.manifold_dim)
     return ManifoldPoint(family.apply_at(family.param_at(omega), x.coords))
 
 
 def fiber_derivative(family, omega, x):
-    """Exact Jacobian D_x phi_w as a one-step cocycle matrix."""
-    if x.dim != family.manifold_dim:
-        raise ContractError(
-            f"point has dim {x.dim}, family {family.family_id} needs {family.manifold_dim}")
-    from .cocycle import CocycleMatrix
-    jac = family.jacobian_at(family.param_at(omega), x.coords)
-    return CocycleMatrix(np.asarray(jac, dtype=np.float64), 1)
+    """Exact Jacobian D_x phi_w, an (m, m) float64 array."""
+    check_dim(x.dim, family.manifold_dim)
+    return np.asarray(family.jacobian_at(family.param_at(omega), x.coords),
+                      dtype=np.float64)
 
 
 def fiber_inverse(family, omega, x):
@@ -466,8 +467,7 @@ def fiber_inverse(family, omega, x):
     if not family.invertible:
         raise UnsupportedOperationError(
             f"{family.family_id} is not invertible on the fiber")
-    if x.dim != family.manifold_dim:
-        raise ContractError("dimension mismatch")
+    check_dim(x.dim, family.manifold_dim)
     return ManifoldPoint(_apply_matrix(family.inverses[family.param_at(omega)],
                                        x.coords))
 

@@ -40,6 +40,12 @@ def std_err(values):
     return float(values.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
 
 
+def clears_error_bar(mean, se, count):
+    """The gate on every estimated rate: 2+ samples or batches (one has no
+    error bar) and the mean above 3 standard errors, hence positive."""
+    return count >= 2 and mean > 3.0 * se
+
+
 def _batch_stats(per_step, batches):
     """Mean and batch-mean standard error of a per-step series."""
     used = len(per_step) // batches * batches

@@ -21,7 +21,7 @@ from .ergodic import _random_unit_vector
 from .errors import ContractError, UnsupportedOperationError
 from .expansion import DEFAULT_DEPTH, truncated_infimum
 from .fibers import LinearTorusFamily, ManifoldPoint, unit_direction
-from .lyapunov import _batch_stats, _torus_spectrum
+from .lyapunov import _batch_stats, _torus_spectrum, clears_error_bar
 
 
 class BundlePair(Record):
@@ -61,7 +61,7 @@ class SplittingCertificate(Record):
 
 
 def _require_linear_2d(family):
-    if not isinstance(family, LinearTorusFamily) or family.manifold_dim != 2:
+    if not isinstance(family, LinearTorusFamily):
         raise UnsupportedOperationError(
             "splitting analysis needs an invertible linear torus family")
 
@@ -237,10 +237,9 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
         details["c1_curve"] = [float(v) for v in vals1]
         details["c2_curve"] = [float(v) for v in vals2]
 
-    certified = (lam > 0.0 and residual_max < 1e-6 and angle_min > 0.0
-                 and batches >= 2  # one batch gives no error bar
-                 and all(r["rate1"] > 3.0 * r["rate1_se"]
-                         and r["rate2"] > 3.0 * r["rate2_se"] for r in recs))
+    certified = (residual_max < 1e-6 and angle_min > 0.0
+                 and all(clears_error_bar(r[k], r[k + "_se"], batches)
+                         for r in recs for k in ("rate1", "rate2")))
     verdict = "certified" if certified else "inconclusive"
     return SplittingCertificate(lam=lam, c_samples=tuple(c_samples),
                                 angle_min=angle_min, spectra=tuple(spectra),

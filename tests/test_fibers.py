@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from randhyp import (BaseSystemSpec, ConfigurationError, UnsupportedOperationError,
-                     derivative_bounds, fiber_apply, fiber_derivative,
-                     fiber_inverse, make_family, point, sample_base)
+from randhyp import (BaseSystemSpec, ConfigurationError, ContractError,
+                     UnsupportedOperationError, derivative_bounds, fiber_apply,
+                     fiber_derivative, fiber_inverse, make_family, point,
+                     sample_base, unit_tangent)
 from randhyp.base import random_point
 from randhyp.fibers import (FAMILY_CATALOG, CircleFamily, LinearTorusFamily,
                             ManifoldPoint, mod1, mod1_array)
@@ -40,7 +41,7 @@ def test_mod1_seam_snap():
 def test_doubling_apply():
     fam = make_family("doubling")
     assert fiber_apply(fam, dirac_state(), point(0.3)).x == pytest.approx(0.6, abs=1e-15)
-    assert fiber_derivative(fam, dirac_state(), point(0.123)).entries[0, 0] == 2.0
+    assert fiber_derivative(fam, dirac_state(), point(0.123))[0, 0] == 2.0
     assert derivative_bounds(fam) == (2.0, 0.5, 0.0)
 
 
@@ -56,7 +57,7 @@ def test_perturbed_doubling_values():
     w = bern_state(want_symbol=1)  # eps = 0.1
     got = fiber_apply(fam, w, point(0.25)).x
     assert got == pytest.approx(0.5 + 0.1 * math.sin(math.pi / 2), abs=1e-15)
-    d = fiber_derivative(fam, w, point(0.5)).entries[0, 0]
+    d = fiber_derivative(fam, w, point(0.5))[0, 0]
     assert d == pytest.approx(2 - 0.2 * math.pi, abs=1e-12)
     assert d == pytest.approx(1.371681, abs=1e-6)
 
@@ -90,7 +91,7 @@ def test_eps_max_validation():
 def test_random_cat_matrices():
     fam = make_family("random-cat")
     w = bern_state(want_symbol=0)
-    jac = fiber_derivative(fam, w, point(0.1, 0.9)).entries
+    jac = fiber_derivative(fam, w, point(0.1, 0.9))
     assert np.array_equal(jac, [[2, 1], [1, 1]])
 
 
@@ -148,11 +149,24 @@ def test_doubling_not_invertible():
         fiber_inverse(fam, dirac_state(), point(0.5))
 
 
-def test_dimension_mismatch_rejected():
-    fam = make_family("random-cat")
-    from randhyp.errors import ContractError
-    with pytest.raises(ContractError):
-        fiber_apply(fam, bern_state(), point(0.5))
+@pytest.mark.parametrize("call, got, need", [
+    pytest.param(lambda w: fiber_apply(make_family("random-cat"), w, point(0.5)),
+                 1, 2, id="apply-cat"),
+    pytest.param(lambda w: fiber_derivative(make_family("random-cat"), w, point(0.5)),
+                 1, 2, id="derivative-cat"),
+    pytest.param(lambda w: fiber_inverse(make_family("random-cat"), w, point(0.5)),
+                 1, 2, id="inverse-cat"),
+    pytest.param(lambda w: fiber_apply(make_family("doubling"), w, point(0.5, 0.5)),
+                 2, 1, id="apply-doubling"),
+    pytest.param(lambda w: fiber_derivative(make_family("doubling"), w, point(0.5, 0.5)),
+                 2, 1, id="derivative-doubling"),
+    pytest.param(lambda w: unit_tangent(w, point(0.5), (0.6, 0.8)),
+                 2, 1, id="unit-tangent"),
+])
+def test_dimension_checks_share_one_message(call, got, need):
+    # one message, naming both dimensions, wherever a dimension is checked
+    with pytest.raises(ContractError, match=f"^dimension mismatch: got dim {got}, need {need}$"):
+        call(bern_state())
 
 
 def test_diagonal_cocycle():
@@ -193,7 +207,7 @@ def test_bound_soundness_sampled():
         smallest = math.inf
         for i, w in enumerate(ws):
             x = ManifoldPoint(random_point(5, i, 2))
-            jac = fiber_derivative(fam, w, x).entries
+            jac = fiber_derivative(fam, w, x)
             svals = np.linalg.svd(jac, compute_uv=False)
             assert svals[0] <= sup + 1e-12
             assert 1.0 / svals[-1] <= sup_inv + 1e-12
@@ -238,7 +252,7 @@ def test_finite_difference_consistency():
 def test_linear_families_jacobian_matches_matrix():
     fam = make_family("random-cat")
     w = bern_state(want_symbol=1)
-    assert np.array_equal(fiber_derivative(fam, w, point(0.2, 0.9)).entries,
+    assert np.array_equal(fiber_derivative(fam, w, point(0.2, 0.9)),
                           [[3, 1], [2, 1]])
 
 
