@@ -204,15 +204,19 @@ BASE_CATALOG = {kind: getattr(BaseSystemSpec, kind)
 
 
 class _BernoulliSource:
-    """Symbols i.i.d. per position; pure formula, no state needed."""
+    """Symbols i.i.d. per position; pure formula, no state needed.  The seed
+    is an int, or a column of seeds read against rows of positions."""
 
     def __init__(self, seed, cdf):
         self.seed = seed
         self.cdf = cdf
 
-    def window(self, lo, hi):
-        us = _uniforms(self.seed, STREAM_SYMBOL, np.arange(lo, hi, dtype=np.int64))
+    def symbols(self, positions):
+        us = _uniforms(self.seed, STREAM_SYMBOL, positions)
         return np.searchsorted(self.cdf, us, side="right").astype(np.int64)
+
+    def window(self, lo, hi):
+        return self.symbols(np.arange(lo, hi, dtype=np.int64))
 
 
 class _MarkovSource:
@@ -312,7 +316,7 @@ class BaseState:
     @property
     def angle(self):
         """Current angle of a rotation state (recomputed, hence exactly invertible)."""
-        return float(rotation_angles(self, 0, 1)[0])
+        return float(rotation_angles([self], 0, 1)[0, 0])
 
     def _shifted(self, delta):
         if self.spec.kind == "dirac" or delta == 0:
@@ -353,17 +357,26 @@ def shift_by(state, n):
     return state._shifted(n)
 
 
-def rotation_angles(state, lo, hi):
-    """Angles at positions lo..hi-1 (relative) of a rotation state.
+def _positions(states, lo, hi):
+    """Positions lo..hi-1 relative to each state's origin, one int64 row per
+    state."""
+    offsets = np.array([s.origin_offset for s in states], dtype=np.int64)
+    return offsets[:, None] + np.arange(lo, hi, dtype=np.int64)
+
+
+def rotation_angles(states, lo, hi):
+    """Angles at positions lo..hi-1 (relative) of rotation states, one row
+    per state.
 
     (angle0 + (origin_offset + k) * rho) mod 1 is evaluated per position,
     not accumulated, so every angle is exactly invertible and a window
     agrees bit for bit with the angles of the shifted states.
     """
-    if state.spec.kind != "rotation":
+    if any(s.spec.kind != "rotation" for s in states):
         raise UnsupportedOperationError("angle is defined for rotation bases only")
-    ks = np.arange(state.origin_offset + lo, state.origin_offset + hi, dtype=np.int64)
-    return (state._angle0 + ks * state.spec.rotation_number) % 1.0
+    angle0 = np.array([s._angle0 for s in states])[:, None]
+    rho = np.array([s.spec.rotation_number for s in states])[:, None]
+    return (angle0 + _positions(states, lo, hi) * rho) % 1.0
 
 
 def symbol_at(state, k):
@@ -373,13 +386,32 @@ def symbol_at(state, k):
 
 def symbol_window(state, lo, hi):
     """Symbols at positions lo..hi-1 (relative), as an int64 array."""
-    if state._source is None:
+    return symbol_rows([state], lo, hi)[0]
+
+
+def symbol_rows(states, lo, hi):
+    """Symbols at positions lo..hi-1 (relative) of each state, one int64 row
+    per state.
+
+    Bernoulli states of one spec are hashed in one call, a column of their
+    seeds against the rows of positions; Markov and periodic states are read
+    one at a time, since their chains are sequential.
+    """
+    sources = [s._source for s in states]
+    if any(src is None for src in sources):
         raise UnsupportedOperationError("rotation bases carry an angle, not symbols")
-    a, b = state.origin_offset + lo, state.origin_offset + hi
-    if a < -WINDOW_LIMIT or b - 1 > WINDOW_LIMIT:
-        raise WindowLimitError(
-            f"positions {a}..{b - 1} exceed the supported window of +/-{WINDOW_LIMIT}")
-    return state._source.window(a, b)
+    n, starts = hi - lo, [s.origin_offset + lo for s in states]
+    for a in starts:
+        if a < -WINDOW_LIMIT or a + n - 1 > WINDOW_LIMIT:
+            raise WindowLimitError(
+                f"positions {a}..{a + n - 1} exceed the supported window of +/-{WINDOW_LIMIT}")
+    if all(isinstance(src, _BernoulliSource) and src.cdf is sources[0].cdf
+           for src in sources):
+        seeds = np.array([src.seed & _MASK for src in sources], dtype=_U64)
+        return _BernoulliSource(seeds[:, None], sources[0].cdf).symbols(
+            _positions(states, lo, hi))
+    return np.array([src.window(a, a + n) for src, a in zip(sources, starts)],
+                    dtype=np.int64)
 
 
 def sample_base(spec, seed, count):

@@ -54,7 +54,7 @@ def iterate(family, omega, x, n):
         raise ContractError("n must be >= 0")
     out = [x]
     coords = x.coords
-    for p in family.params_along(omega, n).tolist():
+    for p in family.params_along([omega], n)[0].tolist():
         coords = family.apply_at(p, coords)
         out.append(ManifoldPoint(coords))
     return out
@@ -71,7 +71,7 @@ def cocycle_product(family, omega, x, n):
     m = family.manifold_dim
     prod = np.eye(m)
     coords = x.coords
-    for p in family.params_along(omega, n).tolist():
+    for p in family.params_along([omega], n)[0].tolist():
         jac = np.asarray(family.jacobian_at(p, coords), dtype=np.float64)
         prod = jac @ prod
         if np.max(np.abs(prod)) > _OVERFLOW_LIMIT:
@@ -110,8 +110,8 @@ def birkhoff_sum_phi(family, p, n):
 def orbit_log_stretches(family, p, n):
     """Per-step log-stretch array along the tangent orbit (length n)."""
     if isinstance(family, LinearTorusFamily):
-        idx = family.params_along(p.omega, n)
-        return push_log_stretches(family.matrices, idx[None], (p.v,))[0]
+        idx = family.params_along([p.omega], n)
+        return push_log_stretches(family.matrices, idx, (p.v,))[0]
     return family.orbit_log_derivs(p.omega, p.x.x, n)
 
 

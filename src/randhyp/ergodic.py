@@ -15,7 +15,8 @@ import numpy as np
 
 from ._record import Record
 from .base import derive_seed, periodic_state, random_point, sample_base
-from .cocycle import cocycle_product, orbit_log_stretches, unit_tangent
+from .cocycle import (cocycle_product, orbit_log_stretches, push_log_stretches,
+                      unit_tangent)
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint, unit_direction
 
@@ -72,7 +73,7 @@ def _circle_word_orbits(family, omega0, word):
     """(x0, distance of its p-step image from x0) of every periodic orbit of
     least period p = len(word) over this word, whose periodic state is omega0."""
     p = len(word)
-    ps = family.params_along(omega0, p).tolist()
+    ps = family.params_along([omega0], p)[0].tolist()
     degree = math.prod(family.degree(c) for c in ps)
 
     # The lift of the p-step composite fixes 0 and gains `degree` over one
@@ -143,7 +144,7 @@ def enumerate_periodic_orbits(family, spec, p_max):
                 v = unit_direction(eigvecs.real[:, mods.argmin()])
                 # |lambda_min| = |det| / |lambda_max|: eig's own smallest
                 # eigenvalue carries the largest one's absolute rounding error
-                det = family.dets[family.params_along(omega0, p)].prod()
+                det = family.dets[family.params_along([omega0], p)[0]].prod()
                 records.append(PeriodicOrbitRecord(
                     symbol_word=word, x0=ManifoldPoint((0.0, 0.0)),
                     v0=(float(v[0]), float(v[1])), period=p,
@@ -198,14 +199,17 @@ def lambda_estimate(family, spec, seed, rate, birkhoff_steps=10_000,
     heuristic context and excluded from the estimate because their base
     marginals differ from the driving law.
     """
-    seed_b = derive_seed(seed, _BIRKHOFF_STREAM, 0)
-    birkhoff_vals = []
-    for i, start in enumerate(sample_base(spec, seed_b, birkhoff_starts)):
-        x = ManifoldPoint(random_point(seed_b, i, family.manifold_dim))
-        v = _random_unit_vector(seed_b, birkhoff_starts + i, family.manifold_dim)
-        p = unit_tangent(start, x, v)
-        birkhoff_vals.append(float(orbit_log_stretches(family, p, birkhoff_steps).mean()))
-    birkhoff_min = min(birkhoff_vals)
+    seed_b, dim = derive_seed(seed, _BIRKHOFF_STREAM, 0), family.manifold_dim
+    starts = [unit_tangent(start, ManifoldPoint(random_point(seed_b, i, dim)),
+                           _random_unit_vector(seed_b, birkhoff_starts + i, dim))
+              for i, start in enumerate(sample_base(spec, seed_b, birkhoff_starts))]
+    if isinstance(family, LinearTorusFamily):   # one read and one push, a row per start
+        logs = push_log_stretches(
+            family.matrices, family.params_along([p.omega for p in starts], birkhoff_steps),
+            [p.v for p in starts])
+    else:
+        logs = [orbit_log_stretches(family, p, birkhoff_steps) for p in starts]
+    birkhoff_min = min(float(row.mean()) for row in logs)
 
     candidates = (("empirical_measure", rate.a_estimate),
                   ("birkhoff_min", birkhoff_min))

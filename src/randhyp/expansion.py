@@ -147,7 +147,10 @@ def _brackets(family, blocks, grid_size, threads=1):
     longer than its parent's, a.  The family steps through each unbranched
     chain in one call, depth first, keeping a state for a second child only
     at branching nodes, and told whether the chain ends at a leaf, where no
-    step reads its last image; `threads` walk root subtrees in parallel."""
+    step reads its last image; `threads` walk root subtrees in parallel.
+    Only the first of equal windows is walked.  A node writes its minima
+    into its first window's row of one table; the prefix a window shares
+    with the window before it is then gathered column by column."""
     rows = [np.atleast_2d(b) for b in blocks]
     if not rows:
         raise ContractError("windows must be nonempty")
@@ -160,46 +163,55 @@ def _brackets(family, blocks, grid_size, threads=1):
             "non-certified minima")
     if not family.linear and grid_size < MIN_GRID:
         raise ContractError(f"grid_size must be >= {MIN_GRID}")
-    windows = [w for r in rows for w in r]
-    lens = np.array([r.shape[1] for r in rows for _ in r])
-    bits = np.zeros((len(windows), lens.max()), np.uint64)   # zero-padded
-    for r, i in zip(rows, np.cumsum([0, *map(len, rows)]).tolist()):
+    sizes = [len(r) for r in rows]
+    firsts = np.cumsum([0, *sizes])
+    blk = np.repeat(np.arange(len(rows)), sizes)   # window i is row i - firsts[b]
+    lens = np.repeat([r.shape[1] for r in rows], sizes)
+    bits = np.zeros((len(lens), lens.max()), np.uint64)   # zero-padded
+    for r, i in zip(rows, firsts.tolist()):
         bits[i:i + len(r), :r.shape[1]] = r.view(np.uint64)
     # Lexicographic on the padded bits, shorter first on a tie, puts every
     # window before its extensions and keeps each prefix's windows together.
     order = np.lexsort([lens, *bits.T[::-1]])
-    bits, lens = bits[order], lens[order]
+    bits, lens, blk = bits[order], lens[order], blk[order]
     differ = bits[1:] != bits[:-1]
-    lcp = np.minimum(np.where(differ.any(1), differ.argmax(1), bits.shape[1]),
-                     np.minimum(lens[1:], lens[:-1]))   # with the previous
+    lcp = np.r_[0, np.minimum(np.where(differ.any(1), differ.argmax(1), bits.shape[1]),
+                              np.minimum(lens[1:], lens[:-1]))]   # with the previous
     del bits, differ   # not held through the walk
-    order, lens, lcp = order.tolist(), lens.tolist(), [0, *lcp.tolist()]
-    uppers = [np.empty(np.shape(b)) for b in blocks]
-    out = [row for u in uppers for row in np.atleast_2d(u)]
-
+    # row k: sorted window k; zeros past a short window, which the slacks meet
+    table = np.zeros((len(order), lens.max()))
+    walked = np.flatnonzero(lcp < lens)   # not equal to the window before
+    at = list(zip(walked.tolist(), blk[walked].tolist(),
+                  (order - firsts[blk])[walked].tolist()))
+    shared, ends = lcp[walked], lens[walked].tolist()
     start = family.sweep_start(grid_size)   # shared, so no root step owns it
 
     def walk(root):   # root subtrees own disjoint windows
         stack = [(*root, 0, start, False)]
         while stack:
             lo, hi, a, state, own = stack.pop()
-            c = min(lcp[lo + 1:hi], default=lens[lo])
-            state, mins = family.sweep_steps(windows[order[lo]][a:c], state, own,
-                                             lens[hi - 1] == c)
-            out[order[lo]][a:c] = mins
-            while lo < hi and lens[lo] == c:   # windows ending here
-                lo += 1
-            cuts = [lo, *(i for i in range(lo + 1, hi) if lcp[i] == c), hi]
+            c = int(shared[lo + 1:hi].min()) if hi - lo > 1 else ends[lo]
+            k, b, r = at[lo]
+            state, table[k, a:c] = family.sweep_steps(rows[b][r, a:c], state, own,
+                                                      ends[hi - 1] == c)
+            lo += ends[lo] == c   # the window ending here
+            cuts = [lo, *(lo + 1 + np.flatnonzero(shared[lo + 1:hi] == c)).tolist(), hi]
             stack += [(s, e, c, state, i == 0) for i, (s, e)
                       in enumerate(reversed(list(zip(cuts, cuts[1:])))) if s < e]
 
-    roots = [i for i, n in enumerate(lcp) if n == 0]
-    deterministic_map(walk, list(zip(roots, roots[1:] + [len(order)])), threads)
-    for j, k, n in zip(order, order[1:], lcp[1:]):   # the prefix k shares with j
-        out[k][:n] = out[j][:n]
+    roots = np.flatnonzero(shared == 0).tolist()
+    deterministic_map(walk, list(zip(roots, roots[1:] + [len(walked)])), threads)
+    ks = np.arange(len(order))
+    for m in range(table.shape[1]):   # the prefix each window shares
+        src = np.maximum.accumulate(np.where(lcp <= m, ks, 0))
+        table[:, m] = table[src, m]
+    uppers = np.empty_like(table)
+    uppers[order] = table   # back in the blocks' order
     slacks = np.array([lipschitz_slack(family, n, grid_size)
-                       for n in range(1, max(r.shape[1] for r in rows) + 1)])
-    return uppers, [u - slacks[:u.shape[-1]] for u in uppers]
+                       for n in range(1, table.shape[1] + 1)])
+    return [[t[i:i + len(r), :r.shape[1]].reshape(np.shape(b))
+             for b, r, i in zip(blocks, rows, firsts.tolist())]
+            for t in (uppers, uppers - slacks)]
 
 
 def sweep_windows(family, windows, grid_size, threads=1):
@@ -213,8 +225,7 @@ def min_expansion_sweep(family, omega, n_max, grid_size=DEFAULT_GRID):
     """Brackets of A_n(w) for every n <= n_max in one orbit sweep."""
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
-    return sweep_windows(family, [family.params_along(omega, n_max)],
-                         grid_size)[0]
+    return sweep_windows(family, family.params_along([omega], n_max), grid_size)[0]
 
 
 def min_log_expansion(family, omega, n, grid_size=DEFAULT_GRID):
@@ -234,13 +245,13 @@ class SupadditivityReport(Record):
     residuals: tuple             # (n, m, residual)
 
 
-def _supadd_windows(family, omega, N):
-    """params_along(T^k w, N - k) for k < N."""
+def _supadd_windows(family, omegas, N):
+    """params_along(T^k w, N - k) for k < N, for each w in `omegas`."""
     if N < 2:
         raise ContractError("N must be >= 2")
     if N > 20:
         raise ContractError("supadditivity tables use certified horizons N <= 20")
-    return [s[k:] for s in [family.params_along(omega, N)] for k in range(N)]
+    return [s[k:] for s in family.params_along(omegas, N) for k in range(N)]
 
 
 def _supadd_rows(uppers, lowers, N):
@@ -256,7 +267,7 @@ def supadditivity_residuals(family, omega, N=12, grid_size=DEFAULT_GRID):
     The true minima satisfy A_{n+m} >= A_n + A_m(T^n w), so with certified
     brackets every residual is nonnegative up to roundoff.
     """
-    uppers, lowers = _brackets(family, _supadd_windows(family, omega, N), grid_size)
+    uppers, lowers = _brackets(family, _supadd_windows(family, [omega], N), grid_size)
     rows = _supadd_rows(uppers, lowers, N)
     return SupadditivityReport(min(r for (_, _, r) in rows), tuple(rows))
 
@@ -270,9 +281,8 @@ def uniform_rate_estimate(family, spec, seed, samples, n_max,
     """
     if n_max < 4:
         raise ContractError("n_max must be >= 4")
-    sweeps = sweep_windows(family, [family.params_along(w, n_max) for w in
-                                    sample_base(spec, seed, samples)],
-                           grid_size, threads)
+    sweeps = sweep_windows(family, family.params_along(sample_base(spec, seed, samples),
+                                                       n_max), grid_size, threads)
     uppers = np.stack([s.uppers for s in sweeps])
     lowers = np.stack([s.lowers for s in sweeps])
     ns = np.arange(1, n_max + 1, dtype=np.float64)
@@ -301,12 +311,13 @@ def tempered_constant(family, omega, lam, depth=DEFAULT_DEPTH,
 
 
 def _depth_windows(family, omegas, offsets, depth):
-    """params_along(T^k w, depth) for k in `offsets`, one block per orbit w."""
+    """params_along(T^k w, depth) for k in `offsets`, one block per orbit w,
+    cut from one read of all the orbits."""
     if not len(offsets):
         raise ContractError("offsets must be nonempty")
     lo, span = min(offsets), max(offsets) - min(offsets) + depth
     rows = (np.asarray(offsets) - lo)[:, None] + np.arange(depth)
-    return [family.params_along(shift_by(w, lo), span)[rows] for w in omegas]
+    return list(family.params_along([shift_by(w, lo) for w in omegas], span)[:, rows])
 
 
 def truncated_infimum(cumulative, lam):
@@ -371,12 +382,13 @@ def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
     return TemperednessCurve(ns=ns, values=log_cs / ns)
 
 
-def one_step_min_expansion(family, omega):
-    """Analytic minimum one-step expansion factor D_1(w)."""
-    p = family.param_at(omega)
+def one_step_min_expansions(family, omegas):
+    """Analytic minimum one-step expansion factor D_1(w) of each w in
+    `omegas`, from one read of their parameters."""
+    ps = family.params_along(omegas, 1)[:, 0]
     if isinstance(family, LinearTorusFamily):
-        return float(family.svals[p, -1])
-    return float(family.deriv(p, family.min_deriv_x))
+        return family.svals[ps, -1].tolist()
+    return [float(family.deriv(p, family.min_deriv_x)) for p in ps.tolist()]
 
 
 def variable_rate_corollary(family, spec, seed, samples, a_estimate):
@@ -388,8 +400,8 @@ def variable_rate_corollary(family, spec, seed, samples, a_estimate):
     zero or negative, or a single sample (no error bar), is reported as
     inconclusive: the hypothesis fails, nothing is broken.
     """
-    logs = np.array([math.log(one_step_min_expansion(family, w))
-                     for w in sample_base(spec, seed, samples)])
+    logs = np.array([math.log(d) for d in one_step_min_expansions(
+        family, sample_base(spec, seed, samples))])
     est, se = float(logs.mean()), std_err(logs)
     if clears_error_bar(est, se, samples):
         half = 0.5 * a_estimate if a_estimate > 0 else None
@@ -448,8 +460,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
         blocks += _depth_windows(family, curve_orbits, range(1, curve_n_max + 1),
                                  eff_depth)
     top = len(blocks)
-    for w in omegas[:supadd_samples]:
-        blocks += _supadd_windows(family, w, n_res)
+    blocks += _supadd_windows(family, omegas[:supadd_samples], n_res)
     uppers, lowers = _brackets(family, blocks, grid_size, threads)
 
     log_c, ks = truncated_infimum(np.vstack(lowers[:top]), lam)

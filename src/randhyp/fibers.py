@@ -4,7 +4,8 @@ Each family maps a base state to a concrete map with an exact analytic
 Jacobian and certified global derivative bounds.  Parameters depend on the
 base state only through the symbol at position 0 (or the rotation angle),
 so measurability in the base variable is immediate, and along an orbit
-they form one stream, `params_along(omega, n)`, read off `base_drive`.
+they form one stream per state, `params_along(omegas, n)`, read off
+`base_drive`.
 
 Catalog:
   doubling            x -> 2x mod 1 (deterministic)
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .base import as_floats, rotation_angles, symbol_window
+from .base import as_floats, rotation_angles, symbol_rows
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 
 _TWO_PI = 2.0 * math.pi
@@ -71,8 +72,9 @@ def point(*coords):
     return ManifoldPoint(tuple(float(c) for c in coords))
 
 
-def base_drive(omega, lo, hi, choices=None):
-    """Driving values of the base orbit at positions lo..hi-1 (relative).
+def base_drive(omegas, lo, hi, choices=None):
+    """Driving values of the base orbits of the states `omegas` (of one base)
+    at positions lo..hi-1 (relative), one row per state.
 
     The one place where fiber parameters are read off the base.  A rotation
     drives with its angle (`rotation_angles`), a shift with its symbol (the
@@ -80,28 +82,28 @@ def base_drive(omega, lo, hi, choices=None):
     an index in range(m) picking one of m parameter values; without, it is
     a continuous drive in [0, 1] (a symbol s counts as s / (alphabet_size - 1)).
     """
-    n = hi - lo
+    shape = (len(omegas), hi - lo)
     if choices == 1:
-        return np.zeros(n, dtype=np.int64)
-    if omega.kind == "rotation":
-        angles = rotation_angles(omega, lo, hi)
+        return np.zeros(shape, dtype=np.int64)
+    if omegas[0].kind == "rotation":
+        angles = rotation_angles(omegas, lo, hi)
         if choices is None:
             return angles
         return (angles * choices).astype(np.int64) % choices
     if choices is not None:
-        return symbol_window(omega, lo, hi) % choices
-    a = omega.spec.alphabet_size
+        return symbol_rows(omegas, lo, hi) % choices
+    a = omegas[0].spec.alphabet_size
     if a <= 1:
-        return np.zeros(n)
-    return symbol_window(omega, lo, hi).astype(np.float64) / (a - 1)
+        return np.zeros(shape)
+    return symbol_rows(omegas, lo, hi).astype(np.float64) / (a - 1)
 
 
 class FiberFamily:
     """Common surface of all catalog families.
 
     Families are immutable; every operation is pure.  A family reads the
-    base only through `params_along(omega, n)`, its per-step parameters at
-    orbit positions 0..n-1; the point-level maps `apply_at` and
+    base only through `params_along(omegas, n)`, its per-step parameters at
+    orbit positions 0..n-1 of each state; the point-level maps `apply_at` and
     `jacobian_at` take one such parameter.  `linear` means the derivative
     does not depend on the manifold point, in which case all minimizations
     over the fiber are exact and need no grid.
@@ -131,8 +133,9 @@ class FiberFamily:
     def describe(self):
         return {"family": self.family_id, "params": self.params()}
 
-    def params_along(self, omega, n):
-        """Per-step parameters at orbit positions 0..n-1, as one array."""
+    def params_along(self, omegas, n):
+        """Per-step parameters at orbit positions 0..n-1 of each state in
+        `omegas`, one row per state."""
         raise NotImplementedError
 
     # Point-level operations on raw coordinate tuples, at one parameter.
@@ -144,8 +147,8 @@ class FiberFamily:
         raise NotImplementedError
 
     def param_at(self, omega):
-        """The parameter at omega: the n = 1 case of `params_along`."""
-        return self.params_along(omega, 1).tolist()[0]
+        """The parameter at omega: the one-state, n = 1 case of `params_along`."""
+        return self.params_along([omega], 1).item()
 
 
 class CircleFamily(FiberFamily):
@@ -212,7 +215,7 @@ class CircleFamily(FiberFamily):
 
     def orbit_log_derivs(self, omega, x0, n):
         """log|D phi| at each of n steps of the orbit of x0."""
-        ps = self.params_along(omega, n)
+        ps = self.params_along([omega], n)[0]
         if self.linear:
             return self.log_deriv(ps, x0, np)
         # apply/log_deriv inlined to their formulas: two fewer calls a step
@@ -251,9 +254,9 @@ class PerturbedDoubling(CircleFamily):
     def params(self):
         return {"eps_max": self.eps_max}
 
-    def params_along(self, omega, n):
+    def params_along(self, omegas, n):
         """eps at each step."""
-        return self.eps_max * base_drive(omega, 0, n)
+        return self.eps_max * base_drive(omegas, 0, n)
 
     # eps = 0.0 skips sin and cos: 2x + 0.0 s = 2x and 2 + 0.0 c = 2 hold
     # exactly in IEEE arithmetic, so the bytes are the general formula's.
@@ -291,9 +294,9 @@ class BernoulliLinear(CircleFamily):
     def params(self):
         return {"values": list(self.values)}
 
-    def params_along(self, omega, n):
+    def params_along(self, omegas, n):
         """Multiplier at each step."""
-        return np.asarray(self.values)[base_drive(omega, 0, n, len(self.values))]
+        return np.asarray(self.values)[base_drive(omegas, 0, n, len(self.values))]
 
     def lift(self, p, x, xp=math):
         return p * x
@@ -362,9 +365,9 @@ class LinearTorusFamily(FiberFamily):
             abs(round(a) * round(d) - round(b) * round(c)) == 1
             for (a, b), (c, d) in mats.tolist()))
 
-    def params_along(self, omega, n):
-        """Matrix index along the forward orbit w, Tw, ..., T^{n-1}w."""
-        return base_drive(omega, 0, n, len(self.matrices))
+    def params_along(self, omegas, n):
+        """Matrix index along each forward orbit w, Tw, ..., T^{n-1}w."""
+        return base_drive(omegas, 0, n, len(self.matrices))
 
     def apply_at(self, p, coords):
         return _apply_matrix(self.matrices[p], coords)

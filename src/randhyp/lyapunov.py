@@ -79,9 +79,9 @@ def oseledets_spectrum(family, omega, x, n):
     if family.manifold_dim == 1:
         logs = family.orbit_log_derivs(omega, x.x, n)
         return SpectrumEstimate(exponents=(float(logs.mean()),), n=n)
-    idx = family.params_along(omega, n)
+    idx = family.params_along([omega], n)
     return _torus_spectrum(push_log_stretches(
-        family.matrices, idx[None], ((1.0, 0.0),))[0], family.log_dets[idx])
+        family.matrices, idx, ((1.0, 0.0),))[0], family.log_dets[idx[0]])
 
 
 def _torus_spectrum(e1, log_dets):

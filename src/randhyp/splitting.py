@@ -72,7 +72,7 @@ def _windows(family, omega, groups):
     row per offset k, cut from one read of the positions -lo..hi-1."""
     lo = int(max(h - min(ks) for ks, h in groups))   # int: a state offset
     hi = int(max(max(ks) + h for ks, h in groups))
-    stream = family.params_along(shift_by(omega, -lo), lo + hi)
+    stream = family.params_along([shift_by(omega, -lo)], lo + hi)[0]
     out = []
     for ks, h in groups:
         rows = (np.asarray(ks) + lo)[:, None] + np.arange(h)

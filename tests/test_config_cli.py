@@ -246,11 +246,12 @@ def test_full_pipeline_spectra_are_the_lyapunov_task_spectra(family, base):
 
 
 def counted_stages(monkeypatch):
-    """Index-stream positions read and rows scanned by the push kernel, per
-    stage of a run: `expansion` and `minimize` (their cli steps),
+    """Index-stream positions read (states times steps), and rows scanned
+    and calls made by the push kernel, per stage of a run: `expansion` and `minimize` (their cli steps),
     `lyapunov` (the exponent report) and `other`."""
     import randhyp.cli as cli
     import randhyp.cocycle as cocycle
+    import randhyp.ergodic as ergodic
     import randhyp.lyapunov as lyapunov
     import randhyp.splitting as splitting
     from randhyp.fibers import LinearTorusFamily
@@ -271,16 +272,17 @@ def counted_stages(monkeypatch):
 
     read, push = LinearTorusFamily.params_along, cocycle.push_log_stretches
 
-    def counted_read(self, omega, n):
-        count("positions", n)
-        return read(self, omega, n)
+    def counted_read(self, omegas, n):
+        count("positions", len(omegas) * n)
+        return read(self, omegas, n)
 
     def counted_push(table, idx, v, rows=None):
         count("rows", len(np.unique(np.arange(len(v)) if rows is None else rows)))
+        count("pushes", 1)
         return push(table, idx, v, rows)
 
     monkeypatch.setattr(LinearTorusFamily, "params_along", counted_read)
-    for module in (cocycle, lyapunov, splitting):
+    for module in (cocycle, ergodic, lyapunov, splitting):
         monkeypatch.setattr(module, "push_log_stretches", counted_push)
     for name, attr in (("expansion", "_certify_expansion"), ("minimize", "_task_minimize"),
                        ("lyapunov", "exponent_positivity_report")):
@@ -308,6 +310,36 @@ def test_full_pipeline_reads_no_more_than_splitting_alone(family, monkeypatch):
         assert runs["full-pipeline"][("other", kind)] == runs["splitting"][("other", kind)]
 
 
+@pytest.mark.parametrize("family", TORUS)
+def test_minimize_pushes_every_birkhoff_start_in_one_call(family, monkeypatch):
+    # one read of all the starts' index streams, one row and vector each
+    counts = counted_stages(monkeypatch)
+    run_task(torus_config("full-pipeline", family, "bernoulli"))
+    assert TINY_PIPELINE["birkhoff_starts"] > 1
+    assert counts[("minimize", "pushes")] == 1
+    assert counts[("minimize", "rows")] == TINY_PIPELINE["birkhoff_starts"]
+
+
+def test_certificate_hash_calls_do_not_grow_with_samples(monkeypatch):
+    # each sample set is hashed in one call, whatever its size
+    import randhyp.base as base
+    calls, hashed = [], base._uniforms
+
+    def counted(*args):
+        calls.append(args)
+        return hashed(*args)
+    monkeypatch.setattr(base, "_uniforms", counted)
+    counts = []
+    for samples in (20, 40):
+        calls.clear()
+        run_task(parse_config(json.dumps({
+            "task": "certify-expansion", "seed": 7, "base": BASES["bernoulli"],
+            "fiber": {"family": "perturbed-doubling", "params": {"eps_max": 0.1}},
+            "task_params": {"samples": samples}})))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 10
+
+
 @pytest.mark.parametrize("task, family, params, message", [
     ("full-pipeline", "random-cat", {"n": 3}, "task_params.n must be >= batches = 20, got 3"),
     ("full-pipeline", "diagonal-cocycle", {"n": 8, "batches": 9},
@@ -322,7 +354,7 @@ def test_torus_n_too_small_exits_one_before_any_read(task, family, params, messa
                                                     tmp_path, capsys, monkeypatch):
     from randhyp.fibers import LinearTorusFamily
 
-    def no_read(self, omega, n):
+    def no_read(self, omegas, n):
         raise AssertionError("index stream read before the config check")
     monkeypatch.setattr(LinearTorusFamily, "params_along", no_read)
     cfg_path = tmp_path / "cfg.json"

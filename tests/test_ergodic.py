@@ -82,7 +82,7 @@ def test_periodic_orbits_linear_torus_uses_eigen_directions():
         from randhyp.base import periodic_state, shift_by
         for i in range(r.period):
             state = shift_by(periodic_state(2, r.symbol_word), i)
-            prod = fam.matrices[fam.params_along(state, 1)[0]] @ prod
+            prod = fam.matrices[fam.params_along([state], 1)[0, 0]] @ prod
         lam_min = min(abs(v) for v in np.linalg.eigvals(prod).real)
         assert r.phi_average == pytest.approx(math.log(lam_min) / r.period, abs=1e-9)
         image = prod @ np.asarray(r.v0)
@@ -144,7 +144,7 @@ def test_periodic_orbit_counts_are_exact(name, params, probs, p_max, D):
         q = next(q for q in range(1, r.period + 1)
                  if r.symbol_word == r.symbol_word[q:] + r.symbol_word[:q])
         xs = [r.x0.x]
-        for c in fam.params_along(periodic_state(k, r.symbol_word), r.period).tolist():
+        for c in fam.params_along([periodic_state(k, r.symbol_word)], r.period)[0].tolist():
             xs.append(fam.apply(c, xs[-1]))
         assert min(abs(xs[-1] - xs[0]), 1 - abs(xs[-1] - xs[0])) == r.residual
         anchors.setdefault(r.symbol_word[:q], []).append(min(xs[:-1:q]))

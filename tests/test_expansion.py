@@ -11,7 +11,7 @@ from randhyp import (BaseSystemSpec, ConfigurationError, ContractError,
                      min_expansion_table)
 from randhyp.base import base_step, periodic_state, shift_by, symbol_window
 from randhyp.expansion import (certified_depth, lipschitz_slack,
-                               min_expansion_sweep, one_step_min_expansion)
+                               min_expansion_sweep, one_step_min_expansions)
 import randhyp.expansion as expansion
 
 LOG2 = math.log(2)
@@ -74,7 +74,7 @@ def test_matrix_family_min_is_sigma_min():
     fam = make_family("random-cat")
     w = sample_base(bern_spec(), 5, 1)[0]
     lo, up = min_log_expansion(fam, w, 4)
-    idx = fam.params_along(w, 4)
+    idx = fam.params_along([w], 4)[0]
     prod = np.eye(2)
     for j in idx:
         prod = fam.matrices[j] @ prod
@@ -231,13 +231,13 @@ def test_recursion_bound_attained_beyond_first():
         w = sample_base(bern_spec(), seed, 1)[0]
         c_w = tempered_constant(fam, w, lam, 50)
         c_tw = tempered_constant(fam, base_step(w), lam, 50)
-        d1 = one_step_min_expansion(fam, w)
+        d1, d1_tw = one_step_min_expansions(fam, [w, base_step(w)])
         if c_w.attained_n >= 2:
             hit += 1
             assert c_w.log_value >= (c_tw.log_value - lam + math.log(d1)) - 1e-12
         # combined bound holds in every case
         lhs = c_tw.log_value - c_w.log_value
-        rhs = math.log(max(one_step_min_expansion(fam, base_step(w)), math.exp(lam))) \
+        rhs = math.log(max(d1_tw, math.exp(lam))) \
             - math.log(d1)
         assert lhs <= rhs + 1e-12
     assert hit > 0
@@ -393,7 +393,7 @@ def test_equal_parameter_windows_give_equal_sweeps(name, params):
     fam = make_family(name, params)
     a = periodic_state(2, (0, 1, 1, 0))
     b = periodic_state(2, (0, 1, 1, 0, 1))
-    assert fam.params_along(a, 5).tobytes() != fam.params_along(b, 5).tobytes()
+    assert fam.params_along([a], 5).tobytes() != fam.params_along([b], 5).tobytes()
     sa, sb = (min_expansion_sweep(fam, w, 4, 256) for w in (a, b))
     assert sa.uppers.tobytes() == sb.uppers.tobytes()
     assert sa.lowers.tobytes() == sb.lowers.tobytes()
@@ -417,12 +417,12 @@ def test_certificate_steps_each_parameter_prefix_once(monkeypatch):
                                        supadd_samples=1, supadd_N=supadd_N)
     depth = cert.details["depth"]
     omegas = sample_base(spec, seed, samples)
-    rate = [fam.params_along(w, n_max) for w in omegas]
+    rate = list(fam.params_along(omegas, n_max))
     # c_samples at offset 0, the curve at offsets 1..curve_n_max, then the
     # supadditivity windows of the first sample
-    later = [fam.params_along(shift_by(w, k), depth)
+    later = [fam.params_along([shift_by(w, k)], depth)[0]
              for w in omegas for k in range(curve_n_max + 1)]
-    later += [fam.params_along(shift_by(omegas[0], k), supadd_N - k)
+    later += [fam.params_along([shift_by(omegas[0], k)], supadd_N - k)[0]
               for k in range(supadd_N)]
 
     def prefixes(windows):

@@ -282,21 +282,94 @@ def test_params_along_matches_shifted_states(base, offset):
     n = 120
     for name, params in STREAM_FAMILIES.items():
         fam = make_family(name, params)
-        stream = fam.params_along(omega, n)
+        stream = fam.params_along([omega], n)[0]
         assert len(stream) == n
         for i in range(n):
-            assert fam.params_along(shift_by(omega, i), 1)[0] == stream[i]
+            assert fam.params_along([shift_by(omega, i)], 1)[0, 0] == stream[i]
         if isinstance(fam, LinearTorusFamily):
-            back = fam.params_along(shift_by(omega, -n), n)[::-1]
+            back = fam.params_along([shift_by(omega, -n)], n)[0, ::-1]
             for i in range(n):
-                assert fam.params_along(shift_by(omega, -i - 1), 1)[::-1][0] == back[i]
+                assert fam.params_along([shift_by(omega, -i - 1)], 1)[0, 0] == back[i]
             assert list(back[::-1]) == list(
-                fam.params_along(shift_by(omega, -n), n))
+                fam.params_along([shift_by(omega, -n)], n)[0])
     if base == "rotation":
         # the drive is the state's own angle, bit for bit
         fam = make_family("perturbed-doubling", {"eps_max": 0.1})
-        stream = fam.params_along(omega, n)
+        stream = fam.params_along([omega], n)[0]
         assert all(stream[i] == 0.1 * shift_by(omega, i).angle for i in range(n))
+
+
+READ_BASES = dict(STREAM_BASES, **{
+    "bernoulli-3": BaseSystemSpec.bernoulli([0.2, 0.3, 0.5]),
+    "bernoulli-1": BaseSystemSpec.bernoulli([1.0]),
+    "periodic": None,
+})
+READ_OFFSETS = (-70, 0, 45)
+
+
+def read_states(base, offsets=READ_OFFSETS):
+    """Three states of `base` (of different words for the periodic base),
+    each shifted by every offset."""
+    from randhyp import shift_by
+    from randhyp.base import periodic_state
+    if base == "periodic":
+        states = [periodic_state(3, w) for w in ((0, 1), (2, 0, 1), (1,))]
+    else:
+        states = sample_base(READ_BASES[base], 5, 3)
+    return [shift_by(w, k) for w in states for k in offsets]
+
+
+def one_by_one(read, states):
+    """`read` of each state on its own, stacked: the one-row case."""
+    return np.stack([read([w])[0] for w in states])
+
+
+@pytest.mark.parametrize("base", READ_BASES)
+def test_batched_read_is_the_one_state_reads(base):
+    from randhyp.fibers import base_drive
+    states = read_states(base)
+    for name, params in STREAM_FAMILIES.items():
+        fam = make_family(name, params)
+        got = fam.params_along(states, 50)
+        assert got.shape == (len(states), 50)
+        assert got.tobytes() == one_by_one(lambda ws: fam.params_along(ws, 50),
+                                           states).tobytes()
+    for choices in (None, 1, 2, 3):   # windows reaching behind the origin
+        got = base_drive(states, -30, 20, choices)
+        assert got.tobytes() == one_by_one(
+            lambda ws: base_drive(ws, -30, 20, choices), states).tobytes()
+
+
+@pytest.mark.parametrize("base", ["bernoulli", "bernoulli-3", "markov", "periodic"])
+def test_batched_read_raises_the_one_state_window_error(base):
+    from randhyp import WindowLimitError, shift_by
+    from randhyp.base import WINDOW_LIMIT
+    fam = make_family("perturbed-doubling")
+    for k, n in ((WINDOW_LIMIT - 5, 10), (-WINDOW_LIMIT - 1, 10)):
+        ok, far = read_states(base, (0,))[0], read_states(base, (k,))[1]
+        with pytest.raises(WindowLimitError) as one:
+            fam.params_along([far], n)
+        with pytest.raises(WindowLimitError) as batch:
+            fam.params_along([ok, far, ok], n)
+        assert str(batch.value) == str(one.value)
+        fam.params_along([ok, shift_by(far, -k)], n)   # back in range
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(READ_BASES)),
+       st.lists(st.integers(-3000, 3000), min_size=1, max_size=6),
+       st.integers(-100, 100), st.integers(0, 80))
+def test_batched_drive_matches_shifted_one_step_reads(base, offsets, lo, n):
+    from randhyp import shift_by
+    from randhyp.fibers import base_drive
+    states = read_states(base, offsets)
+    got = base_drive(states, lo, lo + n)
+    assert got.shape == (len(states), n)
+    assert got.tobytes() == one_by_one(lambda ws: base_drive(ws, lo, lo + n),
+                                       states).tobytes()
+    for w, row in zip(states[::5], got[::5]):
+        assert row.tolist() == [base_drive([shift_by(w, lo + j)], 0, 1)[0, 0]
+                                for j in range(n)]
 
 
 @pytest.mark.parametrize("name", CIRCLE_FAMILIES)
@@ -305,7 +378,7 @@ def test_circle_formula_numpy_matches_math(name):
     fam = make_family(name, STREAM_FAMILIES[name])
     omega = sample_base(STREAM_BASES["bernoulli"], 4, 1)[0]
     n = 400
-    ps = fam.params_along(omega, n)
+    ps = fam.params_along([omega], n)[0]
     xs = [0.123456789]
     for p in ps.tolist():
         xs.append(fam.apply(p, xs[-1]))
@@ -352,7 +425,7 @@ def test_orbit_log_derivs_matches_the_step_loop(x0, eps_max, seed):
     omega = sample_base(STREAM_BASES["bernoulli"], seed, 1)[0]
     n = 200
     x, ref = x0, []
-    for p in fam.params_along(omega, n).tolist():
+    for p in fam.params_along([omega], n)[0].tolist():
         ref.append(fam.log_deriv(p, x))
         x = fam.apply(p, x)
     got = fam.orbit_log_derivs(omega, x0, n)
@@ -426,7 +499,7 @@ ODD_FAMILIES = [name for name in CIRCLE_PARAMS if FAMILY_CATALOG[name].odd]
 def circle_case(name, params, seed):
     """The family and 32 of its per-step parameters from each base."""
     fam = make_family(name, params)
-    ps = np.concatenate([fam.params_along(sample_base(spec, seed, 1)[0], 32)
+    ps = np.concatenate([fam.params_along(sample_base(spec, seed, 1), 32)[0]
                          for spec in PARAM_BASES])
     return fam, ps.tolist()
 

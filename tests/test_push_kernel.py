@@ -49,8 +49,11 @@ def test_kernel_matches_step_loop(family, base):
     w = sample_base(BASES[base], 5, 1)[0]
     rng = np.random.default_rng(0)
     def backward(w, n):
-        return fam.params_along(shift_by(w, -n), n)[::-1]
-    for table, indices in ((fam.matrices, fam.params_along),
+        return fam.params_along([shift_by(w, -n)], n)[0, ::-1]
+
+    def forward(w, n):
+        return fam.params_along([w], n)[0]
+    for table, indices in ((fam.matrices, forward),
                            (fam.inverses, backward)):
         L = _block_len(table.reshape(-1, 4))
         for n in sorted({1, 2, max(1, L - 1), L, L + 1, 10_000}):
@@ -97,7 +100,7 @@ def test_shared_rows_match_one_vector_calls(family, side):
     rng = np.random.default_rng(3)
     L = _block_len(table.reshape(-1, 4))
     for n in sorted({1, max(1, L - 1), L, L + 1, 10_000}):
-        idx = np.array([fam.params_along(w, n) for w in starts])
+        idx = fam.params_along(starts, n)
         v = rng.normal(size=(len(ROWS), 2))
         got = push_log_stretches(table, idx, v, ROWS)
         assert got.shape == (len(ROWS), n)
@@ -148,9 +151,9 @@ def test_curve_batch_matches_per_offset(base, horizon, depth):
         pair = finite_time_bundles(fam, state, point(0.0, 0.0), horizon)
         logs1, logs2 = push_log_stretches(
             np.concatenate([fam.matrices, fam.inverses]),
-            [fam.params_along(shift_by(state, -depth), depth)[::-1]
+            [fam.params_along([shift_by(state, -depth)], depth)[0, ::-1]
              + len(fam.matrices),
-             fam.params_along(state, depth)], [pair.gamma1, pair.gamma2])
+             fam.params_along([state], depth)[0]], [pair.gamma1, pair.gamma2])
         assert vals1[k - 1] == _truncated_log_inf(logs1, lam, depth) / k
         assert vals2[k - 1] == _truncated_log_inf(logs2, lam, depth) / k
 
@@ -162,7 +165,7 @@ def test_spectrum_sum_rule(family):
     n = 5000
     est = oseledets_spectrum(fam, w, point(0.2, 0.7), n)
     logdet = math.fsum(math.log(abs(np.linalg.det(fam.matrices[j])))
-                       for j in fam.params_along(w, n))
+                       for j in fam.params_along([w], n)[0])
     assert abs(sum(est.exponents) * n - logdet) <= 1e-12 * max(1.0, abs(logdet))
     if fam.family_id == "random-cat":
         assert est.exponents[0] == -est.exponents[1]

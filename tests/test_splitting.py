@@ -223,8 +223,8 @@ def _public_per_sample(fam, spec, seed, samples, horizon, n, batches, depth, lam
         pair = finite_time_bundles(fam, w, x, horizon)
         logs1, logs2 = push_log_stretches(
             np.concatenate([fam.matrices, fam.inverses]),
-            [fam.params_along(shift_by(w, -n), n)[::-1] + len(fam.matrices),
-             fam.params_along(w, n)], [pair.gamma1, pair.gamma2])
+            [fam.params_along([shift_by(w, -n)], n)[0, ::-1] + len(fam.matrices),
+             fam.params_along([w], n)[0]], [pair.gamma1, pair.gamma2])
         rates = bundle_rates(fam, w, x, pair, n, lam=lam, depth=depth)
         v = np.asarray(random_point(seed, samples + i, 2)) - 0.5
         top = top_exponent(fam, unit_tangent(w, x, v), n, batches)
@@ -258,9 +258,9 @@ def test_certificate_reads_each_position_once(horizon, n, monkeypatch):
     import randhyp.splitting as sp
     reads, read = [], LinearTorusFamily.params_along
 
-    def counted(self, omega, k):
-        reads.append(k)
-        return read(self, omega, k)
+    def counted(self, omegas, k):
+        reads.append(len(omegas) * k)
+        return read(self, omegas, k)
     monkeypatch.setattr(LinearTorusFamily, "params_along", counted)
     monkeypatch.setattr(sp, "_bundle_constant_curve", lambda *args: ((), ()))
     hyperbolicity_certificate(make_family("random-cat"), bern_spec(), 5,
@@ -270,7 +270,7 @@ def test_certificate_reads_each_position_once(horizon, n, monkeypatch):
 
 
 def test_fewer_steps_than_batches_rejected_before_any_read(monkeypatch):
-    def no_read(self, omega, k):
+    def no_read(self, omegas, k):
         raise AssertionError("index stream read before the batch check")
     monkeypatch.setattr(LinearTorusFamily, "params_along", no_read)
     with pytest.raises(ContractError, match="n >= batches"):

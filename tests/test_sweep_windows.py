@@ -65,9 +65,9 @@ def mixed_windows(family, spec):
     """Windows of lengths 1..20 from several orbits and offsets, with exact
     duplicates and a window that is a prefix of another."""
     omegas = sample_base(spec, 3, 3)
-    windows = [family.params_along(shift_by(w, k), n)
+    windows = [family.params_along([shift_by(w, k)], n)[0]
                for w in omegas for k in (0, 1, 5) for n in (1, 2, 7, 20)]
-    long = family.params_along(omegas[0], 20)
+    long = family.params_along(omegas[:1], 20)[0]
     return windows + [long[:9], long.copy(), long[:1], windows[3].copy()]
 
 
@@ -143,7 +143,7 @@ def test_torus_brackets_match_exact_arithmetic(name, params, base):
     # SVD of the float product cannot give its sigma_min past there
     fam = make_family(name, params)
     for w in sample_base(BASES[base], 7, 3):
-        window = fam.params_along(w, 80)
+        window = fam.params_along([w], 80)[0]
         exact = rational_min_log_expansions(fam, window)
         sweep = min_expansion_sweep(fam, w, 80)
         assert np.all(np.abs(sweep.uppers - exact)
@@ -244,8 +244,8 @@ class _PointFamily(FiberFamily):
 
     family_id = "point"
 
-    def params_along(self, omega, n):
-        return np.zeros(n)
+    def params_along(self, omegas, n):
+        return np.zeros((len(omegas), n))
 
 
 def test_other_families_cannot_be_certified():
