@@ -86,16 +86,25 @@ def _stationary_distribution(transition):
     return np.clip(pi, 0.0, None) / np.sum(np.clip(pi, 0.0, None))
 
 
+def _cdf(weights):
+    """Cumulative sums along the last axis, ending at exactly 1.0: a float
+    cumsum can end below 1 (0.9999999999999999 for [0.1] * 10), and a
+    uniform past its end would draw the symbol `alphabet_size`."""
+    c = np.cumsum(weights, axis=-1)
+    c[..., -1] = 1.0
+    return c
+
+
 def _symbol_tables(spec):
     """The stationary CDF of a shift base and, for a Markov base, the CDF rows
     of the forward and of the time-reversed chain, as lists for `bisect`."""
     pi = np.asarray(spec.stationary, dtype=np.float64)
     if spec.kind != "markov":
-        return np.cumsum(pi), None, None
+        return _cdf(pi), None, None
     p = np.asarray(spec.transition, dtype=np.float64)
     rev = (p.T * pi[None, :]) / pi[:, None]
     rev = rev / rev.sum(axis=1, keepdims=True)
-    return np.cumsum(pi), np.cumsum(p, axis=1).tolist(), np.cumsum(rev, axis=1).tolist()
+    return _cdf(pi), _cdf(p).tolist(), _cdf(rev).tolist()
 
 
 def _is_irreducible(transition):

@@ -8,6 +8,13 @@ multipliers, linear torus maps) are evaluated exactly.  From the per-n
 brackets we build supadditivity residual tables, the limiting uniform rate,
 the truncated-infimum constant C(w) for a chosen rate 0 < lambda < A, and
 the decay curve that probes temperedness of C along the orbit.
+
+log C(w) is the least term lower(A_n) - lambda n over n <= d, and a
+window is swept only to its settled depth: past it, the smallest possible
+growth of the remaining steps, the sum of each step's least
+log-derivative, outruns lambda and the slack, so no deeper term can fall
+to term 1.  Leaving those terms unswept keeps log C and the n attaining it
+byte for byte (`settled_depths`).
 """
 
 import math
@@ -311,13 +318,14 @@ def tempered_constant(family, omega, lam, depth=DEFAULT_DEPTH,
 
 
 def _depth_windows(family, omegas, offsets, depth):
-    """params_along(T^k w, depth) for k in `offsets`, one block per orbit w,
-    cut from one read of all the orbits."""
+    """params_along(T^k w, depth) for k in `offsets`, one row per (w, k),
+    orbit by orbit, cut from one read of all the orbits."""
     if not len(offsets):
         raise ContractError("offsets must be nonempty")
     lo, span = min(offsets), max(offsets) - min(offsets) + depth
     rows = (np.asarray(offsets) - lo)[:, None] + np.arange(depth)
-    return list(family.params_along([shift_by(w, lo) for w in omegas], span)[:, rows])
+    return family.params_along([shift_by(w, lo) for w in omegas],
+                               span)[:, rows].reshape(-1, depth)
 
 
 def truncated_infimum(cumulative, lam):
@@ -326,6 +334,69 @@ def truncated_infimum(cumulative, lam):
     terms = cumulative - lam * np.arange(1, cumulative.shape[-1] + 1)
     k = terms.argmin(axis=-1)
     return np.take_along_axis(terms, k[..., None], -1)[..., 0], k + 1
+
+
+def min_expansion_factors(family, ps):
+    """The least one-step expansion factor at each parameter in `ps`: the
+    smallest singular value of a torus matrix, |D phi| at `min_deriv_x` for
+    a circle family."""
+    if isinstance(family, LinearTorusFamily):
+        return family.svals[ps, -1]
+    return family.deriv(ps, family.min_deriv_x, np)
+
+
+def settled_depths(family, windows, lam, grid_size):
+    """Per row p_0..p_{d-1} of the (N, d) tempered-constant `windows`, the
+    depth past which no term of `truncated_infimum` can set the infimum.
+
+    Term n, the lower bracket of A_n less lam n, is at least its floor
+    l_0 + ... + l_{n-1} - s_n - lam n, with l_j the log of
+    `min_expansion_factors` at p_j and s_n the `lipschitz_slack`.  Term 1
+    is at most B, the step-1 log-derivative at the sweep grid's point
+    nearest `min_deriv_x` less s_1 and lam: the grid minimum is at most
+    any grid value.  The settled depth is the largest m <= d (at least 1)
+    whose floor is at most B + eta_m, so every deeper term exceeds
+    B >= term 1.  eta_m is 2^12 times the rounding of m-step sums: m float
+    additions of steps of size at most M = max(|log sup |D phi||,
+    |log sup |D phi^-1||), and a torus matrix's float sigma_min, off by
+    2^-52 of its condition number, at most K = sup |D phi| sup |D phi^-1|.
+    """
+    d = windows.shape[1]
+    ns = np.arange(1, d + 1)
+    logs = np.log(min_expansion_factors(family, windows))
+    slacks = np.array([lipschitz_slack(family, n, grid_size) for n in ns])
+    first = logs[:, 0]
+    if isinstance(family, CircleFamily):
+        grid = family.sweep_start(grid_size)[0]
+        x = grid[min(round(family.min_deriv_x * grid_size), len(grid) - 1)]
+        first = np.log(family.deriv(windows[:, 0], x, np))
+    bound = (first - slacks[0] - lam)[:, None]
+    floors = np.cumsum(logs, axis=1) - slacks - lam * ns
+    k = family.sup_dphi * family.sup_dphi_inv
+    m = max(abs(math.log(family.sup_dphi)), abs(math.log(family.sup_dphi_inv)))
+    eta = 2.0 ** -40 * ns * (k + ns * m + slacks + lam * ns + np.abs(bound))
+    may_set = floors <= bound + eta
+    may_set[:, 0] = True
+    return d - may_set[:, ::-1].argmax(axis=1)
+
+
+def _settled_blocks(family, windows, lam, grid_size):
+    """The rows of the (N, d) tempered-constant `windows` cut to their
+    `settled_depths`, one block per depth, and the function that takes the
+    blocks' lowers to `truncated_infimum` of all N rows.  Every term past a
+    row's settled depth exceeds its first term, so the rows' lowers padded
+    with +inf give the full-depth log C and attained n byte for byte."""
+    depths = settled_depths(family, windows, lam, grid_size)
+    groups = [(k, rows) for k in range(1, windows.shape[1] + 1)
+              if len(rows := np.flatnonzero(depths == k))]
+
+    def infimum(lowers):
+        padded = np.full(windows.shape, np.inf)
+        for (k, rows), block in zip(groups, lowers):
+            padded[rows, :k] = block
+        return truncated_infimum(padded, lam)
+
+    return [windows[rows, :k] for k, rows in groups], infimum
 
 
 def _check_constant_args(lam, depth, a_estimate=None):
@@ -345,9 +416,10 @@ def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
     """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
     every orbit w in `omegas` and k in `offsets`: one sweep of all windows."""
     _check_constant_args(lam, depth, a_estimate)
-    _, lowers = _brackets(family, _depth_windows(family, omegas, offsets, depth),
-                          grid_size)
-    return [a.reshape(len(omegas), -1) for a in truncated_infimum(np.vstack(lowers), lam)]
+    blocks, infimum = _settled_blocks(family, _depth_windows(family, omegas, offsets,
+                                                             depth), lam, grid_size)
+    _, lowers = _brackets(family, blocks, grid_size)
+    return [a.reshape(len(omegas), -1) for a in infimum(lowers)]
 
 
 def _curve_fast(family, omega, lam, n_max, depth):
@@ -385,10 +457,7 @@ def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
 def one_step_min_expansions(family, omegas):
     """Analytic minimum one-step expansion factor D_1(w) of each w in
     `omegas`, from one read of their parameters."""
-    ps = family.params_along(omegas, 1)[:, 0]
-    if isinstance(family, LinearTorusFamily):
-        return family.svals[ps, -1].tolist()
-    return [float(family.deriv(p, family.min_deriv_x)) for p in ps.tolist()]
+    return min_expansion_factors(family, family.params_along(omegas, 1)[:, 0]).tolist()
 
 
 def variable_rate_corollary(family, spec, seed, samples, a_estimate):
@@ -455,15 +524,16 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     curve_orbits = omegas[:min(samples, 20)]
     n_res = supadd_N if supadd_N is not None else min(n_max, 12)
     # one sweep: c_samples windows, curve windows, supadditivity windows
-    blocks = _depth_windows(family, omegas, [0], eff_depth)
+    windows = _depth_windows(family, omegas, [0], eff_depth)
     if not fast:
-        blocks += _depth_windows(family, curve_orbits, range(1, curve_n_max + 1),
-                                 eff_depth)
+        windows = np.vstack([windows, _depth_windows(
+            family, curve_orbits, range(1, curve_n_max + 1), eff_depth)])
+    blocks, infimum = _settled_blocks(family, windows, lam, grid_size)
     top = len(blocks)
     blocks += _supadd_windows(family, omegas[:supadd_samples], n_res)
     uppers, lowers = _brackets(family, blocks, grid_size, threads)
 
-    log_c, ks = truncated_infimum(np.vstack(lowers[:top]), lam)
+    log_c, ks = infimum(lowers[:top])
     c_samples = tuple((w.describe(), TemperedConstant(lc, k, eff_depth, lam).value,
                        lc, k) for w, lc, k in zip(omegas, log_c.tolist(), ks.tolist()))
     ns = np.arange(1, curve_n_max + 1)

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -244,3 +245,17 @@ def test_sampled_states_share_their_specs_tables():
     assert again.tables[1] is not fwd and "tables" not in repr(markov)
     assert symbol_window(BaseState(markov, 11), 0, 1)[0] == int(
         np.searchsorted(markov.tables[0], _uniforms(11, STREAM_SYMBOL, 0), side="right"))
+
+
+@pytest.mark.parametrize("spec", [
+    BaseSystemSpec.bernoulli([0.1] * 10),
+    BaseSystemSpec.markov([[0.1] * 10] * 10),
+])
+def test_cdf_tables_end_at_one(spec):
+    # float cumsums of [0.1] * 10 end at 0.9999999999999999 (0.9999999999999998
+    # for the reversed rows); the largest uniform, 1 - 2^-53, must still draw
+    # a symbol of the alphabet
+    cdf, fwd, rev = spec.tables
+    for row in [cdf] + (fwd or []) + (rev or []):
+        assert row[-1] == 1.0
+        assert bisect_right(row, 1 - 2 ** -53) < spec.alphabet_size

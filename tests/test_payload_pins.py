@@ -11,6 +11,12 @@ and CPU they were recorded on (numpy 2.4.6, x86-64).
 The torus pins are random-cat's `lyapunov`, `splitting` and
 `full-pipeline` payloads at the small task parameters of
 `tools/payload_hashes.py`; they equal that tool's payload hashes.
+
+The exact-path pins are certify-expansion payloads of the two families
+whose brackets need no grid, diagonal-cocycle and bernoulli-linear with
+multipliers [0.5, 4], at that tool's small certify parameters and the
+task's other defaults; the [0.5, 4] samples attain their tempered
+constants at every n from 1 to the depth, 8.
 """
 
 import hashlib
@@ -78,3 +84,22 @@ def test_torus_payload_bytes_are_pinned(task, base):
            "fiber": {"family": "random-cat"}, "task_params": params}
     report = run_task(parse_config(json.dumps(cfg)))
     assert hashlib.sha256(report.payload_bytes()).hexdigest() == TORUS_PINNED[task, base]
+
+
+_CERTIFY = {"depth": 8, "curve_n_max": 8, "supadd_samples": 2, "supadd_N": 6}
+EXACT_FIBERS = {
+    "diagonal-cocycle": {"family": "diagonal-cocycle"},
+    "bernoulli-linear": {"family": "bernoulli-linear", "params": {"values": [0.5, 4]}},
+}
+EXACT_PINNED = {
+    "diagonal-cocycle": "3de054785ccedae517d1e295638227617555ce2659c773583e4fef8ef68c58b0",
+    "bernoulli-linear": "62935cc14c158534473e3f217d321c3ecf917f18e62d6b771573146d240bfa9c",
+}
+
+
+@pytest.mark.parametrize("family", EXACT_PINNED)
+def test_exact_certify_expansion_payload_bytes_are_pinned(family):
+    cfg = {"task": "certify-expansion", "seed": 7, "base": BASES["bernoulli"],
+           "fiber": EXACT_FIBERS[family], "task_params": _CERTIFY}
+    report = run_task(parse_config(json.dumps(cfg)))
+    assert hashlib.sha256(report.payload_bytes()).hexdigest() == EXACT_PINNED[family]

@@ -1,0 +1,112 @@
+"""Tempered-constant windows cut to their settled depth: the same log C and
+attained n as the full-depth sweep, from fewer grid steps."""
+
+import json
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from randhyp import BaseSystemSpec, make_family, parse_config, run_task, sample_base
+from randhyp.expansion import (_brackets, _depth_windows, _settled_blocks,
+                               build_expansion_certificate, settled_depths,
+                               truncated_infimum)
+from randhyp.fibers import CircleFamily
+
+
+def full_depth(family, windows, lam, grid_size):
+    """`truncated_infimum` of the uncut windows' lowers: what the cut must give."""
+    _, lowers = _brackets(family, [windows], grid_size)
+    return truncated_infimum(lowers[0], lam)
+
+
+def cut(family, windows, lam, grid_size):
+    blocks, infimum = _settled_blocks(family, windows, lam, grid_size)
+    _, lowers = _brackets(family, blocks, grid_size)
+    return infimum(lowers)
+
+
+def test_bernoulli_linear_samples_equal_the_full_depth_infimum():
+    # multipliers 0.5 and 4 attain their infimum anywhere from n = 1 to the
+    # depth, so the rows settle at many depths
+    fam = make_family("bernoulli-linear", {"values": [0.5, 4.0]})
+    spec = BaseSystemSpec.bernoulli([0.5, 0.5])
+    cert = build_expansion_certificate(fam, spec, 7, depth=8, curve_n_max=8,
+                                       supadd_samples=2, supadd_N=6)
+    windows = _depth_windows(fam, sample_base(spec, 7, 20), [0], 8)
+    log_c, ks = full_depth(fam, windows, cert.lam, 4096)
+    assert [(lc, k) for (_, _, lc, k) in cert.c_samples] == list(zip(log_c.tolist(),
+                                                                    ks.tolist()))
+    assert min(ks) == 1 and max(ks) == 8
+    depths = settled_depths(fam, windows, cert.lam, 4096)
+    assert np.all(depths >= ks) and depths.min() < 8
+
+
+# parameter alphabets: eps in [0, eps_max] and torus matrix indices
+FAMILIES = {
+    "perturbed-doubling": (make_family("perturbed-doubling"),
+                           st.one_of(st.sampled_from([0.0, 0.05, 0.1]),
+                                     st.floats(0.0, 0.1))),
+    "diagonal-cocycle": (make_family("diagonal-cocycle",
+                                     {"a_values": [1.1, 2.0, 0.9],
+                                      "b_values": [1.3, 1.5, 4.0]}),
+                         st.sampled_from([0, 1, 2])),
+}
+
+
+@st.composite
+def cases(draw):
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    fam, params = FAMILIES[name]
+    depth = draw(st.integers(1, 20))
+    rows = draw(st.lists(st.lists(params, min_size=depth, max_size=depth),
+                         min_size=1, max_size=6))
+    return (name, np.array(rows, dtype=np.float64 if fam.manifold_dim == 1 else np.int64),
+            draw(st.sampled_from([64, 65, 127, 128])),
+            draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                           st.integers(2, 20))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases())
+@example(("perturbed-doubling", np.zeros((2, 12)), 65, 1.0 - 2.0 ** -52))
+@example(("perturbed-doubling", np.full((1, 20), 0.1), 64, 7))
+@example(("diagonal-cocycle", np.ones((2, 20), np.int64), 64, 3))   # needs eta
+@example(("diagonal-cocycle", np.tile([1, 2], (3, 10)), 64, 1.0 - 2.0 ** -52))
+def test_cut_windows_give_the_full_depth_bytes(case):
+    # lambda is a share of A, the rows' mean full-depth rate, or the slope
+    # that ties the first row's term m with its term 1 in floats, where
+    # rounding alone picks the attained n; an odd grid leaves
+    # min_deriv_x = 1/2 off the grid
+    name, windows, grid_size, pick = case
+    fam = FAMILIES[name][0]
+    uppers, lowers = _brackets(fam, [windows], grid_size)
+    a_rate = uppers[0][:, -1].mean() / windows.shape[1]
+    m = min(pick, windows.shape[1]) if isinstance(pick, int) else None
+    lam = (pick * a_rate if m is None else m > 1
+           and (lowers[0][0, m - 1] - lowers[0][0, 0]) / (m - 1))
+    if not 0.0 < lam < a_rate:
+        return
+    got, want = cut(fam, windows, lam, grid_size), full_depth(fam, windows, lam, grid_size)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_certify_fine_sweeps_a_third_of_its_grid_steps(monkeypatch):
+    # the benchmark's certify-fine config at seed 7: 1 248 grid steps at
+    # full depth, where all 132 tempered-constant windows settle at n = 1
+    steps, sweep_steps = [], CircleFamily.sweep_steps
+
+    def counted(self, ps, state, own, leaf):
+        steps.append(len(ps))
+        return sweep_steps(self, ps, state, own, leaf)
+
+    monkeypatch.setattr(CircleFamily, "sweep_steps", counted)
+    cfg = {"task": "certify-expansion", "seed": 7,
+           "base": {"kind": "rotation", "rotation_number": 0.6180339887498949},
+           "fiber": {"family": "perturbed-doubling", "params": {"eps_max": 0.1}},
+           "task_params": {"grid_size": 65536, "samples": 4, "supadd_samples": 2,
+                           "curve_n_max": 32}}
+    payload = json.loads(run_task(parse_config(json.dumps(cfg))).payload_bytes())
+    assert {c["attained_n"] for c in payload["payload"]["c_samples"]} == {1}
+    assert 0 < sum(steps) <= 1248 // 3
+

@@ -14,7 +14,9 @@ the torus families, and the periodic-orbit search on the Bernoulli base.
 A run that raises records its error text in place of the hashes.  The
 program is imported from the checkout's ./src.  --compare exits 1 on any
 difference between two files and names the runs that differ.  The hashes
-go to stdout.
+go to stdout.  tests/payload_hashes.json holds the recorded --threads 1
+hashes; CI compares a fresh run against it, and a change that moves
+payloads on purpose re-records it and says why.
 
 --payloads writes each run's payload JSON (the object `payload_bytes()`
 encodes) instead of its hashes.  --drift compares two such files: it
