@@ -406,6 +406,8 @@ def symbol_rows(states, lo, hi):
     seeds against the rows of positions; Markov and periodic states are read
     one at a time, since their chains are sequential.
     """
+    if not len(states):
+        raise ContractError("states must be nonempty")
     sources = [s._source for s in states]
     if any(src is None for src in sources):
         raise UnsupportedOperationError("rotation bases carry an angle, not symbols")

@@ -199,6 +199,8 @@ def lambda_estimate(family, spec, seed, rate, birkhoff_steps=10_000,
     heuristic context and excluded from the estimate because their base
     marginals differ from the driving law.
     """
+    if birkhoff_steps < 1:
+        raise ContractError("birkhoff_steps must be >= 1")
     seed_b, dim = derive_seed(seed, _BIRKHOFF_STREAM, 0), family.manifold_dim
     starts = [unit_tangent(start, ManifoldPoint(random_point(seed_b, i, dim)),
                            _random_unit_vector(seed_b, birkhoff_starts + i, dim))

@@ -146,22 +146,23 @@ def certified_depth(family, grid_size, cap):
     return n
 
 
-def _brackets(family, blocks, grid_size, threads=1):
-    """`min_expansion_sweep`'s uppers and lowers, in the blocks' shapes, for
-    blocks of one window or rows of windows.
-    Sorted by the 64-bit patterns of their parameters, the windows form a
-    trie; a node is a sorted range [lo, hi) of windows sharing a prefix
-    longer than its parent's, a.  The family steps through each unbranched
-    chain in one call, depth first, keeping a state for a second child only
-    at branching nodes, and told whether the chain ends at a leaf, where no
-    step reads its last image; `threads` walk root subtrees in parallel.
-    Only the first of equal windows is walked.  A node writes its minima
-    into its first window's row of one table; the prefix a window shares
-    with the window before it is then gathered column by column."""
-    rows = [np.atleast_2d(b) for b in blocks]
-    if not rows:
+def _brackets(family, windows, lengths, grid_size, threads=1):
+    """`min_expansion_sweep`'s uppers and lowers of each row of the (N, d)
+    parameter table `windows` up to its entry of `lengths`, as (N, d)
+    arrays that read +inf past each row's length.
+    Sorted by the 64-bit patterns of their parameters, zero past each
+    length, the rows form a trie; a node is a sorted range [lo, hi) of rows
+    sharing a prefix longer than its parent's, a.  The family steps through
+    each unbranched chain in one call, depth first, keeping a state for a
+    second child only at branching nodes, and told whether the chain ends
+    at a leaf, where no step reads its last image; `threads` walk root
+    subtrees in parallel.  Only the first of equal rows is walked.  A node
+    writes its minima into its first row of one table; the prefix a row
+    shares with the row before it is then gathered column by column."""
+    lens = np.asarray(lengths)
+    if not len(lens):
         raise ContractError("windows must be nonempty")
-    if min(r.shape[1] for r in rows) < 1:
+    if lens.min() < 1:
         raise ContractError("n_max must be >= 1")
     if not isinstance(family, (CircleFamily, LinearTorusFamily)):
         raise UnsupportedOperationError(
@@ -170,38 +171,31 @@ def _brackets(family, blocks, grid_size, threads=1):
             "non-certified minima")
     if not family.linear and grid_size < MIN_GRID:
         raise ContractError(f"grid_size must be >= {MIN_GRID}")
-    sizes = [len(r) for r in rows]
-    firsts = np.cumsum([0, *sizes])
-    blk = np.repeat(np.arange(len(rows)), sizes)   # window i is row i - firsts[b]
-    lens = np.repeat([r.shape[1] for r in rows], sizes)
-    bits = np.zeros((len(lens), lens.max()), np.uint64)   # zero-padded
-    for r, i in zip(rows, firsts.tolist()):
-        bits[i:i + len(r), :r.shape[1]] = r.view(np.uint64)
-    # Lexicographic on the padded bits, shorter first on a tie, puts every
-    # window before its extensions and keeps each prefix's windows together.
+    inside = np.arange(windows.shape[1]) < lens[:, None]
+    bits = np.where(inside, windows.view(np.uint64), np.uint64(0))
+    # Lexicographic on the bits, shorter first on a tie, puts every row
+    # before its extensions and keeps each prefix's rows together.
     order = np.lexsort([lens, *bits.T[::-1]])
-    bits, lens, blk = bits[order], lens[order], blk[order]
+    bits, lens = bits[order], lens[order]
     differ = bits[1:] != bits[:-1]
     lcp = np.r_[0, np.minimum(np.where(differ.any(1), differ.argmax(1), bits.shape[1]),
                               np.minimum(lens[1:], lens[:-1]))]   # with the previous
     del bits, differ   # not held through the walk
-    # row k: sorted window k; zeros past a short window, which the slacks meet
-    table = np.zeros((len(order), lens.max()))
-    walked = np.flatnonzero(lcp < lens)   # not equal to the window before
-    at = list(zip(walked.tolist(), blk[walked].tolist(),
-                  (order - firsts[blk])[walked].tolist()))
+    table = np.zeros(windows.shape)   # row k: sorted row k
+    walked = np.flatnonzero(lcp < lens)   # not equal to the row before
+    at = list(zip(walked.tolist(), order[walked].tolist()))
     shared, ends = lcp[walked], lens[walked].tolist()
     start = family.sweep_start(grid_size)   # shared, so no root step owns it
 
-    def walk(root):   # root subtrees own disjoint windows
+    def walk(root):   # root subtrees own disjoint rows
         stack = [(*root, 0, start, False)]
         while stack:
             lo, hi, a, state, own = stack.pop()
             c = int(shared[lo + 1:hi].min()) if hi - lo > 1 else ends[lo]
-            k, b, r = at[lo]
-            state, table[k, a:c] = family.sweep_steps(rows[b][r, a:c], state, own,
+            k, row = at[lo]
+            state, table[k, a:c] = family.sweep_steps(windows[row, a:c], state, own,
                                                       ends[hi - 1] == c)
-            lo += ends[lo] == c   # the window ending here
+            lo += ends[lo] == c   # the row ending here
             cuts = [lo, *(lo + 1 + np.flatnonzero(shared[lo + 1:hi] == c)).tolist(), hi]
             stack += [(s, e, c, state, i == 0) for i, (s, e)
                       in enumerate(reversed(list(zip(cuts, cuts[1:])))) if s < e]
@@ -209,23 +203,27 @@ def _brackets(family, blocks, grid_size, threads=1):
     roots = np.flatnonzero(shared == 0).tolist()
     deterministic_map(walk, list(zip(roots, roots[1:] + [len(walked)])), threads)
     ks = np.arange(len(order))
-    for m in range(table.shape[1]):   # the prefix each window shares
+    for m in range(table.shape[1]):   # the prefix each row shares
         src = np.maximum.accumulate(np.where(lcp <= m, ks, 0))
         table[:, m] = table[src, m]
     uppers = np.empty_like(table)
-    uppers[order] = table   # back in the blocks' order
-    slacks = np.array([lipschitz_slack(family, n, grid_size)
-                       for n in range(1, table.shape[1] + 1)])
-    return [[t[i:i + len(r), :r.shape[1]].reshape(np.shape(b))
-             for b, r, i in zip(blocks, rows, firsts.tolist())]
-            for t in (uppers, uppers - slacks)]
+    uppers[order] = table   # back in the rows' order
+    del table
+    lowers = uppers - [lipschitz_slack(family, n, grid_size)
+                       for n in range(1, uppers.shape[1] + 1)]
+    for t in (uppers, lowers):   # in place: the tables are the peak's largest
+        t[~inside] = np.inf
+    return uppers, lowers
 
 
 def sweep_windows(family, windows, grid_size, threads=1):
     """`min_expansion_sweep` of each parameter window (any lengths), in
     window order, sweeping each distinct parameter prefix once."""
-    return [SweepResult(u, lo, 1 if family.linear else grid_size)
-            for u, lo in zip(*_brackets(family, list(windows), grid_size, threads))]
+    lens = [len(w) for w in windows]
+    width = max(lens, default=0)
+    table = np.array([np.pad(w, (0, width - n)) for w, n in zip(windows, lens)])
+    return [SweepResult(u[:n], lo[:n], 1 if family.linear else grid_size) for u, lo, n
+            in zip(*_brackets(family, table, lens, grid_size, threads), lens)]
 
 
 def min_expansion_sweep(family, omega, n_max, grid_size=DEFAULT_GRID):
@@ -253,18 +251,19 @@ class SupadditivityReport(Record):
 
 
 def _supadd_windows(family, omegas, N):
-    """params_along(T^k w, N - k) for k < N, for each w in `omegas`."""
+    """params_along(T^k w, N) for k < N, one row per (w, k), and the
+    lengths N - k that the residuals read."""
     if N < 2:
         raise ContractError("N must be >= 2")
     if N > 20:
         raise ContractError("supadditivity tables use certified horizons N <= 20")
-    return [s[k:] for s in family.params_along(omegas, N) for k in range(N)]
+    return _depth_windows(family, omegas, range(N), N), np.tile(np.arange(N, 0, -1),
+                                                                len(omegas))
 
 
 def _supadd_rows(uppers, lowers, N):
     """(n, m, residual) from the brackets of params[k:], k < N, in row k."""
-    return [(n, m, float(uppers[0][n + m - 1] - lowers[0][n - 1]
-                         - lowers[n][m - 1]))
+    return [(n, m, float(uppers[0, n + m - 1] - lowers[0, n - 1] - lowers[n, m - 1]))
             for n in range(1, N) for m in range(1, N - n + 1)]
 
 
@@ -274,7 +273,7 @@ def supadditivity_residuals(family, omega, N=12, grid_size=DEFAULT_GRID):
     The true minima satisfy A_{n+m} >= A_n + A_m(T^n w), so with certified
     brackets every residual is nonnegative up to roundoff.
     """
-    uppers, lowers = _brackets(family, _supadd_windows(family, [omega], N), grid_size)
+    uppers, lowers = _brackets(family, *_supadd_windows(family, [omega], N), grid_size)
     rows = _supadd_rows(uppers, lowers, N)
     return SupadditivityReport(min(r for (_, _, r) in rows), tuple(rows))
 
@@ -288,10 +287,8 @@ def uniform_rate_estimate(family, spec, seed, samples, n_max,
     """
     if n_max < 4:
         raise ContractError("n_max must be >= 4")
-    sweeps = sweep_windows(family, family.params_along(sample_base(spec, seed, samples),
-                                                       n_max), grid_size, threads)
-    uppers = np.stack([s.uppers for s in sweeps])
-    lowers = np.stack([s.lowers for s in sweeps])
+    uppers, lowers = _brackets(family, family.params_along(
+        sample_base(spec, seed, samples), n_max), [n_max] * samples, grid_size, threads)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     mean_u = uppers.mean(axis=0) / ns
     mean_l = lowers.mean(axis=0) / ns
@@ -300,7 +297,9 @@ def uniform_rate_estimate(family, spec, seed, samples, n_max,
     return UniformRateEstimate(a_estimate=float(mean_u[-1]),
                                a_std_err=std_err(uppers[:, -1] / n_max),
                                n_max=n_max, samples=samples, trend=trend,
-                               sweeps=tuple(sweeps))
+                               sweeps=tuple(SweepResult(u, lo, 1 if family.linear
+                                                        else grid_size)
+                                            for u, lo in zip(uppers, lowers)))
 
 
 def tempered_constant(family, omega, lam, depth=DEFAULT_DEPTH,
@@ -380,25 +379,6 @@ def settled_depths(family, windows, lam, grid_size):
     return d - may_set[:, ::-1].argmax(axis=1)
 
 
-def _settled_blocks(family, windows, lam, grid_size):
-    """The rows of the (N, d) tempered-constant `windows` cut to their
-    `settled_depths`, one block per depth, and the function that takes the
-    blocks' lowers to `truncated_infimum` of all N rows.  Every term past a
-    row's settled depth exceeds its first term, so the rows' lowers padded
-    with +inf give the full-depth log C and attained n byte for byte."""
-    depths = settled_depths(family, windows, lam, grid_size)
-    groups = [(k, rows) for k in range(1, windows.shape[1] + 1)
-              if len(rows := np.flatnonzero(depths == k))]
-
-    def infimum(lowers):
-        padded = np.full(windows.shape, np.inf)
-        for (k, rows), block in zip(groups, lowers):
-            padded[rows, :k] = block
-        return truncated_infimum(padded, lam)
-
-    return [windows[rows, :k] for k, rows in groups], infimum
-
-
 def _check_constant_args(lam, depth, a_estimate=None):
     """The rate and truncation depth every tempered constant needs."""
     if lam <= 0.0:
@@ -416,10 +396,10 @@ def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
     """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
     every orbit w in `omegas` and k in `offsets`: one sweep of all windows."""
     _check_constant_args(lam, depth, a_estimate)
-    blocks, infimum = _settled_blocks(family, _depth_windows(family, omegas, offsets,
-                                                             depth), lam, grid_size)
-    _, lowers = _brackets(family, blocks, grid_size)
-    return [a.reshape(len(omegas), -1) for a in infimum(lowers)]
+    windows = _depth_windows(family, omegas, offsets, depth)
+    _, lowers = _brackets(family, windows, settled_depths(family, windows, lam, grid_size),
+                          grid_size)
+    return [a.reshape(len(omegas), -1) for a in truncated_infimum(lowers, lam)]
 
 
 def _curve_fast(family, omega, lam, n_max, depth):
@@ -491,7 +471,8 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     failing (negative residuals, nonpositive C) yield "violated"; a
     nonpositive rate estimate or a non-decaying curve yields "inconclusive".
     """
-    for name, value in (("curve_n_max", curve_n_max), ("supadd_samples", supadd_samples)):
+    for name, value in (("depth", depth), ("curve_n_max", curve_n_max),
+                        ("supadd_samples", supadd_samples)):
         if value is not None and value < 1:
             raise ContractError(f"{name} must be >= 1")
     rate = uniform_rate_estimate(family, spec, seed, samples, n_max,
@@ -523,17 +504,20 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
         curve_n_max = 10_000 if fast else 128
     curve_orbits = omegas[:min(samples, 20)]
     n_res = supadd_N if supadd_N is not None else min(n_max, 12)
-    # one sweep: c_samples windows, curve windows, supadditivity windows
+    # one sweep of one table: c_samples windows and curve windows, each to
+    # its settled depth, then the supadditivity windows
     windows = _depth_windows(family, omegas, [0], eff_depth)
     if not fast:
         windows = np.vstack([windows, _depth_windows(
             family, curve_orbits, range(1, curve_n_max + 1), eff_depth)])
-    blocks, infimum = _settled_blocks(family, windows, lam, grid_size)
-    top = len(blocks)
-    blocks += _supadd_windows(family, omegas[:supadd_samples], n_res)
-    uppers, lowers = _brackets(family, blocks, grid_size, threads)
+    supadd, supadd_lens = _supadd_windows(family, omegas[:supadd_samples], n_res)
+    table = np.zeros((len(windows) + len(supadd), max(eff_depth, n_res)), windows.dtype)
+    table[:len(windows), :eff_depth], table[len(windows):, :n_res] = windows, supadd
+    uppers, lowers = _brackets(
+        family, table, np.r_[settled_depths(family, windows, lam, grid_size), supadd_lens],
+        grid_size, threads)
 
-    log_c, ks = infimum(lowers[:top])
+    log_c, ks = truncated_infimum(lowers[:len(windows)], lam)
     c_samples = tuple((w.describe(), TemperedConstant(lc, k, eff_depth, lam).value,
                        lc, k) for w, lc, k in zip(omegas, log_c.tolist(), ks.tolist()))
     ns = np.arange(1, curve_n_max + 1)
@@ -543,7 +527,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     else:
         log_cs = log_c[samples:].reshape(-1, curve_n_max)
     curve = TemperednessCurve(ns, np.mean(log_cs / ns, axis=0))
-    min_residual = min(r for i in range(top, len(blocks), n_res) for (_, _, r)
+    min_residual = min(r for i in range(len(windows), len(lowers), n_res) for (_, _, r)
                        in _supadd_rows(uppers[i:i + n_res], lowers[i:i + n_res], n_res))
 
     if min_residual < -1e-9 or any(lc == -math.inf for (_, _, lc, _) in c_samples):

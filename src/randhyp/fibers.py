@@ -82,6 +82,8 @@ def base_drive(omegas, lo, hi, choices=None):
     an index in range(m) picking one of m parameter values; without, it is
     a continuous drive in [0, 1] (a symbol s counts as s / (alphabet_size - 1)).
     """
+    if not len(omegas):
+        raise ContractError("omegas must be nonempty")
     shape = (len(omegas), hi - lo)
     if choices == 1:
         return np.zeros(shape, dtype=np.int64)

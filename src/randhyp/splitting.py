@@ -147,8 +147,9 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
     half the smaller measured rate).
     """
     _require_linear_2d(family)
-    if n < 1:
-        raise ContractError("n must be >= 1")
+    for name, value in (("n", n), ("depth", depth)):
+        if value < 1:
+            raise ContractError(f"{name} must be >= 1")
     logs1, logs2 = _bundle_logs(family, [pair.gamma1, pair.gamma2],
                                 *_windows(family, omega, [((0,), n)])[0])
     rate1, rate2 = float(logs1.mean()), float(logs2.mean())
@@ -190,8 +191,9 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
         raise ContractError("horizon must be >= 2")
     if not (n >= batches >= 1):
         raise ContractError("need n >= batches >= 1")
-    if curve_len < 1:
-        raise ContractError("curve_len must be >= 1")
+    for name, value in (("depth", depth), ("curve_len", curve_len)):
+        if value < 1:
+            raise ContractError(f"{name} must be >= 1")
     omegas = sample_base(spec, seed, samples)
     recs, heads, spectra = [], [], []   # heads: first `depth` log stretches
     for i, omega in enumerate(omegas):

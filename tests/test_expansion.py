@@ -9,7 +9,9 @@ from randhyp import (BaseSystemSpec, ConfigurationError, ContractError,
                      tempered_constant, temperedness_curve, uniform_rate_estimate,
                      variable_rate_corollary, build_expansion_certificate,
                      min_expansion_table)
-from randhyp.base import base_step, periodic_state, shift_by, symbol_window
+from randhyp.base import base_step, periodic_state, shift_by, symbol_rows, symbol_window
+from randhyp.ergodic import lambda_estimate
+from randhyp.splitting import bundle_rates
 from randhyp.expansion import (certified_depth, lipschitz_slack,
                                min_expansion_sweep, one_step_min_expansions)
 import randhyp.expansion as expansion
@@ -467,8 +469,27 @@ def test_torus_corollary_reads_the_family_svals(monkeypatch):
     ("curve_len", lambda: hyperbolicity_certificate(
         make_family("random-cat"), bern_spec(), 7, 2, 8, 40, depth=5, curve_len=0,
         batches=4)),
+    ("depth", lambda: build_expansion_certificate(
+        make_family("perturbed-doubling"), BaseSystemSpec.dirac(), 1, samples=3,
+        n_max=6, grid_size=64, depth=0)),
+    ("depth", lambda: tempered_constant(make_family("perturbed-doubling"), dirac(),
+                                        0.1, depth=0, grid_size=64)),
+    ("depth", lambda: hyperbolicity_certificate(
+        make_family("random-cat"), bern_spec(), 7, 2, 8, 40, depth=0, batches=4)),
+    ("depth", lambda: bundle_rates(make_family("random-cat"), dirac(), None, None, 8,
+                                   depth=0)),
+    ("birkhoff_steps", lambda: lambda_estimate(
+        make_family("perturbed-doubling"), bern_spec(), 7, None, birkhoff_steps=0)),
+    ("omegas", lambda: make_family("perturbed-doubling").params_along([], 4)),
+    ("omegas", lambda: make_family("bernoulli-linear", {"values": [2.0]}).params_along(
+        [], 4)),
+    ("omegas", lambda: expansion.tempered_constants(
+        make_family("perturbed-doubling"), [], [0], 0.1, 4, 64)),
+    ("omegas", lambda: one_step_min_expansions(make_family("random-cat"), [])),
+    ("states", lambda: symbol_rows([], 0, 4)),
 ])
 def test_empty_horizons_raise_contract_errors(name, call):
-    # each ended in min() of an empty sequence or an empty curve's last value
+    # each ended in min() of an empty sequence or an empty curve's last
+    # value, ran at depth 1, read a NaN mean or indexed an empty state list
     with pytest.raises(ContractError, match=f"^{name} must be"):
         call()

@@ -7,22 +7,22 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from randhyp import BaseSystemSpec, make_family, parse_config, run_task, sample_base
-from randhyp.expansion import (_brackets, _depth_windows, _settled_blocks,
-                               build_expansion_certificate, settled_depths,
-                               truncated_infimum)
+from randhyp.expansion import (_brackets, _depth_windows, build_expansion_certificate,
+                               settled_depths, truncated_infimum)
 from randhyp.fibers import CircleFamily
 
 
 def full_depth(family, windows, lam, grid_size):
     """`truncated_infimum` of the uncut windows' lowers: what the cut must give."""
-    _, lowers = _brackets(family, [windows], grid_size)
-    return truncated_infimum(lowers[0], lam)
+    _, lowers = _brackets(family, windows, [windows.shape[1]] * len(windows), grid_size)
+    return truncated_infimum(lowers, lam)
 
 
 def cut(family, windows, lam, grid_size):
-    blocks, infimum = _settled_blocks(family, windows, lam, grid_size)
-    _, lowers = _brackets(family, blocks, grid_size)
-    return infimum(lowers)
+    """The same from each window swept only to its settled depth."""
+    _, lowers = _brackets(family, windows, settled_depths(family, windows, lam, grid_size),
+                          grid_size)
+    return truncated_infimum(lowers, lam)
 
 
 def test_bernoulli_linear_samples_equal_the_full_depth_infimum():
@@ -79,11 +79,11 @@ def test_cut_windows_give_the_full_depth_bytes(case):
     # min_deriv_x = 1/2 off the grid
     name, windows, grid_size, pick = case
     fam = FAMILIES[name][0]
-    uppers, lowers = _brackets(fam, [windows], grid_size)
-    a_rate = uppers[0][:, -1].mean() / windows.shape[1]
+    uppers, lowers = _brackets(fam, windows, [windows.shape[1]] * len(windows), grid_size)
+    a_rate = uppers[:, -1].mean() / windows.shape[1]
     m = min(pick, windows.shape[1]) if isinstance(pick, int) else None
     lam = (pick * a_rate if m is None else m > 1
-           and (lowers[0][0, m - 1] - lowers[0][0, 0]) / (m - 1))
+           and (lowers[0, m - 1] - lowers[0, 0]) / (m - 1))
     if not 0.0 < lam < a_rate:
         return
     got, want = cut(fam, windows, lam, grid_size), full_depth(fam, windows, lam, grid_size)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from randhyp import (BaseSystemSpec, FiberFamily, UnsupportedOperationError,
                      make_family, sample_base, shift_by)
-from randhyp.expansion import lipschitz_slack, min_expansion_sweep, sweep_windows
+from randhyp.expansion import _brackets, lipschitz_slack, min_expansion_sweep, sweep_windows
 
 BASES = {
     "bernoulli": BaseSystemSpec.bernoulli([0.5, 0.5]),
@@ -187,6 +187,29 @@ def test_each_distinct_parameter_prefix_is_stepped_once(name, params, base,
     runs = counted_runs(fam, monkeypatch)
     sweep_windows(fam, windows, 64)
     assert sum(runs) == distinct_prefixes(windows)
+
+
+@pytest.mark.parametrize("name, params", [("perturbed-doubling", None)] + EXACT)
+@pytest.mark.parametrize("base", BASES)
+def test_padded_table_rows_hold_their_windows_then_inf(name, params, base,
+                                                        monkeypatch):
+    # one (N, 20) table, each row padded past its length with the reversed
+    # 20-step window: within its length a row has its window's
+    # `sweep_windows` bytes, past it +inf, and the padding is never stepped
+    fam = make_family(name, params)
+    windows = mixed_windows(fam, BASES[base])
+    lens = [len(w) for w in windows]
+    filler = windows[-3][::-1]
+    table = np.array([np.r_[w, filler[n:]] for w, n in zip(windows, lens)])
+    sweeps = sweep_windows(fam, windows, 64)
+    runs = counted_runs(fam, monkeypatch)
+    uppers, lowers = _brackets(fam, table, lens, 64)
+    assert sum(runs) == distinct_prefixes(windows)
+    assert uppers.shape == lowers.shape == table.shape
+    for s, u, lo, n in zip(sweeps, uppers, lowers, lens):
+        assert u[:n].tobytes() == s.uppers.tobytes()
+        assert lo[:n].tobytes() == s.lowers.tobytes()
+        assert np.all(u[n:] == np.inf) and np.all(lo[n:] == np.inf)
 
 
 def grid_calls(family, grid_size, monkeypatch):
