@@ -366,9 +366,8 @@ def settled_depths(family, windows, lam, grid_size):
     slacks = np.array([lipschitz_slack(family, n, grid_size) for n in ns])
     first = logs[:, 0]
     if isinstance(family, CircleFamily):
-        grid = family.sweep_start(grid_size)[0]
-        x = grid[min(round(family.min_deriv_x * grid_size), len(grid) - 1)]
-        first = np.log(family.deriv(windows[:, 0], x, np))
+        j = min(round(family.min_deriv_x * grid_size), family.sweep_points(grid_size) - 1)
+        first = np.log(family.deriv(windows[:, 0], j / grid_size, np))
     bound = (first - slacks[0] - lam)[:, None]
     floors = np.cumsum(logs, axis=1) - slacks - lam * ns
     k = family.sup_dphi * family.sup_dphi_inv

@@ -115,7 +115,8 @@ class FiberFamily:
     `sweep_start(grid_size)` state through the parameters `ps`, overwriting
     it only if `own`, and returns it and A_n after each step.  `leaf` says
     that no step follows `ps`: nothing reads the returned state then, so a
-    circle family leaves out its last grid image.
+    circle family leaves out its last grid image.  One start state, with a
+    circle grid's `terms`, serves every root of a sweep call, on any thread.
     """
 
     family_id = None
@@ -156,29 +157,34 @@ class FiberFamily:
 class CircleFamily(FiberFamily):
     """Scalar fiber maps of the circle.
 
-    Each family writes its map once, as a monotone lift `lift(p, x, xp)`
-    and its derivative `deriv(p, x, xp)`; `xp` is the array namespace, numpy
-    for grid sweeps and `math` for single orbits, so both evaluate the same
-    expression.  `min_deriv_x` is a fiber point where |D phi| is smallest
-    for every parameter.
+    Each family writes its map once, as a monotone lift `lift(p, x, xp,
+    terms)` and its derivative `deriv(p, x, xp, terms)`; `xp` is the array
+    namespace, numpy for grid sweeps and `math` for single orbits, so both
+    evaluate the same expression.  `terms(x, xp)` are the parts of the
+    formulas that read x alone (None if there are none); given them, `lift`
+    and `deriv` read them instead of evaluating them.  `min_deriv_x` is a
+    fiber point where |D phi| is smallest for every parameter.
     """
 
     manifold_dim = 1
     min_deriv_x = 0.0
     odd = False   # phi(1 - x) = -phi(x) mod 1 and D phi(1 - x) = D phi(x)
 
-    def lift(self, p, x, xp=math):
+    def lift(self, p, x, xp=math, terms=None):
         raise NotImplementedError
 
-    def deriv(self, p, x, xp=math):
+    def deriv(self, p, x, xp=math, terms=None):
         raise NotImplementedError
 
-    def apply(self, p, x, xp=math):
-        y = self.lift(p, x, xp)
+    def terms(self, x, xp=math):
+        return None
+
+    def apply(self, p, x, xp=math, terms=None):
+        y = self.lift(p, x, xp, terms)
         return mod1(y) if xp is math else mod1_array(y)
 
-    def log_deriv(self, p, x, xp=math):
-        return xp.log(self.deriv(p, x, xp))
+    def log_deriv(self, p, x, xp=math, terms=None):
+        return xp.log(self.deriv(p, x, xp, terms))
 
     def degree(self, p):
         """Degree of the map at parameter p: lift(1) - lift(0), an integer."""
@@ -195,25 +201,35 @@ class CircleFamily(FiberFamily):
     def jacobian_at(self, p, coords):
         return ((self.deriv(p, coords[0]),),)
 
+    def sweep_points(self, grid_size):
+        """How many grid points j / grid_size, from j = 0, a sweep steps:
+        only x = 0 if `linear`, j <= grid_size // 2 if `odd`."""
+        return 1 if self.linear else grid_size // 2 + 1 if self.odd else grid_size
+
     def sweep_start(self, grid_size):
-        """(the grid's image, at first the grid, and its summed log-derivatives:
-        a read-only zero); the grid is x = 0 if `linear`, else j / grid_size,
-        for j <= grid_size // 2 if `odd`."""
-        n = 1 if self.linear else grid_size // 2 + 1 if self.odd else grid_size
-        return np.arange(n) / grid_size, np.broadcast_to(0.0, n)
+        """(the grid's image, at first the grid; its summed log-derivatives,
+        a read-only zero; and the grid's read-only `terms`, which only the
+        first step reads)."""
+        n = self.sweep_points(grid_size)
+        grid = np.arange(n) / grid_size
+        terms = self.terms(grid, np)
+        for t in terms or ():
+            t.setflags(write=False)
+        return grid, np.broadcast_to(0.0, n), terms
 
     def sweep_steps(self, ps, state, own, leaf):
-        cur, acc = state
+        cur, acc, terms = state
         if self.linear:   # the log-derivative ignores x: one cumulative sum
             acc = np.cumsum(np.r_[acc, self.log_deriv(ps, 0.0, np)])
-            return (cur, acc[-1:]), acc[1:]
+            return (cur, acc[-1:], None), acc[1:]
         mins = np.empty(len(ps))
         last = len(ps) - 1 if leaf else -1   # a leaf's last image is never read
         for i, p in enumerate(ps.tolist()):
-            acc = np.add(acc, self.log_deriv(p, cur, np), out=acc if own else None)
+            acc = np.add(acc, self.log_deriv(p, cur, np, terms), out=acc if own else None)
             own, mins[i] = True, acc.min()
-            cur = None if i == last else self.apply(p, cur, np)
-        return (cur, acc), mins
+            cur = None if i == last else self.apply(p, cur, np, terms)
+            terms = None   # the start grid's, not its image's
+        return (cur, acc, None), mins
 
     def orbit_log_derivs(self, omega, x0, n):
         """log|D phi| at each of n steps of the orbit of x0."""
@@ -260,17 +276,20 @@ class PerturbedDoubling(CircleFamily):
         """eps at each step."""
         return self.eps_max * base_drive(omegas, 0, n)
 
+    def terms(self, x, xp=math):
+        return xp.sin(_TWO_PI * x), xp.cos(_TWO_PI * x)
+
     # eps = 0.0 skips sin and cos: 2x + 0.0 s = 2x and 2 + 0.0 c = 2 hold
     # exactly in IEEE arithmetic, so the bytes are the general formula's.
-    def lift(self, p, x, xp=math):
+    def lift(self, p, x, xp=math, terms=None):
         if isinstance(p, float) and p == 0.0:
             return 2.0 * x
-        return 2.0 * x + p * xp.sin(_TWO_PI * x)
+        return 2.0 * x + p * (xp.sin(_TWO_PI * x) if terms is None else terms[0])
 
-    def deriv(self, p, x, xp=math):
+    def deriv(self, p, x, xp=math, terms=None):
         if isinstance(p, float) and p == 0.0:
             return 2.0
-        return 2.0 + _TWO_PI * p * xp.cos(_TWO_PI * x)
+        return 2.0 + _TWO_PI * p * (xp.cos(_TWO_PI * x) if terms is None else terms[1])
 
 
 class BernoulliLinear(CircleFamily):
@@ -300,10 +319,10 @@ class BernoulliLinear(CircleFamily):
         """Multiplier at each step."""
         return np.asarray(self.values)[base_drive(omegas, 0, n, len(self.values))]
 
-    def lift(self, p, x, xp=math):
+    def lift(self, p, x, xp=math, terms=None):
         return p * x
 
-    def deriv(self, p, x, xp=math):
+    def deriv(self, p, x, xp=math, terms=None):
         return p
 
 

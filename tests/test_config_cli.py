@@ -201,9 +201,9 @@ def test_full_pipeline_sweeps_the_rate_once(monkeypatch):
     steps = []
     log_deriv = CircleFamily.log_deriv
 
-    def counted(self, p, x, xp=math):
+    def counted(self, p, x, xp=math, terms=None):
         steps.append(xp is np)
-        return log_deriv(self, p, x, xp)
+        return log_deriv(self, p, x, xp, terms)
 
     monkeypatch.setattr(CircleFamily, "log_deriv", counted)
     configs = {task: parse_config(json.dumps({

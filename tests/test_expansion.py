@@ -407,10 +407,10 @@ def test_certificate_steps_each_parameter_prefix_once(monkeypatch):
     samples, n_max, curve_n_max, supadd_N = 4, 6, 64, 4
     steps, log_deriv = [], fam.log_deriv
 
-    def counted(p, x, xp=math):
+    def counted(p, x, xp=math, terms=None):
         if isinstance(x, np.ndarray):
             steps.append(x.size)
-        return log_deriv(p, x, xp)
+        return log_deriv(p, x, xp, terms)
 
     monkeypatch.setattr(fam, "log_deriv", counted)
     cert = build_expansion_certificate(fam, spec, seed, samples=samples,

@@ -91,9 +91,16 @@ def test_cut_windows_give_the_full_depth_bytes(case):
     assert got[1].tobytes() == want[1].tobytes()
 
 
-def test_certify_fine_sweeps_a_third_of_its_grid_steps(monkeypatch):
-    # the benchmark's certify-fine config at seed 7: 1 248 grid steps at
-    # full depth, where all 132 tempered-constant windows settle at n = 1
+# the benchmark's certify-fine config at seed 7
+CERTIFY_FINE = {"task": "certify-expansion", "seed": 7,
+                "base": {"kind": "rotation", "rotation_number": 0.6180339887498949},
+                "fiber": {"family": "perturbed-doubling", "params": {"eps_max": 0.1}},
+                "task_params": {"grid_size": 65536, "samples": 4, "supadd_samples": 2,
+                                "curve_n_max": 32}}
+
+
+def counted_steps(monkeypatch):
+    """The lengths of the parameter runs of every circle `sweep_steps` call."""
     steps, sweep_steps = [], CircleFamily.sweep_steps
 
     def counted(self, ps, state, own, leaf):
@@ -101,12 +108,34 @@ def test_certify_fine_sweeps_a_third_of_its_grid_steps(monkeypatch):
         return sweep_steps(self, ps, state, own, leaf)
 
     monkeypatch.setattr(CircleFamily, "sweep_steps", counted)
-    cfg = {"task": "certify-expansion", "seed": 7,
-           "base": {"kind": "rotation", "rotation_number": 0.6180339887498949},
-           "fiber": {"family": "perturbed-doubling", "params": {"eps_max": 0.1}},
-           "task_params": {"grid_size": 65536, "samples": 4, "supadd_samples": 2,
-                           "curve_n_max": 32}}
-    payload = json.loads(run_task(parse_config(json.dumps(cfg))).payload_bytes())
+    return steps
+
+
+def test_certify_fine_sweeps_a_third_of_its_grid_steps(monkeypatch):
+    # 1 248 grid steps at full depth, where all 132 tempered-constant
+    # windows settle at n = 1
+    steps = counted_steps(monkeypatch)
+    payload = json.loads(run_task(parse_config(json.dumps(CERTIFY_FINE))).payload_bytes())
     assert {c["attained_n"] for c in payload["payload"]["c_samples"]} == {1}
     assert 0 < sum(steps) <= 1248 // 3
 
+
+def test_certify_fine_evaluates_no_grid_trig_at_root_steps(monkeypatch):
+    # 136 of its 312 grid steps start a trie root, each at its own nonzero
+    # eps: they read the start grid's sin and cos, evaluated once per engine
+    # call, where each used to evaluate a grid cos and most a grid sin too
+    points = 65536 // 2 + 1
+    calls = {"sin": 0, "cos": 0}
+
+    def counted(name, f):
+        def call(x, *args, **kwargs):
+            calls[name] += np.shape(x) == (points,)
+            return f(x, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "sin", counted("sin", np.sin))
+    monkeypatch.setattr(np, "cos", counted("cos", np.cos))
+    steps = counted_steps(monkeypatch)
+    run_task(parse_config(json.dumps(CERTIFY_FINE)))
+    assert sum(steps) == 312
+    assert calls["cos"] <= 180 and calls["sin"] <= 155

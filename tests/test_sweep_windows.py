@@ -213,9 +213,9 @@ def test_padded_table_rows_hold_their_windows_then_inf(name, params, base,
 
 
 def grid_calls(family, grid_size, monkeypatch):
-    """Counts of the sin, cos and `apply` calls of a sweep over its swept
-    points."""
-    calls = {"sin": 0, "cos": 0, "apply": 0}
+    """Counts of the sin, cos, `apply` and `terms` calls of a sweep over its
+    swept points."""
+    calls = {"sin": 0, "cos": 0, "apply": 0, "terms": 0}
     shape = (swept_points(family, grid_size),)
 
     def counted(name, f, at):
@@ -227,21 +227,26 @@ def grid_calls(family, grid_size, monkeypatch):
     monkeypatch.setattr(np, "sin", counted("sin", np.sin, 0))
     monkeypatch.setattr(np, "cos", counted("cos", np.cos, 0))
     monkeypatch.setattr(family, "apply", counted("apply", family.apply, 1))
+    monkeypatch.setattr(family, "terms", counted("terms", family.terms, 0))
     return calls
 
 
 def assert_grid_work(family, windows, grid_size, monkeypatch):
-    """Trig only at steps with eps != 0 and no image at a leaf: `apply`
-    runs once per distinct parameter prefix that is not a leaf."""
+    """Trig once per engine call, for the start grid's `terms`, which every
+    root step reads; past the roots, only at steps with eps != 0: one cos
+    each, and one sin unless the step ends a leaf, whose image no step
+    reads.  `apply` runs once per distinct parameter prefix that is not a
+    leaf."""
     steps = {w[:n].tobytes(): w[n - 1] for w in windows
              for n in range(1, len(w) + 1)}
     leaves = set(steps) - {w[:n - 1].tobytes() for w in windows
                            for n in range(2, len(w) + 1)}
+    later = {k for k, eps in steps.items() if len(k) > 8 and eps != 0.0}
     calls = grid_calls(family, grid_size, monkeypatch)
     sweep_windows(family, windows, grid_size)
-    assert calls["cos"] == sum(eps != 0.0 for eps in steps.values())
-    assert calls["sin"] == sum(eps != 0.0 for k, eps in steps.items()
-                               if k not in leaves)
+    assert calls["terms"] == 1
+    assert calls["cos"] == 1 + len(later)
+    assert calls["sin"] == 1 + len(later - leaves)
     assert calls["apply"] == len(steps) - len(leaves)
 
 
@@ -249,6 +254,34 @@ def assert_grid_work(family, windows, grid_size, monkeypatch):
 def test_grid_trig_only_at_nonzero_eps_and_no_image_at_leaves(base, monkeypatch):
     fam = make_family("perturbed-doubling")
     assert_grid_work(fam, mixed_windows(fam, BASES[base]), 64, monkeypatch)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_many_nonzero_roots_on_a_fine_grid_match_the_step_loop(threads):
+    # a rotation base drives each orbit position with its own angle, so the
+    # windows start 24 distinct nonzero roots, all reading one start grid's
+    # terms; some roots end a window and go on in a longer one
+    fam, grid = make_family("perturbed-doubling"), 1 << 16
+    omegas = sample_base(BASES["rotation"], 5, 12)
+    windows = [fam.params_along([shift_by(w, k)], n)[0]
+               for w in omegas for k, n in ((0, 1), (0, 3), (1, 2))]
+    roots = {w[0] for w in windows}
+    assert len(roots) == 24 and 0.0 not in roots
+    assert_matches_loop(fam, windows, grid, sweep_windows(fam, windows, grid, threads))
+
+
+def test_the_start_grids_terms_are_its_own_and_read_only():
+    # each start state evaluates its own grid's terms, whatever the family
+    # swept before
+    fam = make_family("perturbed-doubling")
+    for grid_size in (64, 65, 64):
+        grid, _, terms = fam.sweep_start(grid_size)
+        assert [t.tobytes() for t in terms] == [f(2.0 * math.pi * grid).tobytes()
+                                                for f in (np.sin, np.cos)]
+        for t in terms:
+            with pytest.raises(ValueError):
+                t[0] = 1.0
+    assert make_family("bernoulli-linear").sweep_start(64)[2] is None
 
 
 @pytest.mark.parametrize("name, a, b", [("bernoulli-linear", 2.0, 3.0),
@@ -316,17 +349,18 @@ def branching_depth(windows):
 ])
 def test_saved_states_stay_within_the_branching_depth(words, monkeypatch):
     # Count live arrays of the swept points by traced memory at every grid
-    # step: the grid itself, the (cur, acc) pair being stepped and two per
-    # saved state.
+    # step: the grid itself and its two terms, sin and cos, which the start
+    # state holds through the call; the (cur, acc) pair being stepped; and
+    # two per saved state.
     grid = 1 << 16
     fam = make_family("perturbed-doubling")
     points = swept_points(fam, grid)
     windows = [np.array([EPS[s] for s in word]) for word in words]
     arrays, log_deriv = [], fam.log_deriv
 
-    def counted_log_deriv(p, x, xp):
+    def counted_log_deriv(p, x, xp, terms=None):
         arrays.append((tracemalloc.get_traced_memory()[0] - base) // (8 * points))
-        return log_deriv(p, x, xp)
+        return log_deriv(p, x, xp, terms)
 
     monkeypatch.setattr(fam, "log_deriv", counted_log_deriv)
     tracemalloc.start()
@@ -337,4 +371,6 @@ def test_saved_states_stay_within_the_branching_depth(words, monkeypatch):
         tracemalloc.stop()
     depth = branching_depth(windows)
     assert depth >= 1
-    assert 3 <= max(arrays) <= 3 + 2 * depth
+    terms = 2
+    assert arrays[0] == 1 + terms   # a root step: the grid is its cur
+    assert 3 + terms <= max(arrays) <= 3 + terms + 2 * depth
