@@ -287,8 +287,14 @@ def uniform_rate_estimate(family, spec, seed, samples, n_max,
     """
     if n_max < 4:
         raise ContractError("n_max must be >= 4")
-    uppers, lowers = _brackets(family, family.params_along(
-        sample_base(spec, seed, samples), n_max), [n_max] * samples, grid_size, threads)
+    return _rate_estimate(family, *_brackets(family, family.params_along(
+        sample_base(spec, seed, samples), n_max), [n_max] * samples, grid_size, threads),
+        samples, n_max, grid_size)
+
+
+def _rate_estimate(family, uppers, lowers, samples, n_max, grid_size):
+    """`UniformRateEstimate` of the brackets' first `samples` rows, to n_max."""
+    uppers, lowers = uppers[:samples, :n_max], lowers[:samples, :n_max]
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     mean_u = uppers.mean(axis=0) / ns
     mean_l = lowers.mean(axis=0) / ns
@@ -469,13 +475,24 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     residuals, then issues a three-valued verdict.  Guaranteed inequalities
     failing (negative residuals, nonpositive C) yield "violated"; a
     nonpositive rate estimate or a non-decaying curve yields "inconclusive".
+    One engine call sweeps the rate and supadditivity windows, which do not
+    depend on lambda, and a second the constants and the curve at lambda.
     """
     for name, value in (("depth", depth), ("curve_n_max", curve_n_max),
                         ("supadd_samples", supadd_samples)):
         if value is not None and value < 1:
             raise ContractError(f"{name} must be >= 1")
-    rate = uniform_rate_estimate(family, spec, seed, samples, n_max,
-                                 grid_size, threads)
+    if n_max < 4:
+        raise ContractError("n_max must be >= 4")
+    n_res = supadd_N if supadd_N is not None else min(n_max, 12)
+    omegas = sample_base(spec, seed, samples)
+    supadd, supadd_lens = _supadd_windows(family, omegas[:supadd_samples], n_res)
+    rate_windows = family.params_along(omegas, n_max)
+    table = np.zeros((samples + len(supadd), max(n_max, n_res)), rate_windows.dtype)
+    table[:samples, :n_max], table[samples:, :n_res] = rate_windows, supadd
+    uppers, lowers = _brackets(family, table, np.r_[[n_max] * samples, supadd_lens],
+                               grid_size, threads)
+    rate = _rate_estimate(family, uppers, lowers, samples, n_max, grid_size)
     a_est = rate.a_estimate
     details = {"trend": [list(t) for t in rate.trend], "n_max": n_max,
                "grid_size": grid_size, "samples": samples,
@@ -497,26 +514,19 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     eff_depth = certified_depth(family, grid_size, depth)
     details["depth"] = eff_depth
 
-    omegas = sample_base(spec, seed, samples)
     fast = isinstance(family, CircleFamily) and family.linear
     if curve_n_max is None:
         curve_n_max = 10_000 if fast else 128
     curve_orbits = omegas[:min(samples, 20)]
-    n_res = supadd_N if supadd_N is not None else min(n_max, 12)
-    # one sweep of one table: c_samples windows and curve windows, each to
-    # its settled depth, then the supadditivity windows
+    # c_samples windows and curve windows, each swept to its settled depth
     windows = _depth_windows(family, omegas, [0], eff_depth)
     if not fast:
         windows = np.vstack([windows, _depth_windows(
             family, curve_orbits, range(1, curve_n_max + 1), eff_depth)])
-    supadd, supadd_lens = _supadd_windows(family, omegas[:supadd_samples], n_res)
-    table = np.zeros((len(windows) + len(supadd), max(eff_depth, n_res)), windows.dtype)
-    table[:len(windows), :eff_depth], table[len(windows):, :n_res] = windows, supadd
-    uppers, lowers = _brackets(
-        family, table, np.r_[settled_depths(family, windows, lam, grid_size), supadd_lens],
-        grid_size, threads)
+    _, lows = _brackets(family, windows, settled_depths(family, windows, lam, grid_size),
+                        grid_size, threads)
 
-    log_c, ks = truncated_infimum(lowers[:len(windows)], lam)
+    log_c, ks = truncated_infimum(lows, lam)
     c_samples = tuple((w.describe(), TemperedConstant(lc, k, eff_depth, lam).value,
                        lc, k) for w, lc, k in zip(omegas, log_c.tolist(), ks.tolist()))
     ns = np.arange(1, curve_n_max + 1)
@@ -526,7 +536,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     else:
         log_cs = log_c[samples:].reshape(-1, curve_n_max)
     curve = TemperednessCurve(ns, np.mean(log_cs / ns, axis=0))
-    min_residual = min(r for i in range(len(windows), len(lowers), n_res) for (_, _, r)
+    min_residual = min(r for i in range(samples, len(lowers), n_res) for (_, _, r)
                        in _supadd_rows(uppers[i:i + n_res], lowers[i:i + n_res], n_res))
 
     if min_residual < -1e-9 or any(lc == -math.inf for (_, _, lc, _) in c_samples):

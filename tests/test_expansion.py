@@ -387,6 +387,16 @@ def test_certificate_constants_match_per_position_sweeps(name, params, spec):
                             grid_size=grid) for w in omegas]
     assert cert.c_samples == tuple((w.describe(), c.value, c.log_value,
                                     c.attained_n) for w, c in zip(omegas, cs))
+    # the rate and the residual come from one sweep of the rate and
+    # supadditivity windows; each must be what its public function gives
+    assert cert.supadditivity_min_residual == min(
+        supadditivity_residuals(fam, w, 4, grid).min_residual for w in omegas[:1])
+    rate = uniform_rate_estimate(fam, spec, 5, samples, 6, grid)
+    assert (cert.rate, cert.rate.trend) == (rate, rate.trend)
+    assert len(cert.rate.sweeps) == len(rate.sweeps) == samples
+    for got, want in zip(cert.rate.sweeps, rate.sweeps):
+        assert got.uppers.tobytes() == want.uppers.tobytes()
+        assert got.lowers.tobytes() == want.lowers.tobytes()
 
 
 @pytest.mark.parametrize("name, params", [("perturbed-doubling", None),
@@ -419,20 +429,25 @@ def test_certificate_steps_each_parameter_prefix_once(monkeypatch):
                                        supadd_samples=1, supadd_N=supadd_N)
     depth = cert.details["depth"]
     omegas = sample_base(spec, seed, samples)
-    rate = list(fam.params_along(omegas, n_max))
-    # c_samples at offset 0, the curve at offsets 1..curve_n_max, then the
-    # supadditivity windows of the first sample
-    later = [fam.params_along([shift_by(w, k)], depth)[0]
-             for w in omegas for k in range(curve_n_max + 1)]
-    later += [fam.params_along([shift_by(omegas[0], k)], supadd_N - k)[0]
+    # the first call: the rate windows, then the supadditivity windows of
+    # the first sample, neither depending on lambda
+    first = list(fam.params_along(omegas, n_max))
+    first += [fam.params_along([shift_by(omegas[0], k)], supadd_N - k)[0]
               for k in range(supadd_N)]
+    # the second: c_samples at offset 0 and the curve at offsets
+    # 1..curve_n_max, each cut to its settled depth at lambda
+    later = np.vstack([expansion._depth_windows(fam, omegas, [0], depth),
+                       expansion._depth_windows(fam, omegas, range(1, curve_n_max + 1),
+                                                depth)])
+    cuts = expansion.settled_depths(fam, later, cert.lam, 256)
+    second = [w[:d] for w, d in zip(later, cuts)]
 
     def prefixes(windows):
         return len({w[:n].tobytes() for w in windows
                     for n in range(1, len(w) + 1)})
 
-    assert 0 < len(steps) <= prefixes(rate) + prefixes(later)
-    assert len(steps) < sum(len(w) for w in rate + later) / 4
+    assert len(steps) == prefixes(first) + prefixes(second)
+    assert len(steps) < sum(len(w) for w in first + list(later)) / 4
 
 
 def test_torus_corollary_reads_the_family_svals(monkeypatch):
@@ -493,3 +508,19 @@ def test_empty_horizons_raise_contract_errors(name, call):
     # value, ran at depth 1, read a NaN mean or indexed an empty state list
     with pytest.raises(ContractError, match=f"^{name} must be"):
         call()
+
+
+@pytest.mark.parametrize("n_max, supadd_N, message", [
+    (3, None, "^n_max must be >= 4"),
+    (12, 1, "^N must be >= 2"),
+    (12, 21, "N <= 20"),
+])
+def test_bad_certificate_horizons_raise_before_any_read(monkeypatch, n_max, supadd_N,
+                                                        message):
+    # random-cat fails the rate gate, so a horizon checked after the rate
+    # sweep would never be checked at all
+    fam, reads = make_family("random-cat"), []
+    monkeypatch.setattr(fam, "params_along", lambda *a: reads.append(a))
+    with pytest.raises(ContractError, match=message):
+        build_expansion_certificate(fam, bern_spec(), 7, n_max=n_max, supadd_N=supadd_N)
+    assert reads == []

@@ -120,11 +120,9 @@ def test_certify_fine_sweeps_a_third_of_its_grid_steps(monkeypatch):
     assert 0 < sum(steps) <= 1248 // 3
 
 
-def test_certify_fine_evaluates_no_grid_trig_at_root_steps(monkeypatch):
-    # 136 of its 312 grid steps start a trie root, each at its own nonzero
-    # eps: they read the start grid's sin and cos, evaluated once per engine
-    # call, where each used to evaluate a grid cos and most a grid sin too
-    points = 65536 // 2 + 1
+def grid_work(monkeypatch, config, grid_size):
+    """Grid steps, grid `cos` and grid `sin` of one run of `config`."""
+    points = grid_size // 2 + 1
     calls = {"sin": 0, "cos": 0}
 
     def counted(name, f):
@@ -136,6 +134,32 @@ def test_certify_fine_evaluates_no_grid_trig_at_root_steps(monkeypatch):
     monkeypatch.setattr(np, "sin", counted("sin", np.sin))
     monkeypatch.setattr(np, "cos", counted("cos", np.cos))
     steps = counted_steps(monkeypatch)
-    run_task(parse_config(json.dumps(CERTIFY_FINE)))
-    assert sum(steps) == 312
-    assert calls["cos"] <= 180 and calls["sin"] <= 155
+    run_task(parse_config(json.dumps(config)))
+    return sum(steps), calls["cos"], calls["sin"]
+
+
+def test_certify_fine_evaluates_no_grid_trig_at_root_steps(monkeypatch):
+    # 158 of its 312 grid steps start a trie root, each at its own nonzero
+    # eps: they read the start grid's sin and cos, evaluated once per engine
+    # call, instead of evaluating a grid cos and most a grid sin.  22 of the
+    # roots are supadditivity rows at offsets 1..11, swept in the rate's
+    # call; in the curve's call each would extend a curve window's root, and
+    # its first step would evaluate trig
+    steps, cos, sin = grid_work(monkeypatch, CERTIFY_FINE, 65536)
+    assert steps == 312
+    assert cos <= 156 and sin <= 132
+
+
+CERTIFY_CIRCLE = {"task": "certify-expansion", "seed": 7,
+                  "base": {"kind": "bernoulli", "probabilities": [0.5, 0.5]},
+                  "fiber": {"family": "perturbed-doubling", "params": {"eps_max": 0.1}}}
+
+
+def test_certify_circle_sweeps_each_rate_prefix_once(monkeypatch):
+    # the supadditivity rows at offset 0 are prefixes of the rate windows,
+    # so they cost no grid step in the rate's call; 2 507 of the 2 580
+    # constant and curve windows are cut to depth 1, so the curve's call
+    # shares few prefixes with them
+    steps, cos, sin = grid_work(monkeypatch, CERTIFY_CIRCLE, 4096)
+    assert steps == 287
+    assert cos <= 139 and sin <= 120
