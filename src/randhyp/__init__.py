@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .base import (BaseState, BaseSystemSpec, base_inverse_step, base_step,
                    periodic_state, sample_base, shift_by, symbol_at)
 from .cocycle import (UnitTangentPoint, birkhoff_sum_phi, cocycle_product,
-                      iterate, phi, unit_tangent, unit_tangent_step)
+                      iterate, unit_tangent, unit_tangent_step)
 from .config import ExperimentConfig, parse_config
 from .ergodic import (LambdaReport, PeriodicOrbitRecord,
                       enumerate_periodic_orbits, lambda_estimate)
@@ -22,11 +22,10 @@ from .errors import (CocycleOverflowError, ConfigurationError, ContractError,
 from .expansion import (ExpansionCertificate, MinExpansionTable,
                         build_expansion_certificate, min_expansion_table,
                         min_log_expansion, supadditivity_residuals, sweep_windows,
-                        tempered_constant, temperedness_curve,
-                        uniform_rate_estimate, variable_rate_corollary)
+                        tempered_constant, uniform_rate_estimate,
+                        variable_rate_corollary)
 from .fibers import (FAMILY_CATALOG, FiberFamily, ManifoldPoint,
-                     derivative_bounds, fiber_apply, fiber_derivative,
-                     fiber_inverse, make_family, point)
+                     derivative_bounds, fiber_derivative, make_family, point)
 from .lyapunov import (ExponentEstimate, SpectrumEstimate,
                        exponent_positivity_report, oseledets_spectrum,
                        top_exponent)

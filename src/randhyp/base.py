@@ -276,13 +276,6 @@ class _MarkovSource:
         return np.array(syms, dtype=np.int64)
 
 
-class _ConstantSource:
-    """One-point base and degenerate single-letter alphabets."""
-
-    def window(self, lo, hi):
-        return np.zeros(hi - lo, dtype=np.int64)
-
-
 class _PeriodicSource:
     """Explicit periodic word, used by the periodic-orbit enumerator."""
 
@@ -315,7 +308,7 @@ class BaseState:
         elif source is None and spec.kind == "bernoulli" and spec.alphabet_size > 1:
             source = _BernoulliSource(seed, spec.tables[0])
         elif source is None and spec.kind != "rotation":
-            source = _ConstantSource()   # one-point base, one-letter alphabet
+            source = _PeriodicSource((0,))   # one-point base, one-letter alphabet
         self._source = source
 
     @property
@@ -403,8 +396,9 @@ def symbol_rows(states, lo, hi):
     per state.
 
     Bernoulli states of one spec are hashed in one call, a column of their
-    seeds against the rows of positions; Markov and periodic states are read
-    one at a time, since their chains are sequential.
+    seeds against the rows of positions; Markov and periodic states, and
+    Bernoulli states of mixed specs, are read one at a time through their
+    source's `window`.
     """
     if not len(states):
         raise ContractError("states must be nonempty")

@@ -91,11 +91,6 @@ def unit_tangent_step(family, p):
                             [c / norm for c in w])
 
 
-def phi(family, p):
-    """log |D_x phi_w (v)| at a unit tangent point: one step of the kernels."""
-    return float(orbit_log_stretches(family, p, 1)[0])
-
-
 def birkhoff_sum_phi(family, p, n):
     """Sum of the log-stretch observable along n tangent steps.
 

@@ -18,13 +18,16 @@ from .base import derive_seed, periodic_state, random_point, sample_base
 from .cocycle import (cocycle_product, orbit_log_stretches, push_log_stretches,
                       unit_tangent)
 from .errors import ContractError, UnsupportedOperationError
-from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint, unit_direction
+from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint
 
 _BIRKHOFF_STREAM = 0x42495248
 
 
 class PeriodicOrbitRecord(Record):
-    """One periodic orbit of the skew product, from a repeated symbol word.
+    """One periodic orbit of the skew product, from a repeated symbol word:
+    its start point `x0`, least `period`, orbit-averaged log expansion
+    `phi_average` (a torus orbit's: that of its most contracted direction)
+    and the distance of its p-step image from `x0` (`residual`).
 
     These induce periodic measures on the base, not the driving law, so
     their averages are heuristic lower-envelope candidates only.
@@ -32,11 +35,9 @@ class PeriodicOrbitRecord(Record):
 
     symbol_word: tuple
     x0: ManifoldPoint
-    v0: tuple
     period: int
     phi_average: float
     residual: float
-    heuristic: bool = True
 
 
 def _necklaces(alphabet, p):
@@ -132,22 +133,19 @@ def enumerate_periodic_orbits(family, spec, p_max):
                 for x0, residual in _circle_word_orbits(family, omega0, word):
                     logs = family.orbit_log_derivs(omega0, x0, p)
                     records.append(PeriodicOrbitRecord(
-                        symbol_word=word, x0=ManifoldPoint((x0,)), v0=(1.0,),
-                        period=p, phi_average=math.fsum(logs.tolist()) / p,
-                        residual=residual))
+                        symbol_word=word, x0=ManifoldPoint((x0,)), period=p,
+                        phi_average=math.fsum(logs.tolist()) / p, residual=residual))
             else:
                 prod = cocycle_product(family, omega0, ManifoldPoint((0.0, 0.0)), p)
-                eigvals, eigvecs = np.linalg.eig(prod)
+                eigvals = np.linalg.eig(prod)[0]
                 if np.iscomplexobj(eigvals) and np.abs(eigvals.imag).max() > 1e-12:
-                    continue  # no real invariant direction to record
+                    continue  # no real invariant direction
                 mods = np.abs(eigvals.real)
-                v = unit_direction(eigvecs.real[:, mods.argmin()])
                 # |lambda_min| = |det| / |lambda_max|: eig's own smallest
                 # eigenvalue carries the largest one's absolute rounding error
                 det = family.dets[family.params_along([omega0], p)[0]].prod()
                 records.append(PeriodicOrbitRecord(
-                    symbol_word=word, x0=ManifoldPoint((0.0, 0.0)),
-                    v0=(float(v[0]), float(v[1])), period=p,
+                    symbol_word=word, x0=ManifoldPoint((0.0, 0.0)), period=p,
                     phi_average=math.log(abs(det) / mods.max()) / p,
                     residual=0.0))
     records.sort(key=lambda r: r.phi_average)

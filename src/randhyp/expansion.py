@@ -416,18 +416,12 @@ def _curve_fast(family, omega, lam, n_max, depth):
     return (winmin[: n_max + 1] - t[: n_max + 1])[1:]
 
 
-def temperedness_curve(family, spec, seed, lam, n_max, depth=DEFAULT_DEPTH,
-                       grid_size=DEFAULT_GRID):
-    """(1/n) log C(T^n w) for n = 1..n_max along one sampled orbit.
+def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
+                          grid_size=DEFAULT_GRID):
+    """(1/n) log C(T^n w) for n = 1..n_max along the orbit of omega.
 
     Temperedness of C predicts decay to 0; the curve is the empirical probe.
     """
-    omega = sample_base(spec, seed, 1)[0]
-    return temperedness_curve_at(family, omega, lam, n_max, depth, grid_size)
-
-
-def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
-                          grid_size=DEFAULT_GRID):
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
     ns = np.arange(1, n_max + 1)

@@ -121,7 +121,6 @@ class FiberFamily:
 
     family_id = None
     manifold_dim = 1
-    invertible = False
     expanding = False
     linear = False
 
@@ -346,8 +345,6 @@ class LinearTorusFamily(FiberFamily):
     matrices), `log_dets` and singular values `svals` (largest first), and
     the index stream `params_along`.  The derivative is the constant matrix
     A(w), so fiber minimizations are exact singular-value computations.
-    Point-level inversion is supported exactly when every matrix is an
-    integer unimodular matrix (a torus automorphism).
     """
 
     manifold_dim = 2
@@ -381,17 +378,15 @@ class LinearTorusFamily(FiberFamily):
         self.sup_dphi_inv = float((1.0 / svals[:, -1]).max())
         self.log_deriv_lipschitz = 0.0
         self.expanding = float(svals[:, -1].min()) > 1.0
-        # exact: integer entries and |det| = 1 in integer arithmetic
-        self.invertible = bool(np.all(mats == np.round(mats)) and all(
-            abs(round(a) * round(d) - round(b) * round(c)) == 1
-            for (a, b), (c, d) in mats.tolist()))
 
     def params_along(self, omegas, n):
         """Matrix index along each forward orbit w, Tw, ..., T^{n-1}w."""
         return base_drive(omegas, 0, n, len(self.matrices))
 
     def apply_at(self, p, coords):
-        return _apply_matrix(self.matrices[p], coords)
+        (a00, a01), (a10, a11) = self.matrices[p].tolist()
+        x0, x1 = coords
+        return (mod1(a00 * x0 + a01 * x1), mod1(a10 * x0 + a11 * x1))
 
     def jacobian_at(self, p, coords):
         return self.matrices[p].tolist()
@@ -413,12 +408,6 @@ class LinearTorusFamily(FiberFamily):
             logdet += self.log_dets[p]
             mins[i] = logdet - logscale - math.log(np.linalg.svd(prod, compute_uv=False)[0])
         return (prod, logscale, logdet), mins
-
-
-def _apply_matrix(m, coords):
-    (a00, a01), (a10, a11) = m.tolist()
-    x0, x1 = coords
-    return (mod1(a00 * x0 + a01 * x1), mod1(a10 * x0 + a11 * x1))
 
 
 class DiagonalCocycle(LinearTorusFamily):
@@ -459,7 +448,11 @@ class RandomCat(LinearTorusFamily):
 
     def __init__(self, matrices=(((2, 1), (1, 1)), ((3, 1), (2, 1)))):
         super().__init__(matrices)
-        if not self.invertible:
+        mats = self.matrices
+        # exact: integer entries and |det| = 1 in integer arithmetic
+        if not (np.all(mats == np.round(mats)) and all(
+                abs(round(a) * round(d) - round(b) * round(c)) == 1
+                for (a, b), (c, d) in mats.tolist())):
             raise ConfigurationError("matrices must be integer with |det| = 1")
 
     def params(self):
@@ -472,28 +465,11 @@ def check_dim(dim, need):
         raise ContractError(f"dimension mismatch: got dim {dim}, need {need}")
 
 
-def fiber_apply(family, omega, x):
-    """phi_w(x), coordinates reduced mod 1."""
-    check_dim(x.dim, family.manifold_dim)
-    return ManifoldPoint(family.apply_at(family.param_at(omega), x.coords))
-
-
 def fiber_derivative(family, omega, x):
     """Exact Jacobian D_x phi_w, an (m, m) float64 array."""
     check_dim(x.dim, family.manifold_dim)
     return np.asarray(family.jacobian_at(family.param_at(omega), x.coords),
                       dtype=np.float64)
-
-
-def fiber_inverse(family, omega, x):
-    """phi_w^{-1}(x); only torus automorphism families (`invertible`)
-    support this."""
-    if not family.invertible:
-        raise UnsupportedOperationError(
-            f"{family.family_id} is not invertible on the fiber")
-    check_dim(x.dim, family.manifold_dim)
-    return ManifoldPoint(_apply_matrix(family.inverses[family.param_at(omega)],
-                                       x.coords))
 
 
 def derivative_bounds(family):

@@ -177,7 +177,7 @@ def test_criterion_6_oseledets_spectrum():
             for _ in range(n):
                 jac = rh.fiber_derivative(fam, state, y)
                 logdet += math.log(abs(np.linalg.det(jac)))
-                y = rh.fiber_apply(fam, state, y)
+                y = rh.ManifoldPoint(fam.apply_at(fam.param_at(state), y.coords))
                 state = base_step(state)
             assert abs(sum(est.exponents) - logdet / n) < 1e-8
 

@@ -8,7 +8,7 @@ from randhyp import (BaseSystemSpec, ConfigurationError, UnsupportedOperationErr
                      WindowLimitError, base_inverse_step, base_step, sample_base,
                      symbol_at)
 from randhyp.base import (STREAM_ANGLE, STREAM_SAMPLE, STREAM_SYMBOL, BaseState,
-                          _uniforms, derive_seed, shift_by, symbol_window)
+                          _uniforms, derive_seed, shift_by, symbol_rows, symbol_window)
 
 
 def bernoulli_half():
@@ -90,6 +90,18 @@ def test_window_matches_scalar():
         w = sample_base(base_spec, 21, 1)[0]
         win = symbol_window(w, -10, 10)
         assert list(win) == [symbol_at(w, k) for k in range(-10, 10)]
+
+
+def test_rows_of_mixed_bernoulli_specs_are_each_states_window():
+    # states of two specs cannot share one batched hash, so symbol_rows reads
+    # each through its own source's window; the symbols must not change
+    specs = (BaseSystemSpec.bernoulli([0.9, 0.1]), BaseSystemSpec.bernoulli([0.1, 0.9]))
+    states = [shift_by(w, k) for spec in specs for w in sample_base(spec, 11, 3)
+              for k in (-25, 0, 30)]
+    rows = symbol_rows(states, -40, 40)
+    for w, row in zip(states, rows):
+        assert row.tobytes() == symbol_window(w, -40, 40).tobytes()
+    assert len({row.tobytes() for row in rows}) == len(rows)
 
 
 def test_bernoulli_frequency():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from randhyp import (BaseSystemSpec, CocycleOverflowError, base_step,
-                     birkhoff_sum_phi, cocycle_product, fiber_apply, iterate,
-                     make_family, phi, point, sample_base, symbol_at,
-                     unit_tangent, unit_tangent_step)
+                     birkhoff_sum_phi, cocycle_product, iterate, make_family,
+                     point, sample_base, symbol_at, unit_tangent,
+                     unit_tangent_step)
 from randhyp.base import random_point
+from randhyp.cocycle import orbit_log_stretches
 from randhyp.fibers import ManifoldPoint
 
 ALL_FAMILIES = [
@@ -117,7 +118,12 @@ def test_projection_equivariance():
         p = unit_tangent(w, x, v)
         q = unit_tangent_step(fam, p)
         assert q.omega == base_step(w)
-        assert q.x == fiber_apply(fam, w, x)
+        assert q.x == ManifoldPoint(fam.apply_at(fam.param_at(w), x.coords))
+
+
+def phi(fam, p):
+    """log |D_x phi_w (v)|: one step of the log-stretch kernels."""
+    return float(orbit_log_stretches(fam, p, 1)[0])
 
 
 def test_phi_values():

