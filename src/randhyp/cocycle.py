@@ -129,7 +129,8 @@ def push_log_stretches(table, idx, v, rows=None):
     for all its vectors, and the stretch |P_j u| / |P_{j-1} u|; u is carried
     and renormalized between blocks.  Chunks of about _CELLS (vector, step)
     cells start on block boundaries and P_j reads only A_0..A_j, so a
-    vector's bytes depend on no other row, vector, chunk or padding.
+    vector's bytes depend on no other row, vector, chunk or padding.  Each
+    vector group's chunks reuse its buffers through numpy's `out=`.
     """
     table = np.asarray(table, dtype=np.float64).reshape(-1, 4)
     cols = np.vstack([table, (1.0, 0.0, 0.0, 1.0)]).T
@@ -144,17 +145,25 @@ def push_log_stretches(table, idx, v, rows=None):
     out = np.empty((len(v), n))
     for vecs in np.split(order, range(_CELLS // L, len(v), _CELLS // L)):
         scanned, local = np.unique(rows[vecs], return_inverse=True)
-        span = max(1, _CELLS // (len(vecs) * L)) * L
-        for t0 in range(0, padded.shape[1], span):
-            chunk = padded[scanned, t0:t0 + span]
-            p = cols[:, chunk.reshape(len(chunk), -1, L).transpose(2, 0, 1)]
+        R, V = len(scanned), len(vecs)
+        nb = max(1, min(padded.shape[1] // L, _CELLS // (V * L)))  # blocks a chunk
+        scan = np.empty((2, 4 * L * R * nb))    # ping-pong (4, L, R, m) prefixes
+        work = np.empty((3, L * V * nb))        # scan temp, then w0, w1, logs
+        for t0 in range(0, padded.shape[1], nb * L):
+            chunk = padded[scanned, t0:t0 + nb * L].reshape(R, -1, L).transpose(2, 0, 1)
+            m = chunk.shape[2]
+            p, q = (b[:4 * L * R * m].reshape(4, L, R, m) for b in scan)
+            np.take(cols, chunk, axis=1, out=p, mode="clip")  # "raise" would buffer `out`
             s = 1
             while s < L:
+                q[:, :s] = p[:, :s]
                 e, f, g, h = p[:, s:]
                 a, b, c, d = p[:, :-s]
-                p[:, s:] = (e * a + f * c, e * b + f * d,
-                            g * a + h * c, g * b + h * d)
-                s *= 2
+                tmp = work[0, :(L - s) * R * m].reshape(L - s, R, m)
+                for o, (x, y, z, w) in zip(q[:, s:], ((e, a, f, c), (e, b, f, d),
+                                                      (g, a, h, c), (g, b, h, d))):
+                    np.add(np.multiply(x, y, out=o), np.multiply(z, w, out=tmp), out=o)
+                p, q, s = q, p, 2 * s
             s0, s1 = [], []             # each vector's block-start directions
             for i, r in zip(vecs.tolist(), local.tolist()):
                 u0, u1 = units[i]
@@ -165,13 +174,19 @@ def push_log_stretches(table, idx, v, rows=None):
                     norm = math.sqrt(w0 * w0 + w1 * w1)
                     u0, u1 = w0 / norm, w1 / norm
                 units[i] = (u0, u1)
-            q = p if len(vecs) == len(scanned) else p[:, :, local]
-            u0, u1 = np.reshape(s0, q.shape[2:]), np.reshape(s1, q.shape[2:])
-            w0, w1 = q[0] * u0 + q[1] * u1, q[2] * u0 + q[3] * u1
-            norm = np.sqrt(w0 * w0 + w1 * w1)
-            norm[1:] /= norm[:-1].copy()
-            logs = np.log(norm).transpose(1, 2, 0).reshape(len(vecs), -1)
-            out[vecs, t0:t0 + span] = logs[:, :n - t0]
+            u0, u1 = np.reshape(s0, (V, m)), np.reshape(s1, (V, m))
+            w0, w1, logs = (b[:L * V * m].reshape(L, V, m) for b in work)
+            for w, k in ((w0, 0), (w1, 2)):     # w = p_k u0 + p_{k+1} u1, per vector
+                for c, u, o in ((k, u0, w), (k + 1, u1, logs)):
+                    x = p[c] if V == R else np.take(p[c], local, axis=1, out=o, mode="clip")
+                    np.multiply(x, u, out=o)
+                np.add(w, logs, out=w)
+            norm = np.add(np.multiply(w0, w0, out=w0), np.multiply(w1, w1, out=w1), out=w0)
+            np.sqrt(norm, out=norm)
+            logs[0] = norm[0]
+            np.divide(norm[1:], norm[:-1], out=logs[1:])
+            np.log(logs, out=logs)
+            out[vecs, t0:t0 + nb * L] = logs.transpose(1, 2, 0).reshape(V, -1)[:, :n - t0]
     return out
 
 

@@ -1,12 +1,15 @@
 """The blocked prefix-product push kernel against the step-by-step loop."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from randhyp import (BaseSystemSpec, make_family, oseledets_spectrum, point,
                      sample_base, shift_by)
+from randhyp import cocycle
 from randhyp.cocycle import _block_len, push_log_stretches, window_products
 from randhyp.splitting import (_bundle_constant_curve, _truncated_log_inf,
                                finite_time_bundles)
@@ -110,17 +113,83 @@ def test_shared_rows_match_one_vector_calls(family, side):
 
 
 def test_more_vectors_than_a_chunk_holds():
-    # 300 vectors on 4 of 5 rows: a row's vectors span several chunks
+    # a chunk holds _CELLS // L vectors; these span three groups, with a
+    # row's vectors split between groups
     fam = make_family("random-cat")
     table = np.concatenate([fam.matrices, fam.inverses])
+    group = cocycle._CELLS // _block_len(table.reshape(-1, 4))
+    count = 2 * group + 44
     rng = np.random.default_rng(4)
     idx = rng.integers(0, len(table), size=(5, 700))
-    rows = rng.choice([0, 1, 3, 4], size=300)
-    v = rng.normal(size=(300, 2))
+    rows = rng.choice([0, 1, 3, 4], size=count)
+    ranked = np.sort(rows)                  # the kernel groups vectors in row order
+    assert count > 2 * group and ranked[group - 1] == ranked[group]
+    v = rng.normal(size=(count, 2))
     got = push_log_stretches(table, idx, v, rows)
     for r, row in enumerate(rows):
         alone = push_log_stretches(table, idx[row][None], v[r][None])[0]
         assert got[r].tobytes() == alone.tobytes()
+
+
+def _two_row_push(family, n, rows=(0, 1, 1, 1)):
+    """Forward+inverse table, two random index rows of length n, and a random
+    start vector for each entry of `rows`."""
+    fam = make_family(*FAMILIES[family])
+    table = np.concatenate([fam.matrices, fam.inverses])
+    rng = np.random.default_rng(6)
+    idx = rng.integers(0, len(table), size=(2, n))
+    v = rng.normal(size=(4, 2))
+    return table, idx, v[:len(rows)], rows
+
+
+# SHA-256 of pushes that span many chunks (n = 20 000), recorded before the
+# kernel wrote into per-call buffers; like the payload pins, they hold for
+# the numpy build and CPU they were recorded on (numpy 2.4.6, x86-64)
+MULTI_CHUNK_PINNED = {
+    "random-cat": "1f2fcc2f55bdb6ac66bd90378a3a81f935b4e8dce667a504dea14116f3577810",
+    "huge": "f0765fe68e0798b34efa4457689427181709de33f7d15eea254a30b1518110fb",
+}
+
+
+@pytest.mark.parametrize("family", MULTI_CHUNK_PINNED)
+def test_multi_chunk_push_bytes_are_pinned(family):
+    out = push_log_stretches(*_two_row_push(family, 20_000))
+    assert out.shape == (4, 20_000)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == MULTI_CHUNK_PINNED[family]
+
+
+@pytest.mark.parametrize("rows", [(0, 1, 1, 1), (1, 0)], ids=["shared", "unshared"])
+@pytest.mark.parametrize("family", ["random-cat", "huge"])
+def test_output_does_not_depend_on_the_chunk_size(family, rows, monkeypatch):
+    table, idx, v, rows = _two_row_push(family, cocycle._CELLS + 1, rows)
+    L = _block_len(table.reshape(-1, 4))
+    span = max(1, cocycle._CELLS // (len(rows) * L)) * L     # steps a default chunk
+    for n in (span - 1, span, span + 1):
+        default = push_log_stretches(table, idx[:, :n], v, rows)
+        for cells in (L, 3 * L, 4096, 8192, 2 ** 20):
+            with monkeypatch.context() as patch:
+                patch.setattr(cocycle, "_CELLS", cells)
+                got = push_log_stretches(table, idx[:, :n], v, rows)
+            assert got.tobytes() == default.tobytes(), (n, cells)
+
+
+@pytest.mark.parametrize("rows", [(0,), (0, 1, 1, 1)], ids=["one", "shared"])
+def test_working_memory_is_bounded_by_the_chunk(rows):
+    # the traced peak less the output and the padded index table is the
+    # kernel's working memory, which must not grow with the orbit
+    work = []
+    for n in (10_000, 100_000):
+        table, idx, v, rows = _two_row_push("random-cat", n, rows)
+        L = _block_len(table.reshape(-1, 4))
+        padded = len(idx) * -(-n // L) * L * np.dtype(int).itemsize
+        tracemalloc.start()
+        try:
+            out = push_log_stretches(table, idx, v, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work.append(peak - out.nbytes - padded)
+    assert abs(work[1] - work[0]) <= 0.1 * work[0], work
 
 
 def test_window_products_match_step_loop_bitwise():

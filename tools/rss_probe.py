@@ -5,15 +5,19 @@
 
 Runs CALLS calls of `run_task(parse_config(config), threads=1)` on the
 config of the benchmark workload WORKLOAD (`bench/workloads.py`, imported
-read only) in a fresh interpreter started with PYTHONDONTWRITEBYTECODE=1,
-and prints one JSON line: the workload, seed and calls, `ru_maxrss` of
-that interpreter (KiB on Linux) and the same in MiB as `peak_rss_mb`, the
-unit of the benchmark's metric.  The benchmark's own `peak_rss_mb` is the
-high-water mark of a closed loop of fixed duration, so it grows with the
-number of calls that fit in the run; a fixed call count makes the peak of
-two checkouts comparable.  Run both from the same bytecode-cache state:
-compiling the sources at import raises the peak by itself.  The program
-and the workloads are imported from this checkout's ./src and ./bench.
+read only) in a fresh interpreter, and prints one JSON line: the workload,
+seed and calls, `ru_maxrss` of that interpreter (KiB on Linux) and the
+same in MiB as `peak_rss_mb`, the unit of the benchmark's metric.  The
+benchmark's own `peak_rss_mb` is the high-water mark of a closed loop of
+fixed duration, so it grows with the number of calls that fit in the run;
+a fixed call count makes the peak of two checkouts comparable.  Compiling
+sources at import raises the peak by itself, so every run starts from the
+same bytecode state: a first interpreter makes one call and compiles every
+module it imports into a fresh temporary `-X pycache_prefix`, and the
+measured interpreter reads its bytecode from there and writes none.  No
+cache in the checkout or the Python installation is read or written.  The
+program and the workloads are imported from this checkout's ./src and
+./bench.
 """
 
 import argparse
@@ -22,6 +26,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True                  # bench/ stays as it is
@@ -53,13 +58,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.calls < 1:
         parser.error("calls must be >= 1")
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-c", _CHILD, str(ROOT), args.workload,
-                           str(args.seed), str(args.calls)],
-                          env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.stderr.write(done.stderr)
-        return done.returncode
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    with tempfile.TemporaryDirectory() as cache:
+        for calls in (1, args.calls):           # compile into the cache, then measure
+            done = subprocess.run([sys.executable, "-X", f"pycache_prefix={cache}", "-c",
+                                   _CHILD, str(ROOT), args.workload, str(args.seed),
+                                   str(calls)], env=env, capture_output=True, text=True)
+            if done.returncode != 0:
+                sys.stderr.write(done.stderr)
+                return done.returncode
+            env["PYTHONDONTWRITEBYTECODE"] = "1"
     print(done.stdout.strip().splitlines()[-1])
     return 0
 
