@@ -56,23 +56,26 @@ class Record:
         if len(args) > len(names):
             raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
                             f"but {len(args)} were given")
-        values = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name in values:
-                raise TypeError(f"{cls.__name__}() got multiple values for {name!r}")
-            if name not in names:
-                raise TypeError(f"{cls.__name__}() got an unexpected argument {name!r}")
-            values[name] = value
         state = self.__dict__
-        for f in cls._fields:
-            if f.name in values:
-                state[f.name] = values[f.name]
-            elif f.default is not _MISSING:
-                state[f.name] = f.default
-            elif f.default_factory is not _MISSING:
-                state[f.name] = f.default_factory()
-            elif f.init:
-                raise TypeError(f"{cls.__name__}() missing argument {f.name!r}")
+        if len(args) == len(cls._fields) and not kwargs:    # a complete positional call
+            state.update(zip(names, args))
+        else:
+            values = dict(zip(names, args))
+            for name, value in kwargs.items():
+                if name in values:
+                    raise TypeError(f"{cls.__name__}() got multiple values for {name!r}")
+                if name not in names:
+                    raise TypeError(f"{cls.__name__}() got an unexpected argument {name!r}")
+                values[name] = value
+            for f in cls._fields:
+                if f.name in values:
+                    state[f.name] = values[f.name]
+                elif f.default is not _MISSING:
+                    state[f.name] = f.default
+                elif f.default_factory is not _MISSING:
+                    state[f.name] = f.default_factory()
+                elif f.init:
+                    raise TypeError(f"{cls.__name__}() missing argument {f.name!r}")
         self.__post_init__()
 
     def __post_init__(self):

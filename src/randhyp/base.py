@@ -453,6 +453,8 @@ def periodic_state(alphabet_size, word):
 
 
 def random_point(seed, index, dim):
-    """Deterministic point of the unit cube, for seeding fiber orbits."""
-    coords = _uniforms(seed, STREAM_POINT, np.arange(index * dim, (index + 1) * dim))
-    return tuple(float(c) for c in coords)
+    """Deterministic point of the unit cube, for seeding fiber orbits; a range
+    of indices gives their points in one hash call, a (len, dim) array."""
+    rows = index if isinstance(index, range) else range(index, index + 1)
+    coords = _uniforms(seed, STREAM_POINT, np.arange(rows.start * dim, rows.stop * dim))
+    return coords.reshape(-1, dim) if rows is index else tuple(coords.tolist())

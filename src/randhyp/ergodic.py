@@ -152,13 +152,13 @@ def enumerate_periodic_orbits(family, spec, p_max):
     return records
 
 
-def _random_unit_vector(seed, index, dim):
-    coords = np.asarray(random_point(seed, index, dim)) - 0.5
-    norm = np.linalg.norm(coords)
-    if norm < 1e-9:
-        coords = np.ones(dim)
-        norm = math.sqrt(dim)
-    return tuple(float(c) for c in coords / norm)
+def _random_unit_vectors(seed, indices, dim):
+    """Unit rows of `random_point` - 1/2, normed by dot product as np.linalg.norm is."""
+    coords = random_point(seed, indices, dim) - 0.5
+    norms = np.sqrt(coords[:, None] @ coords[:, :, None])[:, 0]
+    small = norms[:, 0] < 1e-9
+    coords[small], norms[small] = 1.0, math.sqrt(dim)
+    return coords / norms
 
 
 class LambdaReport(Record):
@@ -200,9 +200,10 @@ def lambda_estimate(family, spec, seed, rate, birkhoff_steps=10_000,
     if birkhoff_steps < 1:
         raise ContractError("birkhoff_steps must be >= 1")
     seed_b, dim = derive_seed(seed, _BIRKHOFF_STREAM, 0), family.manifold_dim
-    starts = [unit_tangent(start, ManifoldPoint(random_point(seed_b, i, dim)),
-                           _random_unit_vector(seed_b, birkhoff_starts + i, dim))
-              for i, start in enumerate(sample_base(spec, seed_b, birkhoff_starts))]
+    starts = [unit_tangent(w, ManifoldPoint(x), v) for w, x, v in zip(
+        sample_base(spec, seed_b, birkhoff_starts),
+        random_point(seed_b, range(birkhoff_starts), dim),
+        _random_unit_vectors(seed_b, range(birkhoff_starts, 2 * birkhoff_starts), dim))]
     if isinstance(family, LinearTorusFamily):   # one read and one push, a row per start
         logs = push_log_stretches(
             family.matrices, family.params_along([p.omega for p in starts], birkhoff_steps),

@@ -105,8 +105,9 @@ def exponent_positivity_report(family, spec, seed, samples, n, spectra=None):
     if n < family.manifold_dim:
         raise ContractError("n must be at least the manifold dimension")
     per_sample = []
+    points = random_point(seed, range(samples), family.manifold_dim)
     for i, omega in enumerate(sample_base(spec, seed, samples)):
-        x = ManifoldPoint(random_point(seed, i, family.manifold_dim))
+        x = ManifoldPoint(points[i])
         est = spectra[i] if spectra else oseledets_spectrum(family, omega, x, n)
         per_sample.append({"sample": i, "omega": omega.describe(),
                            "x": list(x.coords), "exponents": list(est.exponents)})

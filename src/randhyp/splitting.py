@@ -17,7 +17,7 @@ import numpy as np
 from ._record import Record, field
 from .base import base_step, random_point, sample_base, shift_by
 from .cocycle import push_log_stretches, window_products
-from .ergodic import _random_unit_vector
+from .ergodic import _random_unit_vectors
 from .errors import ContractError, UnsupportedOperationError
 from .expansion import DEFAULT_DEPTH, truncated_infimum
 from .fibers import LinearTorusFamily, ManifoldPoint, unit_direction
@@ -66,17 +66,19 @@ def _require_linear_2d(family):
             "splitting analysis needs an invertible linear torus family")
 
 
-def _windows(family, omega, groups):
-    """For each (ks, h) in `groups`, (len(ks), h) index windows `back`
-    (T^{k-1} w, ..., T^{k-h} w) and `fwd` (T^k w, ..., T^{k+h-1} w), one
-    row per offset k, cut from one read of the positions -lo..hi-1."""
+def _windows(family, omegas, groups):
+    """For each (ks, h) in `groups`, (len(omegas) * len(ks), h) index windows
+    `back` (T^{k-1} w, ..., T^{k-h} w) and `fwd` (T^k w, ..., T^{k+h-1} w),
+    one row per state w and offset k, state-major, cut from one read of the
+    positions -lo..hi-1 of every state."""
     lo = int(max(h - min(ks) for ks, h in groups))   # int: a state offset
     hi = int(max(max(ks) + h for ks, h in groups))
-    stream = family.params_along([shift_by(omega, -lo)], lo + hi)[0]
+    streams = family.params_along([shift_by(w, -lo) for w in omegas], lo + hi)
     out = []
     for ks, h in groups:
         rows = (np.asarray(ks) + lo)[:, None] + np.arange(h)
-        out.append((stream[rows - h][:, ::-1], stream[rows]))
+        out.append((streams[:, rows - h][..., ::-1].reshape(-1, h),
+                    streams[:, rows].reshape(-1, h)))
     return out
 
 
@@ -104,7 +106,7 @@ def finite_time_bundles(family, omega, x, horizon):
     _require_linear_2d(family)
     if horizon < 2:
         raise ContractError("horizon must be >= 2")
-    return _bundle_pairs(family, *_windows(family, omega, [((0,), horizon)])[0])[0]
+    return _bundle_pairs(family, *_windows(family, [omega], [((0,), horizon)])[0])[0]
 
 
 def _sin_angle(u, w):
@@ -151,7 +153,7 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
         if value < 1:
             raise ContractError(f"{name} must be >= 1")
     logs1, logs2 = _bundle_logs(family, [pair.gamma1, pair.gamma2],
-                                *_windows(family, omega, [((0,), n)])[0])
+                                *_windows(family, [omega], [((0,), n)])[0])
     rate1, rate2 = float(logs1.mean()), float(logs2.mean())
     if lam is None:
         lam = 0.5 * min(rate1, rate2)
@@ -166,7 +168,7 @@ def _bundle_constant_curve(family, omega, lam, curve_len, horizon, depth):
     """(1/k) log C_i(T^k w) for both bundle constants along the orbit, all
     offsets k = 1..curve_len in one batch."""
     ks = np.arange(1, curve_len + 1)
-    bundles, pushes = _windows(family, omega, [(ks, horizon), (ks, depth)])
+    bundles, pushes = _windows(family, [omega], [(ks, horizon), (ks, depth)])
     pairs = _bundle_pairs(family, *bundles)
     logs = _bundle_logs(family, [p.gamma1 for p in pairs]
                         + [p.gamma2 for p in pairs], *pushes)
@@ -182,9 +184,10 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     estimate, and tempered constants at the global rate lam (half the worst
     measured rate).  Certified requires residuals below 1e-6, positive
     angles, and every rate above 3 batch standard errors (2+ batches).
-    Each sample reads its index stream once and pushes its four directions
-    in one call (e1 gives its `oseledets_spectrum`, kept in `spectra`),
-    with the values of the public per-sample functions.
+    Every sample's bundles at w and T w come from one read and one batch;
+    then each sample reads positions -n..n-1 once and pushes its four
+    directions in one call (e1 gives its `oseledets_spectrum`, kept in
+    `spectra`).  The values are the public per-sample functions', batch or not.
     """
     _require_linear_2d(family)
     if horizon < 2:
@@ -195,24 +198,23 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
         if value < 1:
             raise ContractError(f"{name} must be >= 1")
     omegas = sample_base(spec, seed, samples)
+    # every sample's bundles at 0 and 1: rows 2i (pair) and 2i + 1 (next)
+    pairs = _bundle_pairs(family, *_windows(family, omegas, [((0, 1), horizon)])[0])
+    tops = _random_unit_vectors(seed, range(samples, 2 * samples), 2)
     recs, heads, spectra = [], [], []   # heads: first `depth` log stretches
-    for i, omega in enumerate(omegas):
-        x = ManifoldPoint(random_point(seed, i, 2))
-        # positions -max(n, horizon) .. max(n, horizon + 1) - 1
-        bundles, (back, fwd) = _windows(family, omega,
-                                        [((0, 1), horizon), ((0,), n)])
-        pair, nxt = _bundle_pairs(family, *bundles)
+    for i, (omega, x) in enumerate(zip(omegas, random_point(seed, range(samples), 2))):
+        pair, nxt = pairs[2 * i], pairs[2 * i + 1]
+        back, fwd = _windows(family, [omega], [((0,), n)])[0]
         # gamma1 backwards; gamma2, the top-exponent vector and e1 forwards
         logs1, logs2, logs_top, logs_e1 = _bundle_logs(
-            family, [pair.gamma1, pair.gamma2,
-                     _random_unit_vector(seed, samples + i, 2), (1.0, 0.0)],
+            family, [pair.gamma1, pair.gamma2, tops[i], (1.0, 0.0)],
             back, fwd, (0, 1, 1, 1))
         spectra.append(_torus_spectrum(logs_e1, family.log_dets[fwd[0]]))
         (rate1, rate1_se, _), (rate2, rate2_se, _), (top, top_se, _) = (
             _batch_stats(logs, batches) for logs in (logs1, logs2, logs_top))
         recs.append({
-            "omega": omega.describe(), "x": list(x.coords), "angle": pair.angle,
-            "residual": _residual(family.matrices[fwd[0, 0]], pair, nxt),
+            "omega": omega.describe(), "x": list(ManifoldPoint(x).coords),
+            "angle": pair.angle, "residual": _residual(family.matrices[fwd[0, 0]], pair, nxt),
             "rate1": rate1, "rate1_se": rate1_se,
             "rate2": rate2, "rate2_se": rate2_se,
             "top_exponent": top, "top_se": top_se,

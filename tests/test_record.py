@@ -28,6 +28,18 @@ def test_position_keyword_and_defaults_build_equal_records():
     assert a.__eq__((0.5, 0.1, 20, "positive", None)) is NotImplemented
 
 
+def test_complete_positional_call_matches_keyword_and_defaulted_calls():
+    class Triple(Record):
+        a: int
+        b: tuple = field(default_factory=tuple)
+        c: int = field(default=2, compare=False)
+
+    by_position = Triple(1, (), 2)      # every field by position
+    for other in (Triple(a=1, b=(), c=2), Triple(1), Triple(1, c=2), Triple(1, ())):
+        assert other == by_position and hash(other) == hash(by_position)
+        assert list(vars(other).items()) == list(vars(by_position).items())
+
+
 def test_each_instance_gets_its_own_default_factory_dict():
     a, b = _config(), _config()
     assert a.echo == {} and a.echo is not b.echo

@@ -265,8 +265,31 @@ def test_certificate_reads_each_position_once(horizon, n, monkeypatch):
     monkeypatch.setattr(sp, "_bundle_constant_curve", lambda *args: ((), ()))
     hyperbolicity_certificate(make_family("random-cat"), bern_spec(), 5,
                               samples=3, horizon=horizon, n=n, batches=3)
-    one_sample = [max(n, horizon) + max(n, horizon + 1)]
-    assert reads == one_sample * 3
+    # one read of positions -horizon..horizon for every sample's bundles,
+    # then one of -n..n-1 per sample for its pushes
+    assert reads == [3 * (2 * horizon + 1)] + [2 * n] * 3
+
+
+@pytest.mark.parametrize("base", ["bernoulli", "markov", "rotation", "dirac"])
+def test_a_samples_record_does_not_depend_on_the_batch(base):
+    import randhyp.splitting as sp
+    fam = make_family("random-cat")
+
+    def first_two(samples):
+        cert = hyperbolicity_certificate(fam, BASES[base], 5, samples, horizon=12,
+                                         n=40, depth=10, curve_len=2, batches=4)
+        # the top-exponent start vector of sample i is indexed samples + i
+        return [{k: v for k, v in r.items() if k not in ("top_exponent", "top_se")}
+                for r in cert.details["per_sample"][:2]]
+    assert repr(first_two(2)) == repr(first_two(4))
+
+    ws = sample_base(BASES[base], 9, 3)
+    groups = [((0, 1, 3), 5), ((0,), 7)]
+    batched = sp._windows(fam, ws, groups)
+    one_state = [sp._windows(fam, [w], groups) for w in ws]
+    for g, (back, fwd) in enumerate(batched):
+        assert np.array_equal(back, np.concatenate([o[g][0] for o in one_state]))
+        assert np.array_equal(fwd, np.concatenate([o[g][1] for o in one_state]))
 
 
 def test_fewer_steps_than_batches_rejected_before_any_read(monkeypatch):
