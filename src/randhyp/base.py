@@ -50,21 +50,29 @@ def as_floats(values, name, depth=1):
 
 
 def _mix64(z):
-    """SplitMix64 finalizer on uint64 scalars or arrays (wraps mod 2^64)."""
+    """SplitMix64 finalizer on uint64 scalars or arrays (wraps mod 2^64), in
+    place on the fresh sum z + C1 with one scratch array for the shifts."""
     z = z + _C1
-    z = (z ^ (z >> _SHIFT_30)) * _C2
-    z = (z ^ (z >> _SHIFT_27)) * _C3
-    return z ^ (z >> _SHIFT_31)
+    s = np.empty_like(z) if isinstance(z, np.ndarray) else None    # a scalar needs none
+    z ^= np.right_shift(z, _SHIFT_30, out=s)
+    z *= _C2
+    z ^= np.right_shift(z, _SHIFT_27, out=s)
+    z *= _C3
+    z ^= np.right_shift(z, _SHIFT_31, out=s)
+    return z
+
+
+def _hashes(seed, stream, positions):
+    """64-bit hashes of int64 positions under an int or a uint64 array of seeds."""
+    ks = np.asarray(positions, dtype=np.int64).view(_U64)
+    with np.errstate(over="ignore"):
+        return _mix64(_mix64(_U64(seed & _MASK) ^ _U64(stream)) + _mix64(ks))
 
 
 def _uniforms(seed, stream, positions):
-    """Deterministic uniforms in [0,1) for int64 positions.  The seed is an
-    int or a uint64 array; seeds and positions broadcast together, and a
-    scalar seed and position give one numpy float."""
-    ks = np.asarray(positions, dtype=np.int64).view(_U64)
-    with np.errstate(over="ignore"):
-        h = _mix64(_mix64(_U64(seed & _MASK) ^ _U64(stream)) + _mix64(ks))
-    return (h >> _SHIFT_11).astype(np.float64) * _TO_UNIT
+    """Uniforms (h >> 11) * 2^-53 in [0,1) of the hashes; a scalar seed and
+    position give one numpy float."""
+    return (_hashes(seed, stream, positions) >> _SHIFT_11).astype(np.float64) * _TO_UNIT
 
 
 def derive_seed(seed, stream, index):
@@ -97,14 +105,17 @@ def _cdf(weights):
 
 def _symbol_tables(spec):
     """The stationary CDF of a shift base and, for a Markov base, the CDF rows
-    of the forward and of the time-reversed chain, as lists for `bisect`."""
+    of the forward and of the time-reversed chain, as lists for `bisect`; for
+    a Bernoulli base, the thresholds ceil(cdf * 2^53) * 2^11 < 2^64, which a
+    hash h reaches just when its uniform (h >> 11) * 2^-53 reaches cdf."""
     pi = np.asarray(spec.stationary, dtype=np.float64)
+    cdf = _cdf(pi)
     if spec.kind != "markov":
-        return _cdf(pi), None, None
+        return cdf, None, None, np.ceil(cdf[cdf < 1] / _TO_UNIT).astype(_U64) << _SHIFT_11
     p = np.asarray(spec.transition, dtype=np.float64)
     rev = (p.T * pi[None, :]) / pi[:, None]
     rev = rev / rev.sum(axis=1, keepdims=True)
-    return _cdf(pi), _cdf(p).tolist(), _cdf(rev).tolist()
+    return cdf, _cdf(p).tolist(), _cdf(rev).tolist(), None
 
 
 def _is_irreducible(transition):
@@ -213,16 +224,17 @@ BASE_CATALOG = {kind: getattr(BaseSystemSpec, kind)
 
 
 class _BernoulliSource:
-    """Symbols i.i.d. per position; pure formula, no state needed.  The seed
-    is an int, or a column of seeds read against rows of positions."""
+    """Symbols i.i.d. per position: the thresholds each hash reaches, counted
+    (a binary search mispredicts).  The seed is an int, or a column of seeds
+    read against rows of positions."""
 
-    def __init__(self, seed, cdf):
+    def __init__(self, seed, thresholds):
         self.seed = seed
-        self.cdf = cdf
+        self.thresholds = thresholds
 
     def symbols(self, positions):
-        us = _uniforms(self.seed, STREAM_SYMBOL, positions)
-        return np.searchsorted(self.cdf, us, side="right").astype(np.int64)
+        h = _hashes(self.seed, STREAM_SYMBOL, positions)
+        return sum((h >= t for t in self.thresholds), np.zeros(h.shape, dtype=np.int64))
 
     def window(self, lo, hi):
         return self.symbols(np.arange(lo, hi, dtype=np.int64))
@@ -243,7 +255,7 @@ class _MarkovSource:
 
     def __init__(self, seed, spec, u0):
         self.seed = seed
-        cdf, self.fwd_cdf, self.rev_cdf = spec.tables
+        cdf, self.fwd_cdf, self.rev_cdf, _ = spec.tables
         self._fwd = [bisect_right(cdf, u0)]     # symbols at positions 0, 1, 2, ...
         self._back = []         # symbols at positions -1, -2, ...
 
@@ -306,7 +318,7 @@ class BaseState:
         if source is None and spec.kind == "markov":
             source = _MarkovSource(seed, spec, float(_uniforms(seed, STREAM_SYMBOL, 0)))
         elif source is None and spec.kind == "bernoulli" and spec.alphabet_size > 1:
-            source = _BernoulliSource(seed, spec.tables[0])
+            source = _BernoulliSource(seed, spec.tables[3])
         elif source is None and spec.kind != "rotation":
             source = _PeriodicSource((0,))   # one-point base, one-letter alphabet
         self._source = source
@@ -402,6 +414,8 @@ def symbol_rows(states, lo, hi):
     """
     if not len(states):
         raise ContractError("states must be nonempty")
+    if hi < lo:
+        raise ContractError(f"hi must be >= lo, got the window {lo}..{hi}")
     sources = [s._source for s in states]
     if any(src is None for src in sources):
         raise UnsupportedOperationError("rotation bases carry an angle, not symbols")
@@ -410,10 +424,10 @@ def symbol_rows(states, lo, hi):
         if a < -WINDOW_LIMIT or a + n - 1 > WINDOW_LIMIT:
             raise WindowLimitError(
                 f"positions {a}..{a + n - 1} exceed the supported window of +/-{WINDOW_LIMIT}")
-    if all(isinstance(src, _BernoulliSource) and src.cdf is sources[0].cdf
-           for src in sources):
+    if all(isinstance(src, _BernoulliSource)
+           and src.thresholds is sources[0].thresholds for src in sources):
         seeds = np.array([src.seed & _MASK for src in sources], dtype=_U64)
-        return _BernoulliSource(seeds[:, None], sources[0].cdf).symbols(
+        return _BernoulliSource(seeds[:, None], sources[0].thresholds).symbols(
             _positions(states, lo, hi))
     return np.array([src.window(a, a + n) for src, a in zip(sources, starts)],
                     dtype=np.int64)
@@ -456,5 +470,5 @@ def random_point(seed, index, dim):
     """Deterministic point of the unit cube, for seeding fiber orbits; a range
     of indices gives their points in one hash call, a (len, dim) array."""
     rows = index if isinstance(index, range) else range(index, index + 1)
-    coords = _uniforms(seed, STREAM_POINT, np.arange(rows.start * dim, rows.stop * dim))
-    return coords.reshape(-1, dim) if rows is index else tuple(coords.tolist())
+    coords = _uniforms(seed, STREAM_POINT, np.add.outer(np.array(rows) * dim, np.arange(dim)))
+    return coords if rows is index else tuple(coords[0].tolist())

@@ -92,9 +92,10 @@ def base_drive(omegas, lo, hi, choices=None):
         if choices is None:
             return angles
         return (angles * choices).astype(np.int64) % choices
-    if choices is not None:
-        return symbol_rows(omegas, lo, hi) % choices
     a = omegas[0].spec.alphabet_size
+    if choices is not None:     # a symbol below `choices` is its own index
+        syms = symbol_rows(omegas, lo, hi)
+        return syms % choices if a > choices else syms
     if a <= 1:
         return np.zeros(shape)
     return symbol_rows(omegas, lo, hi).astype(np.float64) / (a - 1)

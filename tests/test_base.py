@@ -1,14 +1,20 @@
+import hashlib
 import math
 from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import randhyp.base as base
 from randhyp import (BaseSystemSpec, ConfigurationError, UnsupportedOperationError,
                      WindowLimitError, base_inverse_step, base_step, sample_base,
                      symbol_at)
-from randhyp.base import (STREAM_ANGLE, STREAM_SAMPLE, STREAM_SYMBOL, BaseState,
-                          _uniforms, derive_seed, shift_by, symbol_rows, symbol_window)
+from randhyp.base import (STREAM_ANGLE, STREAM_POINT, STREAM_SAMPLE, STREAM_SYMBOL,
+                          WINDOW_LIMIT, BaseState, _hashes, _mix64, _uniforms,
+                          derive_seed, periodic_state, random_point, shift_by,
+                          symbol_rows, symbol_window)
+from randhyp.errors import ContractError
 
 
 def bernoulli_half():
@@ -247,10 +253,10 @@ def test_sampled_states_pinned_at_a_negative_seed():
 
 def test_sampled_states_share_their_specs_tables():
     markov, bernoulli = SAMPLE_SPECS["markov"], SAMPLE_SPECS["bernoulli"]
-    _, fwd, rev = markov.tables
+    _, fwd, rev, _ = markov.tables
     for w in sample_base(markov, 3, 5) + [BaseState(markov, 11)]:
         assert w._source.fwd_cdf is fwd and w._source.rev_cdf is rev
-    assert all(w._source.cdf is bernoulli.tables[0] for w in sample_base(bernoulli, 3, 5))
+    assert all(w._source.thresholds is bernoulli.tables[3] for w in sample_base(bernoulli, 3, 5))
     # the tables stay out of equality, hashing and repr
     again = BaseSystemSpec.markov([[0.9, 0.1], [0.3, 0.7]])
     assert again == markov and hash(again) == hash(markov)
@@ -267,7 +273,96 @@ def test_cdf_tables_end_at_one(spec):
     # float cumsums of [0.1] * 10 end at 0.9999999999999999 (0.9999999999999998
     # for the reversed rows); the largest uniform, 1 - 2^-53, must still draw
     # a symbol of the alphabet
-    cdf, fwd, rev = spec.tables
+    cdf, fwd, rev, _ = spec.tables
     for row in [cdf] + (fwd or []) + (rev or []):
         assert row[-1] == 1.0
         assert bisect_right(row, 1 - 2 ** -53) < spec.alphabet_size
+
+
+def float_cdf_draw(spec, h):
+    """The symbols the float CDF draws for hashes h: the searched uniforms
+    (h >> 11) * 2^-53."""
+    us = (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return np.searchsorted(spec.tables[0], us, side="right")
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=2,
+                        max_size=10).filter(any),
+       hashes=st.lists(st.integers(0, 2 ** 64 - 1), max_size=20))
+@example(weights=[0.1] * 10, hashes=[])
+@example(weights=[0.25, 0.0, 0.75], hashes=[])     # a repeated threshold
+@example(weights=[0.5, 0.5, 0.0], hashes=[])       # a CDF entry at 1.0 before the last
+@example(weights=[0.0, 1.0], hashes=[])            # the threshold 0
+@example(weights=[1.0, 0.0], hashes=[])            # no threshold at all
+def test_threshold_draw_is_the_float_cdf_draw(weights, hashes):
+    spec = BaseSystemSpec.bernoulli([w / sum(weights) for w in weights])
+    cdf, _, _, thresholds = spec.tables
+    assert thresholds.dtype == np.uint64 and len(thresholds) == np.sum(cdf < 1.0)
+    edges = [int(t) + d for t in thresholds for d in (-1, 0, 1)] + [0, 2 ** 64 - 1]
+    h = np.array([v for v in edges + hashes if 0 <= v < 2 ** 64], dtype=np.uint64)
+    with pytest.MonkeyPatch.context() as mp:    # draw from the chosen hashes
+        mp.setattr(base, "_hashes", lambda seed, stream, positions: h)
+        drawn = sample_base(spec, 7, 1)[0]._source.symbols(None)
+    assert drawn.dtype == np.int64
+    assert drawn.tolist() == float_cdf_draw(spec, h).tolist()
+    states = sample_base(spec, 7, 3)            # and from hashed positions
+    h = _hashes(np.array([w.seed for w in states], dtype=np.uint64)[:, None],
+                STREAM_SYMBOL, np.arange(-50, 50))
+    assert symbol_rows(states, -50, 50).tolist() == float_cdf_draw(spec, h).tolist()
+
+
+def test_mix64_leaves_its_argument_and_agrees_with_its_scalar_form():
+    z = np.array([0, 1, 2 ** 63, 2 ** 64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    positions = np.arange(-5, 5)
+    with np.errstate(over="ignore"):
+        mixed, scalars = _mix64(z), [_mix64(v) for v in z]
+    _hashes(7, STREAM_SYMBOL, positions)
+    assert z.tolist() == [0, 1, 2 ** 63, 2 ** 64 - 1, 0x9E3779B97F4A7C15]
+    assert positions.tolist() == list(range(-5, 5))
+    assert all(type(v) is np.uint64 for v in scalars)
+    assert mixed.tolist() == [int(v) for v in scalars]
+    assert int(scalars[0]) == 0xE220A8397B1DCDAF     # SplitMix64's first output at state 0
+
+
+@pytest.mark.parametrize("probabilities, digest", [
+    ([0.5, 0.5], "7308001322c5c95249c0626a995b290d122f64cc3db1f771e3b74e901a3ec0b3"),
+    ([0.25, 0.0, 0.75], "eddae3b8d3993146dc594eda204969dbe2ac59cc9bb0a51ae3bbf1bce00a14f7"),
+    ([0.1] * 10, "126da2ea4677119a29f3b18d906f7eaf51f561e13de898be37ec2d623fe6aa5e"),
+])
+def test_symbol_rows_pinned(probabilities, digest):
+    # recorded with the float CDF draw, before symbols were drawn by thresholds
+    states = sample_base(BaseSystemSpec.bernoulli(probabilities), 7, 3)
+    sha = hashlib.sha256()
+    for lo, hi in ((-10_000, 10_000), (-WINDOW_LIMIT, 100 - WINDOW_LIMIT),
+                   (WINDOW_LIMIT - 99, WINDOW_LIMIT + 1)):
+        rows = symbol_rows(states, lo, hi)
+        assert rows.dtype == np.int64 and rows.shape == (3, hi - lo)
+        sha.update(rows.tobytes())
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sample_base(bernoulli_half(), 7, 2),
+    lambda: sample_base(BaseSystemSpec.markov([[0.9, 0.1], [0.3, 0.7]]), 7, 2),
+    lambda: sample_base(BaseSystemSpec.dirac(), 7, 2),
+    lambda: [periodic_state(2, (0, 1)), periodic_state(3, (2,))],
+], ids=["bernoulli", "markov", "dirac", "periodic"])
+def test_reversed_window_raises(make):
+    states = make()
+    with pytest.raises(ContractError, match="^hi must be >= lo"):
+        symbol_rows(states, 5, 3)
+    with pytest.raises(ContractError, match="^hi must be >= lo"):
+        symbol_window(states[0], 0, -1)
+    assert symbol_rows(states, 4, 4).shape == (2, 0)    # an empty window is legal
+
+
+@pytest.mark.parametrize("indices", [range(0, 6, 2), range(5, -1, -2), range(3, 9),
+                                     range(4, 4)])
+def test_random_point_rows_are_the_points_of_the_ranges_indices(indices):
+    points = random_point(7, indices, 2)
+    assert points.shape == (len(indices), 2)
+    assert [tuple(p) for p in points.tolist()] == [random_point(7, i, 2) for i in indices]
+    if indices.step == 1:       # the bytes of the one-hash-call form
+        flat = _uniforms(7, STREAM_POINT, np.arange(indices.start * 2, indices.stop * 2))
+        assert points.tobytes() == flat.tobytes()

@@ -323,12 +323,12 @@ def test_minimize_pushes_every_birkhoff_start_in_one_call(family, monkeypatch):
 def test_certificate_hash_calls_do_not_grow_with_samples(monkeypatch):
     # each sample set is hashed in one call, whatever its size
     import randhyp.base as base
-    calls, hashed = [], base._uniforms
+    calls, hashed = [], base._hashes
 
     def counted(*args):
         calls.append(args)
         return hashed(*args)
-    monkeypatch.setattr(base, "_uniforms", counted)
+    monkeypatch.setattr(base, "_hashes", counted)
     counts = []
     for samples in (20, 40):
         calls.clear()

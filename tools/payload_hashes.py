@@ -7,10 +7,11 @@ drift report for a change that moves it on purpose.
     python3 tools/payload_hashes.py --payloads > payloads.json
     python3 tools/payload_hashes.py --drift parent.json change.json
 
-The runs are every catalog family on every base kind for each task that
-family supports, at seed 7 and small task parameters: certify-expansion,
-lyapunov, minimize and full-pipeline for all five families, splitting for
-the torus families, and the periodic-orbit search on the Bernoulli base.
+The runs are every catalog family on every base kind, and on a second,
+three-letter Bernoulli base, for each task that family supports, at seed
+7 and small task parameters: certify-expansion, lyapunov, minimize and
+full-pipeline for all five families, splitting for the torus families,
+and the periodic-orbit search on the two-letter Bernoulli base.
 A run that raises records its error text in place of the hashes.  The
 program is imported from the checkout's ./src.  --compare exits 1 on any
 difference between two files and names the runs that differ.  The hashes
@@ -41,6 +42,9 @@ from randhyp.fibers import FAMILY_CATALOG, LinearTorusFamily     # noqa: E402
 SEED = 7
 BASES = {
     "bernoulli": {"kind": "bernoulli", "probabilities": [0.5, 0.5]},
+    # three letters for the two-valued families: a zero-probability letter
+    # repeats a CDF entry, and a letter past the values wraps around
+    "bernoulli3": {"kind": "bernoulli", "probabilities": [0.25, 0.0, 0.75]},
     "markov": {"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]]},
     "rotation": {"kind": "rotation", "rotation_number": 0.6180339887498949},
     "dirac": {"kind": "dirac"},
