@@ -378,6 +378,14 @@ def _positions(states, lo, hi):
     return offsets[:, None] + np.arange(lo, hi, dtype=np.int64)
 
 
+def window_length(lo, hi):
+    """hi - lo, the length of the window lo..hi-1; every window reader
+    refuses a reversed one here.  An empty window (hi == lo) is legal."""
+    if hi < lo:
+        raise ContractError(f"hi must be >= lo, got the window {lo}..{hi}")
+    return hi - lo
+
+
 def rotation_angles(states, lo, hi):
     """Angles at positions lo..hi-1 (relative) of rotation states, one row
     per state.
@@ -386,6 +394,7 @@ def rotation_angles(states, lo, hi):
     not accumulated, so every angle is exactly invertible and a window
     agrees bit for bit with the angles of the shifted states.
     """
+    window_length(lo, hi)
     if any(s.spec.kind != "rotation" for s in states):
         raise UnsupportedOperationError("angle is defined for rotation bases only")
     angle0 = np.array([s._angle0 for s in states])[:, None]
@@ -414,12 +423,11 @@ def symbol_rows(states, lo, hi):
     """
     if not len(states):
         raise ContractError("states must be nonempty")
-    if hi < lo:
-        raise ContractError(f"hi must be >= lo, got the window {lo}..{hi}")
+    n = window_length(lo, hi)
     sources = [s._source for s in states]
     if any(src is None for src in sources):
         raise UnsupportedOperationError("rotation bases carry an angle, not symbols")
-    n, starts = hi - lo, [s.origin_offset + lo for s in states]
+    starts = [s.origin_offset + lo for s in states]
     for a in starts:
         if a < -WINDOW_LIMIT or a + n - 1 > WINDOW_LIMIT:
             raise WindowLimitError(

@@ -148,8 +148,6 @@ def _task_minimize(config, threads, rate=None):
                                      p["samples"], p["n_max"], p["grid_size"],
                                      threads)
     report = lambda_estimate(config.fiber, config.base, config.seed, rate,
-                             birkhoff_steps=p["birkhoff_steps"],
-                             birkhoff_starts=p["birkhoff_starts"],
                              include_periodic=p["include_periodic"],
                              p_max=p["p_max"])
     csvs = {}

@@ -27,7 +27,6 @@ TASK_DEFAULTS = {
     "lyapunov": {"samples": 50, "n": 10_000},
     "minimize": {
         "samples": 20, "n_max": 12, "grid_size": 4096,
-        "birkhoff_steps": 10_000, "birkhoff_starts": 20,
         "include_periodic": False, "p_max": 6,
     },
     "splitting": {
@@ -37,7 +36,6 @@ TASK_DEFAULTS = {
     "full-pipeline": {
         "samples": 10, "n": 2_000, "n_max": 10, "grid_size": 1024,
         "depth": 50, "temperedness_threshold": 0.02, "supadd_samples": 3,
-        "birkhoff_steps": 2_000, "birkhoff_starts": 10,
         "include_periodic": False, "p_max": 4, "horizon": 40,
         "curve_len": 100, "batches": 20, "corollary": True,
         "lambda": None, "curve_n_max": None, "supadd_N": None,
@@ -49,8 +47,7 @@ TASK_DEFAULTS = {
 _PARAM_RULES = {
     "n": (int, 1), "n_max": (int, 4), "grid_size": (int, 64), "samples": (int, 1),
     "lambda": (float, None), "horizon": (int, 2), "batches": (int, 1),
-    "depth": (int, 1), "p_max": (int, 1), "birkhoff_steps": (int, 1),
-    "birkhoff_starts": (int, 1), "curve_n_max": (int, 1), "curve_len": (int, 1),
+    "depth": (int, 1), "p_max": (int, 1), "curve_n_max": (int, 1), "curve_len": (int, 1),
     "temperedness_threshold": (float, None), "supadd_samples": (int, 1),
     "supadd_N": (int, 2), "include_periodic": (bool, None), "corollary": (bool, None),
 }

@@ -1,11 +1,13 @@
 """Estimating the smallest measure-averaged expansion over invariant
 measures whose base marginal is the driving law.
 
-No algorithm can enumerate all invariant measures, so the estimate combines
-constructive candidates: the run's uniform rate estimate, plain Birkhoff
-minima over random starts, and (for full-shift bases) periodic-orbit
-averages.  The periodic orbits project to periodic word measures on the
-base, not to the driving law, so they are reported as heuristic context only.
+No algorithm can enumerate all invariant measures, so the estimate is the
+one constructive candidate: the run's uniform rate estimate.  Birkhoff
+averages from random starts are not candidates; they converge to the
+stationary measure's exponent, which bounds the minimum from above (and on
+a torus family is the top exponent).  Periodic-orbit averages (full-shift
+bases only) project to periodic word measures on the base, not to the
+driving law, so they are reported as heuristic context only.
 """
 
 import math
@@ -14,13 +16,10 @@ from itertools import accumulate, product as iter_product
 import numpy as np
 
 from ._record import Record
-from .base import derive_seed, periodic_state, random_point, sample_base
-from .cocycle import (cocycle_product, orbit_log_stretches, push_log_stretches,
-                      unit_tangent)
+from .base import periodic_state
+from .cocycle import cocycle_product
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint
-
-_BIRKHOFF_STREAM = 0x42495248
 
 
 class PeriodicOrbitRecord(Record):
@@ -152,20 +151,10 @@ def enumerate_periodic_orbits(family, spec, p_max):
     return records
 
 
-def _random_unit_vectors(seed, indices, dim):
-    """Unit rows of `random_point` - 1/2, normed by dot product as np.linalg.norm is."""
-    coords = random_point(seed, indices, dim) - 0.5
-    norms = np.sqrt(coords[:, None] @ coords[:, :, None])[:, 0]
-    small = norms[:, 0] < 1e-9
-    coords[small], norms[small] = 1.0, math.sqrt(dim)
-    return coords / norms
-
-
 class LambdaReport(Record):
     candidates: tuple            # (label, value)
     lambda_estimate: float
     a_estimate: float
-    gap_vs_a: float
     periodic_orbits: tuple = ()  # PeriodicOrbitRecords, heuristic only
 
     def to_payload(self):
@@ -173,7 +162,6 @@ class LambdaReport(Record):
             "candidates": [{"source": s, "value": v} for (s, v) in self.candidates],
             "lambda_estimate": self.lambda_estimate,
             "a_estimate": self.a_estimate,
-            "gap_vs_a": self.gap_vs_a,
             "periodic_candidates": [
                 {"word": list(r.symbol_word), "phi_average": r.phi_average,
                  "heuristic": True}
@@ -182,42 +170,22 @@ class LambdaReport(Record):
         }
 
 
-def lambda_estimate(family, spec, seed, rate, birkhoff_steps=10_000,
-                    birkhoff_starts=20, include_periodic=False, p_max=6):
+def lambda_estimate(family, spec, seed, rate, include_periodic=False, p_max=6):
     """Smallest measure-averaged expansion, from the constructive candidates.
 
-    The reported value is the minimum of the empirical-measure candidate and
-    the Birkhoff minimum over random starts.  The empirical-measure candidate
-    is the uniform rate estimate `rate` (`uniform_rate_estimate`) itself.
-    The n-step log stretch of a unit vector is the sum of the one-step log
-    stretches along its tangent orbit, so the uniform measure on the n-step
-    orbit of a minimizing vector integrates the one-step log stretch to
-    A_n/n, and `rate.a_estimate` is the sample mean of A_n/n.  Periodic
-    orbits, when requested (full-shift bases only), are attached as
-    heuristic context and excluded from the estimate because their base
-    marginals differ from the driving law.
+    The one candidate, and so the estimate, is the uniform rate estimate
+    `rate` (`uniform_rate_estimate`) itself.  The n-step log stretch of a
+    unit vector is the sum of the one-step log stretches along its tangent
+    orbit, so the uniform measure on the n-step orbit of a minimizing vector
+    integrates the one-step log stretch to A_n/n, and `rate.a_estimate` is
+    the sample mean of A_n/n.  Periodic orbits, when requested (full-shift
+    bases only), are attached as heuristic context and excluded from the
+    estimate because their base marginals differ from the driving law.
+    Nothing here is random; `seed` keeps the call the shape of the other
+    estimators'.
     """
-    if birkhoff_steps < 1:
-        raise ContractError("birkhoff_steps must be >= 1")
-    seed_b, dim = derive_seed(seed, _BIRKHOFF_STREAM, 0), family.manifold_dim
-    starts = [unit_tangent(w, ManifoldPoint(x), v) for w, x, v in zip(
-        sample_base(spec, seed_b, birkhoff_starts),
-        random_point(seed_b, range(birkhoff_starts), dim),
-        _random_unit_vectors(seed_b, range(birkhoff_starts, 2 * birkhoff_starts), dim))]
-    if isinstance(family, LinearTorusFamily):   # one read and one push, a row per start
-        logs = push_log_stretches(
-            family.matrices, family.params_along([p.omega for p in starts], birkhoff_steps),
-            [p.v for p in starts])
-    else:
-        logs = [orbit_log_stretches(family, p, birkhoff_steps) for p in starts]
-    birkhoff_min = min(float(row.mean()) for row in logs)
-
-    candidates = (("empirical_measure", rate.a_estimate),
-                  ("birkhoff_min", birkhoff_min))
-    lam_est = min(v for (_, v) in candidates)
-
     periodic = (tuple(enumerate_periodic_orbits(family, spec, p_max))
                 if include_periodic else ())
-    return LambdaReport(candidates=candidates, lambda_estimate=lam_est,
-                        a_estimate=rate.a_estimate, gap_vs_a=lam_est - rate.a_estimate,
+    return LambdaReport(candidates=(("uniform_rate", rate.a_estimate),),
+                        lambda_estimate=rate.a_estimate, a_estimate=rate.a_estimate,
                         periodic_orbits=periodic)

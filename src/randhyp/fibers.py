@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .base import as_floats, rotation_angles, symbol_rows
+from .base import as_floats, rotation_angles, symbol_rows, window_length
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 
 _TWO_PI = 2.0 * math.pi
@@ -84,7 +84,7 @@ def base_drive(omegas, lo, hi, choices=None):
     """
     if not len(omegas):
         raise ContractError("omegas must be nonempty")
-    shape = (len(omegas), hi - lo)
+    shape = (len(omegas), window_length(lo, hi))
     if choices == 1:
         return np.zeros(shape, dtype=np.int64)
     if omegas[0].kind == "rotation":

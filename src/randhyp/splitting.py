@@ -17,11 +17,19 @@ import numpy as np
 from ._record import Record, field
 from .base import base_step, random_point, sample_base, shift_by
 from .cocycle import push_log_stretches, window_products
-from .ergodic import _random_unit_vectors
 from .errors import ContractError, UnsupportedOperationError
 from .expansion import DEFAULT_DEPTH, truncated_infimum
 from .fibers import LinearTorusFamily, ManifoldPoint, unit_direction
 from .lyapunov import _batch_stats, _torus_spectrum, clears_error_bar
+
+
+def _random_unit_vectors(seed, indices, dim):
+    """Unit rows of `random_point` - 1/2, normed by dot product as np.linalg.norm is."""
+    coords = random_point(seed, indices, dim) - 0.5
+    norms = np.sqrt(coords[:, None] @ coords[:, :, None])[:, 0]
+    small = norms[:, 0] < 1e-9
+    coords[small], norms[small] = 1.0, math.sqrt(dim)
+    return coords / norms
 
 
 class BundlePair(Record):

@@ -80,8 +80,7 @@ def test_criterion_2_exact_system_golden_values():
         assert abs(rh.top_exponent(doubling, p, 1000).value - LOG2) < 1e-12
         rate = rh.uniform_rate_estimate(doubling, dirac, 1, samples=3, n_max=1000)
         assert abs(rate.a_estimate - LOG2) < 1e-12
-        lam_rep = rh.lambda_estimate(doubling, dirac, 1, rate,
-                                     birkhoff_steps=1000, birkhoff_starts=3)
+        lam_rep = rh.lambda_estimate(doubling, dirac, 1, rate)
         assert abs(lam_rep.lambda_estimate - LOG2) < 1e-12
         c = rh.tempered_constant(doubling, w, LOG2, 50)
         assert abs(c.value - 1.0) < 1e-12
@@ -97,8 +96,7 @@ def test_criterion_2_exact_system_golden_values():
         rate = rh.uniform_rate_estimate(bl, spec, 2024, samples=50, n_max=n,
                                         grid_size=1)
         assert abs(rate.a_estimate - LOG6_HALF) < 0.02
-        lam_rep = rh.lambda_estimate(bl, spec, 2024, rate, birkhoff_steps=n,
-                                     birkhoff_starts=20)
+        lam_rep = rh.lambda_estimate(bl, spec, 2024, rate)
         assert abs(lam_rep.lambda_estimate - LOG6_HALF) < 0.02
 
 
@@ -120,8 +118,7 @@ def test_criterion_4_rate_equals_minimum_average():
         spec = bern_spec()
         rate = rh.uniform_rate_estimate(fam, spec, 11, samples=20, n_max=12,
                                         grid_size=8192)
-        lam_rep = rh.lambda_estimate(fam, spec, 11, rate, birkhoff_steps=10_000,
-                                     birkhoff_starts=20)
+        lam_rep = rh.lambda_estimate(fam, spec, 11, rate)
         assert abs(rate.a_estimate - lam_rep.lambda_estimate) < 0.05
         assert FLOOR <= rate.a_estimate <= LOG2
         assert FLOOR <= lam_rep.lambda_estimate <= LOG2
@@ -232,8 +229,7 @@ def test_criterion_9_determinism():
                      "probabilities": [0.5, 0.5]},
             "fiber": {"family": "bernoulli-linear", "params": {"values": [2, 3]}},
             "task_params": {"samples": 8, "n": 1000, "n_max": 10,
-                            "grid_size": 64, "birkhoff_steps": 500,
-                            "birkhoff_starts": 5, "curve_n_max": 2000},
+                            "grid_size": 64, "curve_n_max": 2000},
         }
         cfg = rh.parse_config(json.dumps(cfg_dict))
         runs = [rh.run_task(cfg, threads=t) for t in (1, 1, 8)]
@@ -245,8 +241,7 @@ def test_criterion_9_determinism():
         cfg2_dict["fiber"] = {"family": "random-cat"}
         cfg2_dict["task_params"] = {"samples": 4, "n": 400, "n_max": 8,
                                     "grid_size": 64, "horizon": 30,
-                                    "curve_len": 20, "birkhoff_steps": 300,
-                                    "birkhoff_starts": 4, "curve_n_max": 500}
+                                    "curve_len": 20, "curve_n_max": 500}
         cfg2 = rh.parse_config(json.dumps(cfg2_dict))
         runs2 = [rh.run_task(cfg2, threads=t) for t in (1, 8)]
         assert runs2[0].payload_bytes() == runs2[1].payload_bytes()

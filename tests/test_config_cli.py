@@ -130,8 +130,7 @@ BASES = {
 }
 TINY_PIPELINE = {
     "samples": 3, "n": 200, "n_max": 5, "grid_size": 64, "depth": 6,
-    "curve_n_max": 40, "supadd_samples": 2, "supadd_N": 4,
-    "birkhoff_steps": 100, "birkhoff_starts": 3, "horizon": 10,
+    "curve_n_max": 40, "supadd_samples": 2, "supadd_N": 4, "horizon": 10,
     "curve_len": 4, "batches": 4,
 }
 
@@ -251,7 +250,6 @@ def counted_stages(monkeypatch):
     `lyapunov` (the exponent report) and `other`."""
     import randhyp.cli as cli
     import randhyp.cocycle as cocycle
-    import randhyp.ergodic as ergodic
     import randhyp.lyapunov as lyapunov
     import randhyp.splitting as splitting
     from randhyp.fibers import LinearTorusFamily
@@ -282,7 +280,7 @@ def counted_stages(monkeypatch):
         return push(table, idx, v, rows)
 
     monkeypatch.setattr(LinearTorusFamily, "params_along", counted_read)
-    for module in (cocycle, ergodic, lyapunov, splitting):
+    for module in (cocycle, lyapunov, splitting):
         monkeypatch.setattr(module, "push_log_stretches", counted_push)
     for name, attr in (("expansion", "_certify_expansion"), ("minimize", "_task_minimize"),
                        ("lyapunov", "exponent_positivity_report")):
@@ -311,13 +309,13 @@ def test_full_pipeline_reads_no_more_than_splitting_alone(family, monkeypatch):
 
 
 @pytest.mark.parametrize("family", TORUS)
-def test_minimize_pushes_every_birkhoff_start_in_one_call(family, monkeypatch):
-    # one read of all the starts' index streams, one row and vector each
+def test_minimize_reads_and_pushes_nothing(family, monkeypatch):
+    # the estimate is the rate the certificate swept: no index stream is
+    # read and no vector pushed for it
     counts = counted_stages(monkeypatch)
     run_task(torus_config("full-pipeline", family, "bernoulli"))
-    assert TINY_PIPELINE["birkhoff_starts"] > 1
-    assert counts[("minimize", "pushes")] == 1
-    assert counts[("minimize", "rows")] == TINY_PIPELINE["birkhoff_starts"]
+    assert [key for key in counts if key[0] == "minimize"] == []
+    assert counts[("other", "pushes")] > 0   # the counter does see a push
 
 
 def test_certificate_hash_calls_do_not_grow_with_samples(monkeypatch):
@@ -397,7 +395,7 @@ def test_lyapunov_first_spectrum_is_the_direct_spectrum(family):
     ("certify-expansion", "grid_size", 4096.5),
     ("splitting", "n", 1000.5),
     ("lyapunov", "samples", 12.0),
-    ("minimize", "birkhoff_starts", True),
+    ("minimize", "p_max", True),
     ("full-pipeline", "supadd_N", "4"),
 ])
 def test_count_params_must_be_integers(task, key, value, tmp_path, capsys):
@@ -592,7 +590,6 @@ def test_minimize_task_with_orbits(tmp_path):
                  "probabilities": [0.5, 0.5]},
         "fiber": {"family": "bernoulli-linear", "params": {"values": [2, 3]}},
         "task_params": {"samples": 5, "n_max": 50, "grid_size": 64,
-                        "birkhoff_steps": 500, "birkhoff_starts": 5,
                         "include_periodic": True, "p_max": 3},
     }
     report = run_task(parse_config(json.dumps(cfg_dict)))
@@ -644,6 +641,17 @@ def test_each_task_rejects_a_parameter_it_does_not_read(task, key):
         parse_config(json.dumps(dict(DOUBLING_FULL, task=task,
                                      task_params={key: 1})))
     assert err.value.errors == [f"task_params.{key} is not read by {task}"]
+
+
+@pytest.mark.parametrize("task", ["minimize", "full-pipeline"])
+@pytest.mark.parametrize("key", ["birkhoff_steps", "birkhoff_starts"])
+def test_birkhoff_keys_exit_one(task, key, tmp_path, capsys):
+    # no task reads them since the Birkhoff candidate left lambda_estimate
+    cfg_dict = dict(DOUBLING_FULL, task=task, task_params={key: 100})
+    code, err = cli_errors(tmp_path, capsys, task, json.dumps(cfg_dict))
+    assert code == 1
+    assert err.splitlines() == ["configuration errors:",
+                                f"  - task_params.{key} is not read by {task}"]
 
 
 class Recording(dict):
@@ -838,7 +846,6 @@ def test_configured_depth_is_the_certificate_cap(family):
 
 
 MINIMIZE_PERIODIC = {"samples": 2, "n_max": 4, "grid_size": 64,
-                     "birkhoff_steps": 20, "birkhoff_starts": 2,
                      "include_periodic": True, "p_max": 3}
 
 

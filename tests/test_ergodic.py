@@ -167,30 +167,21 @@ def test_periodic_orbits_need_full_shift():
 def test_lambda_doubling_exact():
     fam = make_family("doubling")
     rate = uniform_rate_estimate(fam, BaseSystemSpec.dirac(), 1, 3, 100)
-    rep = lambda_estimate(fam, BaseSystemSpec.dirac(), 1, rate,
-                          birkhoff_steps=500, birkhoff_starts=3)
+    rep = lambda_estimate(fam, BaseSystemSpec.dirac(), 1, rate)
     assert rep.lambda_estimate == pytest.approx(LOG2, abs=1e-12)
-    assert rep.gap_vs_a == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lambda_bernoulli_linear():
     fam = make_family("bernoulli-linear", {"values": [2, 3]})
     rate = uniform_rate_estimate(fam, bern_spec(), 5, 20, 2000, grid_size=1)
-    rep = lambda_estimate(fam, bern_spec(), 5, rate, birkhoff_steps=10_000,
-                          birkhoff_starts=10)
+    rep = lambda_estimate(fam, bern_spec(), 5, rate)
     assert rep.lambda_estimate == pytest.approx(math.log(6) / 2, abs=0.02)
-    # measure-independence forced by the pinned marginal: both estimator
-    # paths agree within statistical error
-    values = dict(rep.candidates)
-    assert abs(values["empirical_measure"] - values["birkhoff_min"]) < 0.05
 
 
 def test_lambda_perturbed_gap():
     fam = make_family("perturbed-doubling", {"eps_max": 0.1})
     rate = uniform_rate_estimate(fam, bern_spec(), 7, 10, 12, grid_size=8192)
-    rep = lambda_estimate(fam, bern_spec(), 7, rate, birkhoff_steps=10_000,
-                          birkhoff_starts=10)
-    assert abs(rep.gap_vs_a) < 0.05
+    rep = lambda_estimate(fam, bern_spec(), 7, rate)
     assert FLOOR <= rep.lambda_estimate <= LOG2
     assert FLOOR <= rep.a_estimate <= LOG2
 
@@ -200,8 +191,7 @@ def test_lambda_ordering_vs_lower_bound():
     fam = make_family("perturbed-doubling", {"eps_max": 0.1})
     spec = bern_spec()
     rate = uniform_rate_estimate(fam, spec, 7, 10, 10, grid_size=4096)
-    rep = lambda_estimate(fam, spec, 7, rate, birkhoff_steps=5000,
-                          birkhoff_starts=10)
+    rep = lambda_estimate(fam, spec, 7, rate)
     lowers = []
     for w in sample_base(spec, 7, 10):
         lo, _ = min_log_expansion(fam, w, 10, grid_size=4096)
@@ -218,16 +208,11 @@ def test_lambda_and_corollary_read_a_and_sweep_nothing(monkeypatch):
             steps.append(len(args[0]))
             return _sweep_steps(self, *args)
         monkeypatch.setattr(cls, "sweep_steps", counted)
-    rep = lambda_estimate(fam, bern_spec(), 7, rate, birkhoff_steps=500,
-                          birkhoff_starts=3)
+    rep = lambda_estimate(fam, bern_spec(), 7, rate)
     cor = variable_rate_corollary(fam, bern_spec(), 7, 50, rate.a_estimate)
     cor_negative_a = variable_rate_corollary(fam, bern_spec(), 7, 50, -rate.a_estimate)
     assert steps == []
-    source, value = rep.candidates[0]
-    assert source == "empirical_measure"
-    assert value.hex() == rate.a_estimate.hex()
-    # the grid minimum lies below every Birkhoff average here
-    assert rep.lambda_estimate == value and rep.gap_vs_a == 0.0
+    assert rep.candidates == (("uniform_rate", rate.a_estimate),)
     assert cor.verdict == cor_negative_a.verdict == "positive"
     assert cor.lambda_const == 0.5 * rate.a_estimate
     assert cor_negative_a.lambda_const is None
@@ -235,11 +220,36 @@ def test_lambda_and_corollary_read_a_and_sweep_nothing(monkeypatch):
     assert steps   # the counter does see a sweep
 
 
+@pytest.mark.parametrize("name", ["perturbed-doubling", "random-cat"])
+def test_lambda_is_the_rate_estimate_and_steps_no_orbit(name, monkeypatch):
+    # the estimate reads the run's rate; it steps no orbit and pushes no vector
+    import randhyp.cocycle as cocycle
+    import randhyp.ergodic as ergodic
+    fam = make_family(name)
+    rate = uniform_rate_estimate(fam, bern_spec(), 7, 5, 8, grid_size=256)
+    calls = []
+
+    def counted(label, fn):
+        def run(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+        return run
+    monkeypatch.setattr(CircleFamily, "orbit_log_derivs",
+                        counted("orbit", CircleFamily.orbit_log_derivs))
+    push = counted("push", cocycle.push_log_stretches)
+    monkeypatch.setattr(cocycle, "push_log_stretches", push)
+    monkeypatch.setattr(ergodic, "push_log_stretches", push, raising=False)
+    rep = lambda_estimate(fam, bern_spec(), 7, rate)
+    assert calls == []
+    assert rep.candidates == (("uniform_rate", rate.a_estimate),)
+    assert rep.lambda_estimate.hex() == rep.a_estimate.hex() == rate.a_estimate.hex()
+    assert "gap_vs_a" not in rep.to_payload()
+
+
 def test_lambda_includes_periodic_context():
     fam = make_family("bernoulli-linear", {"values": [2, 3]})
     rate = uniform_rate_estimate(fam, bern_spec(), 5, 5, 50, grid_size=1)
-    rep = lambda_estimate(fam, bern_spec(), 5, rate, birkhoff_steps=500,
-                          birkhoff_starts=3, include_periodic=True, p_max=3)
+    rep = lambda_estimate(fam, bern_spec(), 5, rate, include_periodic=True, p_max=3)
     assert rep.periodic_orbits
     words = [r.symbol_word for r in rep.periodic_orbits]
     assert (0,) in words

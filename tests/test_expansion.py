@@ -10,7 +10,6 @@ from randhyp import (BaseSystemSpec, ConfigurationError, ContractError,
                      variable_rate_corollary, build_expansion_certificate,
                      min_expansion_table)
 from randhyp.base import base_step, periodic_state, shift_by, symbol_rows, symbol_window
-from randhyp.ergodic import lambda_estimate
 from randhyp.splitting import bundle_rates
 from randhyp.expansion import (certified_depth, lipschitz_slack,
                                min_expansion_sweep, one_step_min_expansions,
@@ -514,8 +513,6 @@ def test_torus_corollary_reads_the_family_svals(monkeypatch):
         make_family("random-cat"), bern_spec(), 7, 2, 8, 40, depth=0, batches=4)),
     ("depth", lambda: bundle_rates(make_family("random-cat"), dirac(), None, None, 8,
                                    depth=0)),
-    ("birkhoff_steps", lambda: lambda_estimate(
-        make_family("perturbed-doubling"), bern_spec(), 7, None, birkhoff_steps=0)),
     ("omegas", lambda: make_family("perturbed-doubling").params_along([], 4)),
     ("omegas", lambda: make_family("bernoulli-linear", {"values": [2.0]}).params_along(
         [], 4)),

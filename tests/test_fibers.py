@@ -334,6 +334,22 @@ def test_batched_read_raises_the_one_state_window_error(base):
         fam.params_along([ok, shift_by(far, -k)], n)   # back in range
 
 
+@pytest.mark.parametrize("base", READ_BASES)
+@pytest.mark.parametrize("choices", [None, 1, 2])
+def test_reversed_drive_window_raises(base, choices):
+    # a rotation angle and the one-choice index read no symbols, yet refuse
+    # a reversed window as the symbol read does
+    from randhyp.base import rotation_angles
+    from randhyp.fibers import base_drive
+    states = read_states(base, (0,))
+    with pytest.raises(ContractError, match="^hi must be >= lo"):
+        base_drive(states, 5, 3, choices)
+    if base == "rotation":
+        with pytest.raises(ContractError, match="^hi must be >= lo"):
+            rotation_angles(states, 5, 3)
+    assert base_drive(states, 4, 4, choices).shape == (3, 0)   # empty is legal
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(READ_BASES)),
        st.lists(st.integers(-3000, 3000), min_size=1, max_size=6),
