@@ -50,10 +50,14 @@ def as_floats(values, name, depth=1):
 
 
 def _mix64(z):
-    """SplitMix64 finalizer on uint64 scalars or arrays (wraps mod 2^64), in
-    place on the fresh sum z + C1 with one scratch array for the shifts."""
+    """SplitMix64 finalizer (wraps mod 2^64) of a uint64 scalar, by operators,
+    or of an array, in place on the fresh sum z + C1 with one shift scratch."""
     z = z + _C1
-    s = np.empty_like(z) if isinstance(z, np.ndarray) else None    # a scalar needs none
+    if not isinstance(z, np.ndarray):
+        z = (z ^ (z >> _SHIFT_30)) * _C2
+        z = (z ^ (z >> _SHIFT_27)) * _C3
+        return z ^ (z >> _SHIFT_31)
+    s = np.empty_like(z)
     z ^= np.right_shift(z, _SHIFT_30, out=s)
     z *= _C2
     z ^= np.right_shift(z, _SHIFT_27, out=s)

@@ -10,6 +10,7 @@ plain arrays: `cocycle_product` (like `fibers.fiber_derivative`) returns an
 """
 
 import math
+import struct
 from operator import mul
 
 import numpy as np
@@ -130,13 +131,18 @@ def push_log_stretches(table, idx, v, rows=None):
     and renormalized between blocks.  Chunks of about _CELLS (vector, step)
     cells start on block boundaries and P_j reads only A_0..A_j, so a
     vector's bytes depend on no other row, vector, chunk or padding.  Each
-    vector group's chunks reuse its buffers through numpy's `out=`.
+    vector group's chunks reuse its buffers through numpy's `out=`.  After a
+    chunk, a vector whose carried direction has the bits of an earlier one's
+    on its row, or of its negative (exact negation keeps every stretch's
+    bits), leaves the group and copies that vector's stretches from the next
+    chunk on; later chunks hold more blocks of the fewer vectors left.
     """
     table = np.asarray(table, dtype=np.float64).reshape(-1, 4)
     cols = np.vstack([table, (1.0, 0.0, 0.0, 1.0)]).T
     L = _block_len(table)
     n = np.shape(idx)[1]
-    padded = np.full((len(idx), -(-n // L) * L), len(table))
+    width = -(-n // L) * L
+    padded = np.full((len(idx), width), len(table))
     padded[:, :n] = idx
     v = np.asarray(v, dtype=np.float64)
     rows = np.arange(len(v)) if rows is None else np.asarray(rows)
@@ -145,11 +151,12 @@ def push_log_stretches(table, idx, v, rows=None):
     out = np.empty((len(v), n))
     for vecs in np.split(order, range(_CELLS // L, len(v), _CELLS // L)):
         scanned, local = np.unique(rows[vecs], return_inverse=True)
-        R, V = len(scanned), len(vecs)
-        nb = max(1, min(padded.shape[1] // L, _CELLS // (V * L)))  # blocks a chunk
-        scan = np.empty((2, 4 * L * R * nb))    # ping-pong (4, L, R, m) prefixes
-        work = np.empty((3, L * V * nb))        # scan temp, then w0, w1, logs
-        for t0 in range(0, padded.shape[1], nb * L):
+        R, copies, t0 = len(scanned), [], 0     # copies: (vector, source, from step)
+        scan = np.empty((2, 4 * min(R * width, _CELLS)))  # ping-pong (4, L, R, m) prefixes
+        work = np.empty((3, min(len(vecs) * width, _CELLS)))  # scan temp, then w0, w1, logs
+        while t0 < width:
+            V = len(vecs)
+            nb = max(1, min(width // L, _CELLS // (V * L)))     # blocks a chunk
             chunk = padded[scanned, t0:t0 + nb * L].reshape(R, -1, L).transpose(2, 0, 1)
             m = chunk.shape[2]
             p, q = (b[:4 * L * R * m].reshape(4, L, R, m) for b in scan)
@@ -187,6 +194,20 @@ def push_log_stretches(table, idx, v, rows=None):
             np.divide(norm[1:], norm[:-1], out=logs[1:])
             np.log(logs, out=logs)
             out[vecs, t0:t0 + nb * L] = logs.transpose(1, 2, 0).reshape(V, -1)[:, :n - t0]
+            t0 += nb * L
+            if t0 < width and V > R:    # a vector whose carried direction is bitwise an
+                first, keep = {}, []    # earlier one's on its row copies that vector
+                for i, r in zip(vecs.tolist(), local.tolist()):
+                    u0, u1 = units[i]   # -u stretches as u does, bit for bit
+                    if u0 < 0 or (u0 == 0 and u1 < 0):
+                        u0, u1 = -u0, -u1
+                    j = first.setdefault((r, struct.pack("2d", u0, u1)), i)
+                    keep.append(j == i)
+                    if j != i:
+                        copies.append((i, j, t0))
+                vecs, local = vecs[keep], local[keep]
+        for i, j, t in reversed(copies):    # latest first, so a chain's source is full
+            out[i, t:] = out[j, t:]
     return out
 
 

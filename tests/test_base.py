@@ -313,15 +313,19 @@ def test_threshold_draw_is_the_float_cdf_draw(weights, hashes):
 
 
 def test_mix64_leaves_its_argument_and_agrees_with_its_scalar_form():
-    z = np.array([0, 1, 2 ** 63, 2 ** 64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    # a scalar is mixed by operators, an array by ufuncs with out=
+    fixed = np.array([0, 1, 2 ** 63, 2 ** 64 - 1, 0x9E3779B97F4A7C15], dtype=np.uint64)
+    z = np.concatenate([fixed, np.random.default_rng(11).integers(
+        0, 2 ** 64 - 1, size=2000, dtype=np.uint64, endpoint=True)])
+    before = z.tobytes()
     positions = np.arange(-5, 5)
     with np.errstate(over="ignore"):
         mixed, scalars = _mix64(z), [_mix64(v) for v in z]
     _hashes(7, STREAM_SYMBOL, positions)
-    assert z.tolist() == [0, 1, 2 ** 63, 2 ** 64 - 1, 0x9E3779B97F4A7C15]
+    assert z.tobytes() == before
     assert positions.tolist() == list(range(-5, 5))
     assert all(type(v) is np.uint64 for v in scalars)
-    assert mixed.tolist() == [int(v) for v in scalars]
+    assert mixed.tobytes() == np.array(scalars, dtype=np.uint64).tobytes()
     assert int(scalars[0]) == 0xE220A8397B1DCDAF     # SplitMix64's first output at state 0
 
 

@@ -1,5 +1,5 @@
-"""The drift report of tools/payload_hashes.py: floats may move, nothing
-else may."""
+"""tools/payload_hashes.py: a fresh grid equals the recorded hashes, and
+its drift report lets floats move, nothing else."""
 
 import importlib.util
 import json
@@ -13,6 +13,16 @@ _TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "payload_hash
 _spec = importlib.util.spec_from_file_location("payload_hashes", _TOOL)
 payload_hashes = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(payload_hashes)
+
+
+def test_the_grid_equals_the_recorded_hashes():
+    # the golden store: every run of the grid at threads 1, byte for byte
+    recorded = json.loads((pathlib.Path(__file__).parent / "payload_hashes.json").read_text())
+    fresh = payload_hashes.hashes(1)
+    runs = recorded.keys() | fresh.keys()
+    differ = sorted(k for k in runs if recorded.get(k) != fresh.get(k))
+    assert not differ, f"{len(differ)} of {len(runs)} runs differ: {differ}"
+
 
 RUN = {"payload": {"a": 2.0, "curve": [1.0, -4.0], "n": 6, "name": "x"},
        "verdict": "certified-expanding"}

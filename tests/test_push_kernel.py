@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from randhyp import (BaseSystemSpec, make_family, oseledets_spectrum, point,
                      sample_base, shift_by)
@@ -190,6 +191,70 @@ def test_working_memory_is_bounded_by_the_chunk(rows):
             tracemalloc.stop()
         work.append(peak - out.nbytes - padded)
     assert abs(work[1] - work[0]) <= 0.1 * work[0], work
+
+
+def _carried_blocks(monkeypatch, *push):
+    """Block steps the carry loop makes, counted through its one sqrt."""
+    count = [0]
+
+    def sqrt(x):
+        count[0] += 1
+        return math.sqrt(x)
+    monkeypatch.setattr(cocycle, "math", type("counted", (), {
+        "sqrt": staticmethod(sqrt), "log": staticmethod(math.log)}))
+    push_log_stretches(*push)
+    return count[0]
+
+
+def test_coalesced_directions_are_pushed_once(monkeypatch):
+    # the three row-1 vectors of random-cat line up (up to sign) within a
+    # chunk, so from the second chunk on the carry pushes one of them
+    table = make_family("random-cat").matrices
+    idx = np.random.default_rng(6).integers(0, len(table), size=(2, 10_000))
+    v = np.random.default_rng(7).normal(size=(4, 2))
+    blocks = -(-10_000 // _block_len(table.reshape(-1, 4)))
+    assert _carried_blocks(monkeypatch, table, idx, v, (0, 1, 1, 1)) < 0.6 * 4 * blocks
+
+
+def test_distinct_directions_are_all_pushed(monkeypatch):
+    # a diagonal pair keeps each axis: row 1's e1, (0.0, -1) and (-0.0, -1)
+    # never share their bits, not even one negated, and row 0's e1 shares
+    # row 1's only across rows
+    table, idx, _, rows = _two_row_push("diagonal-two", 10_000)
+    v = [(1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (-0.0, -1.0)]
+    blocks = -(-10_000 // _block_len(table.reshape(-1, 4)))
+    assert _carried_blocks(monkeypatch, table, idx, v, rows) == 4 * blocks
+
+
+STARTS = ((0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (0.6, -0.8), (-0.6, 0.8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["random-cat", "inverse", "diagonal-two", "parabolic"]),
+       n=st.one_of(st.integers(1, 100), st.integers(1000, 6000)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       vectors=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 11)),
+                        min_size=2, max_size=8))
+@example(name="random-cat", n=3000, seed=0, vectors=[(0, 6), (0, 7), (0, 9), (0, 6)])
+@example(name="diagonal-two", n=3000, seed=1, vectors=[(0, 3), (1, 3), (0, 6), (1, 7)])
+@example(name="inverse", n=3000, seed=2, vectors=[(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)])
+@example(name="parabolic", n=3000, seed=3, vectors=[(2, 4), (2, 5), (2, 8), (2, 11)])
+def test_batched_rows_equal_their_solo_pushes(name, n, seed, vectors):
+    # starts 0-5 are fixed, with 0.0 against -0.0 and pairs of opposite
+    # directions among them; 6-8 are random and 9-11 their negatives; a
+    # repeat puts one start on a row twice or on two rows
+    fam = make_family(*FAMILIES["random-cat" if name == "inverse" else name])
+    table = fam.inverses if name == "inverse" else fam.matrices
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(table), size=(3, n))
+    random = rng.normal(size=(3, 2))
+    starts = np.vstack([STARTS, random, -random])
+    rows = [r for r, _ in vectors]
+    v = starts[[k for _, k in vectors]]
+    got = push_log_stretches(table, idx, v, rows)
+    for r, row in enumerate(rows):
+        alone = push_log_stretches(table, idx[row][None], v[r][None])[0]
+        assert got[r].tobytes() == alone.tobytes(), (r, row)
 
 
 def test_window_products_match_step_loop_bitwise():
