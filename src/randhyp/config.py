@@ -107,10 +107,11 @@ def _validate_task_params(task, params, family, errors):
         value = params.get(key)
         if _is_number(value) and value > cap:
             errors.append(f"task_params.{key} is capped at {cap}")
-    n, batches = ({**read, **params}.get(k) for k in ("n", "batches"))
+    n, batches, depth = ({**read, **params}.get(k) for k in ("n", "batches", "depth"))
     torus = isinstance(family, LinearTorusFamily) and type(n) is int
-    if torus and type(batches) is int and n < batches:
-        errors.append(f"task_params.n must be >= batches = {batches}, got {n}")
+    for key, value in (("batches", batches), ("depth", depth)):
+        if torus and type(value) is int and n < value:
+            errors.append(f"task_params.n must be >= {key} = {value}, got {n}")
     if torus and task != "splitting" and n < 2:
         errors.append(f"task_params.n must be >= 2, the fiber dimension, got {n}")
 

@@ -160,6 +160,8 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
     for name, value in (("n", n), ("depth", depth)):
         if value < 1:
             raise ContractError(f"{name} must be >= 1")
+    if depth > n:
+        raise ContractError(f"n must be >= depth = {depth}, got {n}")
     logs1, logs2 = _bundle_logs(family, [pair.gamma1, pair.gamma2],
                                 *_windows(family, [omega], [((0,), n)])[0])
     rate1, rate2 = float(logs1.mean()), float(logs2.mean())
@@ -205,6 +207,8 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     for name, value in (("depth", depth), ("curve_len", curve_len)):
         if value < 1:
             raise ContractError(f"{name} must be >= 1")
+    if depth > n:
+        raise ContractError(f"n must be >= depth = {depth}, got {n}")
     omegas = sample_base(spec, seed, samples)
     # every sample's bundles at 0 and 1: rows 2i (pair) and 2i + 1 (next)
     pairs = _bundle_pairs(family, *_windows(family, omegas, [((0, 1), horizon)])[0])

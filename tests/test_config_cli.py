@@ -347,6 +347,11 @@ def test_certificate_hash_calls_do_not_grow_with_samples(monkeypatch):
      "task_params.n must be >= 2, the fiber dimension, got 1"),
     ("lyapunov", "diagonal-cocycle", {"n": 1},
      "task_params.n must be >= 2, the fiber dimension, got 1"),
+    ("splitting", "random-cat",
+     {"samples": 2, "horizon": 8, "n": 20, "depth": 50, "batches": 4},
+     "task_params.n must be >= depth = 50, got 20"),
+    ("full-pipeline", "diagonal-cocycle", {"n": 30, "batches": 4},
+     "task_params.n must be >= depth = 50, got 30"),
 ])
 def test_torus_n_too_small_exits_one_before_any_read(task, family, params, message,
                                                     tmp_path, capsys, monkeypatch):
@@ -369,8 +374,8 @@ def test_torus_n_too_small_exits_one_before_any_read(task, family, params, messa
 @pytest.mark.parametrize("task, family, params", [
     ("full-pipeline", "perturbed-doubling", {"n": 3}),       # no splitting runs
     ("lyapunov", "doubling", {"n": 1}),                       # a circle's one exponent
-    ("splitting", "random-cat", {"n": 1, "batches": 1}),     # no spectrum taken
-    ("full-pipeline", "random-cat", {"n": 2, "batches": 2}),
+    ("splitting", "random-cat", {"n": 1, "batches": 1, "depth": 1}),  # no spectrum taken
+    ("full-pipeline", "random-cat", {"n": 2, "batches": 2, "depth": 2}),
 ])
 def test_torus_n_rules_leave_other_runs_alone(task, family, params):
     parse_config(json.dumps({"task": task, "seed": 7, "base": BASES["dirac"],

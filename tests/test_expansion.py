@@ -513,6 +513,10 @@ def test_torus_corollary_reads_the_family_svals(monkeypatch):
         make_family("random-cat"), bern_spec(), 7, 2, 8, 40, depth=0, batches=4)),
     ("depth", lambda: bundle_rates(make_family("random-cat"), dirac(), None, None, 8,
                                    depth=0)),
+    ("n", lambda: hyperbolicity_certificate(
+        make_family("random-cat"), bern_spec(), 7, 2, 8, 20, batches=4)),
+    ("n", lambda: bundle_rates(make_family("random-cat"), dirac(), None, None, 10,
+                               depth=11)),
     ("omegas", lambda: make_family("perturbed-doubling").params_along([], 4)),
     ("omegas", lambda: make_family("bernoulli-linear", {"values": [2.0]}).params_along(
         [], 4)),
@@ -523,7 +527,8 @@ def test_torus_corollary_reads_the_family_svals(monkeypatch):
 ])
 def test_empty_horizons_raise_contract_errors(name, call):
     # each ended in min() of an empty sequence or an empty curve's last
-    # value, ran at depth 1, read a NaN mean or indexed an empty state list
+    # value, ran at depth 1, read a NaN mean, indexed an empty state list or
+    # cut fewer stretches than the depth
     with pytest.raises(ContractError, match=f"^{name} must be"):
         call()
 

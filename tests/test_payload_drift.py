@@ -1,5 +1,11 @@
-"""tools/payload_hashes.py: a fresh grid equals the recorded hashes, and
-its drift report lets floats move, nothing else."""
+"""tools/payload_hashes.py: a fresh run of the grid and the named runs, at
+threads 1 and 4, equals the golden store tests/payload_hashes.json;
+--compare names each run that differs with its verdicts; and the drift
+report lets floats move, nothing else.
+
+A change that moves payloads on purpose re-records the store with
+`python3 tools/payload_hashes.py > tests/payload_hashes.json` and says why.
+"""
 
 import importlib.util
 import json
@@ -15,13 +21,31 @@ payload_hashes = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(payload_hashes)
 
 
-def test_the_grid_equals_the_recorded_hashes():
-    # the golden store: every run of the grid at threads 1, byte for byte
-    recorded = json.loads((pathlib.Path(__file__).parent / "payload_hashes.json").read_text())
-    fresh = payload_hashes.hashes(1)
-    runs = recorded.keys() | fresh.keys()
-    differ = sorted(k for k in runs if recorded.get(k) != fresh.get(k))
-    assert not differ, f"{len(differ)} of {len(runs)} runs differ: {differ}"
+@pytest.mark.parametrize("threads", [1, 4])
+def test_a_fresh_run_equals_the_store(threads):
+    # the golden store: every run, byte for byte, recorded at threads 1
+    store = json.loads((pathlib.Path(__file__).parent / "payload_hashes.json").read_text())
+    fresh = payload_hashes.hashes(threads)
+    differ = payload_hashes.differing(store, fresh)
+    assert not differ, (f"{len(differ)} runs differ at threads {threads}: {differ}; the "
+                        f"store was recorded with numpy {store['numpy']}, this is "
+                        f"numpy {fresh['numpy']}")
+
+
+def test_compare_names_each_run_that_differs_with_its_verdicts(tmp_path, capsys):
+    entry = {"payload": "a" * 64, "csv": {}, "verdict": "certified"}
+    paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
+    for path, runs in zip(paths, [{"r": entry, "s": entry},
+                                  {"r": entry, "s": dict(entry)},
+                                  {"r": entry, "s": dict(entry, payload="b" * 64,
+                                                         verdict="inconclusive")}]):
+        path.write_text(json.dumps({"numpy": "2.4.6", "runs": runs}))
+    assert payload_hashes.compare(paths[0], paths[1]) == 0
+    assert capsys.readouterr().out == "2 runs equal, 0 differ\n"
+    assert payload_hashes.compare(paths[0], paths[2]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("1 runs equal, 1 differ\n",
+                          "differs: s: verdict certified -> inconclusive\n")
 
 
 RUN = {"payload": {"a": 2.0, "curve": [1.0, -4.0], "n": 6, "name": "x"},

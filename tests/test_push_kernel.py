@@ -144,8 +144,8 @@ def _two_row_push(family, n, rows=(0, 1, 1, 1)):
 
 
 # SHA-256 of pushes that span many chunks (n = 20 000), recorded before the
-# kernel wrote into per-call buffers; like the payload pins, they hold for
-# the numpy build and CPU they were recorded on (numpy 2.4.6, x86-64)
+# kernel wrote into per-call buffers; like tests/payload_hashes.json, they
+# hold for the numpy build and CPU they were recorded on (numpy 2.4.6, x86-64)
 MULTI_CHUNK_PINNED = {
     "random-cat": "1f2fcc2f55bdb6ac66bd90378a3a81f935b4e8dce667a504dea14116f3577810",
     "huge": "f0765fe68e0798b34efa4457689427181709de33f7d15eea254a30b1518110fb",

@@ -264,7 +264,7 @@ def test_certificate_reads_each_position_once(horizon, n, monkeypatch):
     monkeypatch.setattr(LinearTorusFamily, "params_along", counted)
     monkeypatch.setattr(sp, "_bundle_constant_curve", lambda *args: ((), ()))
     hyperbolicity_certificate(make_family("random-cat"), bern_spec(), 5,
-                              samples=3, horizon=horizon, n=n, batches=3)
+                              samples=3, horizon=horizon, n=n, depth=10, batches=3)
     # one read of positions -horizon..horizon for every sample's bundles,
     # then one of -n..n-1 per sample for its pushes
     assert reads == [3 * (2 * horizon + 1)] + [2 * n] * 3

@@ -1,23 +1,31 @@
-"""SHA-256 of every task's payload bytes and CSV files over a fixed grid of
+"""SHA-256 of every task's payload bytes and CSV files over a fixed set of
 small runs, to show that a change keeps the output byte for byte, and a
 drift report for a change that moves it on purpose.
 
-    python3 tools/payload_hashes.py --threads 1 > hashes-1.json
-    python3 tools/payload_hashes.py --compare hashes-1.json hashes-4.json
+    python3 tools/payload_hashes.py > tests/payload_hashes.json
+    python3 tools/payload_hashes.py --threads 4 > hashes-4.json
+    python3 tools/payload_hashes.py --compare tests/payload_hashes.json hashes-4.json
     python3 tools/payload_hashes.py --payloads > payloads.json
     python3 tools/payload_hashes.py --drift parent.json change.json
 
-The runs are every catalog family on every base kind, and on a second,
-three-letter Bernoulli base, for each task that family supports, at seed
-7 and small task parameters: certify-expansion, lyapunov, minimize and
-full-pipeline for all five families, splitting for the torus families,
-and the periodic-orbit search on the two-letter Bernoulli base.
-A run that raises records its error text in place of the hashes.  The
-program is imported from the checkout's ./src.  --compare exits 1 on any
-difference between two files and names the runs that differ.  The hashes
-go to stdout.  tests/payload_hashes.json holds the recorded --threads 1
-hashes; CI compares a fresh run against it, and a change that moves
-payloads on purpose re-records it and says why.
+The runs, all at seed 7, are a grid and named runs.  The grid is every
+catalog family on every base kind, and on a second, three-letter Bernoulli
+base, for each task that family supports, at small task parameters, with
+the periodic-orbit search on the two-letter Bernoulli base.  The named
+runs are perturbed doubling's certificate at grid 256 on four bases, the
+two exact-path certificates, and the four benchmark workloads, whose
+configs are read from bench/workloads.py.  A run that raises records its
+error text in place of the hashes.  The program is imported from the
+checkout's ./src.
+
+The output records each run's verdict next to its hashes, and the numpy
+version: the grid sweeps read numpy's sin and cos, so the bytes hold for
+the numpy build and CPU they were made on.  tests/payload_hashes.json,
+the one golden store, is recorded by the first command above; a tier-1
+test compares fresh runs at threads 1 and 4 with it, and a change that
+moves payloads on purpose re-records it and says why.  --compare exits 1
+on any difference between the runs of two files and names each run that
+differs with its old and new verdict.
 
 --payloads writes each run's payload JSON (the object `payload_bytes()`
 encodes) instead of its hashes.  --drift compares two such files: it
@@ -31,10 +39,14 @@ import hashlib
 import json
 import math
 import pathlib
+import runpy
 import sys
 import tempfile
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from randhyp import parse_config, run_task                      # noqa: E402
 from randhyp.fibers import FAMILY_CATALOG, LinearTorusFamily     # noqa: E402
@@ -66,8 +78,14 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _certify(base, fiber, params):
+    return {"task": "certify-expansion", "seed": SEED, "base": BASES[base],
+            "fiber": fiber, "task_params": params}
+
+
 def runs():
-    """(run id, config dict) of every run, in a fixed order."""
+    """(run id, config dict) of every run, in a fixed order: the grid, then
+    the named runs."""
     for family, cls in FAMILY_CATALOG.items():
         tasks = [t for t in TASK_PARAMS
                  if t != "splitting" or issubclass(cls, LinearTorusFamily)]
@@ -79,6 +97,29 @@ def runs():
                 yield (f"{task}/{family}/{base}",
                        {"task": task, "seed": SEED, "base": base_cfg,
                         "fiber": {"family": family}, "task_params": params})
+    # Perturbed doubling at grid 256.  The rotation run was re-recorded when
+    # odd families began to sweep only the grid points in [0, 1/2]: its
+    # minima over the mirrored half moved at the rounding level, the other
+    # three kept their bytes.
+    for base in ("bernoulli", "markov", "rotation", "dirac"):
+        yield (f"certify-expansion/perturbed-doubling/{base}/grid-256",
+               _certify(base, {"family": "perturbed-doubling"},
+                        {"grid_size": 256, "samples": 4, "curve_n_max": 16}))
+    # The two families whose brackets need no grid, at the task's other
+    # defaults; the [0.5, 4] samples attain their tempered constants at
+    # every n from 1 to the depth, 8.
+    yield ("certify-expansion/diagonal-cocycle/bernoulli/exact",
+           _certify("bernoulli", {"family": "diagonal-cocycle"}, _CERTIFY))
+    yield ("certify-expansion/bernoulli-linear-0.5-4/bernoulli/exact",
+           _certify("bernoulli", {"family": "bernoulli-linear",
+                                  "params": {"values": [0.5, 4]}}, _CERTIFY))
+    # The benchmark's configs: pipeline-cat's n of 10 000 reaches the torus
+    # push kernel's merge between chunks, which no grid run does.  Compiled
+    # from source, so no cache is written under bench/.
+    workloads = runpy.run_path(str(ROOT / "bench" / "workloads.py"))
+    for workload in workloads["WORKLOADS"]:
+        yield (f"bench/{workload}",
+               json.loads(workloads["config_text"](workload, SEED)))
 
 
 def reports(threads):
@@ -99,8 +140,9 @@ def hashes(threads):
         with tempfile.TemporaryDirectory() as tmp:   # the CSVs as written
             csvs = {path.name: _sha(path.read_bytes()) for path in
                     map(pathlib.Path, report.write(tmp)) if path.suffix == ".csv"}
-        out[run_id] = {"payload": _sha(report.payload_bytes()), "csv": csvs}
-    return out
+        out[run_id] = {"payload": _sha(report.payload_bytes()), "csv": csvs,
+                       "verdict": report.verdict}
+    return {"numpy": np.__version__, "runs": out}
 
 
 def payloads(threads):
@@ -109,13 +151,24 @@ def payloads(threads):
             for run_id, report in reports(threads)}
 
 
+def differing(a, b):
+    """The ids of the runs whose entries differ between two stores."""
+    a, b = a["runs"], b["runs"]
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def _verdict(entry):
+    return "absent" if entry is None else entry.get("verdict", "error")
+
+
 def compare(path_a, path_b):
     a, b = (json.loads(pathlib.Path(p).read_text()) for p in (path_a, path_b))
-    differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    differ = differing(a, b)
+    a, b = a["runs"], b["runs"]
     for run_id in differ:
-        print(f"differs: {run_id}", file=sys.stderr)
-    print(f"{len(a.keys() | b.keys()) - len(differ)} runs equal, "
-          f"{len(differ)} differ")
+        print(f"differs: {run_id}: verdict {_verdict(a.get(run_id))} -> "
+              f"{_verdict(b.get(run_id))}", file=sys.stderr)
+    print(f"{len(a.keys() | b.keys()) - len(differ)} runs equal, {len(differ)} differ")
     return 1 if differ else 0
 
 
