@@ -1,12 +1,14 @@
 """tools/payload_hashes.py: a fresh run of the grid and the named runs, at
 threads 1 and 4, equals the golden store tests/payload_hashes.json;
 --compare names each run that differs with its verdicts; and the drift
-report lets floats move, nothing else.
+report lets floats move, nothing else.  tests/test_payload_pins.py reads
+single runs of the same fresh run at threads 1.
 
 A change that moves payloads on purpose re-records the store with
 `python3 tools/payload_hashes.py > tests/payload_hashes.json` and says why.
 """
 
+import functools
 import importlib.util
 import json
 import math
@@ -21,15 +23,26 @@ payload_hashes = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(payload_hashes)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-def test_a_fresh_run_equals_the_store(threads):
-    # the golden store: every run, byte for byte, recorded at threads 1
-    store = json.loads((pathlib.Path(__file__).parent / "payload_hashes.json").read_text())
-    fresh = payload_hashes.hashes(threads)
-    differ = payload_hashes.differing(store, fresh)
+# the golden store: every run, byte for byte, recorded at threads 1
+STORE = json.loads((pathlib.Path(__file__).parent / "payload_hashes.json").read_text())
+# each thread count's fresh run is made once per session
+fresh = functools.lru_cache(maxsize=None)(payload_hashes.hashes)
+
+
+def assert_a_fresh_run_equals_the_store(threads):
+    new = fresh(threads)
+    differ = payload_hashes.differing(STORE, new)
     assert not differ, (f"{len(differ)} runs differ at threads {threads}: {differ}; the "
-                        f"store was recorded with numpy {store['numpy']}, this is "
-                        f"numpy {fresh['numpy']}")
+                        f"store was recorded with numpy {STORE['numpy']}, this is "
+                        f"numpy {new['numpy']}")
+
+
+def test_the_grid_equals_the_recorded_hashes():
+    assert_a_fresh_run_equals_the_store(1)
+
+
+def test_a_fresh_run_at_threads_4_equals_the_store():
+    assert_a_fresh_run_equals_the_store(4)
 
 
 def test_compare_names_each_run_that_differs_with_its_verdicts(tmp_path, capsys):
