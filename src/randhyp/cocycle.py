@@ -18,7 +18,7 @@ import numpy as np
 from ._record import Record
 from .base import base_step
 from .errors import CocycleOverflowError, ContractError
-from .fibers import LinearTorusFamily, ManifoldPoint, check_dim
+from .fibers import LinearTorusFamily, ManifoldPoint, check_dim, flips_sign, unit_vectors
 
 _OVERFLOW_LIMIT = 1e300
 _CELLS = 4096                   # (vector, step) cells pushed at a time
@@ -33,20 +33,16 @@ class UnitTangentPoint(Record):
 
     def __post_init__(self):
         v = tuple(map(float, self.v))
-        norm = math.hypot(*v)
-        if abs(norm - 1.0) > 1e-12:
-            raise ContractError(f"tangent vector must be unit length, |v| = {norm}")
+        norm = float(unit_vectors(v)[1][0])
+        if not abs(norm - 1.0) <= 1e-12:   # NaN too
+            raise ContractError(f"tangent vector must be finite, unit length: |v| = {norm}")
         check_dim(len(v), self.x.dim)
         object.__setattr__(self, "v", v)
 
 
 def unit_tangent(omega, x, v):
-    """Build a unit tangent point, normalizing v."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ContractError("tangent vector must be nonzero")
-    return UnitTangentPoint(omega, x, tuple(v / norm))
+    """Build a unit tangent point, normalizing v; a zero or non-finite v is refused."""
+    return UnitTangentPoint(omega, x, tuple(unit_vectors(v)[0]))
 
 
 def iterate(family, omega, x, n):
@@ -199,7 +195,7 @@ def push_log_stretches(table, idx, v, rows=None):
                 first, keep = {}, []    # earlier one's on its row copies that vector
                 for i, r in zip(vecs.tolist(), local.tolist()):
                     u0, u1 = units[i]   # -u stretches as u does, bit for bit
-                    if u0 < 0 or (u0 == 0 and u1 < 0):
+                    if flips_sign(u0, u1):
                         u0, u1 = -u0, -u1
                     j = first.setdefault((r, struct.pack("2d", u0, u1)), i)
                     keep.append(j == i)

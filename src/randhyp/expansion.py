@@ -24,9 +24,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import deterministic_map
 from ._record import Record, field
-from .base import sample_base, shift_by
+from .base import sample_base
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
-from .fibers import CircleFamily, LinearTorusFamily
+from .fibers import CircleFamily, LinearTorusFamily, param_windows
 from .lyapunov import clears_error_bar, std_err
 
 MIN_GRID = 64
@@ -257,8 +257,8 @@ def _supadd_windows(family, omegas, N):
         raise ContractError("N must be >= 2")
     if N > 20:
         raise ContractError("supadditivity tables use certified horizons N <= 20")
-    return _depth_windows(family, omegas, range(N), N), np.tile(np.arange(N, 0, -1),
-                                                                len(omegas))
+    return (param_windows(family, omegas, [(range(N), N)])[0],
+            np.tile(np.arange(N, 0, -1), len(omegas)))
 
 
 def _supadd_rows(uppers, lowers, N):
@@ -322,17 +322,6 @@ def tempered_constant(family, omega, lam, depth=DEFAULT_DEPTH,
     return TemperedConstant(float(log_c[0, 0]), int(attained[0, 0]), depth, lam)
 
 
-def _depth_windows(family, omegas, offsets, depth):
-    """params_along(T^k w, depth) for k in `offsets`, one row per (w, k),
-    orbit by orbit, cut from one read of all the orbits."""
-    if not len(offsets):
-        raise ContractError("offsets must be nonempty")
-    lo, span = min(offsets), max(offsets) - min(offsets) + depth
-    rows = (np.asarray(offsets) - lo)[:, None] + np.arange(depth)
-    return family.params_along([shift_by(w, lo) for w in omegas],
-                               span)[:, rows].reshape(-1, depth)
-
-
 def truncated_infimum(cumulative, lam):
     """log C = min over 1 <= n <= d of (cumulative[..., n - 1] - lam n) and
     the n attaining it, per row of a (..., d) array of cumulative logs."""
@@ -386,12 +375,11 @@ def settled_depths(family, windows, lam, grid_size):
 
 def _check_constant_args(lam, depth, a_estimate=None):
     """The rate and truncation depth every tempered constant needs."""
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ConfigurationError("lambda must be positive")
-    if a_estimate is not None and lam >= a_estimate:
+    if a_estimate is not None and not lam < a_estimate:
         raise ConfigurationError(
-            f"lambda must be strictly below the uniform rate estimate "
-            f"({lam} >= {a_estimate}); the certified range is 0 < lambda < A")
+            f"lambda must satisfy 0 < lambda < A = {a_estimate}, got {lam}")
     if depth < 1:
         raise ContractError("depth must be >= 1")
 
@@ -401,7 +389,7 @@ def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
     """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
     every orbit w in `omegas` and k in `offsets`: one sweep of all windows."""
     _check_constant_args(lam, depth, a_estimate)
-    windows = _depth_windows(family, omegas, offsets, depth)
+    windows = param_windows(family, omegas, [(offsets, depth)])[0]
     _, lowers = _brackets(family, windows, settled_depths(family, windows, lam, grid_size),
                           grid_size)
     return [a.reshape(len(omegas), -1) for a in truncated_infimum(lowers, lam)]
@@ -501,9 +489,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
                                     "inconclusive", details, rate)
 
     lam = 0.5 * a_est if lam is None else lam
-    if not (0.0 < lam < a_est):
-        raise ConfigurationError(
-            f"lambda must satisfy 0 < lambda < A = {a_est}, got {lam}")
+    _check_constant_args(lam, depth, a_est)
 
     eff_depth = certified_depth(family, grid_size, depth)
     details["depth"] = eff_depth
@@ -513,10 +499,10 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
         curve_n_max = 10_000 if fast else 128
     curve_orbits = omegas[:min(samples, 20)]
     # c_samples windows and curve windows, each swept to its settled depth
-    windows = _depth_windows(family, omegas, [0], eff_depth)
+    windows = param_windows(family, omegas, [([0], eff_depth)])[0]
     if not fast:
-        windows = np.vstack([windows, _depth_windows(
-            family, curve_orbits, range(1, curve_n_max + 1), eff_depth)])
+        windows = np.vstack([windows, *param_windows(
+            family, curve_orbits, [(range(1, curve_n_max + 1), eff_depth)])])
     _, lows = _brackets(family, windows, settled_depths(family, windows, lam, grid_size),
                         grid_size, threads)
 

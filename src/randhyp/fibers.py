@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .base import as_floats, rotation_angles, symbol_rows, window_length
+from .base import as_floats, rotation_angles, shift_by, symbol_rows, window_length
 from .errors import ConfigurationError, ContractError, UnsupportedOperationError
 
 _TWO_PI = 2.0 * math.pi
@@ -58,12 +58,27 @@ class ManifoldPoint(Record):
         return self.coords[0]
 
 
+def unit_vectors(a):
+    """`a` over its Euclidean norm along the last axis, and that norm, the
+    last axis kept at length 1: the one place a direction is normed.  The
+    norm is np.linalg.norm's dot product, bit for bit; a zero or non-finite
+    vector comes back NaN, without a warning."""
+    a = np.asarray(a, dtype=np.float64)
+    norm = np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a / norm, norm
+
+
+def flips_sign(u0, u1):
+    """The sign rule of a direction u: it turns to -u when its first nonzero
+    coordinate is negative (-0.0 counts as zero)."""
+    return u0 < 0 or (u0 == 0 and u1 < 0)
+
+
 def unit_direction(v):
-    """Unit v, signed so that its first nonzero coordinate is positive."""
-    v = v / np.linalg.norm(v)
-    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-        return -v
-    return v
+    """Unit v, signed by `flips_sign`."""
+    v = unit_vectors(v)[0]
+    return -v if flips_sign(*v) else v
 
 
 def point(*coords):
@@ -99,6 +114,20 @@ def base_drive(omegas, lo, hi, choices=None):
     if a <= 1:
         return np.zeros(shape)
     return symbol_rows(omegas, lo, hi).astype(np.float64) / (a - 1)
+
+
+def param_windows(family, omegas, groups):
+    """For each (offsets, h) in `groups`, the windows `params_along([shift_by(
+    w, k)], h)[0]` of every state w in `omegas` and offset k, one row per
+    (w, k), state-major, cut from one `params_along` read of the positions
+    that the groups span: the one place windows are cut off the base orbit."""
+    groups = [(np.asarray(ks), h) for ks, h in groups]
+    if not all(len(ks) for ks, _ in groups):
+        raise ContractError("offsets must be nonempty")
+    lo = int(min(ks.min() for ks, _ in groups))   # int: a state offset
+    hi = int(max(ks.max() + h for ks, h in groups))
+    streams = family.params_along([shift_by(w, lo) for w in omegas], hi - lo)
+    return [streams[:, (ks - lo)[:, None] + np.arange(h)].reshape(-1, h) for ks, h in groups]
 
 
 class FiberFamily:

@@ -15,21 +15,20 @@ import math
 import numpy as np
 
 from ._record import Record, field
-from .base import base_step, random_point, sample_base, shift_by
+from .base import base_step, random_point, sample_base
 from .cocycle import push_log_stretches, window_products
 from .errors import ContractError, UnsupportedOperationError
 from .expansion import DEFAULT_DEPTH, truncated_infimum
-from .fibers import LinearTorusFamily, ManifoldPoint, unit_direction
+from .fibers import (LinearTorusFamily, ManifoldPoint, param_windows, unit_direction,
+                     unit_vectors)
 from .lyapunov import _batch_stats, _torus_spectrum, clears_error_bar
 
 
 def _random_unit_vectors(seed, indices, dim):
-    """Unit rows of `random_point` - 1/2, normed by dot product as np.linalg.norm is."""
-    coords = random_point(seed, indices, dim) - 0.5
-    norms = np.sqrt(coords[:, None] @ coords[:, :, None])[:, 0]
-    small = norms[:, 0] < 1e-9
-    coords[small], norms[small] = 1.0, math.sqrt(dim)
-    return coords / norms
+    """Unit rows of `random_point` - 1/2; a row within 1e-9 of 0 is the unit diagonal."""
+    units, norms = unit_vectors(random_point(seed, indices, dim) - 0.5)
+    units[norms[:, 0] < 1e-9] = 1.0 / math.sqrt(dim)
+    return units
 
 
 class BundlePair(Record):
@@ -68,26 +67,30 @@ class SplittingCertificate(Record):
         }
 
 
-def _require_linear_2d(family):
+def _check_args(family, horizon=2, n=1, depth=1, batches=1):
+    """The family, bundle horizon, push lengths and batches of every
+    splitting entry point, checked before any read."""
     if not isinstance(family, LinearTorusFamily):
         raise UnsupportedOperationError(
             "splitting analysis needs an invertible linear torus family")
+    if horizon < 2:
+        raise ContractError("horizon must be >= 2")
+    for name, value in (("n", n), ("depth", depth)):
+        if value < 1:
+            raise ContractError(f"{name} must be >= 1")
+    if not (n >= batches >= 1):
+        raise ContractError("need n >= batches >= 1")
+    if depth > n:
+        raise ContractError(f"n must be >= depth = {depth}, got {n}")
 
 
 def _windows(family, omegas, groups):
     """For each (ks, h) in `groups`, (len(omegas) * len(ks), h) index windows
-    `back` (T^{k-1} w, ..., T^{k-h} w) and `fwd` (T^k w, ..., T^{k+h-1} w),
-    one row per state w and offset k, state-major, cut from one read of the
-    positions -lo..hi-1 of every state."""
-    lo = int(max(h - min(ks) for ks, h in groups))   # int: a state offset
-    hi = int(max(max(ks) + h for ks, h in groups))
-    streams = family.params_along([shift_by(w, -lo) for w in omegas], lo + hi)
-    out = []
-    for ks, h in groups:
-        rows = (np.asarray(ks) + lo)[:, None] + np.arange(h)
-        out.append((streams[:, rows - h][..., ::-1].reshape(-1, h),
-                    streams[:, rows].reshape(-1, h)))
-    return out
+    `back` (T^{k-1} w, ..., T^{k-h} w), the `param_windows` at k - h
+    reversed, and `fwd` (T^k w, ..., T^{k+h-1} w), from one read."""
+    cut = param_windows(family, omegas, [(np.asarray(ks) - d, h)
+                                         for ks, h in groups for d in (h, 0)])
+    return [(back[:, ::-1], fwd) for back, fwd in zip(cut[::2], cut[1::2])]
 
 
 def _bundle_pairs(family, back, fwd):
@@ -111,16 +114,13 @@ def finite_time_bundles(family, omega, x, horizon):
     direction.  Directions converge exponentially fast in the horizon.  The
     cocycle is linear, so the fiber point x is not read.
     """
-    _require_linear_2d(family)
-    if horizon < 2:
-        raise ContractError("horizon must be >= 2")
+    _check_args(family, horizon)
     return _bundle_pairs(family, *_windows(family, [omega], [((0,), horizon)])[0])[0]
 
 
 def _sin_angle(u, w):
-    u = u / np.linalg.norm(u)
-    w = w / np.linalg.norm(w)
-    return abs(float(u[0] * w[1] - u[1] * w[0]))
+    (u0, u1), (w0, w1) = unit_vectors([u, w])[0]
+    return abs(float(u0 * w1 - u1 * w0))
 
 
 def _residual(a, pair, nxt):
@@ -130,7 +130,7 @@ def _residual(a, pair, nxt):
 
 def invariance_residual(family, omega, x, pair):
     """max over both bundles of sin(angle(A gamma_i(w), gamma_i(T w)))."""
-    _require_linear_2d(family)
+    _check_args(family)
     nxt = finite_time_bundles(family, base_step(omega), x, pair.horizon)
     return _residual(family.matrices[family.param_at(omega)], pair, nxt)
 
@@ -156,12 +156,7 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
     constants certify expansion of each bundle cocycle at rate lam (default
     half the smaller measured rate).
     """
-    _require_linear_2d(family)
-    for name, value in (("n", n), ("depth", depth)):
-        if value < 1:
-            raise ContractError(f"{name} must be >= 1")
-    if depth > n:
-        raise ContractError(f"n must be >= depth = {depth}, got {n}")
+    _check_args(family, n=n, depth=depth)
     logs1, logs2 = _bundle_logs(family, [pair.gamma1, pair.gamma2],
                                 *_windows(family, [omega], [((0,), n)])[0])
     rate1, rate2 = float(logs1.mean()), float(logs2.mean())
@@ -199,16 +194,9 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     directions in one call (e1 gives its `oseledets_spectrum`, kept in
     `spectra`).  The values are the public per-sample functions', batch or not.
     """
-    _require_linear_2d(family)
-    if horizon < 2:
-        raise ContractError("horizon must be >= 2")
-    if not (n >= batches >= 1):
-        raise ContractError("need n >= batches >= 1")
-    for name, value in (("depth", depth), ("curve_len", curve_len)):
-        if value < 1:
-            raise ContractError(f"{name} must be >= 1")
-    if depth > n:
-        raise ContractError(f"n must be >= depth = {depth}, got {n}")
+    _check_args(family, horizon, n, depth, batches)
+    if curve_len < 1:
+        raise ContractError("curve_len must be >= 1")
     omegas = sample_base(spec, seed, samples)
     # every sample's bundles at 0 and 1: rows 2i (pair) and 2i + 1 (next)
     pairs = _bundle_pairs(family, *_windows(family, omegas, [((0, 1), horizon)])[0])

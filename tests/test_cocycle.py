@@ -99,6 +99,20 @@ def test_unit_tangent_step_doubling():
     assert q.x.x == pytest.approx(0.6, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v", [(math.nan,), (math.inf,), (math.inf, 0.0), (math.nan, 1.0),
+                               (0.0, 0.0)])
+def test_zero_and_non_finite_tangent_vectors_are_refused(v):
+    # NaN passed the unit-length check, and an infinite vector normalized
+    # to NaN with a RuntimeWarning
+    from randhyp import ContractError, UnitTangentPoint
+    w, x = sample_base(BaseSystemSpec.dirac(), 0, 1)[0], point(*[0.3] * len(v))
+    with pytest.raises(ContractError, match="finite, unit length"):
+        unit_tangent(w, x, v)
+    with pytest.raises(ContractError, match="finite, unit length"):
+        UnitTangentPoint(w, x, v)
+
+
 def test_unit_tangent_step_cat_normalizes_column():
     fam = make_family("random-cat")
     w = state_with_symbols(5, (0,))

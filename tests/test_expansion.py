@@ -15,7 +15,7 @@ from randhyp.expansion import (certified_depth, lipschitz_slack,
                                min_expansion_sweep, one_step_min_expansions,
                                temperedness_curve_at)
 import randhyp.expansion as expansion
-from randhyp.fibers import PerturbedDoubling
+from randhyp.fibers import PerturbedDoubling, param_windows
 
 LOG2 = math.log(2)
 FLOOR = math.log(2 - 0.2 * math.pi)
@@ -456,9 +456,8 @@ def test_certificate_steps_each_parameter_prefix_once(monkeypatch):
               for k in range(supadd_N)]
     # the second: c_samples at offset 0 and the curve at offsets
     # 1..curve_n_max, each cut to its settled depth at lambda
-    later = np.vstack([expansion._depth_windows(fam, omegas, [0], depth),
-                       expansion._depth_windows(fam, omegas, range(1, curve_n_max + 1),
-                                                depth)])
+    later = np.vstack(param_windows(fam, omegas, [([0], depth)])
+                      + param_windows(fam, omegas, [(range(1, curve_n_max + 1), depth)]))
     cuts = expansion.settled_depths(fam, later, cert.lam, 256)
     second = [w[:d] for w, d in zip(later, cuts)]
 

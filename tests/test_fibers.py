@@ -278,6 +278,65 @@ def test_params_along_matches_shifted_states(base, offset):
         assert all(stream[i] == 0.1 * shift_by(omega, i).angle for i in range(n))
 
 
+CUT_BASES = dict(STREAM_BASES, bernoulli3=BaseSystemSpec.bernoulli([0.25, 0.0, 0.75]))
+CUT_GROUPS = [((-7, 0, 4), 5), ((2,), 9), (range(-3, 1), 3)]
+
+
+@pytest.mark.parametrize("name, params", [("perturbed-doubling", {"eps_max": 0.1}),
+                                          ("random-cat", {})])
+@pytest.mark.parametrize("base", CUT_BASES)
+def test_param_windows_are_the_shifted_states_windows(base, name, params, monkeypatch):
+    # each window of the cutter (and each forward and backward bundle
+    # window built on it) is the plain read of its shifted state, and a call
+    # reads once, the span from the least offset to the last window's end
+    from randhyp import shift_by
+    from randhyp.fibers import param_windows
+    from randhyp.splitting import _windows
+    fam = make_family(name, params)
+    ws = sample_base(CUT_BASES[base], 9, 3)
+    reads, read = [], fam.params_along
+    monkeypatch.setattr(fam, "params_along",
+                        lambda states, n: reads.append(n) or read(states, n))
+
+    def plain(w, k, h):
+        return read([shift_by(w, k)], h)[0]
+    cut = param_windows(fam, ws, CUT_GROUPS)
+    assert reads == [18]   # positions -7..10
+    for (ks, h), windows in zip(CUT_GROUPS, cut):
+        want = np.array([plain(w, k, h) for w in ws for k in ks])
+        assert windows.dtype == want.dtype and np.array_equal(windows, want)
+    pairs = _windows(fam, ws, CUT_GROUPS)
+    assert reads == [18, 23]   # positions -12..10
+    for (ks, h), (back, fwd) in zip(CUT_GROUPS, pairs):
+        assert np.array_equal(fwd, [plain(w, k, h) for w in ws for k in ks])
+        assert np.array_equal(back, [plain(w, k - h, h)[::-1] for w in ws for k in ks])
+
+
+def test_unit_vectors_norm_is_linalg_norm_bit_for_bit():
+    # np.linalg.norm(a, axis=1) differs in the last bit on about 6% of these
+    from randhyp.fibers import unit_vectors
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4000, 2)) * 10.0 ** rng.uniform(-5, 5, (4000, 2))
+    units, norms = unit_vectors(a)
+    want = np.array([np.linalg.norm(v) for v in a])
+    assert norms.shape == (4000, 1)
+    assert norms[:, 0].tobytes() == want.tobytes()
+    assert units.tobytes() == (a / want[:, None]).tobytes()
+    for v, n in zip(a[:300], want[:300]):   # one vector at a time, as 1-D
+        u, norm = unit_vectors(v)
+        assert norm.tolist() == [n] and u.tobytes() == (v / n).tobytes()
+
+
+def test_sign_rule_reads_the_first_nonzero_coordinate():
+    from randhyp.fibers import flips_sign, unit_direction
+    assert flips_sign(0.0, -1.0) and flips_sign(-0.5, 2.0)
+    assert not (flips_sign(-0.0, 1.0) or flips_sign(0.0, 0.0) or flips_sign(0.5, -2.0))
+    assert np.signbit(unit_direction(np.array([0.0, -2.0]))).tolist() == [True, False]
+    assert np.signbit(unit_direction(np.array([-0.0, 3.0]))).tolist() == [True, False]
+    assert unit_direction(np.array([-3.0, 4.0])).tolist() == [0.6, -0.8]
+    assert unit_direction(np.array([0.0, -2.0])).tolist() == [0.0, 1.0]
+
+
 READ_BASES = dict(STREAM_BASES, **{
     "bernoulli-3": BaseSystemSpec.bernoulli([0.2, 0.3, 0.5]),
     "bernoulli-1": BaseSystemSpec.bernoulli([1.0]),

@@ -7,9 +7,9 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from randhyp import BaseSystemSpec, make_family, parse_config, run_task, sample_base
-from randhyp.expansion import (_brackets, _depth_windows, build_expansion_certificate,
-                               settled_depths, truncated_infimum)
-from randhyp.fibers import CircleFamily
+from randhyp.expansion import (_brackets, build_expansion_certificate, settled_depths,
+                               truncated_infimum)
+from randhyp.fibers import CircleFamily, param_windows
 
 
 def full_depth(family, windows, lam, grid_size):
@@ -32,7 +32,7 @@ def test_bernoulli_linear_samples_equal_the_full_depth_infimum():
     spec = BaseSystemSpec.bernoulli([0.5, 0.5])
     cert = build_expansion_certificate(fam, spec, 7, depth=8, curve_n_max=8,
                                        supadd_samples=2, supadd_N=6)
-    windows = _depth_windows(fam, sample_base(spec, 7, 20), [0], 8)
+    windows = param_windows(fam, sample_base(spec, 7, 20), [([0], 8)])[0]
     log_c, ks = full_depth(fam, windows, cert.lam, 4096)
     assert [(lc, k) for (_, _, lc, k) in cert.c_samples] == list(zip(log_c.tolist(),
                                                                     ks.tolist()))
