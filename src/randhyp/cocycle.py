@@ -21,7 +21,7 @@ from .errors import CocycleOverflowError, ContractError
 from .fibers import LinearTorusFamily, ManifoldPoint, check_dim, flips_sign, unit_vectors
 
 _OVERFLOW_LIMIT = 1e300
-_CELLS = 4096                   # (vector, step) cells pushed at a time
+_CELLS = 4096                   # (row, step) cells pushed at a time
 
 
 class UnitTangentPoint(Record):
@@ -88,122 +88,215 @@ def unit_tangent_step(family, p):
                             [c / norm for c in w])
 
 
+def torus_log_growth(family, p, cuts):
+    """log |A_{c-1} ... A_0 v| of a torus family's matrices along the base
+    orbit of p, at each step count c of the increasing `cuts` (from 1)."""
+    idx = family.params_along([p.omega], int(cuts[-1]))
+    return push_log_stretches(family.matrices, idx, (p.v,), cuts)[0]
+
+
 def birkhoff_sum_phi(family, p, n):
     """Sum of the log-stretch observable along n tangent steps.
 
-    Telescopes to log |D_x phi^{(n)} v|, with renormalization every step so
-    arbitrarily long orbits stay in range.
+    Telescopes to log |D_x phi^{(n)} v|, with renormalization along the
+    orbit so arbitrarily long orbits stay in range.
     """
     if n < 1:
         raise ContractError("n must be >= 1")
-    return math.fsum(orbit_log_stretches(family, p, n).tolist())
+    if isinstance(family, LinearTorusFamily):
+        return float(torus_log_growth(family, p, [n])[0])
+    return math.fsum(family.orbit_log_derivs(p.omega, p.x.x, n).tolist())
 
 
 def orbit_log_stretches(family, p, n):
-    """Per-step log-stretch array along the tangent orbit (length n)."""
+    """Per-step log-stretch array along the tangent orbit (length n); on the
+    torus, the differences of `torus_log_growth` at 1..n."""
     if isinstance(family, LinearTorusFamily):
-        idx = family.params_along([p.omega], n)
-        return push_log_stretches(family.matrices, idx, (p.v,))[0]
+        return np.diff(torus_log_growth(family, p, np.arange(1, n + 1)), prepend=0.0)
     return family.orbit_log_derivs(p.omega, p.x.x, n)
 
 
 def _block_len(table):
-    """Steps per block: at most 32, and every block product within 1e+-100."""
+    """Steps per block: the largest power of two, at most 64, whose block
+    products all stay within 1e+-100.  A tree costs L - 1 products a block
+    whatever L; longer blocks carry fewer steps in Python but lengthen the
+    prefix work in the blocks that hold a cut."""
     a00, a01, a10, a11 = table.T  # g >= |A|_F, |A^-1|_F = |A|_F / |det A|
     fro = np.sqrt(a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11)
     g = float(np.max(np.maximum(fro, fro / np.abs(a00 * a11 - a01 * a10))))
-    return int(min(32, max(1.0, math.log(1e100) / math.log(g))))
+    steps = int(min(64, max(1.0, math.log(1e100) / math.log(g))))
+    return 1 << (steps.bit_length() - 1)
 
 
-def push_log_stretches(table, idx, v, rows=None):
-    """Per-step log stretches of directions pushed through 2x2 matrices.
+def _matmul(later, earlier, out, tmp):
+    """later @ earlier over (2, 2, ...) stacks, into out: each entry
+    x0 y0 + x1 y1, rounded as written."""
+    np.multiply(later[:, :1], earlier[None, 0], out=out)
+    return np.add(out, np.multiply(later[:, 1:], earlier[None, 1], out=tmp), out=out)
+
+
+def _tree(cols, chunk, work):
+    """The levels of the pairwise tree over the blocks of (R, m, L) table
+    indices, in `work` (gather, levels, prefixes, product temp): level k
+    holds the (2, 2, L >> k, R * m) products of 2^k steps.  A block's
+    product, the top level, is the last prefix of a Hillis-Steele scan over
+    the block, bit for bit."""
+    R, m, L = chunk.shape
+    p = np.take(cols, chunk.transpose(2, 0, 1), axis=1, mode="clip",  # "raise" would buffer `out`
+                out=work[0][:4 * L * R * m].reshape(4, L, R, m)).reshape(2, 2, L, R * m)
+    levels, at = [p], 0
+    while p.shape[2] > 1:
+        size = 2 * p.shape[2] * R * m
+        shape = (2, 2, p.shape[2] // 2, R * m)
+        p = _matmul(p[:, :, 1::2], p[:, :, ::2], work[1][at:at + size].reshape(shape),
+                    work[3][:size].reshape(shape))
+        levels.append(p)
+        at += size
+    return levels
+
+
+def _work(cells):
+    """Buffers for chunks of up to `cells` (row, step) cells: the gather,
+    the tree levels, the prefixes and a product temp."""
+    return np.split(np.empty(14 * cells), [4 * cells, 8 * cells, 12 * cells])
+
+
+def _exclusive_prefixes(levels, work):
+    """The product of the steps before each step of a block, from its
+    `_tree` levels by a down-sweep: a right child's prefix is its left
+    sibling times its parent's."""
+    L, M = levels[0].shape[2:]
+    prefix = work[2][:4 * L * M].reshape(2, 2, L, M)
+    prefix[:, :, 0] = np.eye(2)[:, :, None]
+    for nodes in reversed(levels[:-1]):
+        s = L // nodes.shape[2]     # steps a node
+        _matmul(nodes[:, :, ::2], prefix[:, :, ::2 * s], prefix[:, :, s::2 * s],
+                work[3][:2 * nodes[0, 0].size].reshape(2, 2, -1, M))
+    return prefix
+
+
+def push_log_stretches(table, idx, v, cuts, rows=None):
+    """Log growth of directions pushed through 2x2 matrices, at step counts.
 
     table: k matrices, (k, 2, 2) or (k, 4) rows (a00, a01, a10, a11); idx:
     (R, n) indices into it; v: (B, 2) start vectors, v_r on row rows[r]
-    (default r).  Entry [r, j] is log |A_j u|, A_i = table[idx[rows[r], i]],
-    u the unit direction of A_{j-1} ... A_0 v_r.  Each L-step block of a row
-    gets its prefix products P_j from one Hillis-Steele scan (log2 L passes)
-    for all its vectors, and the stretch |P_j u| / |P_{j-1} u|; u is carried
-    and renormalized between blocks.  Chunks of about _CELLS (vector, step)
-    cells start on block boundaries and P_j reads only A_0..A_j, so a
-    vector's bytes depend on no other row, vector, chunk or padding.  Each
-    vector group's chunks reuse its buffers through numpy's `out=`.  After a
-    chunk, a vector whose carried direction has the bits of an earlier one's
-    on its row, or of its negative (exact negation keeps every stretch's
-    bits), leaves the group and copies that vector's stretches from the next
-    chunk on; later chunks hold more blocks of the fewer vectors left.
+    (default r); cuts: increasing step counts in 1..n.  Entry [r, i] is
+    G(cuts[i]), G(c) = log |A_{c-1} ... A_0 v_r|, A_j = table[idx[rows[r], j]].
+
+    Rows are cut into L-step blocks (`_block_len`), whatever the cuts.  Each
+    block's product comes from a pairwise tree; a direction u is carried
+    from block to block, renormalized, and the log of each block's stretch
+    is added to a running sum S in block order.  Only a block that holds a
+    cut gets prefix products, from its tree by a down-sweep, and G(c) =
+    S + log |P_j u| there, P_j the product of the block's first j matrices.
+    So G(c) reads only A_0..A_{c-1} and v, and its bits depend on no other
+    cut, row, vector or chunk.  Chunks of about _CELLS (row, step) cells,
+    in buffers each call reuses, bound the working memory.  After a chunk,
+    a vector whose carried direction has the bits of an earlier one's on
+    its row, or of its negative (exact negation keeps every stretch's bits),
+    stops being carried: from then on it adds that vector's terms to its
+    own sum, so it still equals its solo push.
     """
     table = np.asarray(table, dtype=np.float64).reshape(-1, 4)
     cols = np.vstack([table, (1.0, 0.0, 0.0, 1.0)]).T
     L = _block_len(table)
-    n = np.shape(idx)[1]
-    width = -(-n // L) * L
-    padded = np.full((len(idx), width), len(table))
-    padded[:, :n] = idx
+    cut_block, cut_step = np.divmod(np.asarray(cuts) - 1, L)
+    held = np.flatnonzero(np.bincount(cut_block))  # the blocks that hold a cut
+    width = (int(held[-1]) + 1) * L
+    idx = np.asarray(idx)
     v = np.asarray(v, dtype=np.float64)
     rows = np.arange(len(v)) if rows is None else np.asarray(rows)
-    order = np.argsort(rows, kind="stable")     # a row's vectors share its scan
+    order = np.argsort(rows, kind="stable")     # a row's vectors share its blocks
     units = (v / np.hypot(v[:, :1], v[:, 1:])).tolist()
-    out = np.empty((len(v), n))
+    out = np.empty((len(v), len(cut_block)))
+    padded = np.full((len(idx), width), len(table))
+    padded[:, :idx.shape[1]] = idx[:, :width]
+    work = _work(min(_CELLS, len(set(rows.tolist())) * width))
     for vecs in np.split(order, range(_CELLS // L, len(v), _CELLS // L)):
         scanned, local = np.unique(rows[vecs], return_inverse=True)
-        R, copies, t0 = len(scanned), [], 0     # copies: (vector, source, from step)
-        scan = np.empty((2, 4 * min(R * width, _CELLS)))  # ping-pong (4, L, R, m) prefixes
-        work = np.empty((3, min(len(vecs) * width, _CELLS)))  # scan temp, then w0, w1, logs
-        while t0 < width:
-            V = len(vecs)
-            nb = max(1, min(width // L, _CELLS // (V * L)))     # blocks a chunk
-            chunk = padded[scanned, t0:t0 + nb * L].reshape(R, -1, L).transpose(2, 0, 1)
-            m = chunk.shape[2]
-            p, q = (b[:4 * L * R * m].reshape(4, L, R, m) for b in scan)
-            np.take(cols, chunk, axis=1, out=p, mode="clip")  # "raise" would buffer `out`
-            s = 1
-            while s < L:
-                q[:, :s] = p[:, :s]
-                e, f, g, h = p[:, s:]
-                a, b, c, d = p[:, :-s]
-                tmp = work[0, :(L - s) * R * m].reshape(L - s, R, m)
-                for o, (x, y, z, w) in zip(q[:, s:], ((e, a, f, c), (e, b, f, d),
-                                                      (g, a, h, c), (g, b, h, d))):
-                    np.add(np.multiply(x, y, out=o), np.multiply(z, w, out=tmp), out=o)
-                p, q, s = q, p, 2 * s
-            s0, s1 = [], []             # each vector's block-start directions
-            for i, r in zip(vecs.tolist(), local.tolist()):
+        at = _carry(cols, padded, scanned, L, held, [units[i] for i in vecs], local.tolist(),
+                    work)
+        out[vecs] = _cut_growth(cols, padded, scanned, L, held, at, local, cut_block, cut_step,
+                                work)
+    return out
+
+
+def _carry(cols, padded, scanned, L, held, units, local, work):
+    """(V, len(held), 3): each vector's running sum S and carried direction
+    at the start of each held block, the vectors riding the `scanned` rows."""
+    R, V, last = len(scanned), len(units), int(held[-1])
+    slot = dict(zip(held.tolist(), range(len(held))))
+    at = [[None] * len(held) for _ in range(V)]
+    root, sums = list(range(V)), [0.0] * V  # root: the vector whose terms one adds
+    b0 = 0
+    while b0 < last:                # the last held block is not carried through
+        carried = sum(i == j for i, j in enumerate(root))
+        m = min(max(1, _CELLS // (carried * L)), last - b0)
+        chunk = padded[scanned, b0 * L:(b0 + m) * L].reshape(R, m, L)
+        prods = _tree(cols, chunk, work)[-1].reshape(4, R, m).tolist()
+        terms, sqrt, log = {}, math.sqrt, math.log
+        for i, j in enumerate(root):
+            s = sums[i]
+            if j == i:
                 u0, u1 = units[i]
-                for e, f, g, h in zip(*p[:, -1, r].tolist()):
-                    s0.append(u0)
-                    s1.append(u1)
-                    w0, w1 = e * u0 + f * u1, g * u0 + h * u1
-                    norm = math.sqrt(w0 * w0 + w1 * w1)
-                    u0, u1 = w0 / norm, w1 / norm
+                terms[i] = logs = []
+                for b, e, f, g, h in zip(range(b0, b0 + m), *(p[local[i]] for p in prods)):
+                    if b in slot:
+                        at[i][slot[b]] = (s, u0, u1)
+                    w0 = e * u0 + f * u1
+                    w1 = g * u0 + h * u1
+                    norm = sqrt(w0 * w0 + w1 * w1)
+                    t = log(norm)
+                    logs.append(t)
+                    s += t
+                    u0 = w0 / norm
+                    u1 = w1 / norm
                 units[i] = (u0, u1)
-            u0, u1 = np.reshape(s0, (V, m)), np.reshape(s1, (V, m))
-            w0, w1, logs = (b[:L * V * m].reshape(L, V, m) for b in work)
-            for w, k in ((w0, 0), (w1, 2)):     # w = p_k u0 + p_{k+1} u1, per vector
-                for c, u, o in ((k, u0, w), (k + 1, u1, logs)):
-                    x = p[c] if V == R else np.take(p[c], local, axis=1, out=o, mode="clip")
-                    np.multiply(x, u, out=o)
-                np.add(w, logs, out=w)
-            norm = np.add(np.multiply(w0, w0, out=w0), np.multiply(w1, w1, out=w1), out=w0)
-            np.sqrt(norm, out=norm)
-            logs[0] = norm[0]
-            np.divide(norm[1:], norm[:-1], out=logs[1:])
-            np.log(logs, out=logs)
-            out[vecs, t0:t0 + nb * L] = logs.transpose(1, 2, 0).reshape(V, -1)[:, :n - t0]
-            t0 += nb * L
-            if t0 < width and V > R:    # a vector whose carried direction is bitwise an
-                first, keep = {}, []    # earlier one's on its row copies that vector
-                for i, r in zip(vecs.tolist(), local.tolist()):
-                    u0, u1 = units[i]   # -u stretches as u does, bit for bit
-                    if flips_sign(u0, u1):
-                        u0, u1 = -u0, -u1
-                    j = first.setdefault((r, struct.pack("2d", u0, u1)), i)
-                    keep.append(j == i)
-                    if j != i:
-                        copies.append((i, j, t0))
-                vecs, local = vecs[keep], local[keep]
-        for i, j, t in reversed(copies):    # latest first, so a chain's source is full
-            out[i, t:] = out[j, t:]
+            else:
+                for b, t in zip(range(b0, b0 + m), terms[j]):
+                    if b in slot:
+                        at[i][slot[b]] = (s,) + at[j][slot[b]][1:]
+                    s += t
+            sums[i] = s
+        b0 += m
+        if b0 < last:
+            first = {}
+            for i in terms:
+                u0, u1 = units[i]   # -u stretches as u does, bit for bit
+                if flips_sign(u0, u1):
+                    u0, u1 = -u0, -u1
+                j = first.setdefault((local[i], struct.pack("2d", u0, u1)), i)
+                if j != i:
+                    root = [j if r == i else r for r in root]
+    for i, j in enumerate(root):
+        at[i][-1] = (sums[i], *units[j])
+    return np.array(at)
+
+
+def _cut_growth(cols, padded, scanned, L, held, at, local, cut_block, cut_step, work):
+    """(V, len(cuts)) G at the cuts: S + log |A_j (E_j u)| in each held
+    block, E_j the product of the block's steps before its step j.  A chunk
+    takes at most _CELLS // V cuts and _CELLS // (R L) blocks."""
+    R, V = len(scanned), len(at)
+    out = np.empty((V, len(cut_block)))
+    c0 = 0
+    while c0 < len(cut_block):
+        h0 = np.searchsorted(held, cut_block[c0])
+        hb = held[h0:h0 + max(1, _CELLS // (R * L))]
+        c1 = min(c0 + max(1, _CELLS // V), np.searchsorted(cut_block, hb[-1], side="right"))
+        hb = hb[:np.searchsorted(hb, cut_block[c1 - 1]) + 1]
+        j, k = cut_step[c0:c1], np.searchsorted(hb, cut_block[c0:c1])
+        span = 1 << int(j.max()).bit_length()  # steps past the last cut are not read
+        levels = _tree(cols, padded[scanned[:, None, None], hb[:, None] * L + np.arange(span)],
+                       work)
+        pick = (j * R + local[:, None]) * len(hb) + k   # (V, cuts) into (span, R, blocks)
+        a = np.take(levels[0].reshape(4, -1), pick, axis=1)
+        e = np.take(_exclusive_prefixes(levels, work).reshape(4, -1), pick, axis=1)
+        s, u0, u1 = np.take(at, h0 + k, axis=1).transpose(2, 0, 1)
+        x0, x1 = e[0] * u0 + e[1] * u1, e[2] * u0 + e[3] * u1
+        w0, w1 = a[0] * x0 + a[1] * x1, a[2] * x0 + a[3] * x1
+        out[:, c0:c1] = s + np.log(np.sqrt(w0 * w0 + w1 * w1))
+        c0 = c1
     return out
 
 

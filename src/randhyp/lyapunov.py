@@ -8,11 +8,13 @@ points.  Error bars are batch-mean standard errors, not rigorous bounds.
 
 import math
 
+import numpy as np
+
 from ._record import Record
 from .base import random_point, sample_base
-from .cocycle import orbit_log_stretches, push_log_stretches
+from .cocycle import push_log_stretches, torus_log_growth
 from .errors import ContractError
-from .fibers import ManifoldPoint
+from .fibers import LinearTorusFamily, ManifoldPoint
 
 DEFAULT_BATCHES = 20
 
@@ -46,32 +48,43 @@ def clears_error_bar(mean, se, count):
     return count >= 2 and mean > 3.0 * se
 
 
-def _batch_stats(per_step, batches):
-    """Mean and batch-mean standard error of a per-step series."""
-    used = len(per_step) // batches * batches
-    means = per_step[:used].reshape(batches, -1).mean(axis=1)
-    return float(per_step[:used].mean()), std_err(means), used
+def _batch_cuts(n, batches):
+    """The step counts that end each of `batches` batches of n // batches
+    steps; the steps past the last one are not read."""
+    return n // batches * np.arange(1, batches + 1)
+
+
+def _batch_stats(growth, size):
+    """Mean and batch-mean standard error from the log growth at the
+    `_batch_cuts` of batches of `size` steps."""
+    means = np.diff(growth, prepend=0.0) / size
+    return float(growth[-1] / (len(growth) * size)), std_err(means)
 
 
 def top_exponent(family, p, n, batches=DEFAULT_BATCHES):
     """Exponent of the direction v: (1/n) log |D phi^{(n)} v|, renormalized.
 
-    The per-step stretches are grouped into `batches` contiguous batches;
-    the reported error bar is the standard error of the batch means.
+    The steps are grouped into `batches` contiguous batches (a torus family
+    reads its log growth at their ends); the reported error bar is the
+    standard error of the batch means.
     """
     if not (n >= batches >= 1):
         raise ContractError("need n >= batches >= 1")
-    stretches = orbit_log_stretches(family, p, n)
-    value, se, used = _batch_stats(stretches, batches)
-    return ExponentEstimate(value=value, n=used, batch_std_err=se, batches=batches)
+    cuts = _batch_cuts(n, batches)
+    if isinstance(family, LinearTorusFamily):
+        value, se = _batch_stats(torus_log_growth(family, p, cuts), n // batches)
+    else:   # per-step batch means: equal log-derivatives give a zero error bar
+        logs = family.orbit_log_derivs(p.omega, p.x.x, int(cuts[-1]))
+        value, se = float(logs.mean()), std_err(logs.reshape(batches, -1).mean(axis=1))
+    return ExponentEstimate(value=value, n=int(cuts[-1]), batch_std_err=se, batches=batches)
 
 
 def oseledets_spectrum(family, omega, x, n):
     """All fibrewise exponents, sorted ascending.
 
-    On the torus (every 2-dimensional family is linear) s1 sums the log
-    stretches of e1 (`cocycle.push_log_stretches`) and s2 = sum of
-    log |det A_i| - s1, so the bookkeeping identity sum(exponents) =
+    On the torus (every 2-dimensional family is linear) s1 is the log
+    growth of e1 over the n steps (`cocycle.push_log_stretches`) and s2 =
+    sum of log |det A_i| - s1, so the bookkeeping identity sum(exponents) =
     (1/n) sum of log |det| holds by construction.
     """
     if n < family.manifold_dim:
@@ -80,13 +93,13 @@ def oseledets_spectrum(family, omega, x, n):
         logs = family.orbit_log_derivs(omega, x.x, n)
         return SpectrumEstimate(exponents=(float(logs.mean()),), n=n)
     idx = family.params_along([omega], n)
-    return _torus_spectrum(push_log_stretches(
-        family.matrices, idx, ((1.0, 0.0),))[0], family.log_dets[idx[0]])
+    return _torus_spectrum(push_log_stretches(family.matrices, idx, ((1.0, 0.0),), [n])[0, 0],
+                           family.log_dets[idx[0]])
 
 
-def _torus_spectrum(e1, log_dets):
-    """Spectrum from e1's n log stretches and the n steps' log |det A_i|."""
-    n, s1, logdet = len(e1), float(e1.sum()), float(log_dets.sum())
+def _torus_spectrum(s1, log_dets):
+    """Spectrum from e1's log growth s1 over n steps and their log |det A_i|."""
+    n, s1, logdet = len(log_dets), float(s1), float(log_dets.sum())
     return SpectrumEstimate(tuple(sorted((s1 / n, (logdet - s1) / n))), n)
 
 

@@ -21,7 +21,7 @@ from .errors import ContractError, UnsupportedOperationError
 from .expansion import DEFAULT_DEPTH, truncated_infimum
 from .fibers import (LinearTorusFamily, ManifoldPoint, param_windows, unit_direction,
                      unit_vectors)
-from .lyapunov import _batch_stats, _torus_spectrum, clears_error_bar
+from .lyapunov import _batch_cuts, _batch_stats, _torus_spectrum, clears_error_bar
 
 
 def _random_unit_vectors(seed, indices, dim):
@@ -135,17 +135,12 @@ def invariance_residual(family, omega, x, pair):
     return _residual(family.matrices[family.param_at(omega)], pair, nxt)
 
 
-def _bundle_logs(family, vs, back, fwd, rows=None):
-    """Per-step log stretches of `vs`, vector r along row rows[r] (default r)
+def _bundle_growth(family, vs, back, fwd, cuts, rows=None):
+    """Log growth at `cuts` of `vs`, vector r along row rows[r] (default r)
     of `back` (inverse cocycle, backward indices) stacked on `fwd`."""
     return push_log_stretches(np.concatenate([family.matrices, family.inverses]),
                               np.concatenate([back + len(family.matrices), fwd]),
-                              vs, rows)
-
-
-def _truncated_log_inf(logs, lam, depth):
-    """log C from the first `depth` per-step log stretches, per row."""
-    return truncated_infimum(np.cumsum(logs[..., :depth], axis=-1), lam)[0]
+                              vs, cuts, rows)
 
 
 def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
@@ -157,15 +152,16 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
     half the smaller measured rate).
     """
     _check_args(family, n=n, depth=depth)
-    logs1, logs2 = _bundle_logs(family, [pair.gamma1, pair.gamma2],
-                                *_windows(family, [omega], [((0,), n)])[0])
-    rate1, rate2 = float(logs1.mean()), float(logs2.mean())
+    grow1, grow2 = _bundle_growth(family, [pair.gamma1, pair.gamma2],
+                                  *_windows(family, [omega], [((0,), n)])[0],
+                                  np.array(sorted({*range(1, depth + 1), n})))
+    rate1, rate2 = float(grow1[-1] / n), float(grow2[-1] / n)
     if lam is None:
         lam = 0.5 * min(rate1, rate2)
     if lam <= 0.0:
         return BundleRates(rate1, rate2, math.nan, math.nan, lam)
-    c1 = math.exp(_truncated_log_inf(logs1, lam, depth))
-    c2 = math.exp(_truncated_log_inf(logs2, lam, depth))
+    c1 = math.exp(truncated_infimum(grow1[:depth], lam)[0])
+    c2 = math.exp(truncated_infimum(grow2[:depth], lam)[0])
     return BundleRates(rate1, rate2, c1, c2, lam)
 
 
@@ -175,9 +171,9 @@ def _bundle_constant_curve(family, omega, lam, curve_len, horizon, depth):
     ks = np.arange(1, curve_len + 1)
     bundles, pushes = _windows(family, [omega], [(ks, horizon), (ks, depth)])
     pairs = _bundle_pairs(family, *bundles)
-    logs = _bundle_logs(family, [p.gamma1 for p in pairs]
-                        + [p.gamma2 for p in pairs], *pushes)
-    return np.split(_truncated_log_inf(logs, lam, depth) / np.tile(ks, 2), 2)
+    growth = _bundle_growth(family, [p.gamma1 for p in pairs] + [p.gamma2 for p in pairs],
+                            *pushes, np.arange(1, depth + 1))
+    return np.split(truncated_infimum(growth, lam)[0] / np.tile(ks, 2), 2)
 
 
 def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
@@ -191,8 +187,9 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     angles, and every rate above 3 batch standard errors (2+ batches).
     Every sample's bundles at w and T w come from one read and one batch;
     then each sample reads positions -n..n-1 once and pushes its four
-    directions in one call (e1 gives its `oseledets_spectrum`, kept in
-    `spectra`).  The values are the public per-sample functions', batch or not.
+    directions in one call, cut at steps 1..depth, the batch ends and n (e1
+    gives its `oseledets_spectrum`, kept in `spectra`).  The values are the
+    public per-sample functions', batch or not.
     """
     _check_args(family, horizon, n, depth, batches)
     if curve_len < 1:
@@ -201,17 +198,20 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     # every sample's bundles at 0 and 1: rows 2i (pair) and 2i + 1 (next)
     pairs = _bundle_pairs(family, *_windows(family, omegas, [((0, 1), horizon)])[0])
     tops = _random_unit_vectors(seed, range(samples, 2 * samples), 2)
-    recs, heads, spectra = [], [], []   # heads: first `depth` log stretches
+    ends = _batch_cuts(n, batches)
+    cuts = np.array(sorted({*range(1, depth + 1), *ends.tolist(), n}))
+    ends = np.searchsorted(cuts, ends)
+    recs, heads, spectra = [], [], []   # heads: log growth at steps 1..depth
     for i, (omega, x) in enumerate(zip(omegas, random_point(seed, range(samples), 2))):
         pair, nxt = pairs[2 * i], pairs[2 * i + 1]
         back, fwd = _windows(family, [omega], [((0,), n)])[0]
         # gamma1 backwards; gamma2, the top-exponent vector and e1 forwards
-        logs1, logs2, logs_top, logs_e1 = _bundle_logs(
+        grow1, grow2, grow_top, grow_e1 = _bundle_growth(
             family, [pair.gamma1, pair.gamma2, tops[i], (1.0, 0.0)],
-            back, fwd, (0, 1, 1, 1))
-        spectra.append(_torus_spectrum(logs_e1, family.log_dets[fwd[0]]))
-        (rate1, rate1_se, _), (rate2, rate2_se, _), (top, top_se, _) = (
-            _batch_stats(logs, batches) for logs in (logs1, logs2, logs_top))
+            back, fwd, cuts, (0, 1, 1, 1))
+        spectra.append(_torus_spectrum(grow_e1[-1], family.log_dets[fwd[0]]))
+        (rate1, rate1_se), (rate2, rate2_se), (top, top_se) = (
+            _batch_stats(grow[ends], n // batches) for grow in (grow1, grow2, grow_top))
         recs.append({
             "omega": omega.describe(), "x": list(ManifoldPoint(x).coords),
             "angle": pair.angle, "residual": _residual(family.matrices[fwd[0, 0]], pair, nxt),
@@ -219,7 +219,7 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
             "rate2": rate2, "rate2_se": rate2_se,
             "top_exponent": top, "top_se": top_se,
         })
-        heads.append(np.array([logs1[:depth], logs2[:depth]]))
+        heads.append(np.array([grow1[:depth], grow2[:depth]]))
 
     angle_min = min(r["angle"] for r in recs)
     residual_max = max(r["residual"] for r in recs)
@@ -229,7 +229,7 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     details = {"horizon": horizon, "n": n, "samples": samples,
                "rate1_mean": float(np.mean([r["rate1"] for r in recs])),
                "rate2_mean": float(np.mean([r["rate2"] for r in recs]))}
-    log_cs = (_truncated_log_inf(np.array(heads), lam, depth) if lam > 0.0
+    log_cs = (truncated_infimum(np.array(heads), lam)[0] if lam > 0.0
               else np.full((samples, 2), math.nan))
     c_samples = [(r["omega"], math.exp(c1), math.exp(c2))
                  for r, (c1, c2) in zip(recs, log_cs.tolist())]

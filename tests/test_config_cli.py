@@ -274,10 +274,10 @@ def counted_stages(monkeypatch):
         count("positions", len(omegas) * n)
         return read(self, omegas, n)
 
-    def counted_push(table, idx, v, rows=None):
+    def counted_push(table, idx, v, cuts, rows=None):
         count("rows", len(np.unique(np.arange(len(v)) if rows is None else rows)))
         count("pushes", 1)
-        return push(table, idx, v, rows)
+        return push(table, idx, v, cuts, rows)
 
     monkeypatch.setattr(LinearTorusFamily, "params_along", counted_read)
     for module in (cocycle, lyapunov, splitting):

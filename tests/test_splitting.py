@@ -10,7 +10,7 @@ from randhyp import (BaseSystemSpec, ContractError, UnsupportedOperationError,
 from randhyp.base import random_point, shift_by
 from randhyp.cocycle import push_log_stretches
 from randhyp.fibers import LinearTorusFamily, ManifoldPoint
-from randhyp.lyapunov import _batch_stats
+from randhyp.lyapunov import _batch_cuts, _batch_stats
 
 CAT_RATE = math.log((3 + math.sqrt(5)) / 2)
 GOLD = (math.sqrt(5) - 1) / 2          # unstable eigvec slope of [[2,1],[1,1]]
@@ -221,16 +221,17 @@ def _public_per_sample(fam, spec, seed, samples, horizon, n, batches, depth, lam
     for i, w in enumerate(sample_base(spec, seed, samples)):
         x = ManifoldPoint(random_point(seed, i, 2))
         pair = finite_time_bundles(fam, w, x, horizon)
-        logs1, logs2 = push_log_stretches(
+        grow1, grow2 = push_log_stretches(
             np.concatenate([fam.matrices, fam.inverses]),
             [fam.params_along([shift_by(w, -n)], n)[0, ::-1] + len(fam.matrices),
-             fam.params_along([w], n)[0]], [pair.gamma1, pair.gamma2])
+             fam.params_along([w], n)[0]], [pair.gamma1, pair.gamma2],
+            _batch_cuts(n, batches))
         rates = bundle_rates(fam, w, x, pair, n, lam=lam, depth=depth)
         v = np.asarray(random_point(seed, samples + i, 2)) - 0.5
         top = top_exponent(fam, unit_tangent(w, x, v), n, batches)
         recs.append((pair.angle, invariance_residual(fam, w, x, pair),
-                     rates.rate1, _batch_stats(logs1, batches)[1],
-                     rates.rate2, _batch_stats(logs2, batches)[1],
+                     rates.rate1, _batch_stats(grow1, n // batches)[1],
+                     rates.rate2, _batch_stats(grow2, n // batches)[1],
                      top.value, top.batch_std_err))
         cs.append((w.describe(), rates.c1, rates.c2))
     return recs, cs
