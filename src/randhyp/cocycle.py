@@ -21,7 +21,8 @@ from .errors import CocycleOverflowError, ContractError
 from .fibers import LinearTorusFamily, ManifoldPoint, check_dim, flips_sign, unit_vectors
 
 _OVERFLOW_LIMIT = 1e300
-_CELLS = 4096                   # (row, step) cells pushed at a time
+_CELLS = 4096                   # cells a chunk holds: (carried vector, step) in the
+                                # carry, (row, step) and (vector, cut) at the cuts
 
 
 class UnitTangentPoint(Record):
@@ -105,7 +106,7 @@ def birkhoff_sum_phi(family, p, n):
         raise ContractError("n must be >= 1")
     if isinstance(family, LinearTorusFamily):
         return float(torus_log_growth(family, p, [n])[0])
-    return math.fsum(family.orbit_log_derivs(p.omega, p.x.x, n).tolist())
+    return math.fsum(orbit_log_stretches(family, p, n).tolist())
 
 
 def orbit_log_stretches(family, p, n):
@@ -190,59 +191,65 @@ def push_log_stretches(table, idx, v, cuts, rows=None):
     cut gets prefix products, from its tree by a down-sweep, and G(c) =
     S + log |P_j u| there, P_j the product of the block's first j matrices.
     So G(c) reads only A_0..A_{c-1} and v, and its bits depend on no other
-    cut, row, vector or chunk.  Chunks of about _CELLS (row, step) cells,
-    in buffers each call reuses, bound the working memory.  After a chunk,
-    a vector whose carried direction has the bits of an earlier one's on
-    its row, or of its negative (exact negation keeps every stretch's bits),
-    stops being carried: from then on it adds that vector's terms to its
-    own sum, so it still equals its solo push.
+    cut, row, vector or chunk.  The blocks are carried a chunk at a time and
+    each chunk's cuts are read before the next, so the working memory, in
+    buffers each call reuses, is bounded by _CELLS however many cuts there
+    are.  After a chunk, a vector whose carried direction has the bits of an
+    earlier one's on its row, or of its negative (exact negation keeps every
+    stretch's bits), stops being carried: from then on it adds that vector's
+    terms to its own sum, so it still equals its solo push.
     """
     table = np.asarray(table, dtype=np.float64).reshape(-1, 4)
     cols = np.vstack([table, (1.0, 0.0, 0.0, 1.0)]).T
     L = _block_len(table)
-    cut_block, cut_step = np.divmod(np.asarray(cuts) - 1, L)
-    held = np.flatnonzero(np.bincount(cut_block))  # the blocks that hold a cut
-    width = (int(held[-1]) + 1) * L
+    cuts = np.asarray(cuts)
+    width = -(-int(cuts[-1]) // L) * L
     idx = np.asarray(idx)
     v = np.asarray(v, dtype=np.float64)
     rows = np.arange(len(v)) if rows is None else np.asarray(rows)
     order = np.argsort(rows, kind="stable")     # a row's vectors share its blocks
     units = (v / np.hypot(v[:, :1], v[:, 1:])).tolist()
-    out = np.empty((len(v), len(cut_block)))
+    out = np.empty((len(v), len(cuts)))
     padded = np.full((len(idx), width), len(table))
     padded[:, :idx.shape[1]] = idx[:, :width]
     work = _work(min(_CELLS, len(set(rows.tolist())) * width))
     for vecs in np.split(order, range(_CELLS // L, len(v), _CELLS // L)):
         scanned, local = np.unique(rows[vecs], return_inverse=True)
-        at = _carry(cols, padded, scanned, L, held, [units[i] for i in vecs], local.tolist(),
-                    work)
-        out[vecs] = _cut_growth(cols, padded, scanned, L, held, at, local, cut_block, cut_step,
-                                work)
+        _push(cols, padded, scanned, L, [units[i] for i in vecs], local, cuts, out, vecs, work)
     return out
 
 
-def _carry(cols, padded, scanned, L, held, units, local, work):
-    """(V, len(held), 3): each vector's running sum S and carried direction
-    at the start of each held block, the vectors riding the `scanned` rows."""
-    R, V, last = len(scanned), len(units), int(held[-1])
-    slot = dict(zip(held.tolist(), range(len(held))))
-    at = [[None] * len(held) for _ in range(V)]
+def _push(cols, padded, scanned, L, units, local, cuts, out, vecs, work):
+    """G at the cuts into out[vecs], for the vectors riding the `scanned`
+    rows.  The carry records each vector's running sum S and carried
+    direction at the start of each held block; once the unread cuts reach
+    _CELLS // V, or their blocks _CELLS // (R L), `_cut_growth` reads them.
+    A chunk spans at most _CELLS // (carried L) and _CELLS // V blocks; the
+    block of the last cut is not carried through, its cuts read the final
+    sums and directions."""
+    R, V, last = len(scanned), len(units), (int(cuts[-1]) - 1) // L
+    rank = local.tolist()
     root, sums = list(range(V)), [0.0] * V  # root: the vector whose terms one adds
-    b0 = 0
-    while b0 < last:                # the last held block is not carried through
+    held, at = [], [[] for _ in range(V)]   # the unread held blocks, (S, u) at their start
+    b0 = c0 = c1 = 0
+    while b0 < last:
         carried = sum(i == j for i, j in enumerate(root))
-        m = min(max(1, _CELLS // (carried * L)), last - b0)
+        m = min(max(1, _CELLS // (carried * L)), max(1, _CELLS // V), last - b0)
+        c2 = int(np.searchsorted(cuts, (b0 + m) * L, side="right"))
+        new = sorted(set(((cuts[c1:c2] - 1) // L).tolist()))
+        slot = dict(zip(new, range(len(held), len(held) + len(new))))
+        held += new
         chunk = padded[scanned, b0 * L:(b0 + m) * L].reshape(R, m, L)
         prods = _tree(cols, chunk, work)[-1].reshape(4, R, m).tolist()
         terms, sqrt, log = {}, math.sqrt, math.log
         for i, j in enumerate(root):
-            s = sums[i]
+            s, rec = sums[i], at[i]
             if j == i:
                 u0, u1 = units[i]
                 terms[i] = logs = []
-                for b, e, f, g, h in zip(range(b0, b0 + m), *(p[local[i]] for p in prods)):
+                for b, e, f, g, h in zip(range(b0, b0 + m), *(p[rank[i]] for p in prods)):
                     if b in slot:
-                        at[i][slot[b]] = (s, u0, u1)
+                        rec.append((s, u0, u1))
                     w0 = e * u0 + f * u1
                     w1 = g * u0 + h * u1
                     norm = sqrt(w0 * w0 + w1 * w1)
@@ -255,32 +262,41 @@ def _carry(cols, padded, scanned, L, held, units, local, work):
             else:
                 for b, t in zip(range(b0, b0 + m), terms[j]):
                     if b in slot:
-                        at[i][slot[b]] = (s,) + at[j][slot[b]][1:]
+                        rec.append((s,) + at[j][slot[b]][1:])
                     s += t
             sums[i] = s
-        b0 += m
+        b0, c1 = b0 + m, c2
+        if c1 - c0 >= max(1, _CELLS // V) or len(held) * R * L >= _CELLS:
+            for a, b, g in _cut_growth(cols, padded, scanned, L, held, at, local, cuts[c0:c1],
+                                       work):
+                out[vecs, c0 + a:c0 + b] = g
+            held, at, c0 = [], [[] for _ in range(V)], c1
         if b0 < last:
             first = {}
             for i in terms:
                 u0, u1 = units[i]   # -u stretches as u does, bit for bit
                 if flips_sign(u0, u1):
                     u0, u1 = -u0, -u1
-                j = first.setdefault((local[i], struct.pack("2d", u0, u1)), i)
+                j = first.setdefault((rank[i], struct.pack("2d", u0, u1)), i)
                 if j != i:
                     root = [j if r == i else r for r in root]
+    held.append(last)
     for i, j in enumerate(root):
-        at[i][-1] = (sums[i], *units[j])
-    return np.array(at)
+        at[i].append((sums[i], *units[j]))
+    for a, b, g in _cut_growth(cols, padded, scanned, L, held, at, local, cuts[c0:], work):
+        out[vecs, c0 + a:c0 + b] = g
 
 
-def _cut_growth(cols, padded, scanned, L, held, at, local, cut_block, cut_step, work):
-    """(V, len(cuts)) G at the cuts: S + log |A_j (E_j u)| in each held
-    block, E_j the product of the block's steps before its step j.  A chunk
-    takes at most _CELLS // V cuts and _CELLS // (R L) blocks."""
+def _cut_growth(cols, padded, scanned, L, held, at, local, cuts, work):
+    """G at cuts in the `held` blocks, as (first, end, (V, end - first))
+    runs of the cuts: S + log |A_j (E_j u)|, (S, u) = at[:, h] at the start
+    of block held[h] and E_j the product of its steps before its step j.  A
+    run takes at most _CELLS // V cuts and _CELLS // (R L) blocks."""
     R, V = len(scanned), len(at)
-    out = np.empty((V, len(cut_block)))
+    held, at = np.array(held), np.array(at)
+    cut_block, cut_step = np.divmod(cuts - 1, L)
     c0 = 0
-    while c0 < len(cut_block):
+    while c0 < len(cuts):
         h0 = np.searchsorted(held, cut_block[c0])
         hb = held[h0:h0 + max(1, _CELLS // (R * L))]
         c1 = min(c0 + max(1, _CELLS // V), np.searchsorted(cut_block, hb[-1], side="right"))
@@ -295,9 +311,8 @@ def _cut_growth(cols, padded, scanned, L, held, at, local, cut_block, cut_step, 
         s, u0, u1 = np.take(at, h0 + k, axis=1).transpose(2, 0, 1)
         x0, x1 = e[0] * u0 + e[1] * u1, e[2] * u0 + e[3] * u1
         w0, w1 = a[0] * x0 + a[1] * x1, a[2] * x0 + a[3] * x1
-        out[:, c0:c1] = s + np.log(np.sqrt(w0 * w0 + w1 * w1))
+        yield c0, c1, s + np.log(np.sqrt(w0 * w0 + w1 * w1))
         c0 = c1
-    return out
 
 
 def window_products(matrices, idx, left=True):

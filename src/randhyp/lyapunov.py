@@ -12,7 +12,7 @@ import numpy as np
 
 from ._record import Record
 from .base import random_point, sample_base
-from .cocycle import push_log_stretches, torus_log_growth
+from .cocycle import orbit_log_stretches, push_log_stretches, torus_log_growth
 from .errors import ContractError
 from .fibers import LinearTorusFamily, ManifoldPoint
 
@@ -74,7 +74,7 @@ def top_exponent(family, p, n, batches=DEFAULT_BATCHES):
     if isinstance(family, LinearTorusFamily):
         value, se = _batch_stats(torus_log_growth(family, p, cuts), n // batches)
     else:   # per-step batch means: equal log-derivatives give a zero error bar
-        logs = family.orbit_log_derivs(p.omega, p.x.x, int(cuts[-1]))
+        logs = orbit_log_stretches(family, p, int(cuts[-1]))
         value, se = float(logs.mean()), std_err(logs.reshape(batches, -1).mean(axis=1))
     return ExponentEstimate(value=value, n=int(cuts[-1]), batch_std_err=se, batches=batches)
 

@@ -217,7 +217,7 @@ def test_multi_chunk_push_bytes_are_pinned(family):
 def test_output_does_not_depend_on_the_chunk_size(family, rows, monkeypatch):
     table, idx, v, rows = _two_row_push(family, cocycle._CELLS + 1, rows)
     L = _block_len(table.reshape(-1, 4))
-    span = max(1, cocycle._CELLS // (2 * L)) * L     # steps a default chunk
+    span = max(1, cocycle._CELLS // (len(rows) * L)) * L    # steps the first chunk carries
     for n in (span - 1, span, span + 1):
         for cuts in (np.arange(1, n + 1), certificate_cuts(n, depth=min(50, n))):
             default = push_log_stretches(table, idx[:, :n], v, cuts, rows)
@@ -231,21 +231,23 @@ def test_output_does_not_depend_on_the_chunk_size(family, rows, monkeypatch):
 @pytest.mark.parametrize("rows", [(0,), (0, 1, 1, 1)], ids=["one", "shared"])
 def test_working_memory_is_bounded_by_the_chunk(rows):
     # the traced peak less the output and the padded index table is the
-    # kernel's working memory, which must not grow with the orbit
-    work = []
-    for n in (10_000, 100_000):
-        table, idx, v, rows = _two_row_push("random-cat", n, rows)
-        L = _block_len(table.reshape(-1, 4))
-        cuts = certificate_cuts(n)
-        padded = len(idx) * -(-n // L) * L * np.dtype(int).itemsize
-        tracemalloc.start()
-        try:
-            out = push_log_stretches(table, idx, v, cuts, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        work.append(peak - out.nbytes - padded)
-    assert abs(work[1] - work[0]) <= 0.1 * work[0], work
+    # kernel's working memory, which must not grow with the orbit, at the
+    # certificate's cuts nor when every step is a cut
+    for cuts in CUTS.values():
+        work = []
+        for n in (10_000, 100_000):
+            table, idx, v, rows = _two_row_push("random-cat", n, rows)
+            L = _block_len(table.reshape(-1, 4))
+            padded = len(idx) * -(-n // L) * L * np.dtype(int).itemsize
+            at = cuts(n)
+            tracemalloc.start()
+            try:
+                out = push_log_stretches(table, idx, v, at, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            work.append(peak - out.nbytes - padded)
+        assert abs(work[1] - work[0]) <= 0.1 * work[0], (cuts, work)
 
 
 def _carried_blocks(monkeypatch, *push):
