@@ -71,14 +71,15 @@ def unit_vectors(a):
 
 def flips_sign(u0, u1):
     """The sign rule of a direction u: it turns to -u when its first nonzero
-    coordinate is negative (-0.0 counts as zero)."""
-    return u0 < 0 or (u0 == 0 and u1 < 0)
+    coordinate is negative (-0.0 counts as zero).  Scalars or arrays of
+    coordinates, elementwise."""
+    return (u0 < 0) | ((u0 == 0) & (u1 < 0))
 
 
 def unit_direction(v):
-    """Unit v, signed by `flips_sign`."""
+    """Unit v, or each row of an (..., 2) array, signed by `flips_sign`."""
     v = unit_vectors(v)[0]
-    return -v if flips_sign(*v) else v
+    return np.where(flips_sign(v[..., :1], v[..., 1:]), -v, v)
 
 
 def point(*coords):

@@ -36,10 +36,13 @@ class SpectrumEstimate(Record):
 
 
 def std_err(values):
-    """Standard error of the mean of a 1-d array; 0.0 for a single value,
-    which has no error bar."""
-    k = len(values)
-    return float(values.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0
+    """Standard error of the mean along the last axis, a float for 1-d (nested
+    lists for more); 0.0 for a single value, which has no error bar.  Rows are
+    reduced C-contiguous: each has its 1-d call's bits, whatever the layout."""
+    k = values.shape[-1]
+    se = (np.ascontiguousarray(values).std(ddof=1, axis=-1) / math.sqrt(k) if k > 1
+          else np.zeros(values.shape[:-1]))
+    return se.tolist()
 
 
 def clears_error_bar(mean, se, count):
@@ -56,9 +59,10 @@ def _batch_cuts(n, batches):
 
 def _batch_stats(growth, size):
     """Mean and batch-mean standard error from the log growth at the
-    `_batch_cuts` of batches of `size` steps."""
+    `_batch_cuts` of batches of `size` steps, along the last axis (as
+    `std_err` returns them)."""
     means = np.diff(growth, prepend=0.0) / size
-    return float(growth[-1] / (len(growth) * size)), std_err(means)
+    return (growth[..., -1] / (growth.shape[-1] * size)).tolist(), std_err(means)
 
 
 def top_exponent(family, p, n, batches=DEFAULT_BATCHES):

@@ -97,13 +97,10 @@ def _bundle_pairs(family, back, fwd):
     """`finite_time_bundles` of each row of (B, h) `_windows`."""
     u, _, _ = np.linalg.svd(window_products(family.matrices, back, left=False))
     _, _, vh = np.linalg.svd(window_products(family.matrices, fwd))
-    pairs = []
-    for g1, g2 in zip(vh[:, -1], u[:, :, 0]):
-        g1, g2 = unit_direction(g1), unit_direction(g2)
-        pairs.append(BundlePair(tuple(g1.tolist()), tuple(g2.tolist()),
-                                back.shape[1],
-                                math.acos(min(1.0, abs(float(g1 @ g2))))))
-    return pairs
+    g1, g2 = unit_direction(vh[:, -1]), unit_direction(u[:, :, 0])
+    dots = (g1[:, None, :] @ g2[:, :, None])[:, 0, 0]
+    return [BundlePair(tuple(a), tuple(b), back.shape[1], math.acos(min(1.0, abs(d))))
+            for a, b, d in zip(g1.tolist(), g2.tolist(), dots.tolist())]
 
 
 def finite_time_bundles(family, omega, x, horizon):
@@ -201,25 +198,23 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     ends = _batch_cuts(n, batches)
     cuts = np.array(sorted({*range(1, depth + 1), *ends.tolist(), n}))
     ends = np.searchsorted(cuts, ends)
-    recs, heads, spectra = [], [], []   # heads: log growth at steps 1..depth
+    recs, growth, spectra = [], [], []
     for i, (omega, x) in enumerate(zip(omegas, random_point(seed, range(samples), 2))):
         pair, nxt = pairs[2 * i], pairs[2 * i + 1]
         back, fwd = _windows(family, [omega], [((0,), n)])[0]
         # gamma1 backwards; gamma2, the top-exponent vector and e1 forwards
-        grow1, grow2, grow_top, grow_e1 = _bundle_growth(
-            family, [pair.gamma1, pair.gamma2, tops[i], (1.0, 0.0)],
-            back, fwd, cuts, (0, 1, 1, 1))
-        spectra.append(_torus_spectrum(grow_e1[-1], family.log_dets[fwd[0]]))
-        (rate1, rate1_se), (rate2, rate2_se), (top, top_se) = (
-            _batch_stats(grow[ends], n // batches) for grow in (grow1, grow2, grow_top))
-        recs.append({
-            "omega": omega.describe(), "x": list(ManifoldPoint(x).coords),
-            "angle": pair.angle, "residual": _residual(family.matrices[fwd[0, 0]], pair, nxt),
-            "rate1": rate1, "rate1_se": rate1_se,
-            "rate2": rate2, "rate2_se": rate2_se,
-            "top_exponent": top, "top_se": top_se,
-        })
-        heads.append(np.array([grow1[:depth], grow2[:depth]]))
+        grow = _bundle_growth(family, [pair.gamma1, pair.gamma2, tops[i], (1.0, 0.0)],
+                              back, fwd, cuts, (0, 1, 1, 1))
+        spectra.append(_torus_spectrum(grow[3, -1], family.log_dets[fwd[0]]))
+        recs.append({"omega": omega.describe(), "x": list(ManifoldPoint(x).coords),
+                     "angle": pair.angle,
+                     "residual": _residual(family.matrices[fwd[0, 0]], pair, nxt)})
+        growth.append(grow[:3])
+    growth = np.array(growth)   # (samples, 3, cuts): gamma1, gamma2, top vector
+    for rec, (rate1, rate2, top), (se1, se2, se_top) in zip(
+            recs, *_batch_stats(growth[:, :, ends], n // batches)):
+        rec.update({"rate1": rate1, "rate1_se": se1, "rate2": rate2, "rate2_se": se2,
+                    "top_exponent": top, "top_se": se_top})
 
     angle_min = min(r["angle"] for r in recs)
     residual_max = max(r["residual"] for r in recs)
@@ -229,7 +224,7 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     details = {"horizon": horizon, "n": n, "samples": samples,
                "rate1_mean": float(np.mean([r["rate1"] for r in recs])),
                "rate2_mean": float(np.mean([r["rate2"] for r in recs]))}
-    log_cs = (truncated_infimum(np.array(heads), lam)[0] if lam > 0.0
+    log_cs = (truncated_infimum(growth[:, :2, :depth], lam)[0] if lam > 0.0
               else np.full((samples, 2), math.nan))
     c_samples = [(r["omega"], math.exp(c1), math.exp(c2))
                  for r, (c1, c2) in zip(recs, log_cs.tolist())]

@@ -335,6 +335,22 @@ def test_sign_rule_reads_the_first_nonzero_coordinate():
     assert np.signbit(unit_direction(np.array([-0.0, 3.0]))).tolist() == [True, False]
     assert unit_direction(np.array([-3.0, 4.0])).tolist() == [0.6, -0.8]
     assert unit_direction(np.array([0.0, -2.0])).tolist() == [0.0, 1.0]
+    # the (B, 2) forms sign every row as its scalar call does, bit for bit:
+    # zero and signed-zero first coordinates, the exact axes a diagonal
+    # matrix's SVD returns (diagonal-cocycle's bundles), and random rows
+    signed = [(0.0, -1.0), (-0.0, -1.0), (0.0, 1.0), (-0.0, 1.0), (0.0, 0.0),
+              (-0.0, -0.0), (-1.0, 0.0), (-1.0, -0.0), (1.0, -0.0), (-3.0, 4.0)]
+    axes = [w for d in ([2.0, 3.0], [0.5, 4.0], [-2.0, 3.0], [2.0, -0.5])
+            for uv in np.linalg.svd(np.diag(d)) if uv.ndim == 2 for w in (*uv, *uv.T)]
+    rows = np.concatenate([signed, axes,
+                           np.random.default_rng(3).normal(size=(200, 2))])
+    flips = flips_sign(rows[:, 0], rows[:, 1])
+    assert flips.tolist() == [bool(flips_sign(u0, u1)) for u0, u1 in rows.tolist()]
+    assert flips[:10].tolist() == [True, True] + [False] * 4 + [True, True, False, True]
+    want = np.array([unit_direction(r) for r in rows])
+    assert unit_direction(rows).tobytes() == want.tobytes()
+    assert unit_direction(rows.reshape(-1, 2, 2)).tobytes() == want.tobytes()
+    assert unit_direction(rows.T.copy().T).tobytes() == want.tobytes()
 
 
 READ_BASES = dict(STREAM_BASES, **{

@@ -26,6 +26,26 @@ def test_doubling_exponent_exact():
     assert est.n == 1000
 
 
+@pytest.mark.parametrize("batches", [1, 2, 7, 20])
+def test_batch_stats_of_a_stack_equal_the_row_calls(batches):
+    # the splitting certificate reduces every sample's three growths in one
+    # call, cut at the batch ends by a fancy index (which leaves the stack
+    # in Fortran-like order); each row must read as its own 1-d call
+    import warnings
+    from randhyp.lyapunov import _batch_stats
+    rng = np.random.default_rng(batches)
+    growth = np.cumsum(rng.normal(1.1, 0.05, (5, 3, 3 * batches)) * 50, axis=-1)
+    for stack in (growth[:, :, 2::3], growth[:, :, np.arange(2, 3 * batches, 3)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means, ses = _batch_stats(stack, 50)
+        want = [[_batch_stats(row.copy(), 50) for row in sample] for sample in stack]
+        assert repr((means, ses)) == repr(([[m for m, _ in s] for s in want],
+                                           [[se for _, se in s] for s in want]))
+        if batches == 1:
+            assert ses == [[0.0] * 3] * 5
+
+
 def test_bernoulli_linear_exponent():
     spec = BaseSystemSpec.bernoulli([0.5, 0.5])
     fam = make_family("bernoulli-linear", {"values": [2, 3]})
