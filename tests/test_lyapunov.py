@@ -29,8 +29,8 @@ def test_doubling_exponent_exact():
 @pytest.mark.parametrize("batches", [1, 2, 7, 20])
 def test_batch_stats_of_a_stack_equal_the_row_calls(batches):
     # the splitting certificate reduces every sample's three growths in one
-    # call, cut at the batch ends by a fancy index (which leaves the stack
-    # in Fortran-like order); each row must read as its own 1-d call
+    # call, cut at the batch ends by a fancy index (which leaves the batch
+    # axis outermost in memory); each row must read as its own 1-d call
     import warnings
     from randhyp.lyapunov import _batch_stats
     rng = np.random.default_rng(batches)
