@@ -165,9 +165,7 @@ def _splitting(config):
     p = config.task_params
     cert = hyperbolicity_certificate(config.fiber, config.base, config.seed,
                                      samples=p["samples"], horizon=p["horizon"],
-                                     n=p["n"], depth=p["depth"],
-                                     curve_len=p["curve_len"],
-                                     batches=p["batches"])
+                                     n=p["n"], depth=p["depth"], batches=p["batches"])
     rows = [(r["omega"], repr(r["angle"]), repr(r["rate1"]), repr(r["rate2"]),
              repr(r["residual"]))
             for r in cert.details["per_sample"]]

@@ -10,7 +10,9 @@ import math
 
 from ._record import Record, field
 from .base import BASE_CATALOG, BaseSystemSpec
+from .ergodic import MAX_PERIOD
 from .errors import ConfigurationError
+from .expansion import MAX_SUPADD_N, MIN_GRID
 from .fibers import FAMILY_CATALOG, LinearTorusFamily
 
 TASKS = ("certify-expansion", "lyapunov", "minimize", "splitting", "full-pipeline")
@@ -30,28 +32,27 @@ TASK_DEFAULTS = {
         "include_periodic": False, "p_max": 6,
     },
     "splitting": {
-        "samples": 50, "horizon": 50, "n": 10_000, "depth": 50,
-        "curve_len": 200, "batches": 20,
+        "samples": 50, "horizon": 50, "n": 10_000, "depth": 50, "batches": 20,
     },
     "full-pipeline": {
         "samples": 10, "n": 2_000, "n_max": 10, "grid_size": 1024,
         "depth": 50, "temperedness_threshold": 0.02, "supadd_samples": 3,
-        "include_periodic": False, "p_max": 4, "horizon": 40,
-        "curve_len": 100, "batches": 20, "corollary": True,
-        "lambda": None, "curve_n_max": None, "supadd_N": None,
+        "include_periodic": False, "p_max": 4, "horizon": 40, "batches": 20,
+        "corollary": True, "lambda": None, "curve_n_max": None, "supadd_N": None,
     },
 }
 
 # (type, min value) of every task parameter; counts must be integers,
 # floats may be any finite number unless _POSITIVE lists them.
 _PARAM_RULES = {
-    "n": (int, 1), "n_max": (int, 4), "grid_size": (int, 64), "samples": (int, 1),
+    "n": (int, 1), "n_max": (int, 4), "grid_size": (int, MIN_GRID), "samples": (int, 1),
     "lambda": (float, None), "horizon": (int, 2), "batches": (int, 1),
-    "depth": (int, 1), "p_max": (int, 1), "curve_n_max": (int, 1), "curve_len": (int, 1),
+    "depth": (int, 1), "p_max": (int, 1), "curve_n_max": (int, 1),
     "temperedness_threshold": (float, None), "supadd_samples": (int, 1),
     "supadd_N": (int, 2), "include_periodic": (bool, None), "corollary": (bool, None),
 }
 _POSITIVE = ("lambda", "temperedness_threshold")
+_CAPS = {"p_max": MAX_PERIOD, "supadd_N": MAX_SUPADD_N}   # the functions' caps
 
 
 class _NonFinite(str):
@@ -103,10 +104,8 @@ def _validate_task_params(task, params, family, errors):
             errors.append(f"{path} must be >= {low}")
         elif key in _POSITIVE and value <= 0:
             errors.append(f"{path} must be positive")
-    for key, cap in (("p_max", 12), ("supadd_N", 20)):   # the functions' caps
-        value = params.get(key)
-        if _is_number(value) and value > cap:
-            errors.append(f"task_params.{key} is capped at {cap}")
+        elif value > _CAPS.get(key, math.inf):
+            errors.append(f"{path} is capped at {_CAPS[key]}")
     n, batches, depth = ({**read, **params}.get(k) for k in ("n", "batches", "depth"))
     torus = isinstance(family, LinearTorusFamily) and type(n) is int
     for key, value in (("batches", batches), ("depth", depth)):

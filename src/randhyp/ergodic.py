@@ -21,6 +21,8 @@ from .cocycle import cocycle_product
 from .errors import ContractError, UnsupportedOperationError
 from .fibers import CircleFamily, LinearTorusFamily, ManifoldPoint
 
+MAX_PERIOD = 12              # the longest word `enumerate_periodic_orbits` reads
+
 
 class PeriodicOrbitRecord(Record):
     """One periodic orbit of the skew product, from a repeated symbol word:
@@ -120,8 +122,8 @@ def enumerate_periodic_orbits(family, spec, p_max):
     if isinstance(family, CircleFamily) and not family.expanding:
         raise UnsupportedOperationError(
             "periodic-orbit search needs an expanding circle family")
-    if p_max > 12:
-        raise ContractError("p_max is capped at 12")
+    if p_max > MAX_PERIOD:
+        raise ContractError(f"p_max is capped at {MAX_PERIOD}")
     records = []
     for p in range(1, p_max + 1):
         for word in _necklaces(spec.alphabet_size, p):

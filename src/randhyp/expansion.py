@@ -30,6 +30,7 @@ from .fibers import CircleFamily, LinearTorusFamily, param_windows
 from .lyapunov import clears_error_bar, std_err
 
 MIN_GRID = 64
+MAX_SUPADD_N = 20
 DEFAULT_GRID = 4096
 DEFAULT_DEPTH = 50
 # Truncation depths for x-dependent families are capped where the grid
@@ -255,8 +256,8 @@ def _supadd_windows(family, omegas, N):
     lengths N - k that the residuals read."""
     if N < 2:
         raise ContractError("N must be >= 2")
-    if N > 20:
-        raise ContractError("supadditivity tables use certified horizons N <= 20")
+    if N > MAX_SUPADD_N:
+        raise ContractError(f"supadditivity tables use certified horizons N <= {MAX_SUPADD_N}")
     return (param_windows(family, omegas, [(range(N), N)])[0],
             np.tile(np.arange(N, 0, -1), len(omegas)))
 

@@ -84,13 +84,12 @@ def _check_args(family, horizon=2, n=1, depth=1, batches=1):
         raise ContractError(f"n must be >= depth = {depth}, got {n}")
 
 
-def _windows(family, omegas, groups):
-    """For each (ks, h) in `groups`, (len(omegas) * len(ks), h) index windows
-    `back` (T^{k-1} w, ..., T^{k-h} w), the `param_windows` at k - h
-    reversed, and `fwd` (T^k w, ..., T^{k+h-1} w), from one read."""
-    cut = param_windows(family, omegas, [(np.asarray(ks) - d, h)
-                                         for ks, h in groups for d in (h, 0)])
-    return [(back[:, ::-1], fwd) for back, fwd in zip(cut[::2], cut[1::2])]
+def _windows(family, omegas, ks, h):
+    """(len(omegas) * len(ks), h) index windows `back` (T^{k-1} w, ...,
+    T^{k-h} w), the `param_windows` at k - h reversed, and `fwd` (T^k w, ...,
+    T^{k+h-1} w), from one read."""
+    back, fwd = param_windows(family, omegas, [(np.asarray(ks) - h, h), (ks, h)])
+    return back[:, ::-1], fwd
 
 
 def _bundle_pairs(family, back, fwd):
@@ -112,7 +111,7 @@ def finite_time_bundles(family, omega, x, horizon):
     cocycle is linear, so the fiber point x is not read.
     """
     _check_args(family, horizon)
-    return _bundle_pairs(family, *_windows(family, [omega], [((0,), horizon)])[0])[0]
+    return _bundle_pairs(family, *_windows(family, [omega], (0,), horizon))[0]
 
 
 def _sin_angle(u, w):
@@ -150,7 +149,7 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
     """
     _check_args(family, n=n, depth=depth)
     grow1, grow2 = _bundle_growth(family, [pair.gamma1, pair.gamma2],
-                                  *_windows(family, [omega], [((0,), n)])[0],
+                                  *_windows(family, [omega], (0,), n),
                                   np.array(sorted({*range(1, depth + 1), n})))
     rate1, rate2 = float(grow1[-1] / n), float(grow2[-1] / n)
     if lam is None:
@@ -162,19 +161,8 @@ def bundle_rates(family, omega, x, pair, n, lam=None, depth=DEFAULT_DEPTH):
     return BundleRates(rate1, rate2, c1, c2, lam)
 
 
-def _bundle_constant_curve(family, omega, lam, curve_len, horizon, depth):
-    """(1/k) log C_i(T^k w) for both bundle constants along the orbit, all
-    offsets k = 1..curve_len in one batch."""
-    ks = np.arange(1, curve_len + 1)
-    bundles, pushes = _windows(family, [omega], [(ks, horizon), (ks, depth)])
-    pairs = _bundle_pairs(family, *bundles)
-    growth = _bundle_growth(family, [p.gamma1 for p in pairs] + [p.gamma2 for p in pairs],
-                            *pushes, np.arange(1, depth + 1))
-    return np.split(truncated_infimum(growth, lam)[0] / np.tile(ks, 2), 2)
-
-
 def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
-                              depth=DEFAULT_DEPTH, curve_len=200, batches=20):
+                              depth=DEFAULT_DEPTH, batches=20):
     """Aggregate splitting evidence over sampled base points.
 
     Per sample: finite-time bundles, principal angle, invariance residual,
@@ -189,11 +177,9 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     public per-sample functions', batch or not.
     """
     _check_args(family, horizon, n, depth, batches)
-    if curve_len < 1:
-        raise ContractError("curve_len must be >= 1")
     omegas = sample_base(spec, seed, samples)
     # every sample's bundles at 0 and 1: rows 2i (pair) and 2i + 1 (next)
-    pairs = _bundle_pairs(family, *_windows(family, omegas, [((0, 1), horizon)])[0])
+    pairs = _bundle_pairs(family, *_windows(family, omegas, (0, 1), horizon))
     tops = _random_unit_vectors(seed, range(samples, 2 * samples), 2)
     ends = _batch_cuts(n, batches)
     cuts = np.array(sorted({*range(1, depth + 1), *ends.tolist(), n}))
@@ -201,7 +187,7 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     recs, growth, spectra = [], [], []
     for i, (omega, x) in enumerate(zip(omegas, random_point(seed, range(samples), 2))):
         pair, nxt = pairs[2 * i], pairs[2 * i + 1]
-        back, fwd = _windows(family, [omega], [((0,), n)])[0]
+        back, fwd = _windows(family, [omega], (0,), n)
         # gamma1 backwards; gamma2, the top-exponent vector and e1 forwards
         grow = _bundle_growth(family, [pair.gamma1, pair.gamma2, tops[i], (1.0, 0.0)],
                               back, fwd, cuts, (0, 1, 1, 1))
@@ -229,12 +215,6 @@ def hyperbolicity_certificate(family, spec, seed, samples, horizon, n,
     c_samples = [(r["omega"], math.exp(c1), math.exp(c2))
                  for r, (c1, c2) in zip(recs, log_cs.tolist())]
     details["per_sample"] = recs
-
-    if lam > 0.0:
-        vals1, vals2 = _bundle_constant_curve(family, omegas[0], lam,
-                                              curve_len, horizon, depth)
-        details["c1_curve"] = [float(v) for v in vals1]
-        details["c2_curve"] = [float(v) for v in vals2]
 
     certified = (residual_max < 1e-6 and angle_min > 0.0
                  and all(clears_error_bar(r[k], r[k + "_se"], batches)

@@ -241,7 +241,7 @@ def test_criterion_9_determinism():
         cfg2_dict["fiber"] = {"family": "random-cat"}
         cfg2_dict["task_params"] = {"samples": 4, "n": 400, "n_max": 8,
                                     "grid_size": 64, "horizon": 30,
-                                    "curve_len": 20, "curve_n_max": 500}
+                                    "curve_n_max": 500}
         cfg2 = rh.parse_config(json.dumps(cfg2_dict))
         runs2 = [rh.run_task(cfg2, threads=t) for t in (1, 8)]
         assert runs2[0].payload_bytes() == runs2[1].payload_bytes()

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 import randhyp
-from randhyp import (ConfigurationError, ExperimentConfig, oseledets_spectrum,
-                     parse_config, run_task, sample_base)
+from randhyp import (BaseSystemSpec, ConfigurationError, ContractError,
+                     ExperimentConfig, enumerate_periodic_orbits, make_family,
+                     oseledets_spectrum, parse_config, run_task, sample_base,
+                     supadditivity_residuals, sweep_windows)
 from randhyp.base import BASE_CATALOG, random_point
 from randhyp.cli import main
 from randhyp.config import TASK_DEFAULTS, TASKS
-from randhyp.expansion import certified_depth
+from randhyp.ergodic import MAX_PERIOD
+from randhyp.expansion import MAX_SUPADD_N, MIN_GRID, certified_depth
 from randhyp.fibers import FAMILY_CATALOG, ManifoldPoint
 
 DOUBLING_FULL = {
@@ -131,7 +134,7 @@ BASES = {
 TINY_PIPELINE = {
     "samples": 3, "n": 200, "n_max": 5, "grid_size": 64, "depth": 6,
     "curve_n_max": 40, "supadd_samples": 2, "supadd_N": 4, "horizon": 10,
-    "curve_len": 4, "batches": 4,
+    "batches": 4,
 }
 
 
@@ -462,7 +465,7 @@ def _no_constant(name):
     ({"task": "splitting", "base": BASES["bernoulli"],
       "fiber": {"family": "diagonal-cocycle"},
       "task_params": {"samples": 3, "n": 400, "horizon": 12, "depth": 10,
-                      "curve_len": 10, "batches": 4}},
+                      "batches": 4}},
      lambda payload: payload["c_samples"][0]["c1"]),
 ], ids=["certify-long", "splitting-diagonal"])
 def test_reports_are_strict_json(cfg, non_finite, tmp_path):
@@ -488,6 +491,31 @@ def test_supadd_n_is_capped_before_any_sweep(tmp_path, capsys, monkeypatch):
         assert err == "configuration errors:\n  - task_params.supadd_N is capped at 20\n"
     parse_config(json.dumps(dict(cfg, task="certify-expansion",
                                  task_params={"n_max": 24, "supadd_N": 20})))
+
+
+@pytest.mark.parametrize("task, key, ok, bad, message, call", [
+    ("minimize", "p_max", MAX_PERIOD, MAX_PERIOD + 1, "is capped at",
+     lambda v: enumerate_periodic_orbits(make_family("doubling"),
+                                         BaseSystemSpec.bernoulli([1.0]), v)),
+    ("certify-expansion", "supadd_N", MAX_SUPADD_N, MAX_SUPADD_N + 1, "is capped at",
+     lambda v: supadditivity_residuals(make_family("perturbed-doubling"),
+                                       sample_base(BaseSystemSpec.dirac(), 0, 1)[0],
+                                       N=v, grid_size=64)),
+    ("certify-expansion", "grid_size", MIN_GRID, MIN_GRID - 1, "must be >=",
+     lambda v: sweep_windows(make_family("perturbed-doubling"), [np.zeros(3)], v)),
+], ids=["p_max", "supadd_N", "grid_size"])
+def test_config_bounds_are_the_functions_bounds(task, key, ok, bad, message, call):
+    # the config refuses exactly the value the function refuses
+    def config(value):
+        return json.dumps(dict(DOUBLING_FULL, task=task,
+                               task_params={"n_max": 24, key: value}))
+    parse_config(config(ok))
+    call(ok)
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(config(bad))
+    assert err.value.errors == [f"task_params.{key} {message} {ok}"]
+    with pytest.raises(ContractError):
+        call(bad)
 
 
 def test_long_horizon_cat_map_is_not_certified(tmp_path, capsys):
@@ -578,7 +606,7 @@ def test_splitting_task_csv(tmp_path):
         "base": {"kind": "bernoulli", "alphabet_size": 2,
                  "probabilities": [0.5, 0.5]},
         "fiber": {"family": "random-cat"},
-        "task_params": {"samples": 4, "horizon": 30, "n": 400, "curve_len": 20},
+        "task_params": {"samples": 4, "horizon": 30, "n": 400},
     }
     report = run_task(parse_config(json.dumps(cfg_dict)))
     assert report.verdict == "certified"
@@ -657,6 +685,18 @@ def test_birkhoff_keys_exit_one(task, key, tmp_path, capsys):
     assert code == 1
     assert err.splitlines() == ["configuration errors:",
                                 f"  - task_params.{key} is not read by {task}"]
+
+
+@pytest.mark.parametrize("task", ["splitting", "full-pipeline"])
+def test_curve_len_exits_one(task, tmp_path, capsys):
+    # no task reads it since the splitting certificate's bundle-constant
+    # curve was retired
+    cfg_dict = dict(DOUBLING_FULL, task=task, fiber={"family": "random-cat"},
+                    task_params={"curve_len": 10})
+    code, err = cli_errors(tmp_path, capsys, task, json.dumps(cfg_dict))
+    assert code == 1
+    assert err.splitlines() == ["configuration errors:",
+                                f"  - task_params.curve_len is not read by {task}"]
 
 
 class Recording(dict):

@@ -500,9 +500,6 @@ def test_torus_corollary_reads_the_family_svals(monkeypatch):
     ("supadd_samples", lambda: build_expansion_certificate(
         make_family("doubling"), BaseSystemSpec.dirac(), 1, samples=3, n_max=6,
         curve_n_max=8, supadd_samples=0)),
-    ("curve_len", lambda: hyperbolicity_certificate(
-        make_family("random-cat"), bern_spec(), 7, 2, 8, 40, depth=5, curve_len=0,
-        batches=4)),
     ("depth", lambda: build_expansion_certificate(
         make_family("perturbed-doubling"), BaseSystemSpec.dirac(), 1, samples=3,
         n_max=6, grid_size=64, depth=0)),

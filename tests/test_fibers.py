@@ -305,9 +305,10 @@ def test_param_windows_are_the_shifted_states_windows(base, name, params, monkey
     for (ks, h), windows in zip(CUT_GROUPS, cut):
         want = np.array([plain(w, k, h) for w in ws for k in ks])
         assert windows.dtype == want.dtype and np.array_equal(windows, want)
-    pairs = _windows(fam, ws, CUT_GROUPS)
-    assert reads == [18, 23]   # positions -12..10
-    for (ks, h), (back, fwd) in zip(CUT_GROUPS, pairs):
+    for (ks, h), count in zip(CUT_GROUPS, (21, 18, 9)):
+        del reads[:]
+        back, fwd = _windows(fam, ws, ks, h)
+        assert reads == [count]   # positions min(ks) - h..max(ks) + h - 1
         assert np.array_equal(fwd, [plain(w, k, h) for w in ws for k in ks])
         assert np.array_equal(back, [plain(w, k - h, h)[::-1] for w in ws for k in ks])
 

@@ -12,8 +12,6 @@ from randhyp import (BaseSystemSpec, make_family, oseledets_spectrum, point,
                      sample_base, shift_by)
 from randhyp import cocycle
 from randhyp.cocycle import _block_len, _tree, _work, push_log_stretches, window_products
-from randhyp.expansion import truncated_infimum
-from randhyp.splitting import _bundle_constant_curve, finite_time_bundles
 
 FAMILIES = {
     "random-cat": ("random-cat", {}),
@@ -371,26 +369,6 @@ def test_window_products_match_step_loop_bitwise():
             rp /= np.abs(rp).max()
         assert left[r].tobytes() == lp.tobytes()
         assert right[r].tobytes() == rp.tobytes()
-
-
-@pytest.mark.parametrize("horizon, depth", [(12, 20), (20, 12)])
-@pytest.mark.parametrize("base", BASES)
-def test_curve_batch_matches_per_offset(base, horizon, depth):
-    fam = make_family("random-cat")
-    w = sample_base(BASES[base], 9, 1)[0]
-    lam, curve_len = 0.3, 6
-    vals1, vals2 = _bundle_constant_curve(fam, w, lam, curve_len, horizon, depth)
-    for k in range(1, curve_len + 1):
-        state = shift_by(w, k)
-        pair = finite_time_bundles(fam, state, point(0.0, 0.0), horizon)
-        grow1, grow2 = push_log_stretches(
-            np.concatenate([fam.matrices, fam.inverses]),
-            [fam.params_along([shift_by(state, -depth)], depth)[0, ::-1]
-             + len(fam.matrices),
-             fam.params_along([state], depth)[0]], [pair.gamma1, pair.gamma2],
-            np.arange(1, depth + 1))
-        assert vals1[k - 1] == truncated_infimum(grow1, lam)[0] / k
-        assert vals2[k - 1] == truncated_infimum(grow2, lam)[0] / k
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -165,18 +165,17 @@ def test_certificate_random_cat():
     assert cert.angle_min > 0.1
     assert cert.lam > 0
     assert all(c1 > 0 and c2 > 0 for (_, c1, c2) in cert.c_samples)
-    # bundle constant curves decay toward zero
-    assert abs(cert.details["c1_curve"][-1]) < 0.05
-    assert abs(cert.details["c2_curve"][-1]) < 0.05
 
 
 def test_certificate_payload_shape():
     fam = make_family("random-cat")
     cert = hyperbolicity_certificate(fam, bern_spec(), 13, samples=4,
-                                     horizon=30, n=500, curve_len=20)
+                                     horizon=30, n=500)
     payload = cert.to_payload()
     assert set(payload) >= {"lambda", "c_samples", "angle_min",
                             "invariance_residual_max", "verdict"}
+    assert list(cert.details) == ["horizon", "n", "samples", "rate1_mean",
+                                  "rate2_mean", "per_sample"]
     rec = cert.details["per_sample"][0]
     assert set(rec) == {"omega", "x", "angle", "residual", "rate1", "rate1_se",
                        "rate2", "rate2_se", "top_exponent", "top_se"}
@@ -188,8 +187,7 @@ def test_single_batch_certificate_is_inconclusive(batches, verdict):
     # one batch gives every rate a zero standard error: no error bar
     fam = make_family("random-cat")
     cert = hyperbolicity_certificate(fam, bern_spec(), 13, samples=4,
-                                     horizon=30, n=500, curve_len=20,
-                                     batches=batches)
+                                     horizon=30, n=500, batches=batches)
     assert cert.verdict == verdict
 
 
@@ -243,8 +241,7 @@ def test_certificate_pass_matches_public_functions(family, base, horizon, n,
     fam = make_family(family, TORUS[family])
     seed, samples, depth = 5, 3, 10
     cert = hyperbolicity_certificate(fam, BASES[base], seed, samples, horizon,
-                                     n, depth=depth, curve_len=3,
-                                     batches=batches)
+                                     n, depth=depth, batches=batches)
     got = [tuple(r[k] for k in ("angle", "residual", "rate1", "rate1_se",
                                 "rate2", "rate2_se", "top_exponent", "top_se"))
            for r in cert.details["per_sample"]]
@@ -256,14 +253,12 @@ def test_certificate_pass_matches_public_functions(family, base, horizon, n,
 
 @pytest.mark.parametrize("horizon, n", [(12, 400), (40, 30)])
 def test_certificate_reads_each_position_once(horizon, n, monkeypatch):
-    import randhyp.splitting as sp
     reads, read = [], LinearTorusFamily.params_along
 
     def counted(self, omegas, k):
         reads.append(len(omegas) * k)
         return read(self, omegas, k)
     monkeypatch.setattr(LinearTorusFamily, "params_along", counted)
-    monkeypatch.setattr(sp, "_bundle_constant_curve", lambda *args: ((), ()))
     hyperbolicity_certificate(make_family("random-cat"), bern_spec(), 5,
                               samples=3, horizon=horizon, n=n, depth=10, batches=3)
     # one read of positions -horizon..horizon for every sample's bundles,
@@ -278,19 +273,37 @@ def test_a_samples_record_does_not_depend_on_the_batch(base):
 
     def first_two(samples):
         cert = hyperbolicity_certificate(fam, BASES[base], 5, samples, horizon=12,
-                                         n=40, depth=10, curve_len=2, batches=4)
+                                         n=40, depth=10, batches=4)
         # the top-exponent start vector of sample i is indexed samples + i
         return [{k: v for k, v in r.items() if k not in ("top_exponent", "top_se")}
                 for r in cert.details["per_sample"][:2]]
     assert repr(first_two(2)) == repr(first_two(4))
 
     ws = sample_base(BASES[base], 9, 3)
-    groups = [((0, 1, 3), 5), ((0,), 7)]
-    batched = sp._windows(fam, ws, groups)
-    one_state = [sp._windows(fam, [w], groups) for w in ws]
-    for g, (back, fwd) in enumerate(batched):
-        assert np.array_equal(back, np.concatenate([o[g][0] for o in one_state]))
-        assert np.array_equal(fwd, np.concatenate([o[g][1] for o in one_state]))
+    for ks, h in [((0, 1, 3), 5), ((0,), 7)]:
+        back, fwd = sp._windows(fam, ws, ks, h)
+        one_state = [sp._windows(fam, [w], ks, h) for w in ws]
+        assert np.array_equal(back, np.concatenate([o[0] for o in one_state]))
+        assert np.array_equal(fwd, np.concatenate([o[1] for o in one_state]))
+
+
+@pytest.mark.parametrize("horizon, depth", [(12, 20), (20, 12)])
+@pytest.mark.parametrize("base", ["bernoulli", "markov", "rotation", "dirac"])
+def test_bundle_pairs_batch_matches_per_offset(base, horizon, depth):
+    # the batched windows and bundles at offsets k >= 1 are those of T^k w:
+    # bundles at the horizon, push windows at the depth
+    import randhyp.splitting as sp
+    fam = make_family("random-cat")
+    w = sample_base(BASES[base], 9, 1)[0]
+    ks = np.arange(1, 7)
+    pairs = sp._bundle_pairs(fam, *sp._windows(fam, [w], ks, horizon))
+    back, fwd = sp._windows(fam, [w], ks, depth)
+    for k, pair, b, f in zip(ks, pairs, back, fwd):
+        state = shift_by(w, int(k))
+        assert repr(pair) == repr(finite_time_bundles(fam, state, point(0.0, 0.0),
+                                                      horizon))
+        assert np.array_equal(b, fam.params_along([shift_by(state, -depth)], depth)[0, ::-1])
+        assert np.array_equal(f, fam.params_along([state], depth)[0])
 
 
 def test_fewer_steps_than_batches_rejected_before_any_read(monkeypatch):

@@ -64,7 +64,7 @@ BASES = {
 _SWEEP = {"samples": 3, "n_max": 6, "grid_size": 128}
 _CERTIFY = {"depth": 8, "curve_n_max": 8, "supadd_samples": 2, "supadd_N": 6}
 _MINIMIZE = {"p_max": 4}
-_SPLITTING = {"horizon": 12, "depth": 10, "curve_len": 10, "batches": 4}
+_SPLITTING = {"horizon": 12, "depth": 10, "batches": 4}
 TASK_PARAMS = {
     "certify-expansion": {**_SWEEP, **_CERTIFY},
     "lyapunov": {"samples": 3, "n": 400},
