@@ -38,15 +38,19 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def as_floats(values, name, depth=1):
-    """`values`, a number (`depth` 0), a list of numbers (1) or a list of
-    such lists (2), as a float or nested tuples of floats."""
-    kind = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
+    """`values`, a number (`depth` 0), a list of numbers (1), a list of such
+    lists (2) or a list of matrices (3; the torus table checks that each is
+    2x2), as a float or nested tuples of floats."""
+    kind = ("a number", "a list of numbers", "a list of lists of numbers", "2x2")[depth]
 
     def convert(v, d):
         if isinstance(v, (list, tuple, np.ndarray)) != (d > 0):
             raise ConfigurationError(f"{name} must be {kind}")
         return tuple(convert(u, d - 1) for u in v) if d else float(v)
-    return convert(values, depth)
+    try:
+        return convert(values, depth)
+    except OverflowError:   # an integer beyond the float range
+        raise ConfigurationError(f"{name} must lie within the float range") from None
 
 
 def _mix64(z):

@@ -386,13 +386,13 @@ def _check_constant_args(lam, depth, a_estimate=None):
 
 
 def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
-                       grid_size=DEFAULT_GRID, a_estimate=None):
+                       grid_size=DEFAULT_GRID, a_estimate=None, threads=1):
     """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
     every orbit w in `omegas` and k in `offsets`: one sweep of all windows."""
     _check_constant_args(lam, depth, a_estimate)
     windows = param_windows(family, omegas, [(offsets, depth)])[0]
     _, lowers = _brackets(family, windows, settled_depths(family, windows, lam, grid_size),
-                          grid_size)
+                          grid_size, threads)
     return [a.reshape(len(omegas), -1) for a in truncated_infimum(lowers, lam)]
 
 
@@ -459,7 +459,8 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     failing (negative residuals, nonpositive C) yield "violated"; a
     nonpositive rate estimate or a non-decaying curve yields "inconclusive".
     One engine call sweeps the rate and supadditivity windows, which do not
-    depend on lambda, and a second the constants and the curve at lambda.
+    depend on lambda, and `tempered_constants` a second, the constants and
+    the curve of every sample at lambda.
     """
     for name, value in (("depth", depth), ("curve_n_max", curve_n_max),
                         ("supadd_samples", supadd_samples)):
@@ -490,32 +491,20 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
                                     "inconclusive", details, rate)
 
     lam = 0.5 * a_est if lam is None else lam
-    _check_constant_args(lam, depth, a_est)
-
     eff_depth = certified_depth(family, grid_size, depth)
     details["depth"] = eff_depth
 
     fast = isinstance(family, CircleFamily) and family.linear
     if curve_n_max is None:
         curve_n_max = 10_000 if fast else 128
-    curve_orbits = omegas[:min(samples, 20)]
-    # c_samples windows and curve windows, each swept to its settled depth
-    windows = param_windows(family, omegas, [([0], eff_depth)])[0]
-    if not fast:
-        windows = np.vstack([windows, *param_windows(
-            family, curve_orbits, [(range(1, curve_n_max + 1), eff_depth)])])
-    _, lows = _brackets(family, windows, settled_depths(family, windows, lam, grid_size),
-                        grid_size, threads)
-
-    log_c, ks = truncated_infimum(lows, lam)
-    c_samples = tuple((w.describe(), TemperedConstant(lc, k, eff_depth, lam).value,
-                       lc, k) for w, lc, k in zip(omegas, log_c.tolist(), ks.tolist()))
+    # column 0: each sample's constant; columns 1..curve_n_max: its curve
+    log_c, ks = tempered_constants(family, omegas, range(1 if fast else curve_n_max + 1),
+                                   lam, eff_depth, grid_size, a_est, threads)
+    c_samples = tuple((w.describe(), TemperedConstant(lc, k, eff_depth, lam).value, lc, k)
+                      for w, lc, k in zip(omegas, log_c[:, 0].tolist(), ks[:, 0].tolist()))
     ns = np.arange(1, curve_n_max + 1)
-    if fast:
-        log_cs = np.stack([_curve_fast(family, w, lam, curve_n_max, eff_depth)
-                           for w in curve_orbits])
-    else:
-        log_cs = log_c[samples:].reshape(-1, curve_n_max)
+    log_cs = (np.stack([_curve_fast(family, w, lam, curve_n_max, eff_depth) for w in omegas])
+              if fast else log_c[:, 1:])
     curve = TemperednessCurve(ns, np.mean(log_cs / ns, axis=0))
     min_residual = min(r for i in range(samples, len(lowers), n_res) for (_, _, r)
                        in _supadd_rows(uppers[i:i + n_res], lowers[i:i + n_res], n_res))

@@ -290,10 +290,10 @@ class PerturbedDoubling(CircleFamily):
     min_deriv_x = 0.5
 
     def __init__(self, eps_max=0.1):
-        if not (0.0 <= eps_max < 1.0 / _TWO_PI):
+        self.eps_max = as_floats(eps_max, "eps_max", 0)
+        if not (0.0 <= self.eps_max < 1.0 / _TWO_PI):
             raise ConfigurationError(
                 f"eps_max must lie in [0, 1/(2 pi)) to stay expanding, got {eps_max}")
-        self.eps_max = float(eps_max)
         self.sup_dphi = 2.0 + _TWO_PI * self.eps_max
         self.sup_dphi_inv = 1.0 / (2.0 - _TWO_PI * self.eps_max)
         self.log_deriv_lipschitz = (4.0 * math.pi ** 2 * self.eps_max
@@ -383,7 +383,7 @@ class LinearTorusFamily(FiberFamily):
 
     def __init__(self, matrices, label="matrices"):
         try:
-            mats = np.array(matrices, dtype=np.float64)
+            mats = np.array(as_floats(matrices, label, 3), dtype=np.float64)
         except ValueError:   # ragged nesting
             raise ConfigurationError(f"{label} must be 2x2") from None
         if not len(mats):

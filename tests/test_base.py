@@ -190,6 +190,18 @@ def test_rotation_has_no_symbols():
         symbol_at(w, 0)
 
 
+def test_shift_states_have_no_angle():
+    w = sample_base(bernoulli_half(), 2, 1)[0]
+    with pytest.raises(UnsupportedOperationError, match="rotation bases only"):
+        base.rotation_angles([w], 0, 3)
+
+
+@pytest.mark.parametrize("word", [(0, 2), (-1,), ()])
+def test_periodic_word_must_lie_in_the_alphabet(word):
+    with pytest.raises(ConfigurationError, match="word symbols must lie in the alphabet"):
+        periodic_state(2, word)
+
+
 def test_sample_determinism_bitwise():
     a = sample_base(bernoulli_half(), 7, 2)
     b = sample_base(bernoulli_half(), 7, 2)

@@ -20,6 +20,8 @@ from randhyp.ergodic import MAX_PERIOD
 from randhyp.expansion import MAX_SUPADD_N, MIN_GRID, certified_depth
 from randhyp.fibers import FAMILY_CATALOG, ManifoldPoint
 
+HUGE = 10 ** 400   # a JSON integer with no float value
+
 DOUBLING_FULL = {
     "task": "full-pipeline",
     "seed": 7,
@@ -576,6 +578,14 @@ def test_cli_unexpected_error_exit_one(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: ValueError: broken task\n"
 
 
+def test_cli_non_integer_env_threads_exit_one(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(DOUBLING_FULL))
+    monkeypatch.setenv("RANDHYP_THREADS", "two")
+    assert main(["full-pipeline", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: RANDHYP_THREADS must be an integer\n"
+
+
 def test_cli_env_threads(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(DOUBLING_FULL))
@@ -839,6 +849,12 @@ def test_echoed_config_reparses_for_every_base_kind(kind):
      ["base.transition must be a list of lists of numbers"]),
     ({"kind": "rotation", "rotation_number": [0.3]},
      ["base.rotation_number must be a number"]),
+    ({"kind": "rotation", "rotation_number": 1.5},
+     ["base.rotation_number must lie in (0, 1)"]),
+    ({"kind": "rotation", "rotation_number": HUGE},
+     ["base.rotation_number must lie within the float range"]),
+    ({"kind": "bernoulli", "probabilities": [HUGE, 0.5]},
+     ["base.probabilities must lie within the float range"]),
 ])
 def test_bad_base_exits_one_with_path(base, messages, tmp_path, capsys):
     code, err = cli_errors(tmp_path, capsys, "full-pipeline",
@@ -847,12 +863,52 @@ def test_bad_base_exits_one_with_path(base, messages, tmp_path, capsys):
     assert err.splitlines() == ["configuration errors:"] + [f"  - {m}" for m in messages]
 
 
+@pytest.mark.parametrize("cfg, messages", [
+    ([DOUBLING_FULL], ["config must be a JSON object"]),
+    ({k: v for k, v in DOUBLING_FULL.items() if k != "task"},
+     ["task is required (in the config or on the command line)"]),
+    (dict(DOUBLING_FULL, task="certify"),
+     [f"task must be one of {list(TASKS)}, got 'certify'"]),
+    (dict(DOUBLING_FULL, task_params=[]), ["task_params must be an object"]),
+    (dict(DOUBLING_FULL, fiber={"family": "doubling", "params": []}),
+     ["fiber.params must be an object"]),
+    (dict(DOUBLING_FULL, out_dir=3), ["out_dir must be a string path"]),
+    (dict(DOUBLING_FULL, task_params={"corollary": 1}),
+     ["task_params.corollary must be a boolean"]),
+])
+def test_malformed_config_is_one_error_each(cfg, messages):
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(json.dumps(cfg))
+    assert err.value.errors == messages
+
+
+def test_out_dir_reaches_the_echo():
+    cfg = parse_config(json.dumps(dict(DOUBLING_FULL, out_dir="runs/a")))
+    assert cfg.out_dir == cfg.echo["out_dir"] == "runs/a"
+
+
 @pytest.mark.parametrize("fiber, message", [
     ({"family": ["doubling"]}, "fiber.family unknown: ['doubling']; catalog: "
      "['bernoulli-linear', 'diagonal-cocycle', 'doubling', 'perturbed-doubling', "
      "'random-cat']"),
     ({"family": "bernoulli-linear", "params": {"values": []}},
      "fiber.params.values must be nonempty and positive"),
+    ({"family": "random-cat", "params": {"matrices": 3}},
+     "fiber.params.matrices must be 2x2"),
+    ({"family": "perturbed-doubling", "params": {"eps_max": [0.1]}},
+     "fiber.params.eps_max must be a number"),
+    ({"family": "bernoulli-linear", "params": {"values": [HUGE, 2]}},
+     "fiber.params.values must lie within the float range"),
+    ({"family": "random-cat", "params": {"matrices": [[[HUGE, 1], [1, 1]]]}},
+     "fiber.params.matrices must lie within the float range"),
+    ({"family": "random-cat", "params": {"matrices": []}},
+     "fiber.params.matrices must be nonempty"),
+    ({"family": "random-cat", "params": {"matrices": [[[1, 1], [1, 1]]]}},
+     "fiber.params.matrices must be nonsingular"),
+    ({"family": "diagonal-cocycle", "params": {"a_values": [2, 3], "b_values": [3]}},
+     "fiber.params.a_values and b_values must be nonempty and of equal length"),
+    ({"family": "diagonal-cocycle", "params": {"a_values": [2], "b_values": [0]}},
+     "fiber.params.a_values and b_values must be positive"),
 ])
 def test_bad_fiber_exits_one_with_path(fiber, message, tmp_path, capsys):
     code, err = cli_errors(tmp_path, capsys, "full-pipeline",
@@ -910,6 +966,15 @@ def test_include_periodic_needs_an_expanding_circle_family(tmp_path, capsys):
     code, err = cli_errors(tmp_path, capsys, "minimize", json.dumps(cfg))
     assert code == 1
     assert err == "error: periodic-orbit search needs an expanding circle family\n"
+
+
+def test_include_periodic_needs_integer_multipliers(tmp_path, capsys):
+    cfg = {"task": "minimize", "seed": 7, "base": BASES["bernoulli"],
+           "fiber": {"family": "bernoulli-linear", "params": {"values": [2.5, 3]}},
+           "task_params": MINIMIZE_PERIODIC}
+    code, err = cli_errors(tmp_path, capsys, "minimize", json.dumps(cfg))
+    assert code == 1
+    assert err == "error: periodic-orbit search needs integer multipliers\n"
 
 
 def test_minimize_enumerates_periodic_orbits_once(monkeypatch):

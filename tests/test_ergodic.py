@@ -253,3 +253,12 @@ def test_lambda_includes_periodic_context():
     assert rep.periodic_orbits
     words = [r.symbol_word for r in rep.periodic_orbits]
     assert (0,) in words
+
+
+def test_torus_words_with_complex_eigenvalues_are_skipped():
+    # [[1, -1], [1, 0]] has trace 1: its eigenvalues are complex, so the word
+    # (1,) has no real invariant direction and no record
+    fam = make_family("random-cat", {"matrices": [[[2, 1], [1, 1]], [[1, -1], [1, 0]]]})
+    words = {r.symbol_word for r in enumerate_periodic_orbits(fam, bern_spec(), 3)}
+    assert (0,) in words and (0, 1) in words
+    assert (1,) not in words

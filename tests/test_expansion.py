@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from randhyp import (BaseSystemSpec, ConfigurationError, ContractError,
-                     hyperbolicity_certificate, make_family, min_log_expansion,
+                     birkhoff_sum_phi, cocycle_product, exponent_positivity_report,
+                     finite_time_bundles, hyperbolicity_certificate, iterate,
+                     make_family, min_log_expansion, oseledets_spectrum, point,
                      sample_base, supadditivity_residuals, symbol_at,
-                     tempered_constant, uniform_rate_estimate,
+                     tempered_constant, uniform_rate_estimate, unit_tangent,
                      variable_rate_corollary, build_expansion_certificate,
                      min_expansion_table)
 from randhyp.base import base_step, periodic_state, shift_by, symbol_rows, symbol_window
@@ -456,8 +458,7 @@ def test_certificate_steps_each_parameter_prefix_once(monkeypatch):
               for k in range(supadd_N)]
     # the second: c_samples at offset 0 and the curve at offsets
     # 1..curve_n_max, each cut to its settled depth at lambda
-    later = np.vstack(param_windows(fam, omegas, [([0], depth)])
-                      + param_windows(fam, omegas, [(range(1, curve_n_max + 1), depth)]))
+    later = param_windows(fam, omegas, [(range(curve_n_max + 1), depth)])[0]
     cuts = expansion.settled_depths(fam, later, cert.lam, 256)
     second = [w[:d] for w, d in zip(later, cuts)]
 
@@ -467,6 +468,23 @@ def test_certificate_steps_each_parameter_prefix_once(monkeypatch):
 
     assert len(steps) == prefixes(first) + prefixes(second)
     assert len(steps) < sum(len(w) for w in first + list(later)) / 4
+
+
+def test_curve_averages_every_sample():
+    # past 20 samples the curve still averages all of them, and the 20-orbit
+    # mean differs, so a capped curve fails here
+    fam, samples, curve_n_max, grid = make_family("perturbed-doubling"), 22, 8, 64
+    cert = build_expansion_certificate(fam, bern_spec(), 7, samples=samples, n_max=5,
+                                       grid_size=grid, curve_n_max=curve_n_max,
+                                       supadd_samples=1, supadd_N=4)
+    log_c, _ = expansion.tempered_constants(
+        fam, sample_base(bern_spec(), 7, samples), range(1, curve_n_max + 1), cert.lam,
+        cert.details["depth"], grid)
+    ns = np.arange(1, curve_n_max + 1)
+    assert log_c.shape == (samples, curve_n_max)
+    assert np.array_equal(cert.temperedness_curve.values, np.mean(log_c / ns, axis=0))
+    assert not np.array_equal(cert.temperedness_curve.values,
+                              np.mean(log_c[:20] / ns, axis=0))
 
 
 def test_torus_corollary_reads_the_family_svals(monkeypatch):
@@ -520,11 +538,32 @@ def test_torus_corollary_reads_the_family_svals(monkeypatch):
         make_family("perturbed-doubling"), [], [0], 0.1, 4, 64)),
     ("omegas", lambda: one_step_min_expansions(make_family("random-cat"), [])),
     ("states", lambda: symbol_rows([], 0, 4)),
+    ("n", lambda: iterate(make_family("doubling"), dirac(), point(0.3), -1)),
+    ("n", lambda: cocycle_product(make_family("doubling"), dirac(), point(0.3), 0)),
+    ("n", lambda: birkhoff_sum_phi(make_family("doubling"),
+                                   unit_tangent(dirac(), point(0.3), (1.0,)), 0)),
+    ("n", lambda: oseledets_spectrum(make_family("random-cat"), dirac(),
+                                     point(0.1, 0.2), 1)),
+    ("samples", lambda: exponent_positivity_report(make_family("doubling"),
+                                                   BaseSystemSpec.dirac(), 7, 0, 10)),
+    ("n", lambda: exponent_positivity_report(make_family("random-cat"),
+                                             BaseSystemSpec.dirac(), 7, 2, 1)),
+    ("n", lambda: exponent_positivity_report(  # spectra read, not computed
+        make_family("random-cat"), BaseSystemSpec.dirac(), 7, 1, 1,
+        [oseledets_spectrum(make_family("random-cat"), dirac(), point(0.1, 0.2), 2)])),
+    ("horizon", lambda: finite_time_bundles(make_family("random-cat"), dirac(), None, 1)),
+    ("n_max", lambda: min_expansion_sweep(make_family("perturbed-doubling"), dirac(),
+                                          -1, 64)),
+    ("n_max", lambda: uniform_rate_estimate(make_family("perturbed-doubling"),
+                                            BaseSystemSpec.dirac(), 7, 3, 3, 64)),
+    ("count", lambda: sample_base(BaseSystemSpec.dirac(), 7, 0)),
 ])
 def test_empty_horizons_raise_contract_errors(name, call):
     # each ended in min() of an empty sequence or an empty curve's last
     # value, ran at depth 1, read a NaN mean, indexed an empty state list or
-    # cut fewer stretches than the depth
+    # cut fewer stretches than the depth; a step count below its floor (0
+    # for an orbit, 1 for a product or a sum, the fiber dimension for a
+    # spectrum) is refused before any read
     with pytest.raises(ContractError, match=f"^{name} must be"):
         call()
 

@@ -92,6 +92,11 @@ def test_eps_max_validation():
         make_family("perturbed-doubling", {"eps_max": 1 / TWO_PI})
 
 
+def test_unknown_family_names_the_catalog():
+    with pytest.raises(ConfigurationError, match=r"^unknown family 'cat'; catalog: \["):
+        make_family("cat")
+
+
 def test_random_cat_matrices():
     fam = make_family("random-cat")
     w = bern_state(want_symbol=0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from randhyp import (BaseSystemSpec, cocycle_product, make_family,
+from randhyp import (BaseSystemSpec, ContractError, cocycle_product, make_family,
                      exponent_positivity_report, fiber_derivative,
                      oseledets_spectrum, point, sample_base, top_exponent,
                      unit_tangent)
@@ -201,3 +201,11 @@ def test_argmin_sample_ignores_last_ulp_ties(monkeypatch):
                                      5, samples=3, n=10)
     assert rep["argmin_sample"] == 0
     assert rep["min_exponent"] == np.nextafter(low, 0.0)
+
+
+@pytest.mark.parametrize("n, batches", [(5, 10), (5, 0)])
+def test_top_exponent_needs_n_at_least_batches(n, batches):
+    # fewer steps than batches leaves a batch empty, and no batch has no mean
+    p = unit_tangent(dirac(), point(0.37), (1.0,))
+    with pytest.raises(ContractError, match="^need n >= batches >= 1$"):
+        top_exponent(make_family("doubling"), p, n, batches)
