@@ -179,7 +179,9 @@ class BaseSystemSpec(Record):
                     errs.append("probabilities must sum to 1 within 1e-12")
         elif self.kind == "markov":
             t = self.transition
-            if t is None or len(t) != self.alphabet_size or any(len(r) != self.alphabet_size for r in t):
+            if t is not None and len(t) == 0:   # _is_irreducible would hold vacuously
+                errs.append("transition must not be empty")
+            elif t is None or len(t) != self.alphabet_size or any(len(r) != self.alphabet_size for r in t):
                 errs.append("transition must be a square alphabet_size matrix")
             else:
                 for i, row in enumerate(t):

@@ -112,6 +112,8 @@ def birkhoff_sum_phi(family, p, n):
 def orbit_log_stretches(family, p, n):
     """Per-step log-stretch array along the tangent orbit (length n); on the
     torus, the differences of `torus_log_growth` at 1..n."""
+    if n < 1:
+        raise ContractError("n must be >= 1")
     if isinstance(family, LinearTorusFamily):
         return np.diff(torus_log_growth(family, p, np.arange(1, n + 1)), prepend=0.0)
     return family.orbit_log_derivs(p.omega, p.x.x, n)
@@ -129,50 +131,35 @@ def _block_len(table):
     return 1 << (steps.bit_length() - 1)
 
 
-def _matmul(later, earlier, out, tmp):
-    """later @ earlier over (2, 2, ...) stacks, into out: each entry
-    x0 y0 + x1 y1, rounded as written."""
-    np.multiply(later[:, :1], earlier[None, 0], out=out)
-    return np.add(out, np.multiply(later[:, 1:], earlier[None, 1], out=tmp), out=out)
+def _matmul(later, earlier):
+    """later @ earlier over (2, 2, ...) stacks: each entry x0 y0 + x1 y1, rounded as written."""
+    return later[:, :1] * earlier[None, 0] + later[:, 1:] * earlier[None, 1]
 
 
-def _tree(cols, chunk, work):
+def _tree(cols, chunk):
     """The levels of the pairwise tree over the blocks of (R, m, L) table
-    indices, in `work` (gather, levels, prefixes, product temp): level k
-    holds the (2, 2, L >> k, R * m) products of 2^k steps.  A block's
-    product, the top level, is the last prefix of a Hillis-Steele scan over
-    the block, bit for bit."""
+    indices: level k holds the (2, 2, L >> k, R * m) products of 2^k steps.
+    A block's product, the top level, is the last prefix of a Hillis-Steele
+    scan over the block, bit for bit."""
     R, m, L = chunk.shape
-    p = np.take(cols, chunk.transpose(2, 0, 1), axis=1, mode="clip",  # "raise" would buffer `out`
-                out=work[0][:4 * L * R * m].reshape(4, L, R, m)).reshape(2, 2, L, R * m)
-    levels, at = [p], 0
+    p = np.take(cols, chunk.transpose(2, 0, 1), axis=1).reshape(2, 2, L, R * m)
+    levels = [p]
     while p.shape[2] > 1:
-        size = 2 * p.shape[2] * R * m
-        shape = (2, 2, p.shape[2] // 2, R * m)
-        p = _matmul(p[:, :, 1::2], p[:, :, ::2], work[1][at:at + size].reshape(shape),
-                    work[3][:size].reshape(shape))
+        p = _matmul(p[:, :, 1::2], p[:, :, ::2])
         levels.append(p)
-        at += size
     return levels
 
 
-def _work(cells):
-    """Buffers for chunks of up to `cells` (row, step) cells: the gather,
-    the tree levels, the prefixes and a product temp."""
-    return np.split(np.empty(14 * cells), [4 * cells, 8 * cells, 12 * cells])
-
-
-def _exclusive_prefixes(levels, work):
+def _exclusive_prefixes(levels):
     """The product of the steps before each step of a block, from its
     `_tree` levels by a down-sweep: a right child's prefix is its left
     sibling times its parent's."""
     L, M = levels[0].shape[2:]
-    prefix = work[2][:4 * L * M].reshape(2, 2, L, M)
+    prefix = np.empty((2, 2, L, M))
     prefix[:, :, 0] = np.eye(2)[:, :, None]
     for nodes in reversed(levels[:-1]):
         s = L // nodes.shape[2]     # steps a node
-        _matmul(nodes[:, :, ::2], prefix[:, :, ::2 * s], prefix[:, :, s::2 * s],
-                work[3][:2 * nodes[0, 0].size].reshape(2, 2, -1, M))
+        prefix[:, :, s::2 * s] = _matmul(nodes[:, :, ::2], prefix[:, :, ::2 * s])
     return prefix
 
 
@@ -192,12 +179,12 @@ def push_log_stretches(table, idx, v, cuts, rows=None):
     S + log |P_j u| there, P_j the product of the block's first j matrices.
     So G(c) reads only A_0..A_{c-1} and v, and its bits depend on no other
     cut, row, vector or chunk.  The blocks are carried a chunk at a time and
-    each chunk's cuts are read before the next, so the working memory, in
-    buffers each call reuses, is bounded by _CELLS however many cuts there
-    are.  After a chunk, a vector whose carried direction has the bits of an
-    earlier one's on its row, or of its negative (exact negation keeps every
-    stretch's bits), stops being carried: from then on it adds that vector's
-    terms to its own sum, so it still equals its solo push.
+    each chunk's cuts are read before the next, so the working memory is
+    bounded by _CELLS however many cuts there are.  After a chunk, a vector
+    whose carried direction has the bits of an earlier one's on its row, or
+    of its negative (exact negation keeps every stretch's bits), stops being
+    carried: from then on it adds that vector's terms to its own sum, so it
+    still equals its solo push.
     """
     table = np.asarray(table, dtype=np.float64).reshape(-1, 4)
     cols = np.vstack([table, (1.0, 0.0, 0.0, 1.0)]).T
@@ -212,14 +199,13 @@ def push_log_stretches(table, idx, v, cuts, rows=None):
     out = np.empty((len(v), len(cuts)))
     padded = np.full((len(idx), width), len(table))
     padded[:, :idx.shape[1]] = idx[:, :width]
-    work = _work(min(_CELLS, len(set(rows.tolist())) * width))
     for vecs in np.split(order, range(_CELLS // L, len(v), _CELLS // L)):
         scanned, local = np.unique(rows[vecs], return_inverse=True)
-        _push(cols, padded, scanned, L, [units[i] for i in vecs], local, cuts, out, vecs, work)
+        _push(cols, padded, scanned, L, [units[i] for i in vecs], local, cuts, out, vecs)
     return out
 
 
-def _push(cols, padded, scanned, L, units, local, cuts, out, vecs, work):
+def _push(cols, padded, scanned, L, units, local, cuts, out, vecs):
     """G at the cuts into out[vecs], for the vectors riding the `scanned`
     rows.  The carry records each vector's running sum S and carried
     direction at the start of each held block; once the unread cuts reach
@@ -240,7 +226,7 @@ def _push(cols, padded, scanned, L, units, local, cuts, out, vecs, work):
         slot = dict(zip(new, range(len(held), len(held) + len(new))))
         held += new
         chunk = padded[scanned, b0 * L:(b0 + m) * L].reshape(R, m, L)
-        prods = _tree(cols, chunk, work)[-1].reshape(4, R, m).tolist()
+        prods = _tree(cols, chunk)[-1].reshape(4, R, m).tolist()
         terms, sqrt, log = {}, math.sqrt, math.log
         for i, j in enumerate(root):
             s, rec = sums[i], at[i]
@@ -267,8 +253,7 @@ def _push(cols, padded, scanned, L, units, local, cuts, out, vecs, work):
             sums[i] = s
         b0, c1 = b0 + m, c2
         if c1 - c0 >= max(1, _CELLS // V) or len(held) * R * L >= _CELLS:
-            for a, b, g in _cut_growth(cols, padded, scanned, L, held, at, local, cuts[c0:c1],
-                                       work):
+            for a, b, g in _cut_growth(cols, padded, scanned, L, held, at, local, cuts[c0:c1]):
                 out[vecs, c0 + a:c0 + b] = g
             held, at, c0 = [], [[] for _ in range(V)], c1
         if b0 < last:
@@ -283,11 +268,11 @@ def _push(cols, padded, scanned, L, units, local, cuts, out, vecs, work):
     held.append(last)
     for i, j in enumerate(root):
         at[i].append((sums[i], *units[j]))
-    for a, b, g in _cut_growth(cols, padded, scanned, L, held, at, local, cuts[c0:], work):
+    for a, b, g in _cut_growth(cols, padded, scanned, L, held, at, local, cuts[c0:]):
         out[vecs, c0 + a:c0 + b] = g
 
 
-def _cut_growth(cols, padded, scanned, L, held, at, local, cuts, work):
+def _cut_growth(cols, padded, scanned, L, held, at, local, cuts):
     """G at cuts in the `held` blocks, as (first, end, (V, end - first))
     runs of the cuts: S + log |A_j (E_j u)|, (S, u) = at[:, h] at the start
     of block held[h] and E_j the product of its steps before its step j.  A
@@ -303,11 +288,10 @@ def _cut_growth(cols, padded, scanned, L, held, at, local, cuts, work):
         hb = hb[:np.searchsorted(hb, cut_block[c1 - 1]) + 1]
         j, k = cut_step[c0:c1], np.searchsorted(hb, cut_block[c0:c1])
         span = 1 << int(j.max()).bit_length()  # steps past the last cut are not read
-        levels = _tree(cols, padded[scanned[:, None, None], hb[:, None] * L + np.arange(span)],
-                       work)
+        levels = _tree(cols, padded[scanned[:, None, None], hb[:, None] * L + np.arange(span)])
         pick = (j * R + local[:, None]) * len(hb) + k   # (V, cuts) into (span, R, blocks)
         a = np.take(levels[0].reshape(4, -1), pick, axis=1)
-        e = np.take(_exclusive_prefixes(levels, work).reshape(4, -1), pick, axis=1)
+        e = np.take(_exclusive_prefixes(levels).reshape(4, -1), pick, axis=1)
         s, u0, u1 = np.take(at, h0 + k, axis=1).transpose(2, 0, 1)
         x0, x1 = e[0] * u0 + e[1] * u1, e[2] * u0 + e[3] * u1
         w0, w1 = a[0] * x0 + a[1] * x1, a[2] * x0 + a[3] * x1

@@ -847,6 +847,7 @@ def test_echoed_config_reparses_for_every_base_kind(kind):
      ["base.probabilities must be a list of numbers"]),
     ({"kind": "markov", "transition": [0.9, 0.1]},
      ["base.transition must be a list of lists of numbers"]),
+    ({"kind": "markov", "transition": []}, ["base.transition must not be empty"]),
     ({"kind": "rotation", "rotation_number": [0.3]},
      ["base.rotation_number must be a number"]),
     ({"kind": "rotation", "rotation_number": 1.5},

@@ -12,6 +12,7 @@ from randhyp import (BaseSystemSpec, ConfigurationError, ContractError,
                      variable_rate_corollary, build_expansion_certificate,
                      min_expansion_table)
 from randhyp.base import base_step, periodic_state, shift_by, symbol_rows, symbol_window
+from randhyp.cocycle import orbit_log_stretches
 from randhyp.splitting import bundle_rates
 from randhyp.expansion import (certified_depth, lipschitz_slack,
                                min_expansion_sweep, one_step_min_expansions,
@@ -542,6 +543,10 @@ def test_torus_corollary_reads_the_family_svals(monkeypatch):
     ("n", lambda: cocycle_product(make_family("doubling"), dirac(), point(0.3), 0)),
     ("n", lambda: birkhoff_sum_phi(make_family("doubling"),
                                    unit_tangent(dirac(), point(0.3), (1.0,)), 0)),
+    ("n", lambda: orbit_log_stretches(make_family("random-cat"),
+                                      unit_tangent(dirac(), point(0.1, 0.2), (1.0, 0.0)), 0)),
+    ("n", lambda: orbit_log_stretches(make_family("perturbed-doubling"),
+                                      unit_tangent(dirac(), point(0.3), (1.0,)), 0)),
     ("n", lambda: oseledets_spectrum(make_family("random-cat"), dirac(),
                                      point(0.1, 0.2), 1)),
     ("samples", lambda: exponent_positivity_report(make_family("doubling"),

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from randhyp import (BaseSystemSpec, make_family, oseledets_spectrum, point,
                      sample_base, shift_by)
 from randhyp import cocycle
-from randhyp.cocycle import _block_len, _tree, _work, push_log_stretches, window_products
+from randhyp.cocycle import _block_len, _tree, push_log_stretches, window_products
 
 FAMILIES = {
     "random-cat": ("random-cat", {}),
@@ -95,7 +95,7 @@ def test_tree_block_products_are_the_scan_last_prefix(L):
     table = np.concatenate([fam.matrices, fam.inverses]).reshape(-1, 4)
     cols = np.vstack([table, (1.0, 0.0, 0.0, 1.0)]).T
     chunk = np.random.default_rng(L).integers(0, len(table) + 1, size=(3, 5, L))
-    got = _tree(cols, chunk, _work(chunk.size))[-1]
+    got = _tree(cols, chunk)[-1]
     want = hillis_steele_last(cols[:, chunk.transpose(2, 0, 1)].reshape(2, 2, L, 15))
     assert got.tobytes() == want.tobytes()
 
@@ -246,6 +246,29 @@ def test_working_memory_is_bounded_by_the_chunk(rows):
                 tracemalloc.stop()
             work.append(peak - out.nbytes - padded)
         assert abs(work[1] - work[0]) <= 0.1 * work[0], (cuts, work)
+
+
+# traced working memory of one 10 000-step push, bytes: about 0.44-0.48 MB at
+# the certificate's cuts and 1.01-1.05 MB at every step (numpy 2.4.6, x86-64);
+# a kernel that holds a full chunk's gather, levels, prefixes and product temp
+# for the whole call traces 0.64 and 1.25 MB
+WORK_BOUND = {"every": 1.15e6, "certificate": 0.56e6}
+
+
+@pytest.mark.parametrize("rows", [(0,), (0, 1, 1, 1)], ids=["one", "shared"])
+@pytest.mark.parametrize("cuts", CUTS)
+def test_working_memory_is_below_its_bound(rows, cuts):
+    table, idx, v, rows = _two_row_push("random-cat", 10_000, rows)
+    L = _block_len(table.reshape(-1, 4))
+    padded = len(idx) * -(-10_000 // L) * L * np.dtype(int).itemsize
+    at = CUTS[cuts](10_000)
+    tracemalloc.start()
+    try:
+        out = push_log_stretches(table, idx, v, at, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes - padded <= WORK_BOUND[cuts]
 
 
 def _carried_blocks(monkeypatch, *push):
