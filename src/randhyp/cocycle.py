@@ -194,19 +194,17 @@ def push_log_stretches(table, idx, v, cuts, rows=None):
     idx = np.asarray(idx)
     v = np.asarray(v, dtype=np.float64)
     rows = np.arange(len(v)) if rows is None else np.asarray(rows)
-    order = np.argsort(rows, kind="stable")     # a row's vectors share its blocks
     units = (v / np.hypot(v[:, :1], v[:, 1:])).tolist()
     out = np.empty((len(v), len(cuts)))
     padded = np.full((len(idx), width), len(table))
     padded[:, :idx.shape[1]] = idx[:, :width]
-    for vecs in np.split(order, range(_CELLS // L, len(v), _CELLS // L)):
-        scanned, local = np.unique(rows[vecs], return_inverse=True)
-        _push(cols, padded, scanned, L, [units[i] for i in vecs], local, cuts, out, vecs)
+    scanned, local = np.unique(rows, return_inverse=True)
+    _push(cols, padded, scanned, L, units, local, cuts, out)
     return out
 
 
-def _push(cols, padded, scanned, L, units, local, cuts, out, vecs):
-    """G at the cuts into out[vecs], for the vectors riding the `scanned`
+def _push(cols, padded, scanned, L, units, local, cuts, out):
+    """G at the cuts into out, for the vectors riding the `scanned`
     rows.  The carry records each vector's running sum S and carried
     direction at the start of each held block; once the unread cuts reach
     _CELLS // V, or their blocks _CELLS // (R L), `_cut_growth` reads them.
@@ -254,7 +252,7 @@ def _push(cols, padded, scanned, L, units, local, cuts, out, vecs):
         b0, c1 = b0 + m, c2
         if c1 - c0 >= max(1, _CELLS // V) or len(held) * R * L >= _CELLS:
             for a, b, g in _cut_growth(cols, padded, scanned, L, held, at, local, cuts[c0:c1]):
-                out[vecs, c0 + a:c0 + b] = g
+                out[:, c0 + a:c0 + b] = g
             held, at, c0 = [], [[] for _ in range(V)], c1
         if b0 < last:
             first = {}
@@ -269,7 +267,7 @@ def _push(cols, padded, scanned, L, units, local, cuts, out, vecs):
     for i, j in enumerate(root):
         at[i].append((sums[i], *units[j]))
     for a, b, g in _cut_growth(cols, padded, scanned, L, held, at, local, cuts[c0:]):
-        out[vecs, c0 + a:c0 + b] = g
+        out[:, c0 + a:c0 + b] = g
 
 
 def _cut_growth(cols, padded, scanned, L, held, at, local, cuts):

@@ -20,7 +20,6 @@ byte for byte (`settled_depths`).
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import deterministic_map
 from ._record import Record, field
@@ -388,21 +387,38 @@ def _check_constant_args(lam, depth, a_estimate=None):
 def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
                        grid_size=DEFAULT_GRID, a_estimate=None, threads=1):
     """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
-    every orbit w in `omegas` and k in `offsets`: one sweep of all windows."""
+    every orbit w in `omegas` and k in `offsets`: one sweep of all windows;
+    for an x-independent circle family, t_{k+n} - t_k at the first least of
+    t_{k+1..k+d}, t_j = (sum of the first j log-derivatives) - lam j, read
+    once per orbit from position min(0, min(offsets))."""
     _check_constant_args(lam, depth, a_estimate)
-    windows = param_windows(family, omegas, [(offsets, depth)])[0]
-    _, lowers = _brackets(family, windows, settled_depths(family, windows, lam, grid_size),
-                          grid_size, threads)
-    return [a.reshape(len(omegas), -1) for a in truncated_infimum(lowers, lam)]
+    if not (isinstance(family, CircleFamily) and family.linear):
+        windows = param_windows(family, omegas, [(offsets, depth)])[0]
+        _, lowers = _brackets(family, windows, settled_depths(family, windows, lam, grid_size),
+                              grid_size, threads)
+        return [a.reshape(len(omegas), -1) for a in truncated_infimum(lowers, lam)]
+    ks = np.ravel(offsets)
+    if not len(ks):
+        raise ContractError("offsets must be nonempty")
+    lo = min(0, int(ks.min()))
+    span, cols = int(ks.max()) - lo + depth, ks - lo
+    logs = family.log_deriv(param_windows(family, omegas, [([lo], span)])[0], 0.0, np)
+    t = np.cumsum(np.pad(logs, ((0, 0), (1, 0))), axis=1) - lam * np.arange(span + 1)
+    least, at = (np.take(a, cols, 1) for a in _window_argmin(t[:, 1:], depth))
+    return least - np.take(t, cols, 1), at - cols + 1
 
 
-def _curve_fast(family, omega, lam, n_max, depth):
-    """log C(T^n w), n = 1..n_max, at once for x-independent circle families."""
-    logs = family.orbit_log_derivs(omega, 0.0, n_max + depth)
-    csum = np.concatenate([[0.0], np.cumsum(logs)])
-    t = csum - lam * np.arange(n_max + depth + 1)
-    winmin = sliding_window_view(t[1:], depth).min(axis=1)
-    return (winmin[: n_max + 1] - t[: n_max + 1])[1:]
+def _window_argmin(v, d):
+    """Per row, the least entry of each window v[:, j:j + d] and its first
+    column, argmin's bit for bit, from windows of doubling widths (a tie
+    keeps the left one's) without argmin's copy of every window."""
+    at, w = np.broadcast_to(np.arange(v.shape[1], dtype=np.int32), v.shape), 1
+    while w < d:
+        s = min(w, d - w)
+        right = v[:, s:] < v[:, :-s]
+        v, at = np.minimum(v[:, s:], v[:, :-s]), at[:, :-s] + right * (at[:, s:] - at[:, :-s])
+        w += s
+    return v, at
 
 
 def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
@@ -414,11 +430,7 @@ def temperedness_curve_at(family, omega, lam, n_max, depth=DEFAULT_DEPTH,
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
     ns = np.arange(1, n_max + 1)
-    if isinstance(family, CircleFamily) and family.linear:
-        _check_constant_args(lam, depth)
-        log_cs = _curve_fast(family, omega, lam, n_max, depth)
-    else:
-        log_cs = tempered_constants(family, [omega], ns, lam, depth, grid_size)[0][0]
+    log_cs = tempered_constants(family, [omega], ns, lam, depth, grid_size)[0][0]
     return TemperednessCurve(ns=ns, values=log_cs / ns)
 
 
@@ -494,18 +506,15 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     eff_depth = certified_depth(family, grid_size, depth)
     details["depth"] = eff_depth
 
-    fast = isinstance(family, CircleFamily) and family.linear
     if curve_n_max is None:
-        curve_n_max = 10_000 if fast else 128
+        curve_n_max = 10_000 if isinstance(family, CircleFamily) and family.linear else 128
     # column 0: each sample's constant; columns 1..curve_n_max: its curve
-    log_c, ks = tempered_constants(family, omegas, range(1 if fast else curve_n_max + 1),
+    log_c, ks = tempered_constants(family, omegas, range(curve_n_max + 1),
                                    lam, eff_depth, grid_size, a_est, threads)
     c_samples = tuple((w.describe(), TemperedConstant(lc, k, eff_depth, lam).value, lc, k)
                       for w, lc, k in zip(omegas, log_c[:, 0].tolist(), ks[:, 0].tolist()))
     ns = np.arange(1, curve_n_max + 1)
-    log_cs = (np.stack([_curve_fast(family, w, lam, curve_n_max, eff_depth) for w in omegas])
-              if fast else log_c[:, 1:])
-    curve = TemperednessCurve(ns, np.mean(log_cs / ns, axis=0))
+    curve = TemperednessCurve(ns, np.mean(log_c[:, 1:] / ns, axis=0))
     min_residual = min(r for i in range(samples, len(lowers), n_res) for (_, _, r)
                        in _supadd_rows(uppers[i:i + n_res], lowers[i:i + n_res], n_res))
 

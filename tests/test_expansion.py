@@ -199,7 +199,8 @@ def test_temperedness_curve_bernoulli_linear():
 
 
 def test_curve_matches_direct_constant():
-    # the vectorized sliding-window path equals the direct computation
+    # the cumulative-sum branch at offsets 1..30 equals each shifted
+    # state's own constant
     fam = make_family("bernoulli-linear", {"values": [2, 3]})
     w = sample_base(bern_spec(), 53, 1)[0]
     from randhyp.expansion import temperedness_curve_at
@@ -213,8 +214,8 @@ def test_curve_matches_direct_constant():
 
 @pytest.mark.parametrize("name", ["bernoulli-linear", "perturbed-doubling"])
 def test_curve_checks_lambda_and_depth_on_both_paths(name):
-    # bernoulli-linear takes the sliding-window path, perturbed doubling the
-    # sweep: both refuse a rate or a depth that no constant has
+    # bernoulli-linear takes the cumulative-sum branch, perturbed doubling
+    # the sweep: both refuse a rate or a depth that no constant has
     from randhyp import ContractError
     from randhyp.expansion import temperedness_curve_at
     fam = make_family(name)
@@ -486,6 +487,71 @@ def test_curve_averages_every_sample():
     assert np.array_equal(cert.temperedness_curve.values, np.mean(log_c / ns, axis=0))
     assert not np.array_equal(cert.temperedness_curve.values,
                               np.mean(log_c[:20] / ns, axis=0))
+
+
+X_INDEPENDENT = [("doubling", None), ("bernoulli-linear", {"values": [0.5, 4]})]
+
+
+def _window_loop(family, windows, lam):
+    """log C and the n attaining it, one window at a time."""
+    out = []
+    for p in windows.tolist():
+        terms = np.cumsum(np.log(p)) - lam * np.arange(1, len(p) + 1)
+        out.append((terms.min(), terms.argmin() + 1))
+    log_c, ns = zip(*out)
+    return np.array(log_c), np.array(ns)
+
+
+@pytest.mark.parametrize("name, params", X_INDEPENDENT)
+@pytest.mark.parametrize("lam", [0.3, 0.8])
+def test_x_independent_offset_zero_is_the_engine_bit_for_bit(name, params, lam):
+    # the cumulative-sum branch gives the sweep's constants at offset 0
+    fam, depth, omegas = make_family(name, params), 50, sample_base(bern_spec(), 7, 20)
+    windows = param_windows(fam, omegas, [([0], depth)])[0]
+    _, lowers = expansion._brackets(fam, windows, [depth] * len(omegas), 1)
+    want_c, want_n = expansion.truncated_infimum(lowers, lam)
+    log_c, ns = expansion.tempered_constants(fam, omegas, [0], lam, depth)
+    assert log_c[:, 0].tobytes() == want_c.tobytes()
+    assert np.array_equal(ns[:, 0], want_n)
+
+
+@pytest.mark.parametrize("name, params", X_INDEPENDENT)
+@pytest.mark.parametrize("offsets", [range(1, 40), [2, -3, 0, 7, -1]])
+def test_x_independent_constants_match_a_window_loop(name, params, offsets):
+    fam, depth, lam, omegas = make_family(name, params), 12, 0.3, sample_base(bern_spec(), 7, 5)
+    log_c, ns = expansion.tempered_constants(fam, omegas, offsets, lam, depth)
+    want_c, want_n = _window_loop(fam, param_windows(fam, omegas, [(offsets, depth)])[0], lam)
+    assert log_c.shape == ns.shape == (len(omegas), len(offsets))
+    assert np.allclose(log_c.ravel(), want_c, rtol=0.0, atol=1e-12)
+    assert np.array_equal(ns.ravel(), want_n)
+
+
+def test_x_independent_constants_read_from_the_least_offset():
+    # a negative offset starts the read: its column is the shifted states'
+    # constant at offset 0, bit for bit
+    fam, depth, lam = make_family("bernoulli-linear", {"values": [0.5, 4]}), 12, 0.3
+    omegas = sample_base(bern_spec(), 7, 5)
+    log_c, ns = expansion.tempered_constants(fam, omegas, [2, -3, 0], lam, depth)
+    first_c, first_n = expansion.tempered_constants(fam, [shift_by(w, -3) for w in omegas],
+                                                    [0], lam, depth)
+    assert log_c[:, 1].tobytes() == first_c[:, 0].tobytes()
+    assert np.array_equal(ns[:, 1], first_n[:, 0])
+
+
+@pytest.mark.parametrize("name", ["doubling", "bernoulli-linear", "perturbed-doubling",
+                                  "random-cat"])
+def test_tempered_constants_refuse_empty_offsets(name):
+    with pytest.raises(ContractError, match="^offsets must be nonempty"):
+        expansion.tempered_constants(make_family(name), [dirac()], [], 0.1, 4, 64)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9])
+def test_window_argmin_is_argmin_on_ties(d):
+    v = np.random.default_rng(d).integers(0, 4, (3, 40)).astype(np.float64)
+    least, at = expansion._window_argmin(v, d)
+    windows = np.lib.stride_tricks.sliding_window_view(v, d, axis=1)
+    assert np.array_equal(least, windows.min(axis=2))
+    assert np.array_equal(at - np.arange(40 - d + 1), windows.argmin(axis=2))
 
 
 def test_torus_corollary_reads_the_family_svals(monkeypatch):
