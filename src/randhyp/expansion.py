@@ -493,14 +493,16 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
     details = {"trend": [list(t) for t in rate.trend], "n_max": n_max,
                "grid_size": grid_size, "samples": samples,
                "a_std_err": rate.a_std_err}
+    min_residual = min(r for i in range(samples, len(lowers), n_res) for (_, _, r)
+                       in _supadd_rows(uppers[i:i + n_res], lowers[i:i + n_res], n_res))
 
     # A must be positive beyond its own sampling noise; a marginal system
     # (mean log rate near 0) must not slip through on a lucky draw, and a
-    # single sample has no error bar at all.
+    # single sample has no error bar at all.  Without lambda there is no
+    # constant and no curve.
     if not clears_error_bar(a_est, rate.a_std_err, samples):
-        empty = TemperednessCurve(np.array([1]), np.array([0.0]))
-        return ExpansionCertificate(a_est, None, (), empty, 0.0,
-                                    "inconclusive", details, rate)
+        return ExpansionCertificate(a_est, None, (), TemperednessCurve(np.arange(0), np.zeros(0)),
+                                    min_residual, "inconclusive", details, rate)
 
     lam = 0.5 * a_est if lam is None else lam
     eff_depth = certified_depth(family, grid_size, depth)
@@ -515,8 +517,6 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
                       for w, lc, k in zip(omegas, log_c[:, 0].tolist(), ks[:, 0].tolist()))
     ns = np.arange(1, curve_n_max + 1)
     curve = TemperednessCurve(ns, np.mean(log_c[:, 1:] / ns, axis=0))
-    min_residual = min(r for i in range(samples, len(lowers), n_res) for (_, _, r)
-                       in _supadd_rows(uppers[i:i + n_res], lowers[i:i + n_res], n_res))
 
     if min_residual < -1e-9 or any(lc == -math.inf for (_, _, lc, _) in c_samples):
         verdict = "violated"

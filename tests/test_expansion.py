@@ -554,6 +554,18 @@ def test_window_argmin_is_argmin_on_ties(d):
     assert np.array_equal(at - np.arange(40 - d + 1), windows.argmin(axis=2))
 
 
+def test_a_failed_rate_gate_reports_the_swept_residuals():
+    # random-cat contracts along its stable direction, so the rate gate
+    # fails; the residuals of the rate sweep's supadditivity rows are still
+    # the certificate's, and there is no constant and no curve
+    fam, spec = make_family("random-cat"), bern_spec()
+    cert = build_expansion_certificate(fam, spec, 7, supadd_samples=3, supadd_N=6)
+    assert cert.verdict == "inconclusive" and cert.lam is None and cert.c_samples == ()
+    assert cert.supadditivity_min_residual == min(
+        supadditivity_residuals(fam, w, 6).min_residual for w in sample_base(spec, 7, 3))
+    assert len(cert.temperedness_curve.ns) == len(cert.temperedness_curve.values) == 0
+
+
 def test_torus_corollary_reads_the_family_svals(monkeypatch):
     fam = make_family("random-cat")
     calls = []
