@@ -41,10 +41,11 @@ class PeriodicOrbitRecord(Record):
     residual: float
 
 
-def _necklaces(alphabet, p):
-    """Canonical (lexicographically minimal) rotation representatives."""
+def _necklaces(letters, p):
+    """Canonical (lexicographically minimal) rotation representatives of
+    the p-letter words over `letters`."""
     seen = set()
-    for word in iter_product(range(alphabet), repeat=p):
+    for word in iter_product(letters, repeat=p):
         canon = min(word[i:] + word[:i] for i in range(p))
         if canon not in seen:
             seen.add(canon)
@@ -110,8 +111,8 @@ def _circle_word_orbits(family, omega0, word):
 
 def enumerate_periodic_orbits(family, spec, p_max):
     """Periodic orbits for every symbol word of length <= p_max (up to
-    rotation), each listed once under its least period, sorted by
-    orbit-averaged log expansion.
+    rotation) over the letters of positive probability, each listed once
+    under its least period, sorted by orbit-averaged log expansion.
 
     Full-shift (bernoulli) bases and `expanding` circle families only.
     Root isolation uses bisection on the lift, increasing and of degree
@@ -124,9 +125,9 @@ def enumerate_periodic_orbits(family, spec, p_max):
             "periodic-orbit search needs an expanding circle family")
     if p_max > MAX_PERIOD:
         raise ContractError(f"p_max is capped at {MAX_PERIOD}")
-    records = []
+    records, letters = [], [a for a, q in enumerate(spec.probabilities) if q > 0]
     for p in range(1, p_max + 1):
-        for word in _necklaces(spec.alphabet_size, p):
+        for word in _necklaces(letters, p):
             if _word_period(word) < p and isinstance(family, LinearTorusFamily):
                 continue
             omega0 = periodic_state(spec.alphabet_size, word)

@@ -150,6 +150,23 @@ def test_periodic_orbit_counts_are_exact(name, params, probs, p_max, D):
         assert np.diff(sorted(points)).min(initial=1.0) > 1e-6
 
 
+@pytest.mark.parametrize("name, params, probs, p_max", [
+    ("random-cat", {}, [1.0, 0.0], 3),
+    ("bernoulli-linear", {"values": [2, 3, 4]}, [0.5, 0.0, 0.5], 2),
+])
+def test_periodic_orbits_skip_letters_the_base_never_draws(name, params, probs, p_max):
+    # a zero-probability letter's words are not orbits of the skew product
+    # over this base; the other words keep their records, which a base
+    # drawing every letter also lists
+    fam = make_family(name, params)
+    recs = enumerate_periodic_orbits(fam, BaseSystemSpec.bernoulli(probs), p_max)
+    every = enumerate_periodic_orbits(
+        fam, BaseSystemSpec.bernoulli([1 / len(probs)] * len(probs)), p_max)
+    drawn = {a for a, q in enumerate(probs) if q > 0}
+    assert recs and all(set(r.symbol_word) <= drawn for r in recs)
+    assert recs == [r for r in every if set(r.symbol_word) <= drawn]
+
+
 def test_periodic_orbits_need_an_expanding_circle_family():
     # the word (0) of multipliers (1, 2) has degree 1: every point is fixed,
     # and the bisection, which assumes degree >= 2, found x = 0 alone
