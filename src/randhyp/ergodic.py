@@ -42,8 +42,7 @@ class PeriodicOrbitRecord(Record):
 
 
 def _necklaces(letters, p):
-    """Canonical (lexicographically minimal) rotation representatives of
-    the p-letter words over `letters`."""
+    """Canonical (lexicographically minimal) rotations of p-words over `letters`."""
     seen = set()
     for word in iter_product(letters, repeat=p):
         canon = min(word[i:] + word[:i] for i in range(p))
@@ -110,9 +109,9 @@ def _circle_word_orbits(family, omega0, word):
 
 
 def enumerate_periodic_orbits(family, spec, p_max):
-    """Periodic orbits for every symbol word of length <= p_max (up to
-    rotation) over the letters of positive probability, each listed once
-    under its least period, sorted by orbit-averaged log expansion.
+    """Periodic orbits for every word of length <= p_max over the letters of
+    positive probability (up to rotation), each listed once under its least
+    period, sorted by orbit-averaged log expansion.
 
     Full-shift (bernoulli) bases and `expanding` circle families only.
     Root isolation uses bisection on the lift, increasing and of degree

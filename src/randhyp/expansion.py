@@ -373,8 +373,12 @@ def settled_depths(family, windows, lam, grid_size):
     return d - may_set[:, ::-1].argmax(axis=1)
 
 
-def _check_constant_args(lam, depth, a_estimate=None):
-    """The rate and truncation depth every tempered constant needs."""
+def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
+                       grid_size=DEFAULT_GRID, a_estimate=None, threads=1):
+    """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
+    every orbit w in `omegas` and k in `offsets`: one sweep of all windows;
+    an x-independent circle family's is the first least t_{k+n} - t_k, n <= d,
+    t_j the first j log-derivatives' sum less lam j, read from min(0, min(offsets))."""
     if not lam > 0.0:
         raise ConfigurationError("lambda must be positive")
     if a_estimate is not None and not lam < a_estimate:
@@ -382,16 +386,6 @@ def _check_constant_args(lam, depth, a_estimate=None):
             f"lambda must satisfy 0 < lambda < A = {a_estimate}, got {lam}")
     if depth < 1:
         raise ContractError("depth must be >= 1")
-
-
-def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
-                       grid_size=DEFAULT_GRID, a_estimate=None, threads=1):
-    """log C(T^k w) and the n attaining it, as (orbit, offset) arrays, for
-    every orbit w in `omegas` and k in `offsets`: one sweep of all windows;
-    for an x-independent circle family, t_{k+n} - t_k at the first least of
-    t_{k+1..k+d}, t_j = (sum of the first j log-derivatives) - lam j, read
-    once per orbit from position min(0, min(offsets))."""
-    _check_constant_args(lam, depth, a_estimate)
     if not (isinstance(family, CircleFamily) and family.linear):
         windows = param_windows(family, omegas, [(offsets, depth)])[0]
         _, lowers = _brackets(family, windows, settled_depths(family, windows, lam, grid_size),
@@ -405,7 +399,7 @@ def tempered_constants(family, omegas, offsets, lam, depth=DEFAULT_DEPTH,
     logs = family.log_deriv(param_windows(family, omegas, [([lo], span)])[0], 0.0, np)
     t = np.cumsum(np.pad(logs, ((0, 0), (1, 0))), axis=1) - lam * np.arange(span + 1)
     least, at = (np.take(a, cols, 1) for a in _window_argmin(t[:, 1:], depth))
-    return least - np.take(t, cols, 1), at - cols + 1
+    return least - np.take(t, cols, 1), at - cols + 1   # C order, as the engine's
 
 
 def _window_argmin(v, d):
@@ -414,10 +408,9 @@ def _window_argmin(v, d):
     keeps the left one's) without argmin's copy of every window."""
     at, w = np.broadcast_to(np.arange(v.shape[1], dtype=np.int32), v.shape), 1
     while w < d:
-        s = min(w, d - w)
+        s, w = min(w, d - w), min(2 * w, d)
         right = v[:, s:] < v[:, :-s]
         v, at = np.minimum(v[:, s:], v[:, :-s]), at[:, :-s] + right * (at[:, s:] - at[:, :-s])
-        w += s
     return v, at
 
 
@@ -498,8 +491,7 @@ def build_expansion_certificate(family, spec, seed, samples=20, n_max=12,
 
     # A must be positive beyond its own sampling noise; a marginal system
     # (mean log rate near 0) must not slip through on a lucky draw, and a
-    # single sample has no error bar at all.  Without lambda there is no
-    # constant and no curve.
+    # single sample has no error bar at all.
     if not clears_error_bar(a_est, rate.a_std_err, samples):
         return ExpansionCertificate(a_est, None, (), TemperednessCurve(np.arange(0), np.zeros(0)),
                                     min_residual, "inconclusive", details, rate)
